@@ -1,19 +1,20 @@
-"""Event-skipping simulation — speedup over the per-cycle reference.
+"""The default simulation path vs the per-cycle reference, per model.
 
 Every figure, sweep and scenario run bottoms out in ``simulate()``.  The
-per-cycle reference engine burns one Python iteration per machine cycle
-even while the core is stalled on a remote load or draining in-flight
-traffic — exactly the long-latency windows the distributed-data-cache
-model creates.  The event-skipping engine jumps those windows to the
-next memory event in one step.
+per-cycle reference (``engine="cycles"``) burns one Python iteration per
+machine cycle on the object memory system, even while the core is
+stalled on a remote load or draining in-flight traffic — exactly the
+long-latency windows the distributed-data-cache model creates.  The
+default path runs the flat stepper (:mod:`repro.sim.flatmem`), which
+jumps those windows to the next memory event.
 
-This bench runs a stall-heavy scenario — an indirect gather whose table
-busts the tiny cache modules, on a machine with one slow memory bus and
-a far next level, so ~90%+ of all cycles are stall cycles — under both
-engines, requires their ``SimStats`` to be identical, and asserts the
-event engine is at least 2x faster (typical: ~3x; the checked-run ratio
-is reported alongside).  Wired into the CI smoke step like the
-pipeline-stage bench.
+For every registered memory model this bench runs a stall-heavy
+scenario — an indirect gather whose table busts the tiny cache modules,
+on a machine with one slow memory bus and a far next level, so most
+cycles are stall cycles — under both engines, requires identical
+``SimStats``, traffic kinds and coherence verdicts, and asserts the
+default path is at least 2x faster (the checked-run ratio is reported
+alongside).  Wired into the CI smoke step like the pipeline-stage bench.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
 from conftest import run_once
 
 from repro.arch.config import parse_config_name
 from repro.scenarios import ScenarioParams, build_scenario_ddg
 from repro.sched.pipeline import CoherenceMode, Heuristic, compile_loop
 from repro.sim import simulate
+from repro.sim.models import model_names
 from repro.workloads.traces import trace_factory
 
 #: Indirect gather/scatter, few ops per iteration, long dependence chain.
@@ -40,7 +43,8 @@ ITERATIONS = 2000
 MIN_SPEEDUP = 2.0
 
 
-def _compiled():
+@pytest.fixture(scope="module")
+def compiled():
     ddg = build_scenario_ddg(SCENARIO)
     return compile_loop(
         ddg,
@@ -52,64 +56,68 @@ def _compiled():
     )
 
 
-def _run(compiled, engine: str, check: bool):
+def _run(compiled, engine: str, model: str, check: bool):
     trace = trace_factory(ITERATIONS, seed=7)(compiled.ddg)
     start = time.perf_counter()
     result = simulate(
         compiled, trace, iterations=ITERATIONS, engine=engine,
-        check_coherence=check,
+        model=model, check_coherence=check,
     )
     return result, time.perf_counter() - start
 
 
-def _canonical(stats) -> str:
-    return json.dumps(stats.to_dict(), sort_keys=True)
-
-
-def test_event_skipping_beats_per_cycle_reference(benchmark):
-    compiled = _compiled()
-    # Warm once (bytecode, allocator) so the timed pair is stable.
-    _run(compiled, "events", check=False)
-
-    reference, ref_seconds = _run(compiled, "cycles", check=False)
-    events, evt_seconds = run_once(
-        benchmark, _run, compiled, "events", False
+def _observation(result) -> str:
+    return json.dumps(
+        [result.stats.to_dict(), result.stats.bus_transfer_kinds],
+        sort_keys=True,
     )
-    speedup = ref_seconds / evt_seconds
 
-    checked_ref, checked_ref_s = _run(compiled, "cycles", check=True)
-    checked_evt, checked_evt_s = _run(compiled, "events", check=True)
+
+@pytest.mark.parametrize("model", model_names())
+def test_default_path_beats_per_cycle_reference(benchmark, compiled, model):
+    # Warm once (bytecode, allocator) so the timed pair is stable.
+    _run(compiled, "events", model, check=False)
+
+    reference, ref_seconds = _run(compiled, "cycles", model, check=False)
+    fast, fast_seconds = run_once(
+        benchmark, _run, compiled, "events", model, False
+    )
+    speedup = ref_seconds / fast_seconds
+
+    checked_ref, checked_ref_s = _run(compiled, "cycles", model, check=True)
+    checked_fast, checked_fast_s = _run(compiled, "events", model,
+                                        check=True)
 
     stats = reference.stats
-    print(f"\nscenario {SCENARIO.name} on {MACHINE}, "
+    print(f"\n[{model}] scenario {SCENARIO.name} on {MACHINE}, "
           f"{ITERATIONS} kernel iterations")
     print(f"cycles: {stats.total_cycles} total "
           f"({stats.stall_cycles} stalled = "
           f"{stats.stall_cycles / stats.total_cycles:.0%}); "
-          f"event engine fast-forwarded "
-          f"{events.stats.fast_forwarded_cycles} and bulk-retired "
-          f"{events.stats.fast_retired_indexes} kernel indexes")
-    print(f"per-cycle {ref_seconds:.3f}s | event-skipping "
-          f"{evt_seconds:.3f}s | {speedup:.2f}x speedup")
+          f"default path fast-forwarded "
+          f"{fast.stats.fast_forwarded_cycles} and bulk-retired "
+          f"{fast.stats.fast_retired_indexes} kernel indexes")
+    print(f"per-cycle {ref_seconds:.3f}s | default {fast_seconds:.3f}s | "
+          f"{speedup:.2f}x speedup")
     print(f"with coherence checking: {checked_ref_s:.3f}s | "
-          f"{checked_evt_s:.3f}s | "
-          f"{checked_ref_s / checked_evt_s:.2f}x")
+          f"{checked_fast_s:.3f}s | "
+          f"{checked_ref_s / checked_fast_s:.2f}x")
 
     # Observation equivalence first: a fast wrong answer is no answer.
-    assert _canonical(events.stats) == _canonical(reference.stats)
-    assert _canonical(checked_evt.stats) == _canonical(checked_ref.stats)
-    assert (checked_evt.violations.total
-            == checked_ref.violations.total)
+    assert _observation(fast) == _observation(reference)
+    assert _observation(checked_fast) == _observation(checked_ref)
+    assert checked_fast.violations == checked_ref.violations
     # The workload must actually be stall-heavy for the claim to mean
     # anything.
     assert stats.stall_cycles / stats.total_cycles >= 0.75
     # Deterministic counterpart of the timing claim (immune to CI
-    # runner noise): the engine must have skipped the vast majority of
-    # machine cycles, the mechanism the wall-clock win comes from.
-    skipped = (events.stats.fast_forwarded_cycles
-               + events.stats.fast_retired_indexes)
+    # runner noise): the default path must have skipped the vast
+    # majority of machine cycles, the mechanism the wall-clock win
+    # comes from.
+    skipped = (fast.stats.fast_forwarded_cycles
+               + fast.stats.fast_retired_indexes)
     assert skipped / stats.total_cycles >= 0.75, (
-        f"event engine only skipped {skipped / stats.total_cycles:.0%} "
+        f"default path only skipped {skipped / stats.total_cycles:.0%} "
         f"of cycles"
     )
     # The acceptance bar: >=2x on a stall-heavy scenario.
@@ -126,10 +134,10 @@ def test_event_skipping_beats_per_cycle_reference(benchmark):
 MAX_OBS_OVERHEAD = 0.05
 
 
-def test_observability_overhead_is_negligible():
+def test_observability_overhead_is_negligible(compiled):
     """Instrumented-vs-disabled wall time on the simulator hot path.
 
-    Interleaves min-of-N timings of the same event-engine run with the
+    Interleaves min-of-N timings of the same default-path run with the
     metrics registry disabled (and no tracer — the default state) and
     with everything lit (recording registry + installed tracer), and
     bounds the relative difference.  min-of-N makes the comparison
@@ -137,8 +145,7 @@ def test_observability_overhead_is_negligible():
     """
     from repro.obs import metrics, trace
 
-    compiled = _compiled()
-    _run(compiled, "events", check=False)  # warm-up
+    _run(compiled, "events", "snooping", check=False)  # warm-up
 
     rounds = 5
     dark_best = lit_best = float("inf")
@@ -146,7 +153,8 @@ def test_observability_overhead_is_negligible():
         with metrics.capture(enabled=False):
             previous = trace.set_tracer(None)
             try:
-                _, seconds = _run(compiled, "events", check=False)
+                _, seconds = _run(compiled, "events", "snooping",
+                                  check=False)
             finally:
                 trace.set_tracer(previous)
         dark_best = min(dark_best, seconds)
@@ -154,7 +162,8 @@ def test_observability_overhead_is_negligible():
         with metrics.capture(enabled=True):
             previous = trace.set_tracer(trace.Tracer())
             try:
-                _, seconds = _run(compiled, "events", check=False)
+                _, seconds = _run(compiled, "events", "snooping",
+                                  check=False)
             finally:
                 trace.set_tracer(previous)
         lit_best = min(lit_best, seconds)

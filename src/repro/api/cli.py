@@ -63,8 +63,6 @@ from repro.api.spec import (
 )
 from repro.api.store import DEFAULT_CACHE_DIR, DiskStore, MemoryStore
 from repro.errors import ConfigError, ReproError
-from repro.sim.batch import DEFAULT_BATCH_SIZE
-from repro.sim.executor import ENGINES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,14 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "JSON, Perfetto-loadable; .jsonl for JSONL)")
         p.add_argument("--metrics", default=None, metavar="FILE",
                        help="write a metrics-registry snapshot as JSON")
-        p.add_argument("--engine", default="events", choices=ENGINES,
-                       help="simulation engine for store misses; 'batch' "
-                            "co-simulates misses in lockstep "
-                            "(default: events)")
-        p.add_argument("--batch-size", type=int, default=None, metavar="N",
-                       help="runs co-simulated per batch with "
-                            "--engine batch (default: "
-                            f"{DEFAULT_BATCH_SIZE})")
 
     p_run = sub.add_parser("run", help="run a grid of specs")
     p_run.add_argument("benchmarks", nargs="*", metavar="BENCH",
@@ -350,10 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="write a span trace of the grid run")
     p_bench_run.add_argument("--metrics", default=None, metavar="FILE",
                              help="write a metrics snapshot of the run")
-    p_bench_run.add_argument(
-        "--engine", default=None, choices=ENGINES,
-        help="force every series onto one simulation engine "
-             "(default: each series' own 'engine' field)")
     p_bench_cmp = bench_sub.add_parser(
         "compare",
         help="diff a trajectory against a previous one; non-zero exit "
@@ -422,9 +408,7 @@ def _artifact_store(args: argparse.Namespace):
 
 def _runner(args: argparse.Namespace) -> Runner:
     return Runner(store=_store(args), parallel=args.parallel,
-                  artifacts=_artifact_store(args),
-                  engine=getattr(args, "engine", "events"),
-                  batch_size=getattr(args, "batch_size", None))
+                  artifacts=_artifact_store(args))
 
 
 def _journal(args: argparse.Namespace, plan: Plan) -> Optional[RunJournal]:
@@ -992,7 +976,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             sys.stderr.flush()
 
         trajectory = bench.run_grid(config, repeat=args.repeat,
-                                    progress=progress, engine=args.engine)
+                                    progress=progress)
         paths = bench.write_trajectory(trajectory, args.out_dir)
         print(bench.render(trajectory))
         print(f"trajectory -> {paths['json']}")

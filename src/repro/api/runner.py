@@ -61,7 +61,6 @@ from repro.api.artifacts import (
 )
 from repro.api.core import (
     execute_spec,
-    execute_specs_batch,
     suppress_floor_warning,
     warn_floor_from_record,
 )
@@ -69,10 +68,8 @@ from repro.api.journal import RunJournal
 from repro.api.records import RunRecord
 from repro.api.spec import Plan, RunSpec
 from repro.api.store import ResultStore, default_store
-from repro.errors import ExecutionError, SimulationError
+from repro.errors import ExecutionError
 from repro.obs import metrics, trace
-from repro.sim.batch import DEFAULT_BATCH_SIZE
-from repro.sim.executor import ENGINES
 
 PlanLike = Union[Plan, Iterable[RunSpec]]
 
@@ -205,58 +202,25 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     results: List[Dict[str, object]] = []
     worker_tracer = trace.Tracer() if payload.get("trace") else None
     metrics_enabled = bool(payload.get("metrics_enabled", True))
-    engine = payload.get("engine", "events")
     with metrics.capture(enabled=metrics_enabled) as reg:
         previous_tracer = trace.set_tracer(worker_tracer)
         try:
-            if engine == "batch":
-                # The whole group co-simulates in one BatchSimulator
-                # pass; per-spec latency is the amortized share.
-                specs = [RunSpec.from_dict(d) for d in payload["specs"]]
+            for data, key in zip(payload["specs"], payload["keys"]):
+                spec = RunSpec.from_dict(data)
                 start = time.perf_counter()
-                items = execute_specs_batch(
-                    specs, artifacts=artifacts,
-                    batch_size=payload.get(
-                        "batch_size") or DEFAULT_BATCH_SIZE,
-                )
+                try:
+                    record = execute_spec(spec, artifacts=artifacts)
+                    results.append({"record": record.to_dict()})
+                except Exception as exc:
+                    results.append({
+                        "error": RunError.from_exception(
+                            spec, key, exc
+                        ).to_dict()
+                    })
                 elapsed = time.perf_counter() - start
-                for spec, key, item in zip(specs, payload["keys"], items):
-                    if isinstance(item, BaseException):
-                        results.append({
-                            "error": RunError.from_exception(
-                                spec, key, item
-                            ).to_dict()
-                        })
-                    else:
-                        results.append({"record": item.to_dict()})
-                    reg.observe("runner.spec_seconds",
-                                elapsed / max(1, len(specs)),
-                                mode="parallel-batch")
+                reg.observe("runner.spec_seconds", elapsed,
+                            mode="parallel")
                 reg.inc("runner.worker_busy_seconds", elapsed)
-            else:
-                # Default engine omits the kwarg: execute_spec doubles
-                # with the historical (spec, artifacts) signature keep
-                # working.
-                engine_kwargs = (
-                    {} if engine == "events" else {"engine": engine}
-                )
-                for data, key in zip(payload["specs"], payload["keys"]):
-                    spec = RunSpec.from_dict(data)
-                    start = time.perf_counter()
-                    try:
-                        record = execute_spec(spec, artifacts=artifacts,
-                                              **engine_kwargs)
-                        results.append({"record": record.to_dict()})
-                    except Exception as exc:
-                        results.append({
-                            "error": RunError.from_exception(
-                                spec, key, exc
-                            ).to_dict()
-                        })
-                    elapsed = time.perf_counter() - start
-                    reg.observe("runner.spec_seconds", elapsed,
-                                mode="parallel")
-                    reg.inc("runner.worker_busy_seconds", elapsed)
         finally:
             trace.set_tracer(previous_tracer)
     envelope: Dict[str, object] = {
@@ -282,38 +246,16 @@ class Runner:
 
     ``max_inflight`` bounds how many groups may be queued or executing
     at once during streaming (default: twice the worker count).
-
-    ``engine`` selects the simulation engine for store misses
-    (``"events"``, ``"cycles"``, or ``"batch"``).  Under ``"batch"``,
-    misses co-simulate through one
-    :class:`~repro.sim.batch.BatchSimulator` per chunk of up to
-    ``batch_size`` specs (serially), or one per miss group (under
-    ``parallel``, which fans whole batches across workers).  Records
-    are engine-independent, so mixing engines across runs never splits
-    the result store.
     """
 
     def __init__(self, store: Optional[ResultStore] = None,
                  parallel: Optional[int] = None,
                  artifacts: Optional[ArtifactStore] = None,
-                 max_inflight: Optional[int] = None,
-                 engine: str = "events",
-                 batch_size: Optional[int] = None) -> None:
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown simulation engine {engine!r}; expected one of "
-                f"{ENGINES}"
-            )
-        if batch_size is not None and batch_size < 1:
-            raise SimulationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
+                 max_inflight: Optional[int] = None) -> None:
         self._store = store
         self._artifacts = artifacts
         self.parallel = parallel
         self.max_inflight = max_inflight
-        self.engine = engine
-        self.batch_size = batch_size
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_size = 0
 
@@ -468,40 +410,10 @@ class Runner:
             # The shared artifact store already makes sibling variants
             # warm for each other; plan order is fine serially.
             artifacts = self.artifacts
-            if self.engine == "batch":
-                # Chunk misses into batches; each chunk's loops
-                # co-simulate in one BatchSimulator pass.
-                size = self.batch_size or DEFAULT_BATCH_SIZE
-                for lo in range(0, len(specs), size):
-                    chunk = specs[lo:lo + size]
-                    start = time.perf_counter()
-                    items = execute_specs_batch(
-                        chunk, artifacts=artifacts, batch_size=size
-                    )
-                    elapsed = time.perf_counter() - start
-                    for pos, raw in enumerate(items, start=lo):
-                        item: StreamItem = (
-                            RunError.from_exception(
-                                specs[pos], keys[misses[pos]], raw
-                            )
-                            if isinstance(raw, BaseException) else raw
-                        )
-                        metrics.observe("runner.spec_seconds",
-                                        elapsed / max(1, len(chunk)),
-                                        mode="serial-batch")
-                        yield misses[pos], item
-                return
-            # Default engine omits the kwarg so execute_spec doubles
-            # with the historical (spec, artifacts) signature keep
-            # working.
-            engine_kwargs = (
-                {} if self.engine == "events" else {"engine": self.engine}
-            )
             for pos, spec in enumerate(specs):
                 start = time.perf_counter()
                 try:
-                    item = execute_spec(spec, artifacts=artifacts,
-                                        **engine_kwargs)
+                    item: StreamItem = execute_spec(spec, artifacts=artifacts)
                 except Exception as exc:
                     item = RunError.from_exception(
                         spec, keys[misses[pos]], exc
@@ -562,8 +474,6 @@ class Runner:
                     "artifact_version": artifact_version,
                     "metrics_enabled": metrics.enabled(),
                     "trace": trace.tracer() is not None,
-                    "engine": self.engine,
-                    "batch_size": self.batch_size,
                 }
 
         reg = metrics.registry()

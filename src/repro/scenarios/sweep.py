@@ -371,8 +371,6 @@ def run_sweep(
     runner: Optional[Runner] = None,
     journal=None,
     progress=None,
-    engine: str = "events",
-    batch_size: Optional[int] = None,
     surrogate=None,
     budget: Optional[int] = None,
     explore_frac: float = 0.1,
@@ -388,12 +386,6 @@ def run_sweep(
     ``journal`` (:class:`~repro.api.journal.RunJournal`) checkpoints the
     sweep so a killed run resumes — against the on-disk store — without
     re-executing completed groups.
-
-    ``engine`` picks the simulation engine for store misses (records are
-    engine-independent, so mixed-engine sweeps stay coherent);
-    ``engine="batch"`` co-simulates misses in chunks of ``batch_size``.
-    Both configure the internally-built runner; an explicitly passed
-    ``runner`` is reconfigured only when they are non-default.
 
     With a ``surrogate`` (:class:`~repro.surrogate.SurrogateModel`) and a
     ``budget``, the sweep becomes frontier-guided: store hits are always
@@ -412,14 +404,7 @@ def run_sweep(
     if not scenarios:
         raise WorkloadError("differential sweep needs at least one scenario")
     if runner is None:
-        runner = Runner(store=None, engine=engine, batch_size=batch_size)
-    elif engine != "events" or batch_size is not None:
-        # Route this sweep's misses through the requested engine; reuse
-        # Runner's own validation.
-        Runner(engine=engine, batch_size=batch_size)
-        runner.engine = engine
-        if batch_size is not None:
-            runner.batch_size = batch_size
+        runner = Runner(store=None)
     plan = sweep_plan(scenarios, machines, variants, scale, models)
 
     skipped_specs: List = []

@@ -7,12 +7,13 @@ use of a load value that has not arrived, and the distributed memory system
 (cache modules, memory buses, next level, optional Attraction Buffers)
 advances every cycle, including stalled ones.
 
-Two observation-equivalent engines drive that model: the default
-event-skipping engine jumps stalled windows and the post-issue drain to
-the next memory event (and bulk-retires memory-free kernel-index runs),
-while ``engine="cycles"`` is the one-Python-iteration-per-cycle
-reference.  See the "Event-skipping simulation" section of
-``docs/architecture.md``.
+Two engines drive that model and agree stat for stat.  The default flat
+fast path (:mod:`repro.sim.flatmem`) runs every registered memory model
+over plain containers, jumping stalled windows and the post-issue drain
+to the next memory event and bulk-retiring memory-free kernel-index
+runs; ``engine="cycles"`` is the one-Python-iteration-per-cycle
+reference over the object :class:`~repro.sim.memory.MemorySystem`.  See
+the "Simulation" section of ``docs/architecture.md``.
 
 A :class:`~repro.sim.coherence.CoherenceChecker` tracks, per access, the
 store version each load *should* observe under sequential semantics and
@@ -26,11 +27,6 @@ from repro.sim.stats import AccessType, SimStats
 from repro.sim.coherence import CoherenceChecker
 from repro.sim.memory import MemorySystem
 from repro.sim.executor import ENGINES, SimulationResult, simulate
-from repro.sim.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchSimulator,
-    simulate_batch,
-)
 
 __all__ = [
     "home_cluster",
@@ -43,7 +39,4 @@ __all__ = [
     "ENGINES",
     "SimulationResult",
     "simulate",
-    "DEFAULT_BATCH_SIZE",
-    "BatchSimulator",
-    "simulate_batch",
 ]

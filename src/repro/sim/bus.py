@@ -82,43 +82,6 @@ class BusFabric:
         return self._queued + sum(len(v) for v in self._in_flight.values())
 
     # ------------------------------------------------------------------
-    # Event-skipping support (see ``docs/architecture.md``)
-    # ------------------------------------------------------------------
-    def next_free_bus(self) -> int:
-        """Earliest cycle at which at least one bus is (or becomes)
-        free — the first cycle a queued message could inject."""
-        return min(self._bus_free_at)
-
-    def skip_window(self, start: int, stop: int) -> None:
-        """Advance per-cycle fabric state across cycles ``[start, stop)``
-        during which :meth:`inject` provably moves no message.
-
-        Two such window kinds exist, and they replay differently:
-
-        * *stuck* — messages are queued but every bus stays occupied for
-          the whole window (``stop <= next_free_bus()``).  ``inject``
-          bails out before touching the round-robin pointer and only
-          accounts wait cycles, so the window collapses to one bulk
-          ``queued_cycles`` update;
-        * *idle* — no messages queued, no deliveries due.  The only
-          per-cycle state touched is the round-robin pointer, which
-          rotates exactly on the cycles where at least one bus is free.
-
-        Replaying arbitration state exactly keeps later injection
-        decisions — and therefore every downstream stat — identical to a
-        per-cycle run.
-        """
-        if self._queued:
-            self.queued_cycles += self._queued * (stop - start)
-            return
-        free_from = min(self._bus_free_at)
-        begin = start if start > free_from else free_from
-        if stop > begin:
-            self._rr_start = (
-                self._rr_start + (stop - begin)
-            ) % self.num_clusters
-
-    # ------------------------------------------------------------------
     def deliver(self, cycle: int) -> None:
         """Hand over every message whose transfer completes this cycle."""
         if not self._in_flight:

@@ -21,8 +21,8 @@ serialization point sits depends on the memory model
 response or a fill replay under snooping and DLS, the owner slice's
 service of a possibly-forwarded request under the distributed
 directory — but the checker itself is model-agnostic: it compares
-versions, not routes.  The event-skipping executor only fast-forwards
-cycles on which no flow advances, so the sequence of observations — and
+versions, not routes.  The flat fast path only skips cycles on which
+no flow advances, so the sequence of observations — and
 hence every violation count — is identical under both simulation
 engines.
 """

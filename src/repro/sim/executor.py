@@ -18,29 +18,19 @@ Cycle accounting matches Figures 7/9: ``compute_cycles`` counts retired
 kernel indexes, ``stall_cycles`` counts blocked cycles.  The drain of
 in-flight memory traffic after the last issue is not charged to either.
 
-Two engines share this model:
+Two engines run this model and agree on every statistic:
 
-* ``engine="events"`` (the default) — an event-skipping engine.  A cycle
-  only needs processing when the core issues or the memory system does
-  work; during stalled windows and the post-issue drain, the engine asks
-  the memory system for its :meth:`~repro.sim.memory.MemorySystem.
-  next_event_cycle` (earliest pending bus arrival, deferred home
-  response, or next-level fill) and jumps there in one step, advancing
-  stall accounting and arbitration state in bulk.  A "no loads in
-  flight, none due" fast path additionally retires whole runs of
-  memory-free kernel indexes at once.  The engine is observation-
-  equivalent to the per-cycle reference — the golden fixtures under
-  ``tests/goldens/`` pin this byte for byte.
+* ``engine="events"`` (the default) — the flat fast path
+  (:func:`repro.sim.flatmem.run_flat`), for every registered memory
+  model: the memory system in plain containers, with stalled windows,
+  the post-issue drain and memory-free kernel-index runs jumped in bulk;
 * ``engine="cycles"`` — the per-cycle reference: one Python iteration
-  per machine cycle, ``tick_begin``/``tick_end`` every cycle.  Kept as
-  the semantic baseline for equivalence tests and the speedup benchmark
-  (``benchmarks/bench_sim_fastpath.py``).
-* ``engine="batch"`` — the batched lockstep engine
-  (:mod:`repro.sim.batch`): a specialized stepper with the same
-  observable behavior as ``"events"``, designed to co-schedule many
-  independent runs per process.  ``simulate(..., engine="batch")`` runs
-  a batch of one; :class:`~repro.sim.batch.BatchSimulator` amortizes
-  dispatch across hundreds of runs (``benchmarks/bench_sim_batch.py``).
+  per machine cycle, ``tick_begin``/``tick_end`` every cycle on the
+  model's object :class:`~repro.sim.memory.MemorySystem`.  It is the
+  oracle the fast path is differentially tested against, the memory
+  system the conformance bridge ties to the protocol model, and the
+  engine that drives a ``MemorySystem`` substituted through this module
+  (the fault-injecting test doubles).
 """
 
 from __future__ import annotations
@@ -67,7 +57,7 @@ STALL_WATCHDOG = 100_000
 _PRUNE_INTERVAL = 4096
 
 #: The available simulation engines (see module docstring).
-ENGINES = ("events", "cycles", "batch")
+ENGINES = ("events", "cycles")
 
 
 @dataclass
@@ -121,14 +111,12 @@ def simulate(
     """Run a compiled loop against an execution address trace.
 
     ``engine`` selects the execution strategy: ``"events"`` (default)
-    fast-forwards stalled and drain windows to the next memory event,
-    ``"cycles"`` is the one-iteration-per-cycle reference, ``"batch"``
-    routes through :class:`~repro.sim.batch.BatchSimulator` as a batch
-    of one.  All produce identical :class:`~repro.sim.stats.SimStats`
-    and violation counts.
+    runs the flat fast path, ``"cycles"`` the one-iteration-per-cycle
+    reference.  Both produce identical
+    :class:`~repro.sim.stats.SimStats` and violation counts.
 
     ``model`` names the registered memory model
-    (:mod:`repro.sim.models`) the run simulates; every engine supports
+    (:mod:`repro.sim.models`) the run simulates; both engines support
     every model.
     """
     if engine not in ENGINES:
@@ -136,18 +124,9 @@ def simulate(
             f"unknown simulation engine {engine!r}; expected one of {ENGINES}"
         )
     from repro.sim import models as _models  # local: avoid cycle
+    from repro.sim.flatmem import run_flat  # local: avoid cycle
 
     model_impl = _models.named_model(model)
-    if engine == "batch":
-        from repro.sim.batch import BatchSimulator  # local: avoid cycle
-
-        batch = BatchSimulator(batch_size=1)
-        batch.submit(
-            compilation, trace, iterations=iterations,
-            check_coherence=check_coherence, flush_abs=flush_abs,
-            model=model,
-        )
-        return batch.run()[0]
     schedule = compilation.schedule
     machine = compilation.machine
     ddg = compilation.ddg
@@ -160,18 +139,12 @@ def simulate(
             f"trace provides {trace.num_iterations} iterations, "
             f"{n_iter} requested"
         )
+    model_impl.validate_machine(machine)
 
     checker = (
         CoherenceChecker(ddg, trace, n_iter) if check_coherence else None
     )
     stats = SimStats()
-    if model == _models.DEFAULT_MODEL:
-        # Construct through the module global so tests monkeypatching
-        # ``executor.MemorySystem`` keep intercepting the default path.
-        memory = MemorySystem(machine, stats, checker)
-    else:
-        memory = model_impl.build(machine, stats, checker)
-
     ops_by_slot = _prepare(compilation)
     total_indexes = schedule.length + (n_iter - 1) * schedule.ii
 
@@ -180,20 +153,32 @@ def simulate(
         instr.iid: {} for instr in ddg.loads()
     }
 
-    run = _run_event_skipping if engine == "events" else _run_per_cycle
-    run(
-        schedule, n_iter, total_indexes, ops_by_slot, completions,
-        trace, memory, stats,
-    )
-
-    if flush_abs:
-        memory.flush_attraction_buffers()
+    if engine == "events":
+        busy_cycles = run_flat(
+            machine, model_impl, schedule, n_iter, total_indexes,
+            ops_by_slot, completions, trace, stats, checker, flush_abs,
+        )
+    else:
+        if model == _models.DEFAULT_MODEL:
+            # Construct through the module global so tests substituting
+            # ``executor.MemorySystem`` (fault injectors) drive the
+            # reference.
+            memory = MemorySystem(machine, stats, checker)
+        else:
+            memory = model_impl.build(machine, stats, checker)
+        _run_per_cycle(
+            schedule, n_iter, total_indexes, ops_by_slot, completions,
+            trace, memory, stats,
+        )
+        if flush_abs:
+            memory.flush_attraction_buffers()
+        busy_cycles = memory.fabric.busy_cycles
 
     # One registry publication per run (never per cycle): engine counters
-    # incl. the event-skipping diagnostics, plus per-bus occupancy.
+    # incl. the fast path's skip diagnostics, plus per-bus occupancy.
     if metrics.enabled():
         stats.publish(engine, model=model)
-        for bus, busy in enumerate(memory.fabric.busy_cycles):
+        for bus, busy in enumerate(busy_cycles):
             metrics.inc("sim.bus_busy_cycles", busy, engine=engine, bus=bus)
 
     return SimulationResult(
@@ -261,290 +246,6 @@ def _run_per_cycle(
                 )
         memory.tick_end(cycle)
         cycle += 1
-
-
-# ----------------------------------------------------------------------
-# Engine: event skipping
-# ----------------------------------------------------------------------
-def _run_event_skipping(
-    schedule, n_iter, total_indexes, ops_by_slot, completions,
-    trace, memory, stats,
-) -> None:
-    """Jump stalled and drain windows to the next memory event.
-
-    Observation-equivalence argument, window by window:
-
-    * a *stalled* cycle does exactly: no-op tick pair (plus bus
-      round-robin rotation), ``stall_cycles += 1``.  Readiness can only
-      change when a blocking load completes — at a memory event, or at
-      its already-known completion cycle — so every cycle strictly
-      before ``min(next event, known wake)`` is a stall, and the whole
-      window collapses to one bulk accounting step plus
-      :meth:`~repro.sim.memory.MemorySystem.advance`;
-    * a *drain* cycle does exactly: no-op tick pair.  Jump straight from
-      event to event until quiescent;
-    * a run of kernel indexes whose slots contain no memory operation
-      and no load consumer, entered with the memory system quiescent
-      (no loads in flight, none due), issues unconditionally and leaves
-      memory untouched — the run retires in one step.
-    """
-    ii = schedule.ii
-    length = schedule.length
-    index = 0
-    cycle = 0
-    stall_streak = 0
-    drain_low_water = float("inf")
-    drain_anchor = 0
-    next_prune = _PRUNE_INTERVAL
-
-    (
-        run_len, all_clean, count_prefix, ops_per_ii, steady_lo, steady_hi,
-    ) = _fastpath_tables(ops_by_slot, ii, n_iter, total_indexes)
-
-    while index < total_indexes or not memory.quiescent():
-        if index >= total_indexes:
-            # ---- post-issue drain ------------------------------------
-            # Same watchdog policy as the reference: bound windows in
-            # which the low-water mark of pending work stops falling,
-            # not the total drain length of a large (healthy) backlog.
-            # Sampled after tick_begin, exactly like the reference, so
-            # progress delivered *this* cycle re-anchors immediately and
-            # both engines agree on the cycle a drain is declared hung.
-            memory.tick_begin(cycle)
-            pending = memory.pending_work()
-            if pending < drain_low_water:
-                drain_low_water = pending
-                drain_anchor = cycle
-            memory.tick_end(cycle)
-            cycle += 1
-            if cycle - drain_anchor > STALL_WATCHDOG:
-                raise SimulationError(
-                    f"memory system failed to drain: no progress for "
-                    f"{STALL_WATCHDOG} cycles after the last issue"
-                )
-            if memory.quiescent():
-                continue
-            event = memory.next_event_cycle(cycle)
-            if event is None:
-                raise SimulationError(
-                    f"memory system cannot drain: in-flight work remains "
-                    f"but no event is pending at cycle {cycle}"
-                )
-            # Never jump past the cycle on which the reference would
-            # declare the drain hung: clamp so that cycle still gets
-            # processed and the watchdog fires at the same point.
-            limit = drain_anchor + STALL_WATCHDOG
-            if event > limit:
-                event = limit
-            if event > cycle:
-                stats.fast_forwarded_cycles += event - cycle
-                memory.advance(cycle, event)
-                cycle = event
-            continue
-
-        # ---- bulk fast path: memory-free kernel-index runs -----------
-        if steady_lo <= index < steady_hi:
-            slot = index % ii
-            if all_clean:
-                k = steady_hi - index
-            else:
-                k = run_len[slot]
-                if k:
-                    bound = steady_hi - index
-                    if k > bound:
-                        k = bound
-            # k <= total_indexes - index always: steady_hi is capped at
-            # total_indexes and both branches bound k by steady_hi.
-            if k and memory.quiescent():
-                if all_clean:
-                    whole, rem = divmod(k, ii)
-                    issued = whole * ops_per_ii + (
-                        count_prefix[slot + rem] - count_prefix[slot]
-                    )
-                else:
-                    issued = count_prefix[slot + k] - count_prefix[slot]
-                stats.issued_ops += issued
-                stats.compute_cycles += k
-                stats.fast_retired_indexes += k
-                memory.advance(cycle, cycle + k)
-                index += k
-                cycle += k
-                stall_streak = 0
-                if index >= next_prune:
-                    _prune(completions, index, ii, length)
-                    next_prune = _next_prune_after(index)
-                continue
-
-        # ---- one kernel index: stall (fast-forwarding) until ready ---
-        memory.tick_begin(cycle)
-        due = _due_ops(ops_by_slot, index, ii, n_iter)
-        if not _all_ready(due, completions, cycle):
-            # The due set is frozen while the index stalls; resolve its
-            # load waits once and loop event-to-event until they clear.
-            waits = [
-                (completions[load_iid], iteration - distance)
-                for info, iteration in due
-                for load_iid, distance in info.load_preds
-                if iteration - distance >= 0
-            ]
-            while True:
-                stats.stall_cycles += 1
-                stall_streak += 1
-                if stall_streak > STALL_WATCHDOG:
-                    raise SimulationError(
-                        f"machine stalled for {stall_streak} cycles at "
-                        f"kernel index {index}"
-                    )
-                memory.tick_end(cycle)
-                cycle += 1
-
-                event = memory.next_event_cycle(cycle)
-                if event is None or event > cycle:
-                    # No event this very cycle: a jump may be possible,
-                    # bounded by the earliest known load-completion wake.
-                    wake = _waits_wake(waits)
-                    if wake is None and event is None:
-                        # A blocking load is in flight but the memory
-                        # system has nothing scheduled: the machine can
-                        # never unblock.  The per-cycle reference spins
-                        # up to the watchdog; charge the same window and
-                        # raise its exact error.
-                        _raise_watchdog(stats, stall_streak, index)
-                    if wake is None:
-                        target = event
-                    elif event is None:
-                        target = wake
-                    else:
-                        target = event if event < wake else wake
-                    if target > cycle:
-                        skipped = target - cycle
-                        if stall_streak + skipped > STALL_WATCHDOG:
-                            _raise_watchdog(stats, stall_streak, index)
-                        stats.stall_cycles += skipped
-                        stats.fast_forwarded_cycles += skipped
-                        stall_streak += skipped
-                        memory.advance(cycle, target)
-                        cycle = target
-                        if skipped >= _PRUNE_INTERVAL:
-                            # A fast-forwarded stall window as long as a
-                            # whole prune interval: drop stale
-                            # completions now, not after the streak.
-                            _prune(completions, index, ii, length)
-                            if index >= next_prune:
-                                next_prune = _next_prune_after(index)
-                memory.tick_begin(cycle)
-                if _waits_ready(waits, cycle):
-                    break
-
-        for info, iteration in due:
-            _issue(info, iteration, cycle, trace, memory, completions, stats)
-        index += 1
-        stats.compute_cycles += 1
-        stall_streak = 0
-        memory.tick_end(cycle)
-        cycle += 1
-        if index >= next_prune:
-            _prune(completions, index, ii, length)
-            next_prune = _next_prune_after(index)
-
-
-def _raise_watchdog(stats: SimStats, stall_streak: int, index: int) -> None:
-    """Charge the stall window up to the watchdog bound and raise exactly
-    the error the per-cycle reference would have raised."""
-    over = STALL_WATCHDOG + 1 - stall_streak
-    stats.stall_cycles += over
-    raise SimulationError(
-        f"machine stalled for {STALL_WATCHDOG + 1} cycles at "
-        f"kernel index {index}"
-    )
-
-
-def _waits_ready(
-    waits: List[Tuple[Dict[int, Optional[int]], int]], cycle: int
-) -> bool:
-    """Same predicate as :func:`_all_ready`, over pre-resolved waits."""
-    for per_load, j in waits:
-        done = per_load.get(j, 0)
-        if done is None or done > cycle:
-            return False
-    return True
-
-
-def _waits_wake(
-    waits: List[Tuple[Dict[int, Optional[int]], int]]
-) -> Optional[int]:
-    """The cycle the current stall provably ends, or None.
-
-    When every blocking load has already completed with a known (future)
-    completion cycle, issue resumes exactly at the latest of them.  A
-    load still in flight (completion unknown) returns None — only a
-    memory event can change anything then.
-    """
-    wake = 0
-    for per_load, j in waits:
-        done = per_load.get(j, 0)
-        if done is None:
-            return None
-        if done > wake:
-            wake = done
-    return wake
-
-
-def _next_prune_after(index: int) -> int:
-    """The next prune threshold at or above ``index`` — robust to the
-    bulk fast path jumping over several interval multiples at once."""
-    return index - index % _PRUNE_INTERVAL + _PRUNE_INTERVAL
-
-
-def _fastpath_tables(
-    ops_by_slot: List[List[_OpInfo]], ii: int, n_iter: int, total_indexes: int
-):
-    """Precomputed tables for the bulk (memory-free run) fast path.
-
-    A modulo slot is *clean* when none of its ops touch memory or consume
-    a load value; a run of clean slots entered with the memory system
-    quiescent retires without per-cycle processing.  ``run_len[s]`` is the
-    clean-run length starting at slot ``s`` (wrapping, capped at II);
-    ``count_prefix`` gives O(1) issued-op counts over any wrapped slot
-    window.  The run bounds [steady_lo, steady_hi) are the indexes where
-    every matching op instance is live (past the prologue ramp, before
-    the epilogue ramp), so due-op sets equal whole slot buckets.
-    """
-    clean = [
-        all(
-            not (op.is_load or op.is_store or op.load_preds)
-            for op in bucket
-        )
-        for bucket in ops_by_slot
-    ]
-    counts = [len(bucket) for bucket in ops_by_slot]
-    doubled = counts + counts
-    count_prefix = [0]
-    for count in doubled:
-        count_prefix.append(count_prefix[-1] + count)
-    ops_per_ii = sum(counts)
-
-    all_clean = all(clean)
-    run_len = [0] * ii
-    if not all_clean:
-        doubled_clean = clean + clean
-        lens = [0] * (2 * ii)
-        run = 0
-        for i in range(2 * ii - 1, -1, -1):
-            run = run + 1 if doubled_clean[i] else 0
-            lens[i] = run
-        run_len = [lens[s] if lens[s] < ii else ii for s in range(ii)]
-
-    times = [op.time for bucket in ops_by_slot for op in bucket]
-    if times:
-        steady_lo = max(times)
-        steady_hi = min(times) + n_iter * ii
-    else:
-        steady_lo = 0
-        steady_hi = total_indexes
-    if steady_hi > total_indexes:
-        steady_hi = total_indexes
-    return run_len, all_clean, count_prefix, ops_per_ii, steady_lo, steady_hi
 
 
 # ----------------------------------------------------------------------

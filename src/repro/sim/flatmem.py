@@ -1,52 +1,54 @@
-"""Flattened memory-protocol stepper for the batch engine.
+"""The flat fast path: the default simulation engine, for every model.
 
-This module is where the batch engine's throughput actually comes from.
-Profiling the event-skipping engine on mixed-family scenario batches
-shows ~80% of wall time inside the memory subsystem's object protocol:
-every access allocates dataclass messages (`BusMessage`,
-``_PendingLoad``), defines delivery closures, and walks 15-20 method
-calls across ``MemorySystem``/``BusFabric``/``NextLevel``/
-``CacheModule``.  Amortizing *dispatch* across runs (the lockstep heap)
-cannot touch that, so the batch engine replaces the whole per-run
-protocol execution with :func:`flat_stepper`: one generator holding the
-entire machine state in plain containers —
+:func:`run_flat` runs one compiled loop to completion as a single plain
+function call.  It executes the same cycle-level model as the per-cycle
+reference (``engine="cycles"``: ``MemorySystem`` + ``BusFabric`` +
+``NextLevel`` + ``AttractionBuffer`` driven one tick pair per cycle) and
+must agree with it on every ``SimStats`` counter, traffic kind and
+coherence verdict.  Two things make it fast.
 
-* bus messages are tuples dispatched on an integer kind (request-load /
-  request-store / response), in per-source deques;
+*Flat state.*  The whole machine lives in plain containers local to the
+call instead of dataclass messages, delivery closures and method chains:
+
+* bus messages are tuples dispatched on an integer kind, in per-source
+  deques;
 * cache modules and Attraction Buffers are lists of insertion-ordered
   dicts (pop + reinsert = LRU touch), presence mapped to a dirty bit;
 * next-level requests are ``(cluster, block)`` tuples (``None`` for
   victim write-backs), keyed by completion cycle;
-* load completion callbacks collapse to ``per_load[iteration] = cycle``
-  on the run's completion maps;
-* per-op address streams are precomputed into flat lists (affine
-  references as pure arithmetic, indirect ones through the same
-  ``_mix`` hash the trace uses), so the cycle loop never calls
-  ``AddressTrace.address``;
-* the ``tick_begin``/``tick_end`` bodies are inlined at their three
-  call sites behind truthiness guards, the earliest bus-free cycle is
-  cached, and the three timed-event dicts are only ever keyed by
-  nondecreasing cycles, so their minimum is their *first* key;
+* load completion callbacks collapse to ``per_load[iteration] = cycle``;
+* per-op address streams and their placements are precomputed into
+  flat lists, so the cycle loop never calls ``AddressTrace.address``;
 * stats accumulate in local integers and flush to
   :class:`~repro.sim.stats.SimStats` once, in the ``finally`` block.
 
-Semantics replicate ``MemorySystem`` + ``BusFabric`` + ``NextLevel`` +
-``AttractionBuffer`` and the event-skipping executor *exactly*, with
-the orderings that matter called out inline: tick order (deferred sends
--> next-level fills -> next-level acceptance -> bus deliveries), bus
-arbitration (round-robin over sources, highest-numbered free bus
-first), MSHR action replay in arrival order, home-side load
-serialization, and the stall/drain watchdogs with their exact error
-strings.  The only state deliberately not mirrored is per-module cache
-hit/miss counters and the next level's ``queued_cycles``, neither of
-which is observable through ``SimStats`` or the metrics registry.
-Byte-identity with ``engine="events"`` is enforced by the golden suite
-and the batch differential cross (``tests/test_sim_batch.py``).
+*Skipped cycles.*  A cycle needs processing only when the core issues
+or the memory system does work.  The timed event sources are in-flight
+bus transfers, deferred owner responses, next-level fills and, while
+messages are queued behind busy buses, the first cycle a bus frees; a
+non-empty next-level accept queue or an injectable queued message makes
+every cycle an event.  Three windows jump in one step: a stall (to the
+earlier of the next event and the blocking loads' known completion), the
+post-issue drain (event to event), and a run of memory-free kernel
+indexes entered with the memory system quiescent.  Skipped cycles only
+move bus arbitration, which ``skip_window`` replays in bulk.  The stall
+and drain watchdogs charge and raise exactly what the reference would.
 
-The stepper is only used for plain configurations — when the executor's
-``MemorySystem`` has been substituted (fault-injecting test doubles),
-the batch engine falls back to a method-faithful compat stepper in
-:mod:`repro.sim.batch`.
+*Placement.*  Each :class:`~repro.sim.models.MemoryModel` supplies, per
+address, the *home* a request travels to first and the *owner* that
+holds the data and serializes accesses to it.  Owner equals home for
+``snooping`` and ``dls``.  Under ``directory`` a request reaching a home
+that does not own its block is forwarded to the owner as a
+``fwd_load``/``fwd_store`` hop, and a home accessing a block it does not
+own sends that hop directly.
+
+The orderings that matter are called out inline: tick order (deferred
+sends -> next-level fills -> next-level acceptance -> bus deliveries),
+bus arbitration (round-robin over sources, highest-numbered free bus
+first), MSHR action replay in arrival order, and owner-side load
+serialization.  Per-module cache hit/miss counters and the next level's
+``queued_cycles`` are not mirrored: neither reaches ``SimStats`` or the
+metrics registry.
 """
 
 from __future__ import annotations
@@ -57,25 +59,17 @@ from typing import Dict, List
 from repro.alias.memref import AccessPattern
 from repro.errors import SimulationError
 from repro.sim import executor as _executor
-from repro.sim.executor import (
-    _all_ready,
-    _due_ops,
-    _fastpath_tables,
-    _next_prune_after,
-)
+from repro.sim.executor import _all_ready, _due_ops
 from repro.sim.stats import AccessType
 from repro.workloads.traces import _MASK64, AddressTrace
 
-#: Minimum fast-forward jump (in simulated cycles) at which the stepper
-#: parks and hands control back to the batch scheduler's event heap.
-#: Shorter jumps are taken inline: re-enqueueing costs a heap push/pop,
-#: and sub-park jumps are too frequent for that to pay off.
-PARK_MIN_JUMP = 64
-
-# Bus-message kinds (tuple position 0).
+# Bus-message kinds (tuple position 0), indexing _KIND_NAMES.
 _REQ_LOAD = 0
 _REQ_STORE = 1
 _RESPONSE = 2
+_FWD_LOAD = 3
+_FWD_STORE = 4
+_KIND_NAMES = ("req_load", "req_store", "resp", "fwd_load", "fwd_store")
 
 # MSHR action kinds (tuple position 0); replayed in arrival order.
 _ACT_STORE = 0
@@ -137,14 +131,69 @@ def _address_table(trc, iid: int, n_iter: int) -> List[int]:
     return out
 
 
-def flat_stepper(
-    machine, schedule, n_iter, total_indexes, ops_by_slot, completions,
-    trc, stats, checker, flush_abs, soa_cycles, soa_indexes, run_id, out,
-):
-    """Run one compiled loop to completion; yields at park points.
+def _fastpath_tables(ops_by_slot, ii: int, n_iter: int, total_indexes: int):
+    """Precomputed tables for the bulk (memory-free run) fast path.
 
-    ``out`` receives diagnostic state at exit (currently the per-bus
-    ``busy_cycles`` list, for the batch engine's metrics publication).
+    A modulo slot is *clean* when none of its ops touch memory or consume
+    a load value; a run of clean slots entered with the memory system
+    quiescent retires without per-cycle processing.  ``run_len[s]`` is the
+    clean-run length starting at slot ``s`` (wrapping, capped at II);
+    ``count_prefix`` gives O(1) issued-op counts over any wrapped slot
+    window.  The run bounds [steady_lo, steady_hi) are the indexes where
+    every matching op instance is live (past the prologue ramp, before
+    the epilogue ramp), so due-op sets equal whole slot buckets.
+    """
+    clean = [
+        all(
+            not (op.is_load or op.is_store or op.load_preds)
+            for op in bucket
+        )
+        for bucket in ops_by_slot
+    ]
+    counts = [len(bucket) for bucket in ops_by_slot]
+    doubled = counts + counts
+    count_prefix = [0]
+    for count in doubled:
+        count_prefix.append(count_prefix[-1] + count)
+    ops_per_ii = sum(counts)
+
+    all_clean = all(clean)
+    run_len = [0] * ii
+    if not all_clean:
+        doubled_clean = clean + clean
+        lens = [0] * (2 * ii)
+        run = 0
+        for i in range(2 * ii - 1, -1, -1):
+            run = run + 1 if doubled_clean[i] else 0
+            lens[i] = run
+        run_len = [lens[s] if lens[s] < ii else ii for s in range(ii)]
+
+    times = [op.time for bucket in ops_by_slot for op in bucket]
+    if times:
+        steady_lo = max(times)
+        steady_hi = min(times) + n_iter * ii
+    else:
+        steady_lo = 0
+        steady_hi = total_indexes
+    if steady_hi > total_indexes:
+        steady_hi = total_indexes
+    return run_len, all_clean, count_prefix, ops_per_ii, steady_lo, steady_hi
+
+
+def _next_prune_after(index: int, interval: int) -> int:
+    """The next prune threshold at or above ``index`` — robust to the
+    bulk fast path jumping over several interval multiples at once."""
+    return index - index % interval + interval
+
+
+def run_flat(
+    machine, model, schedule, n_iter, total_indexes, ops_by_slot,
+    completions, trc, stats, checker, flush_abs,
+) -> List[int]:
+    """Run one compiled loop to completion under memory ``model``.
+
+    Accumulates into ``stats`` and ``completions`` exactly like the
+    per-cycle reference; returns the per-bus busy cycles.
     """
     ii = schedule.ii
     length = schedule.length
@@ -156,7 +205,6 @@ def flat_stepper(
     # Machine parameters
     # ------------------------------------------------------------------
     num_clusters = machine.num_clusters
-    interleave = machine.interleave_bytes
     block_bytes = machine.cache.block_bytes
     hit_latency = machine.cache.hit_latency
     nsets = machine.cache.num_sets
@@ -182,9 +230,9 @@ def flat_stepper(
     cache_sets: List[List[dict]] = [
         [dict() for _ in range(nsets)] for _ in range(num_clusters)
     ]
-    # Ground-truth versions: (block, home) -> {addr: (iteration, seq)}.
+    # Ground-truth versions: (block, owner) -> {addr: (iteration, seq)}.
     versions: Dict[tuple, dict] = {}
-    # Home-side MSHRs: per cluster, block -> action list (arrival order).
+    # Owner-side MSHRs: per cluster, block -> action list (arrival order).
     mshr: List[Dict[int, list]] = [{} for _ in range(num_clusters)]
     # Bus fabric.
     queues = [deque() for _ in range(num_clusters)]
@@ -195,15 +243,15 @@ def flat_stepper(
     queued = 0
     rr_start = 0
     transfers = 0
-    # Per-message-kind transfer counts, indexed by _REQ_LOAD/_REQ_STORE/
-    # _RESPONSE (mutable list: no nonlocal needed at the injection sites).
-    transfers_by_kind = [0, 0, 0]
+    # Per-message-kind transfer counts, indexed by message kind (mutable
+    # list: no nonlocal needed at the injection sites).
+    transfers_by_kind = [0] * len(_KIND_NAMES)
     bus_queued_cycles = 0
     # Next level: queue of (cluster, block) fetches / None write-backs.
     nl_queue = deque()
     nl_compl: Dict[int, list] = {}
     nl_requests = 0
-    # Deferred home responses: send cycle -> messages.
+    # Deferred owner responses: send cycle -> messages.
     deferred: Dict[int, list] = {}
     outstanding = 0
     # The three timed dicts above are only ever inserted at the current
@@ -251,14 +299,14 @@ def flat_stepper(
             return
         bucket[addr] = version
 
-    def send_response(home, requester, block, addr, iid, it, per_load,
+    def send_response(owner, requester, block, addr, iid, it, per_load,
                       send_at, now):
         # The load observes the subblock *here*, at its serialization
-        # point at the home module; the response only models the
-        # transfer back.  (The version snapshot is only materialized
-        # when Attraction Buffers will consume it at the requester.)
+        # point at the owner; the response only models the transfer
+        # back.  (The version snapshot is only materialized when
+        # Attraction Buffers will consume it at the requester.)
         nonlocal viol_acc, queued
-        bucket = versions.get((block, home))
+        bucket = versions.get((block, owner))
         if use_abs:
             snapshot = dict(bucket) if bucket else {}
             observed = snapshot.get(addr)
@@ -267,10 +315,10 @@ def flat_stepper(
             observed = bucket.get(addr) if bucket else None
         if observe_load is not None and observe_load(iid, it, observed):
             viol_acc += 1
-        message = (_RESPONSE, home, requester, block, it, per_load,
+        message = (_RESPONSE, owner, requester, block, it, per_load,
                    snapshot)
         if send_at <= now:
-            queues[home].append(message)
+            queues[owner].append(message)
             queued += 1
         else:
             bucket_d = deferred.get(send_at)
@@ -340,70 +388,88 @@ def flat_stepper(
             outstanding -= 1
 
     def deliver(arrivals, cycle):
-        # Bus messages arrive at their destinations (fabric.deliver).
-        nonlocal outstanding, acc_remote_hit, acc_remote_miss
+        # Bus messages arrive at their destinations (fabric.deliver).  A
+        # request reaching a cluster that does not own its block is at a
+        # directory home: it continues to the owner as a forward, and
+        # the access stays outstanding across the hop.
+        nonlocal outstanding, queued, acc_remote_hit, acc_remote_miss
         nonlocal acc_combined, nl_requests
         for message in arrivals:
             kind = message[0]
             if kind == _RESPONSE:
-                # (kind, home, requester, block, it, per_load, snapshot)
+                # (kind, owner, requester, block, it, per_load, snapshot)
                 message[5][message[4]] = cycle
                 outstanding -= 1
                 if use_abs:
                     ab_fill(message[2], message[3], message[1],
                             message[6])
-            elif kind == _REQ_LOAD:
-                _k, src, home, block, addr, iid, it, per_load = message
-                cset = cache_sets[home][block % nsets]
+            elif kind == _REQ_LOAD or kind == _FWD_LOAD:
+                (_k, requester, dst, block, addr, iid, it, per_load,
+                 owner) = message
+                if dst != owner:
+                    queues[dst].append((_FWD_LOAD, requester, owner, block,
+                                        addr, iid, it, per_load, owner))
+                    queued += 1
+                    continue
+                cset = cache_sets[dst][block % nsets]
                 if block in cset:
                     acc_remote_hit += 1
                     cset[block] = cset.pop(block)
-                    send_response(home, src, block, addr, iid, it,
+                    send_response(dst, requester, block, addr, iid, it,
                                   per_load, send_at=cycle + hit_latency,
                                   now=cycle)
+                    continue
+                action = (_ACT_RESPOND, requester, addr, iid, it, per_load)
+                waiter = mshr[dst].get(block)
+                if waiter is not None:
+                    acc_combined += 1
+                    waiter.append(action)
                 else:
-                    waiter = mshr[home].get(block)
-                    if waiter is not None:
-                        acc_combined += 1
-                        waiter.append(
-                            (_ACT_RESPOND, src, addr, iid, it, per_load))
-                        outstanding += 1
-                    else:
-                        acc_remote_miss += 1
-                        mshr[home][block] = [
-                            (_ACT_RESPOND, src, addr, iid, it, per_load)]
-                        outstanding += 1
-                        nl_queue.append((home, block))
-                        nl_requests += 1
-            else:  # _REQ_STORE
-                _k, src, home, block, addr, version = message
-                cset = cache_sets[home][block % nsets]
+                    acc_remote_miss += 1
+                    mshr[dst][block] = [action]
+                    nl_queue.append((dst, block))
+                    nl_requests += 1
+                outstanding += 1
+            else:  # _REQ_STORE / _FWD_STORE
+                _k, dst, block, addr, version, owner = message
+                if dst != owner:
+                    queues[dst].append((_FWD_STORE, owner, block, addr,
+                                        version, owner))
+                    queued += 1
+                    continue
+                cset = cache_sets[dst][block % nsets]
                 if block in cset:
                     acc_remote_hit += 1
                     cset.pop(block)
                     cset[block] = True
-                    apply_store((block, home), addr, version)
+                    apply_store((block, dst), addr, version)
                 else:
-                    waiter = mshr[home].get(block)
+                    waiter = mshr[dst].get(block)
                     if waiter is not None:
                         acc_combined += 1
                         waiter.append((_ACT_STORE, addr, version))
-                        outstanding += 1
                     else:
                         acc_remote_miss += 1
-                        mshr[home][block] = [(_ACT_STORE, addr, version)]
-                        outstanding += 1
-                        nl_queue.append((home, block))
+                        mshr[dst][block] = [(_ACT_STORE, addr, version)]
+                        nl_queue.append((dst, block))
                         nl_requests += 1
+                    outstanding += 1
                 outstanding -= 1
 
-    def flat_load(cluster, addr, iid, it, per_load, cycle):
+    def flat_load(cluster, addr, home, owner, iid, it, per_load, cycle):
         nonlocal outstanding, queued, viol_acc, nl_requests
         nonlocal acc_local_hit, acc_local_miss, acc_combined
         nonlocal ab_hits_total
-        home = (addr // interleave) % num_clusters
         block = addr // block_bytes
         if home == cluster:
+            if owner != cluster:
+                # A directory home's own access: the lookup is local, the
+                # data one forward hop away.
+                outstanding += 1
+                queues[cluster].append((_FWD_LOAD, cluster, owner, block,
+                                        addr, iid, it, per_load, owner))
+                queued += 1
+                return
             cset = cache_sets[cluster][block % nsets]
             if block in cset:
                 acc_local_hit += 1
@@ -444,18 +510,18 @@ def flat_stepper(
                 per_load[it] = cycle + hit_latency
                 return
         # Every remote load travels to its home as its own request (no
-        # requester-side combining — home-side serialization is the
+        # requester-side combining — owner-side serialization is the
         # point of coherence).
         outstanding += 1
         queues[cluster].append(
-            (_REQ_LOAD, cluster, home, block, addr, iid, it, per_load))
+            (_REQ_LOAD, cluster, home, block, addr, iid, it, per_load,
+             owner))
         queued += 1
 
-    def flat_store(cluster, addr, it, seq, replica, cycle):
+    def flat_store(cluster, addr, home, owner, it, seq, replica, cycle):
         nonlocal outstanding, queued, nullified_acc, nl_requests
         nonlocal acc_local_hit, acc_local_miss, acc_combined
         version = (it, seq)
-        home = (addr // interleave) % num_clusters
         block = addr // block_bytes
         if replica and home != cluster:
             # Nullified instance (section 3.3) — still refreshes an
@@ -469,6 +535,12 @@ def flat_stepper(
                     entry[1] = True
             return
         if home == cluster:
+            if owner != cluster:
+                outstanding += 1
+                queues[cluster].append((_FWD_STORE, owner, block, addr,
+                                        version, owner))
+                queued += 1
+                return
             cset = cache_sets[cluster][block % nsets]
             if block in cset:
                 acc_local_hit += 1
@@ -499,7 +571,7 @@ def flat_stepper(
                 return
         outstanding += 1
         queues[cluster].append(
-            (_REQ_STORE, cluster, home, block, addr, version))
+            (_REQ_STORE, home, block, addr, version, owner))
         queued += 1
 
     def inject_1bus(cycle):
@@ -595,7 +667,10 @@ def flat_stepper(
             accepted += 1
 
     def skip_window(start, stop):
-        # Bulk replay of provably inert cycles (BusFabric.skip_window).
+        # Replay cycles [start, stop) on which inject() provably moves
+        # nothing: while messages are queued every bus stays busy, so
+        # only wait cycles accrue; otherwise the round-robin pointer
+        # rotates on each cycle with a free bus.
         nonlocal bus_queued_cycles, rr_start
         if queued:
             bus_queued_cycles += queued * (stop - start)
@@ -605,14 +680,15 @@ def flat_stepper(
             rr_start = (rr_start + (stop - begin)) % num_clusters
 
     # ------------------------------------------------------------------
-    # Steady-state dispatch tables (see repro.sim.batch docstring), with
-    # per-op precomputed address lists replacing trace.address calls.
+    # Steady-state dispatch tables, with per-op precomputed address and
+    # placement lists replacing trace.address calls and routing.
     # ------------------------------------------------------------------
     (
         run_len, all_clean, count_prefix, ops_per_ii, steady_lo, steady_hi,
     ) = _fastpath_tables(ops_by_slot, ii, n_iter, total_indexes)
 
-    addr_tabs: Dict[int, List[int]] = {}
+    # iid -> (addresses, homes, owners), each indexed by iteration
+    tables: Dict[int, tuple] = {}
     flat_slots: List[tuple] = []
     pred_slots: List[tuple] = []
     for bucket in ops_by_slot:
@@ -621,14 +697,13 @@ def flat_stepper(
         for info in bucket:
             kq = info.time // ii
             if info.is_load or info.is_store:
-                addrs = addr_tabs.get(info.iid)
-                if addrs is None:
-                    addrs = addr_tabs[info.iid] = _address_table(
-                        trc, info.iid, n_iter)
+                addrs = _address_table(trc, info.iid, n_iter)
+                homes, owners = model.placement(machine, addrs)
+                tables[info.iid] = (addrs, homes, owners)
                 flat.append((
-                    1 if info.is_load else 2, info.iid,
-                    completions.get(info.iid), info.cluster, addrs,
-                    info.seq, info.replica, kq,
+                    info.is_load, info.iid, completions.get(info.iid),
+                    info.cluster, addrs, homes, owners, info.seq,
+                    info.replica, kq,
                 ))
             for load_iid, distance in info.load_preds:
                 preds.append((completions[load_iid], kq + distance))
@@ -643,9 +718,9 @@ def flat_stepper(
     drain_anchor = 0
     next_prune = prune_interval
 
-    def _stall(waits, cycle, stall_streak, index):
-        """Event-to-event stall loop (frozen waits), shared by both
-        issue paths; parks at long fast-forward jumps."""
+    def stall(waits, cycle, stall_streak, index):
+        """Event-to-event stall loop over frozen waits, shared by both
+        issue paths; returns the cycle issue resumes on."""
         nonlocal stall_acc, ff_acc, next_prune, queued, rr_start
         while True:
             stall_acc += 1
@@ -662,7 +737,7 @@ def flat_stepper(
                 rr_start = (rr_start + 1) % num_clusters
             cycle += 1
 
-            # next_event_cycle(cycle)
+            # next event cycle
             if nl_queue or (queued and bus_min <= cycle):
                 event = cycle
             else:
@@ -682,6 +757,9 @@ def flat_stepper(
                 if event is not None and event < cycle:
                     event = cycle
             if event is None or event > cycle:
+                # No event this very cycle: jump to the earlier of the
+                # next event and the cycle the blocking loads are known
+                # to complete (unknown while one is still in flight).
                 wake = 0
                 for per_load, j in waits:
                     done = per_load.get(j, 0)
@@ -691,8 +769,10 @@ def flat_stepper(
                     if done > wake:
                         wake = done
                 if wake is None and event is None:
-                    over = watchdog + 1 - stall_streak
-                    stall_acc += over
+                    # A blocking load is in flight but nothing is
+                    # scheduled: the reference spins up to the watchdog.
+                    # Charge that window and raise its error.
+                    stall_acc += watchdog + 1 - stall_streak
                     raise SimulationError(
                         f"machine stalled for {watchdog + 1} cycles at "
                         f"kernel index {index}"
@@ -706,8 +786,7 @@ def flat_stepper(
                 if target > cycle:
                     skipped = target - cycle
                     if stall_streak + skipped > watchdog:
-                        over = watchdog + 1 - stall_streak
-                        stall_acc += over
+                        stall_acc += watchdog + 1 - stall_streak
                         raise SimulationError(
                             f"machine stalled for {watchdog + 1} cycles "
                             f"at kernel index {index}"
@@ -718,13 +797,12 @@ def flat_stepper(
                     skip_window(cycle, target)
                     cycle = target
                     if skipped >= prune_interval:
+                        # A skipped stall as long as a prune interval:
+                        # drop stale completions now, not after it.
                         prune(completions, index, ii, length)
                         if index >= next_prune:
-                            next_prune = _next_prune_after(index)
-                    if skipped >= PARK_MIN_JUMP:
-                        soa_cycles[run_id] = cycle
-                        soa_indexes[run_id] = index
-                        yield cycle
+                            next_prune = _next_prune_after(
+                                index, prune_interval)
             # tick_begin
             if deferred:
                 msgs = deferred.pop(cycle, None)
@@ -758,6 +836,10 @@ def flat_stepper(
                         or nl_compl or deferred):
                     break
                 # ---- post-issue drain --------------------------------
+                # The watchdog bounds windows in which the low-water
+                # mark of pending work stops falling; it is sampled after
+                # tick_begin like the reference, so both declare a hung
+                # drain on the same cycle.
                 # tick_begin
                 if deferred:
                     msgs = deferred.pop(cycle, None)
@@ -801,7 +883,7 @@ def flat_stepper(
                 if not (outstanding or queued or in_flight or nl_queue
                         or nl_compl or deferred):
                     continue
-                # next_event_cycle(cycle)
+                # next event cycle
                 if nl_queue or (queued and bus_min <= cycle):
                     event = cycle
                 else:
@@ -825,18 +907,15 @@ def flat_stepper(
                         f"memory system cannot drain: in-flight work "
                         f"remains but no event is pending at cycle {cycle}"
                     )
+                # Never jump past the cycle on which the reference would
+                # declare the drain hung.
                 limit = drain_anchor + watchdog
                 if event > limit:
                     event = limit
                 if event > cycle:
-                    jump = event - cycle
-                    ff_acc += jump
+                    ff_acc += event - cycle
                     skip_window(cycle, event)
                     cycle = event
-                    if jump >= PARK_MIN_JUMP:
-                        soa_cycles[run_id] = cycle
-                        soa_indexes[run_id] = index
-                        yield cycle
                 continue
 
             if steady_lo <= index < steady_hi:
@@ -869,7 +948,8 @@ def flat_stepper(
                     stall_streak = 0
                     if index >= next_prune:
                         prune(completions, index, ii, length)
-                        next_prune = _next_prune_after(index)
+                        next_prune = _next_prune_after(
+                            index, prune_interval)
                     continue
 
                 # ---- one steady-state kernel index -------------------
@@ -904,21 +984,21 @@ def flat_stepper(
                                 for pl, kq in preds
                                 if q_round - kq >= 0
                             ]
-                            cycle, stall_streak = yield from _stall(
+                            cycle, stall_streak = stall(
                                 waits, cycle, stall_streak, index
                             )
                             break
 
-                for (kind, iid, per_load, cluster, addrs, seq, replica,
-                     kq) in flat_slots[slot]:
+                for (is_load, iid, per_load, cluster, addrs, homes, owners,
+                     seq, replica, kq) in flat_slots[slot]:
                     it = q_round - kq
-                    if kind == 1:
+                    if is_load:
                         per_load[it] = None
-                        flat_load(cluster, addrs[it], iid, it, per_load,
-                                  cycle)
+                        flat_load(cluster, addrs[it], homes[it], owners[it],
+                                  iid, it, per_load, cycle)
                     else:
-                        flat_store(cluster, addrs[it], it, seq, replica,
-                                   cycle)
+                        flat_store(cluster, addrs[it], homes[it],
+                                   owners[it], it, seq, replica, cycle)
                 issued_acc += slot_counts[slot]
             else:
                 # ---- prologue/epilogue ramp index (generic path) -----
@@ -950,21 +1030,21 @@ def flat_stepper(
                         for load_iid, distance in info.load_preds
                         if iteration - distance >= 0
                     ]
-                    cycle, stall_streak = yield from _stall(
+                    cycle, stall_streak = stall(
                         waits, cycle, stall_streak, index
                     )
-                for info, iteration in due:
+                for info, it in due:
                     issued_acc += 1
                     if info.is_load:
+                        addrs, homes, owners = tables[info.iid]
                         per_load = completions[info.iid]
-                        per_load[iteration] = None
-                        flat_load(info.cluster,
-                                  addr_tabs[info.iid][iteration],
-                                  info.iid, iteration, per_load, cycle)
+                        per_load[it] = None
+                        flat_load(info.cluster, addrs[it], homes[it],
+                                  owners[it], info.iid, it, per_load, cycle)
                     elif info.is_store:
-                        flat_store(info.cluster,
-                                   addr_tabs[info.iid][iteration],
-                                   iteration, info.seq, info.replica,
+                        addrs, homes, owners = tables[info.iid]
+                        flat_store(info.cluster, addrs[it], homes[it],
+                                   owners[it], it, info.seq, info.replica,
                                    cycle)
 
             index += 1
@@ -978,12 +1058,11 @@ def flat_stepper(
             cycle += 1
             if index >= next_prune:
                 prune(completions, index, ii, length)
-                next_prune = _next_prune_after(index)
+                next_prune = _next_prune_after(index, prune_interval)
 
-        # ---- loop-boundary Attraction-Buffer flush -------------------
-        # simulate() flushes after the engine returns; doing it here
-        # (still before the stats flush below) is observation-identical
-        # and keeps the flat AB state private to this frame.
+        # ---- loop-boundary Attraction-Buffer flush (sections 5.2/5.3):
+        # every dirty attracted copy is written back to its home cluster
+        # and all entries drop.
         if use_abs and flush_abs:
             for cluster_sets in ab_sets:
                 for abset in cluster_sets:
@@ -1013,14 +1092,10 @@ def flat_stepper(
         stats.ab_flushed_dirty += ab_flushed_acc
         stats.bus_transfers = transfers
         stats.bus_transfer_kinds = {
-            kind: count
-            for kind, count in zip(
-                ("req_load", "req_store", "resp"), transfers_by_kind
-            )
+            name: count
+            for name, count in zip(_KIND_NAMES, transfers_by_kind)
             if count
         }
         stats.bus_queued_cycles = bus_queued_cycles
         stats.next_level_requests = nl_requests
-        out["busy_cycles"] = busy_cycles
-        soa_cycles[run_id] = cycle
-        soa_indexes[run_id] = index
+    return busy_cycles

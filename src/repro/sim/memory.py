@@ -24,17 +24,11 @@ next-level fills), lets the core issue, then :meth:`tick_end` (inject
 queued transfers).  A request issued at cycle ``c`` therefore first
 contends for a bus at ``c``.
 
-The event-skipping executor (the default engine of
-:func:`repro.sim.executor.simulate`) replaces long runs of no-op tick
-pairs with one :meth:`advance` interval: :meth:`next_event_cycle`
-names the earliest cycle at which a tick pair would do anything (a bus
-arrival, a deferred home response becoming sendable, a next-level fill —
-or the very next cycle while any injection/acceptance queue is busy,
-since arbitration and wait accounting happen per cycle), and every cycle
-strictly before it is provably inert.  Skipped intervals replay the one
-piece of per-cycle state that still moves — bus round-robin arbitration
-— in bulk, so an event-skipped run is observation-equivalent, stat for
-stat, to a per-cycle run.
+This object protocol is the reference: ``engine="cycles"`` drives it one
+tick pair per cycle, the conformance bridge
+(:mod:`repro.check.conformance`) replays its event trace against the
+protocol model, and the flat fast path (:mod:`repro.sim.flatmem`) must
+match it stat for stat.
 """
 
 from __future__ import annotations
@@ -168,12 +162,8 @@ class MemorySystem:
         self.sync_stats()
 
     def sync_stats(self) -> None:
-        """Mirror fabric/next-level counters into :class:`SimStats`.
-
-        Pure absolute copies of monotonic counters, so calling this once
-        at end of run (as the batch engine's steppers do) yields the
-        same final stats as calling it every ``tick_end``.
-        """
+        """Mirror fabric/next-level counters into :class:`SimStats`
+        (absolute copies of monotonic counters)."""
         self.stats.bus_transfers = self.fabric.transfers
         self.stats.bus_queued_cycles = self.fabric.queued_cycles
         self.stats.next_level_requests = self.next_level.requests
@@ -206,71 +196,6 @@ class MemorySystem:
             + self.next_level.pending()
             + sum(len(v) for v in self._deferred_sends.values())
         )
-
-    # ------------------------------------------------------------------
-    # Interval advancing (event-skipping executor support)
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, after: int) -> Optional[int]:
-        """Earliest cycle ``>= after`` at which a tick pair does work.
-
-        The timed event sources: in-flight bus transfers, deferred home
-        responses (probe/fill data waiting for its earliest send cycle),
-        next-level fills, and — when messages are queued but every bus is
-        occupied — the first cycle a bus frees up.  While the next level
-        has queued requests, or a queued bus message could inject *now*,
-        every cycle does work (port acceptance, arbitration) and
-        ``after`` itself is returned.  Returns ``None`` when nothing is
-        pending at all: no tick pair will ever do anything again.
-        (Attraction-Buffer actions are synchronous side effects of loads,
-        stores and response deliveries, so they never add event cycles of
-        their own.)
-
-        This deliberately reads its components' internal queues rather
-        than going through accessor methods: it runs once per processed
-        stall/drain cycle, and the three structures probed here are the
-        complete set of timed state in the subsystem (the engine
-        equivalence tests pin that completeness).
-        """
-        fabric = self.fabric
-        if self.next_level._queue:
-            return after
-        best: Optional[int] = None
-        if fabric._queued:
-            free_at = fabric.next_free_bus()
-            if free_at <= after:
-                return after
-            best = free_at
-        if fabric._in_flight:
-            candidate = min(fabric._in_flight)
-            if best is None or candidate < best:
-                best = candidate
-        completions = self.next_level._completions
-        if completions:
-            candidate = min(completions)
-            if best is None or candidate < best:
-                best = candidate
-        if self._deferred_sends:
-            candidate = min(self._deferred_sends)
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
-            return None
-        return best if best > after else after
-
-    def advance(self, start: int, stop: int) -> None:
-        """Replay cycles ``[start, stop)`` in one jump.
-
-        Only legal when :meth:`next_event_cycle` proved the window inert
-        (``stop <= next_event_cycle(start)``): no deliveries, fills,
-        deferred sends, injections or port acceptances can occur, so the
-        whole window collapses to the bus fabric's bulk replay (wait
-        accounting for stuck queues, round-robin rotation otherwise).
-        Semantically identical to ``stop - start`` tick pairs with no
-        core issue in between.
-        """
-        if stop <= start:
-            return
-        self.fabric.skip_window(start, stop)
 
     # ------------------------------------------------------------------
     # Version bookkeeping

@@ -1,13 +1,15 @@
 """Pluggable memory-system models.
 
 The paper's memory system — word-interleaved homes on a snooping bus
-with remote-request buffers — used to be hard-coded in three places (the
-object engine, the flattened batch stepper and the checker's transition
-table).  This package turns the protocol into a first-class axis: a
+with remote-request buffers — is one point in a space of protocols.
+This package makes the protocol a first-class axis: a
 :class:`MemoryModel` names one protocol + placement scheme, owns the
-construction of its :class:`~repro.sim.memory.MemorySystem` subclass,
-and points at the matching exhaustive-check model and conformance
-address scheme.  Registered models:
+construction of its :class:`~repro.sim.memory.MemorySystem` subclass
+(what the per-cycle reference and the conformance bridge drive),
+supplies the per-address home/owner placement the flat fast path
+(:mod:`repro.sim.flatmem`) routes by, and points at the matching
+exhaustive-check model and conformance address scheme.  Registered
+models:
 
 ``snooping``
     The paper's protocol, unchanged (the default; byte-identical to the
@@ -29,7 +31,7 @@ suffix), so content hashes distinguish models.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.errors import ConfigError
@@ -38,7 +40,7 @@ from repro.sim.memory import MemorySystem, TraceCallback
 from repro.sim.stats import SimStats
 
 #: The model every entry point defaults to; its behaviour is pinned by
-#: the goldens and the events<->batch differential tests.
+#: the goldens.
 DEFAULT_MODEL = "snooping"
 
 
@@ -46,16 +48,14 @@ class MemoryModel:
     """One memory-system model: protocol + placement + check mapping.
 
     Subclasses define the class attributes and override :meth:`build`
-    (and, for a non-interleaved placement, :meth:`conformance_address`).
+    and :meth:`placement` (and, for a non-interleaved placement,
+    :meth:`conformance_address`).
     """
 
     #: registry key; also the ``--model`` / ``-mm`` spelling
     name: str = ""
     #: one-line human description for ``repro list``
     description: str = ""
-    #: True when the flattened batch stepper implements this model, so
-    #: ``engine="batch"`` may take the tuple-message fast path
-    flat_stepper_capable: bool = False
     #: True when the model keeps per-cluster copies that Attraction
     #: Buffers can extend (only the snooping protocol does)
     supports_attraction: bool = True
@@ -69,6 +69,29 @@ class MemoryModel:
     ) -> MemorySystem:
         """Construct this model's memory system for one run."""
         raise NotImplementedError
+
+    def placement(
+        self, machine: MachineConfig, addrs: List[int]
+    ) -> Tuple[List[int], List[int]]:
+        """``(homes, owners)`` of a run's addresses, for the flat path.
+
+        ``homes[i]`` is the cluster a request for ``addrs[i]`` travels to
+        first; ``owners[i]`` the cluster that holds the data and
+        serializes accesses to it.  Single-hop models return the same
+        list twice; where the two differ, the flat path forwards the
+        request from the home to the owner.  Must route exactly like
+        :meth:`build`'s memory system.
+        """
+        raise NotImplementedError
+
+    def validate_machine(self, machine: MachineConfig) -> None:
+        """Reject machine features this model cannot simulate."""
+        if (machine.attraction_buffer is not None
+                and not self.supports_attraction):
+            raise ConfigError(
+                f"memory model {self.name!r} keeps no per-cluster copies; "
+                f"Attraction Buffers are not supported"
+            )
 
     def check_model(self) -> type:
         """The matching :mod:`repro.check` protocol-model class.
@@ -84,13 +107,6 @@ class MemoryModel:
         """An address whose block id is ``sb`` and whose serving cluster
         matches the check model's ``home(sb)`` under ``machine``."""
         return sb * machine.cache.block_bytes
-
-    def _reject_attraction(self, machine: MachineConfig) -> None:
-        if machine.attraction_buffer is not None:
-            raise ConfigError(
-                f"memory model {self.name!r} keeps no per-cluster copies; "
-                f"Attraction Buffers are not supported"
-            )
 
 
 #: name -> registered model instance

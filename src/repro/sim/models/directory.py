@@ -21,13 +21,17 @@ always take the same path and every hop is a per-source FIFO, so the
 issue-order delivery guarantee the MDC/DDGT solutions rely on holds
 hop by hop.
 
+The flat fast path runs the same three paths from
+:meth:`DirectoryModel.placement`'s homes and owners: a request that
+reaches a home not owning its block continues as the forward hop.
+
 Like DLS there is a single resident copy per block, so Attraction
-Buffers are rejected at build time.
+Buffers are rejected.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.sim.bus import BusMessage
@@ -287,7 +291,6 @@ class DirectoryModel(MemoryModel):
         "distributed directory: per-block home forwards to the owner "
         "slice; per-hop req/fwd/resp traffic accounting"
     )
-    flat_stepper_capable = False
     supports_attraction = False
 
     def build(
@@ -297,8 +300,17 @@ class DirectoryModel(MemoryModel):
         checker: Optional[CoherenceChecker] = None,
         trace: Optional[TraceCallback] = None,
     ) -> MemorySystem:
-        self._reject_attraction(machine)
+        self.validate_machine(machine)
         return DirectoryMemorySystem(machine, stats, checker, trace)
+
+    def placement(
+        self, machine: MachineConfig, addrs: List[int]
+    ) -> Tuple[List[int], List[int]]:
+        block_bytes = machine.cache.block_bytes
+        n = machine.num_clusters
+        blocks = [addr // block_bytes for addr in addrs]
+        return ([directory_home(block, n) for block in blocks],
+                [directory_owner(block, n) for block in blocks])
 
 
 MODEL = register_model(DirectoryModel())

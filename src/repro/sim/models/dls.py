@@ -8,16 +8,15 @@ otherwise it travels there as an ordinary request and is served at the
 slice's serialization point.  The protocol skeleton (request/response,
 home-side MSHR combining) is the snooping one — only the placement map
 differs — which is why :class:`DLSMemorySystem` overrides a single
-routing hook.
+routing hook and :meth:`DLSModel.placement` is the same hash.
 
 Because a block has exactly one resident copy, Attraction Buffers (which
-cache *extra* copies) are meaningless here and are rejected at build
-time.
+cache *extra* copies) are meaningless here and are rejected.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.sim.coherence import CoherenceChecker
@@ -50,7 +49,6 @@ class DLSModel(MemoryModel):
         "directoryless shared LLC: blocks hash to a single home slice; "
         "no copies, no invalidation broadcast"
     )
-    flat_stepper_capable = False
     supports_attraction = False
 
     def build(
@@ -60,8 +58,16 @@ class DLSModel(MemoryModel):
         checker: Optional[CoherenceChecker] = None,
         trace: Optional[TraceCallback] = None,
     ) -> MemorySystem:
-        self._reject_attraction(machine)
+        self.validate_machine(machine)
         return DLSMemorySystem(machine, stats, checker, trace)
+
+    def placement(
+        self, machine: MachineConfig, addrs: List[int]
+    ) -> Tuple[List[int], List[int]]:
+        block_bytes = machine.cache.block_bytes
+        n = machine.num_clusters
+        homes = [dls_home(addr // block_bytes, n) for addr in addrs]
+        return homes, homes
 
 
 MODEL = register_model(DLSModel())

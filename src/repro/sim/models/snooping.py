@@ -10,7 +10,7 @@ goldens.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.sim.coherence import CoherenceChecker
@@ -25,7 +25,6 @@ class SnoopingModel(MemoryModel):
         "paper baseline: word-interleaved homes, snooping bus, "
         "remote-request buffers (+ optional Attraction Buffers)"
     )
-    flat_stepper_capable = True
     supports_attraction = True
 
     def build(
@@ -36,6 +35,15 @@ class SnoopingModel(MemoryModel):
         trace: Optional[TraceCallback] = None,
     ) -> MemorySystem:
         return MemorySystem(machine, stats, checker, trace)
+
+    def placement(
+        self, machine: MachineConfig, addrs: List[int]
+    ) -> Tuple[List[int], List[int]]:
+        # home_cluster() over a whole table; the home holds the data.
+        unit = machine.interleave_bytes
+        n = machine.num_clusters
+        homes = [(addr // unit) % n for addr in addrs]
+        return homes, homes
 
     def conformance_address(self, machine: MachineConfig, sb: int) -> int:
         # Distinct blocks whose interleaved home is ``sb % clusters`` —

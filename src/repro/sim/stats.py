@@ -43,7 +43,7 @@ _COUNTER_FIELDS = (
     "next_level_requests",
 )
 
-#: Engine-internal diagnostics of the event-skipping executor.  These are
+#: Diagnostics of the flat fast path's cycle skipping.  These are
 #: deliberately *excluded* from ``to_dict``/``from_dict``: the serialized
 #: form of a run is engine-independent and byte-identical to the captured
 #: goldens (``tests/test_golden_equivalence.py``), while these counters
@@ -51,8 +51,6 @@ _COUNTER_FIELDS = (
 _DIAGNOSTIC_FIELDS = (
     "fast_forwarded_cycles",
     "fast_retired_indexes",
-    "batch_size",
-    "batch_steps",
 )
 
 
@@ -76,18 +74,12 @@ class SimStats:
     bus_transfers: int = 0
     bus_queued_cycles: int = 0
     next_level_requests: int = 0
-    #: stalled/drain cycles the event-skipping engine jumped over in bulk
+    #: stalled/drain cycles the flat fast path jumped over in bulk
     #: (diagnostic; not serialized — see ``_DIAGNOSTIC_FIELDS``)
     fast_forwarded_cycles: int = 0
     #: kernel indexes retired by the "no loads in flight, none due" bulk
     #: fast path (diagnostic; not serialized)
     fast_retired_indexes: int = 0
-    #: co-schedule width of the batch engine's run (0 for the per-run
-    #: engines; diagnostic; not serialized)
-    batch_size: int = 0
-    #: scheduler resumptions this run consumed under the batch engine
-    #: (diagnostic; not serialized)
-    batch_steps: int = 0
     #: per-message-kind split of ``bus_transfers`` (``req_load``,
     #: ``req_store``, ``fwd_load``, ``fwd_store``, ``resp``).  The
     #: serialized form keeps the backward-compatible scalar — which is
@@ -143,7 +135,7 @@ class SimStats:
         Called once per :func:`~repro.sim.executor.simulate` run — never
         inside the cycle loop — so the simulator's contribution to the
         observability layer is O(runs), not O(cycles).  Unlike
-        :meth:`to_dict`, this *does* include the event-skipping engine's
+        :meth:`to_dict`, this *does* include the fast path's
         diagnostic counters (``_DIAGNOSTIC_FIELDS``): the registry is
         labeled by engine, so engine-dependent numbers are fine here
         even though they must stay out of serialized records.

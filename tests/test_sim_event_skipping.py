@@ -1,25 +1,23 @@
-"""The event-skipping engine vs the per-cycle reference.
+"""The flat fast path's skip machinery: engagement, watchdogs, pruning.
 
-Four concerns:
+The stat-for-stat equivalence to the per-cycle reference lives in
+``tests/test_sim_fastpath.py``.  Here:
 
-* **equivalence** — both engines produce identical ``SimStats`` and
-  violation counts on random scenarios across families, coherence modes,
-  machine shapes, and with Attraction Buffers (the golden fixtures in
-  ``tests/test_golden_equivalence.py`` additionally pin the default
-  engine byte-for-byte against the pre-rewrite monolith);
-* **hung-drain watchdog** — a memory system that never quiesces after
-  the last issue raises :class:`SimulationError` within the watchdog
-  bound under both engines instead of spinning forever;
-* **stall watchdog under event skipping** — a load that never completes
-  raises the same watchdog error as the per-cycle reference, immediately
-  rather than after 100k wall iterations;
+* **engagement** — the skip paths really run under every memory model,
+  so the differential tests do not vacuously compare two per-cycle
+  runs;
+* **watchdogs** — a memory system that never quiesces after the last
+  issue, or a load that never completes, raises
+  :class:`SimulationError` within the watchdog bound instead of
+  spinning (fault-injecting doubles, which drive the reference); a
+  legitimately long drain does not trip it; and on healthy slow-memory
+  runs with a shortened watchdog the default path raises exactly the
+  reference's error;
 * **completion-map pruning** — prune scheduling survives the bulk fast
   path jumping over interval multiples, so the map stays bounded.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -32,8 +30,13 @@ from repro.scenarios import ScenarioParams, build_scenario_ddg
 from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sim import ENGINES, MemorySystem, simulate
 from repro.sim import executor as executor_mod
+from repro.sim.models import model_names
 from repro.workloads import trace_factory
 from repro.workloads.traces import AddressTrace
+
+#: The stall-heavy corner: contended single bus, tiny modules, far next
+#: level — long in-flight windows, bus queueing, NL port queues.
+SLOWMEM = parse_config_name("gen-c4-mb1x8-rb4x2-cm512b32a2-nl60p2")
 
 
 def _compile(ddg, machine=BASELINE_CONFIG, **kwargs):
@@ -47,13 +50,10 @@ def _compile(ddg, machine=BASELINE_CONFIG, **kwargs):
     return compile_loop(ddg, machine, **defaults)
 
 
-def _run(compiled, engine, iterations=200, seed=7):
+def _run(compiled, engine, iterations=200, seed=7, model="snooping"):
     trace = trace_factory(iterations, seed=seed)(compiled.ddg)
-    return simulate(compiled, trace, iterations=iterations, engine=engine)
-
-
-def _canonical(result):
-    return json.dumps(result.stats.to_dict(), sort_keys=True)
+    return simulate(compiled, trace, iterations=iterations, engine=engine,
+                    model=model)
 
 
 def single_load_loop():
@@ -64,66 +64,18 @@ def single_load_loop():
 
 
 # ----------------------------------------------------------------------
-# Equivalence properties
+# Engagement
 # ----------------------------------------------------------------------
-_SCENARIOS = [
-    ScenarioParams(family="chase", seed=3),
-    ScenarioParams(family="gather", size=12, mem_pct=15, seed=3),
-    ScenarioParams(family="stream", seed=3),
-    ScenarioParams(family="stencil", seed=3),
-    ScenarioParams(family="reduce", seed=3),
-    ScenarioParams(family="alias", alias_pct=40, seed=3),
-]
-
-_MACHINES = {
-    "baseline": BASELINE_CONFIG,
-    # The stall-heavy corner: contended single bus, tiny modules, far
-    # next level — long in-flight windows, bus queueing, NL port queues.
-    "slowmem": parse_config_name("gen-c4-mb1x8-rb4x2-cm512b32a2-nl60p2"),
-}
-
-
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("params", _SCENARIOS, ids=lambda p: p.name)
-    @pytest.mark.parametrize("machine", sorted(_MACHINES), ids=str)
-    def test_identical_stats_on_scenarios(self, params, machine):
-        compiled = _compile(build_scenario_ddg(params), _MACHINES[machine])
-        reference = _run(compiled, "cycles")
-        events = _run(compiled, "events")
-        assert _canonical(events) == _canonical(reference)
-        assert events.violations.total == reference.violations.total
-        assert events.violations.stale_reads == reference.violations.stale_reads
-        assert events.violations.future_reads == reference.violations.future_reads
-
-    @pytest.mark.parametrize(
-        "mode", [CoherenceMode.MDC, CoherenceMode.DDGT], ids=lambda m: m.value
-    )
-    def test_identical_under_coherence_solutions(self, mode):
-        params = ScenarioParams(family="alias", alias_pct=40, seed=3)
-        compiled = _compile(build_scenario_ddg(params), coherence=mode)
-        reference = _run(compiled, "cycles")
-        events = _run(compiled, "events")
-        assert _canonical(events) == _canonical(reference)
-        assert events.violations.total == reference.violations.total == 0
-
-    def test_identical_with_attraction_buffers(self):
-        params = ScenarioParams(family="gather", seed=3)
-        compiled = _compile(
-            build_scenario_ddg(params),
-            BASELINE_CONFIG.with_attraction_buffers(),
-        )
-        reference = _run(compiled, "cycles")
-        events = _run(compiled, "events")
-        assert _canonical(events) == _canonical(reference)
-
-    def test_fast_paths_actually_engage(self):
-        """The equivalence above must cover the skipping machinery, not
+class TestEngines:
+    @pytest.mark.parametrize("model", model_names())
+    def test_fast_paths_actually_engage(self, model):
+        """The differential tests must cover the skipping machinery, not
         vacuously compare two per-cycle runs."""
         params = ScenarioParams(family="gather", size=12, mem_pct=15, seed=3)
-        compiled = _compile(build_scenario_ddg(params), _MACHINES["slowmem"])
-        events = _run(compiled, "events")
-        assert events.stats.fast_forwarded_cycles > 0
-        reference = _run(compiled, "cycles")
+        compiled = _compile(build_scenario_ddg(params), SLOWMEM)
+        fast = _run(compiled, "events", model=model)
+        assert fast.stats.fast_forwarded_cycles > 0
+        reference = _run(compiled, "cycles", model=model)
         assert reference.stats.fast_forwarded_cycles == 0
 
     def test_unknown_engine_rejected(self):
@@ -157,17 +109,15 @@ def small_watchdog(monkeypatch):
     return 500
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_hung_drain_raises_within_bound(engine, small_watchdog, monkeypatch):
+def test_hung_drain_raises_within_bound(small_watchdog, monkeypatch):
     monkeypatch.setattr(executor_mod, "MemorySystem", _NeverQuiescentMemory)
     compiled = _compile(single_load_loop())
     trace = trace_factory(8, seed=7)(compiled.ddg)
     with pytest.raises(SimulationError, match="drain"):
-        simulate(compiled, trace, iterations=8, engine=engine)
+        simulate(compiled, trace, iterations=8, engine="cycles")
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_lost_load_raises_stall_watchdog(engine, small_watchdog, monkeypatch):
+def test_lost_load_raises_stall_watchdog(small_watchdog, monkeypatch):
     monkeypatch.setattr(executor_mod, "MemorySystem", _SwallowingMemory)
     compiled = _compile(single_load_loop())
     trace = trace_factory(8, seed=7)(compiled.ddg)
@@ -175,7 +125,7 @@ def test_lost_load_raises_stall_watchdog(engine, small_watchdog, monkeypatch):
         SimulationError,
         match=f"machine stalled for {small_watchdog + 1} cycles",
     ):
-        simulate(compiled, trace, iterations=8, engine=engine)
+        simulate(compiled, trace, iterations=8, engine="cycles")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -202,20 +152,42 @@ def test_long_healthy_drain_does_not_trip_watchdog(engine, small_watchdog):
     assert result.stats.stall_cycles == 0  # stores never stall the core
 
 
-def test_watchdog_stall_accounting_matches_reference(
-    small_watchdog, monkeypatch
-):
-    """The event engine charges the emulated watchdog window exactly as
-    the per-cycle reference would have before raising."""
-    monkeypatch.setattr(executor_mod, "MemorySystem", _SwallowingMemory)
-    compiled = _compile(single_load_loop())
-    messages = {}
+def _watchdog_errors(compiled, iterations, model):
+    """The error each engine raises on the same run."""
+    errors = {}
     for engine in ENGINES:
-        trace = trace_factory(8, seed=7)(compiled.ddg)
+        trace = trace_factory(iterations, seed=7)(compiled.ddg)
         with pytest.raises(SimulationError) as excinfo:
-            simulate(compiled, trace, iterations=8, engine=engine)
-        messages[engine] = str(excinfo.value)
-    assert messages["events"] == messages["cycles"]
+            simulate(compiled, trace, iterations=iterations, engine=engine,
+                     model=model)
+        errors[engine] = str(excinfo.value)
+    return errors
+
+
+@pytest.mark.parametrize("model", model_names())
+def test_stall_watchdog_parity_on_a_load_miss(model, monkeypatch):
+    """A healthy load missing to the 60-cycle next level stalls its
+    consumer past a 40-cycle watchdog: the default path skips that
+    window but must declare the same stall, at the same kernel index,
+    as the reference that steps through it."""
+    monkeypatch.setattr(executor_mod, "STALL_WATCHDOG", 40)
+    errors = _watchdog_errors(_compile(single_load_loop(), SLOWMEM), 8,
+                              model)
+    assert errors["events"] == errors["cycles"]
+    assert errors["cycles"].startswith("machine stalled for 41 cycles")
+
+
+@pytest.mark.parametrize("model", model_names())
+def test_drain_watchdog_parity_on_a_store_only_loop(model, monkeypatch):
+    """Stores never stall the core, but the last ones still wait on the
+    60-cycle next level after the final issue: with a 40-cycle watchdog
+    both engines must declare the same hung drain."""
+    monkeypatch.setattr(executor_mod, "STALL_WATCHDOG", 40)
+    b = DdgBuilder("store-only")
+    b.store(mem=MemRef("A", stride=64), name="st")
+    errors = _watchdog_errors(_compile(b.build(), SLOWMEM), 8, model)
+    assert errors["events"] == errors["cycles"]
+    assert errors["cycles"].startswith("memory system failed to drain")
 
 
 # ----------------------------------------------------------------------

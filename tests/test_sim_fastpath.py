@@ -1,0 +1,188 @@
+"""The default simulation path vs the per-cycle reference, per model.
+
+``simulate()`` runs the flat fast path (:mod:`repro.sim.flatmem`) by
+default; ``engine="cycles"`` drives the model's object ``MemorySystem``
+one tick pair per cycle.  The two must agree on every serialized
+counter, on the per-kind bus traffic and on the violation breakdown,
+for every registered memory model:
+
+* over a fixed cross — every model × the Table-2 baseline and a
+  stall-heavy machine (one slow bus, tiny modules, far next level) ×
+  the three coherence modes × the six scenario families, plus snooping
+  with Attraction Buffers;
+* over a derandomized hypothesis search of ``scn-`` knobs × ``gen-``
+  machines × models × variants through the ``repro run`` pipeline; a
+  failure names the ``repro run`` command that replays the cell.
+"""
+
+from __future__ import annotations
+
+import warnings
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import core
+from repro.api.artifacts import MemoryArtifactStore
+from repro.api.spec import ALL_VARIANTS, RunSpec
+from repro.arch import BASELINE_CONFIG
+from repro.arch.config import parse_config_name
+from repro.errors import ConfigError
+from repro.scenarios import FAMILIES, ScenarioParams, build_scenario_ddg
+from repro.scenarios.machines import machine_grid
+from repro.sched import CoherenceMode, Heuristic, compile_loop
+from repro.sim import ENGINES, simulate
+from repro.sim.models import model_names
+from repro.workloads import trace_factory
+
+ITERATIONS = 120
+SLOWMEM = "gen-c4-mb1x8-rb4x2-cm512b32a2-nl60p2"
+MACHINES = {"baseline": BASELINE_CONFIG, SLOWMEM: parse_config_name(SLOWMEM)}
+MODES = (CoherenceMode.NONE, CoherenceMode.MDC, CoherenceMode.DDGT)
+#: One scenario per family; the gather is shrunk so it stalls hard.
+SCENARIOS = (
+    ScenarioParams(family="stream", seed=3),
+    ScenarioParams(family="stencil", seed=3),
+    ScenarioParams(family="reduce", seed=3),
+    ScenarioParams(family="gather", size=12, mem_pct=15, seed=3),
+    ScenarioParams(family="chase", seed=3),
+    ScenarioParams(family="alias", alias_pct=40, seed=3),
+)
+
+
+def _compile(params, machine, mode=CoherenceMode.NONE):
+    return compile_loop(
+        build_scenario_ddg(params), machine, coherence=mode,
+        heuristic=Heuristic.MINCOMS, trace_factory=trace_factory(64, seed=5),
+        profile_iterations=64,
+    )
+
+
+def observation(result):
+    """Everything the two engines must agree on."""
+    return (result.stats.to_dict(), result.stats.bus_transfer_kinds,
+            result.violations)
+
+
+def run_both(compiled, model="snooping"):
+    """``(default path, reference)`` results of one run."""
+    trace = trace_factory(ITERATIONS, seed=7)(compiled.ddg)
+    default = simulate(compiled, trace, iterations=ITERATIONS, model=model)
+    reference = simulate(compiled, trace, iterations=ITERATIONS,
+                         model=model, engine="cycles")
+    return default, reference
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    """Compilation is model-independent: each (scenario, machine, mode)
+    compiles once for the whole model cross."""
+    cache = {}
+
+    def get(params, machine, mode):
+        key = (params, machine, mode)
+        if key not in cache:
+            cache[key] = _compile(params, MACHINES[machine], mode)
+        return cache[key]
+
+    return get
+
+
+def test_scenarios_cover_every_family():
+    assert sorted(p.family for p in SCENARIOS) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("params", SCENARIOS, ids=lambda p: p.family)
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("model", model_names())
+def test_default_path_matches_reference(compiled, model, machine, mode,
+                                        params):
+    default, reference = run_both(compiled(params, machine, mode), model)
+    assert observation(default) == observation(reference)
+
+
+@pytest.mark.parametrize("machine, geometry", [
+    ("baseline", ()),
+    # Tiny buffers on the slow machine: overflows and dirty evictions.
+    (SLOWMEM, (8, 2)),
+])
+def test_snooping_with_attraction_buffers(machine, geometry):
+    params = ScenarioParams(family="gather", size=12, mem_pct=30, seed=4)
+    result = _compile(
+        params, MACHINES[machine].with_attraction_buffers(*geometry),
+        CoherenceMode.MDC,
+    )
+    default, reference = run_both(result)
+    assert observation(default) == observation(reference)
+    assert default.stats.ab_fills > 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("model", ["dls", "directory"])
+def test_single_copy_models_reject_attraction_buffers(model, engine):
+    result = _compile(SCENARIOS[0], BASELINE_CONFIG.with_attraction_buffers())
+    trace = trace_factory(32, seed=7)(result.ddg)
+    with pytest.raises(ConfigError, match="Attraction Buffers"):
+        simulate(result, trace, iterations=32, model=model, engine=engine)
+
+
+# ----------------------------------------------------------------------
+# Fuzzed differential over whole `repro run` cells
+# ----------------------------------------------------------------------
+#: Generated machines: cluster count, bus grid, module geometry and
+#: next-level distance all vary.
+FUZZ_MACHINES = machine_grid(
+    clusters=(2, 4),
+    mem_buses=((4, 2), (1, 8)),
+    caches=((2048, 32, 2), (512, 32, 2), (1024, 32, 1)),
+    next_levels=((10, 4), (60, 2)),
+)
+FUZZ_SCALE = 0.05
+
+
+@st.composite
+def cells(draw):
+    """One small ``repro run`` cell."""
+    params = ScenarioParams(
+        family=draw(st.sampled_from(FAMILIES)),
+        size=draw(st.sampled_from((8, 12, 16))),
+        mem_pct=draw(st.sampled_from((20, 40, 60))),
+        recurrence=draw(st.integers(0, 3)),
+        alias_pct=draw(st.sampled_from((0, 25, 50))),
+        seed=draw(st.integers(0, 999)),
+    )
+    return RunSpec(
+        benchmark=params.name,
+        variant=draw(st.sampled_from([v.key for v in ALL_VARIANTS])),
+        machine=draw(st.sampled_from(FUZZ_MACHINES)),
+        scale=FUZZ_SCALE,
+        model=draw(st.sampled_from(model_names())),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cells())
+def test_fuzzed_cells_match_reference(spec):
+    mismatches = []
+
+    def differential(compiled, trace, **kwargs):
+        default = simulate(compiled, trace, **kwargs)
+        reference = simulate(compiled, trace, engine="cycles", **kwargs)
+        if observation(default) != observation(reference):
+            mismatches.append((observation(default),
+                               observation(reference)))
+        return default
+
+    with mock.patch.object(core, "simulate", differential), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        core.execute_spec(spec, artifacts=MemoryArtifactStore())
+    assert not mismatches, (
+        f"default path != engine='cycles' (default, reference): "
+        f"{mismatches[0]}; replay the cell with: repro run "
+        f"{spec.benchmark} -v {spec.variant} --machine {spec.machine} "
+        f"--model {spec.model} --scale {spec.scale:g}"
+    )

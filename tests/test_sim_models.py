@@ -1,9 +1,10 @@
 """The pluggable memory-model layer (:mod:`repro.sim.models`).
 
-Covers the registry, per-model simulation behaviour across all three
-engines, the per-kind bus-traffic breakdown, and how model identity is
-woven through specs, records, plans, the sweep harness, the bench grids
-and the CLI.
+Covers the registry, per-model simulation behaviour, the per-kind
+bus-traffic breakdown, and how model identity is woven through specs,
+records, plans, the sweep harness, the bench grids and the CLI.  Every
+model's default path is checked against the per-cycle reference in
+``tests/test_sim_fastpath.py``.
 """
 
 import pytest
@@ -15,7 +16,6 @@ from repro.errors import ConfigError, WorkloadError
 from repro.ir import DdgBuilder
 from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sim import simulate
-from repro.sim.executor import ENGINES
 from repro.sim.models import (
     DEFAULT_MODEL,
     MODELS,
@@ -45,11 +45,10 @@ def compiled(ddg, **kwargs):
     return compile_loop(ddg, BASELINE_CONFIG, **defaults)
 
 
-def run(model, engine="events", iterations=48):
+def run(model, iterations=48):
     result = compiled(small_loop())
     trace = trace_factory(64, seed=2)(result.ddg)
-    return simulate(result, trace, iterations=iterations, engine=engine,
-                    model=model)
+    return simulate(result, trace, iterations=iterations, model=model)
 
 
 # ----------------------------------------------------------------------
@@ -77,20 +76,8 @@ class TestRegistry:
 
 class TestModelBehaviour:
     @pytest.mark.parametrize("model", model_names())
-    def test_engines_agree(self, model):
-        baseline = run(model, engine="events")
-        for engine in ENGINES:
-            sim = run(model, engine=engine)
-            assert sim.stats.to_dict() == baseline.stats.to_dict()
-            assert sim.compute_cycles == baseline.compute_cycles
-            assert sim.stall_cycles == baseline.stall_cycles
-            assert (sim.stats.bus_transfer_kinds
-                    == baseline.stats.bus_transfer_kinds)
-
-    @pytest.mark.parametrize("model", model_names())
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_kind_breakdown_sums_to_scalar(self, model, engine):
-        sim = run(model, engine=engine)
+    def test_kind_breakdown_sums_to_scalar(self, model):
+        sim = run(model)
         kinds = sim.stats.bus_transfer_kinds
         assert sum(kinds.values()) == sim.stats.bus_transfers
 
