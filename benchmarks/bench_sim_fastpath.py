@@ -27,7 +27,7 @@ from conftest import run_once
 
 from repro.arch.config import parse_config_name
 from repro.scenarios import ScenarioParams, build_scenario_ddg
-from repro.sched.pipeline import CoherenceMode, Heuristic, compile_loop
+from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sim import simulate
 from repro.sim.models import model_names
 from repro.workloads.traces import trace_factory

@@ -55,14 +55,12 @@ Quickstart — declare work, run it, read structured results::
 
 The same plans drive the CLI: ``python -m repro figure 7 --parallel 4``,
 ``python -m repro run epicdec -v ddgt/prefclus``, ``python -m repro list``.
-(The old ``repro.experiments.run_benchmark`` entry point still works but
-is deprecated in favor of this API.)
 
 For the low-level path — build a DDG by hand, compile and simulate it —
 see ``examples/quickstart.py`` and :func:`compile_loop`/:func:`simulate`.
 """
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 from repro.alias import AccessPattern, MemRef
 from repro.arch import (

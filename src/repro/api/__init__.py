@@ -38,7 +38,7 @@ from repro.api.artifacts import (
     reset_artifact_stats,
     set_default_artifact_store,
 )
-from repro.api.core import execute_benchmark, execute_spec
+from repro.api.core import execute_spec
 from repro.api.journal import JournalState, RunJournal, journal_root
 from repro.api.records import (
     LoopRecord,
@@ -46,7 +46,7 @@ from repro.api.records import (
     records_to_csv,
     records_to_json,
 )
-from repro.api.runner import Runner, RunError, default_runner, run
+from repro.api.runner import Runner, RunError, run
 from repro.api.spec import (
     ALL_VARIANTS,
     DDGT_MIN,
@@ -62,10 +62,8 @@ from repro.api.spec import (
     RunSpec,
     Variant,
     default_scale,
-    machine_fingerprint,
     parse_variant,
     resolve_machine,
-    spec_cache_key,
 )
 from repro.api.store import (
     DEFAULT_CACHE_DIR,
@@ -106,13 +104,10 @@ __all__ = [
     "artifact_root",
     "artifact_stats",
     "default_artifact_store",
-    "default_runner",
     "journal_root",
     "default_scale",
     "default_store",
-    "execute_benchmark",
     "execute_spec",
-    "machine_fingerprint",
     "parse_variant",
     "records_to_csv",
     "records_to_json",
@@ -120,6 +115,5 @@ __all__ = [
     "resolve_machine",
     "run",
     "set_default_artifact_store",
-    "spec_cache_key",
     "set_default_store",
 ]

@@ -18,8 +18,7 @@ Two implementations:
   :class:`~repro.api.store.JsonFileStore` machinery (atomic writes,
   torn-read retries, version stamping, pruning, prefix-sharded
   directories with the lazily maintained index that keeps store-wide
-  operations scan-free; legacy flat layouts stay readable and migrate
-  on write).
+  operations scan-free).
 
 Both return callers a *fresh* decode of the stored JSON on every get, so
 a pipeline mutating the graph it built from an artifact can never poison
@@ -76,15 +75,6 @@ class ArtifactStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def record(self, key: str, hit: bool) -> None:
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        stage = key.split("-", 1)[0]
-        cell = self.by_stage.setdefault(stage, [0, 0])
-        cell[0 if hit else 1] += 1
 
 
 def _record_lookup(key: str, hit: bool) -> None:

@@ -61,7 +61,12 @@ from repro.api.spec import (
     Plan,
     default_scale,
 )
-from repro.api.store import DEFAULT_CACHE_DIR, DiskStore, MemoryStore
+from repro.api.store import (
+    DEFAULT_CACHE_DIR,
+    DiskStore,
+    MemoryStore,
+    remove_files,
+)
 from repro.errors import ConfigError, ReproError
 
 
@@ -281,12 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sur_train.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result store to train from (and save the artifact under)")
-    p_sur_train.add_argument(
-        "--model-type", default=None, metavar="T",
-        help="predictor family: gbs (boosted stumps, default) or ridge")
-    p_sur_train.add_argument(
-        "--ridge-lambda", type=float, default=None, metavar="L",
-        help="L2 regularization strength (default: 1.0)")
     p_sur_train.add_argument(
         "--holdout-frac", type=float, default=None, metavar="F",
         help="held-out fraction for the error report (default: 0.2)")
@@ -732,7 +731,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.api.spec import parse_variant
     from repro.arch.config import named_config
     from repro.check import lint_compilation
-    from repro.sched.pipeline import compile_loop
+    from repro.sched import compile_loop
     from repro.workloads.catalog import BENCHMARKS, get_benchmark
     from repro.workloads.traces import cached_trace_spec
 
@@ -820,22 +819,14 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_surrogate(args: argparse.Namespace) -> int:
     from repro.surrogate import (
         DEFAULT_HOLDOUT_FRAC,
-        DEFAULT_RIDGE_LAMBDA,
         save_model,
         train_from_store,
     )
 
-    store = DiskStore(args.cache_dir)
-    kwargs = {}
-    if args.model_type is not None:
-        kwargs["model_type"] = args.model_type
     model = train_from_store(
-        store,
-        ridge_lambda=(args.ridge_lambda if args.ridge_lambda is not None
-                      else DEFAULT_RIDGE_LAMBDA),
+        DiskStore(args.cache_dir),
         holdout_frac=(args.holdout_frac if args.holdout_frac is not None
                       else DEFAULT_HOLDOUT_FRAC),
-        **kwargs,
     )
     text = model.summary()
     if not args.no_save:
@@ -856,43 +847,9 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prune_surrogates(surrogate_dir, older_than_seconds: float) -> int:
-    """Drop surrogate model artifacts idle for longer than the cutoff."""
-    import time as _time
-
-    cutoff = _time.time() - older_than_seconds
-    count = 0
-    if surrogate_dir.is_dir():
-        for path in surrogate_dir.glob("model-*.json"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-                    count += 1
-            except OSError:  # pragma: no cover - concurrent removal
-                pass
-    return count
-
-
-def _prune_journals(journals_dir, older_than_seconds: float) -> int:
-    """Drop journals idle for longer than the cutoff (one file per plan
-    hash accumulates forever otherwise)."""
-    import time as _time
-
-    cutoff = _time.time() - older_than_seconds
-    count = 0
-    if journals_dir.is_dir():
-        for path in journals_dir.glob("*.jsonl"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-                    count += 1
-            except OSError:  # pragma: no cover - concurrent removal
-                pass
-    return count
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.surrogate import (
+    from repro.surrogate.store import (
+        MODEL_GLOB,
         clear_models,
         list_model_ids,
         surrogate_root,
@@ -905,14 +862,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "clear":
         records = store.clear()
         dropped = artifacts.clear()
-        journals = 0
-        if journals_dir.is_dir():
-            for path in journals_dir.glob("*.jsonl"):
-                try:
-                    path.unlink()
-                    journals += 1
-                except OSError:  # pragma: no cover - concurrent removal
-                    pass
+        journals = remove_files(journals_dir, "*.jsonl")
         surrogates = clear_models(args.cache_dir)
         print(f"removed {records} cached records from {store.root}/")
         print(f"removed {dropped} artifacts from {artifacts.root}/")
@@ -942,8 +892,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         age = parse_age(args.older_than)
         records = store.prune(age)
         dropped = artifacts.prune(age)
-        journals = _prune_journals(journals_dir, age)
-        surrogates = _prune_surrogates(surrogate_dir, age)
+        # Journals accumulate one file per plan hash unless pruned.
+        journals = remove_files(journals_dir, "*.jsonl", age)
+        surrogates = remove_files(surrogate_dir, MODEL_GLOB, age)
         print(f"pruned {records} records from {store.root}/")
         print(f"pruned {dropped} artifacts from {artifacts.root}/")
         print(f"pruned {journals} run journals from {journals_dir}/")

@@ -26,7 +26,7 @@ from repro.api.spec import (
 from repro.arch.config import MachineConfig
 from repro.errors import WorkloadError
 from repro.obs import trace
-from repro.sched.pipeline import compile_loop
+from repro.sched.stages import compile_loop
 from repro.sim.executor import simulate
 from repro.workloads.catalog import Benchmark, LoopSpec, get_benchmark
 from repro.workloads.traces import cached_trace_spec, trace_factory
@@ -99,69 +99,45 @@ def warn_floor_from_record(record: RunRecord) -> None:
 
 def execute_spec(spec: RunSpec,
                  artifacts: Optional[ArtifactStore] = None) -> RunRecord:
-    """Compile + simulate the work a spec declares (no result caching).
+    """Compile + simulate the work a spec declares (no result caching):
+    every loop of the benchmark, or the one named loop, on the spec's
+    effective machine (interleave and Attraction Buffers applied).
 
     ``artifacts`` (default: the process-wide store) shares front-end
     compilation stages with every other spec run in this process.
     """
-    machine = resolve_machine(spec)
-    with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
-                    machine=spec.machine, spec_key=spec.content_hash):
-        return execute_benchmark(
-            spec.benchmark,
-            spec.variant_obj,
-            machine,
-            scale=spec.scale,
-            attraction=spec.attraction,
-            loop=spec.loop,
-            seeds=spec.seeds,
-            spec_key=spec.content_hash,
-            artifacts=artifacts,
-            model=spec.model,
-        )
-
-
-def execute_benchmark(
-    name: str,
-    variant: Variant,
-    machine: MachineConfig,
-    scale: float,
-    attraction: bool = False,
-    loop: Optional[str] = None,
-    seeds: Optional[Tuple[int, int]] = None,
-    spec_key: str = "",
-    artifacts: Optional[ArtifactStore] = None,
-    model: str = "snooping",
-) -> RunRecord:
-    """Run every loop (or one named loop) of a benchmark on an already
-    *effective* machine — interleave and Attraction Buffers applied."""
     if artifacts is None:
         artifacts = default_artifact_store()
-    bench = get_benchmark(name)
-    loops = bench.loops
-    if loop is not None:
-        loops = tuple(s for s in loops if s.name == loop)
-        if not loops:
-            known = sorted(s.name for s in bench.loops)
-            raise WorkloadError(
-                f"benchmark {name!r} has no loop {loop!r}; expected one of "
-                f"{known}"
-            )
-    record = RunRecord(
-        benchmark=name,
-        variant=variant.key,
-        machine=machine.name,
-        attraction=attraction,
-        scale=scale,
-        spec_key=spec_key,
-        model=model,
-    )
-    for loop_spec in loops:
-        record.loops.append(
-            _run_loop(bench, loop_spec, variant, machine, scale, seeds,
-                      artifacts, model)
+    machine = resolve_machine(spec)
+    variant = spec.variant_obj
+    key = spec.content_hash
+    with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
+                    machine=spec.machine, spec_key=key):
+        bench = get_benchmark(spec.benchmark)
+        loops = bench.loops
+        if spec.loop is not None:
+            loops = tuple(s for s in loops if s.name == spec.loop)
+            if not loops:
+                known = sorted(s.name for s in bench.loops)
+                raise WorkloadError(
+                    f"benchmark {spec.benchmark!r} has no loop "
+                    f"{spec.loop!r}; expected one of {known}"
+                )
+        record = RunRecord(
+            benchmark=spec.benchmark,
+            variant=variant.key,
+            machine=machine.name,
+            attraction=spec.attraction,
+            scale=spec.scale,
+            spec_key=key,
+            model=spec.model,
         )
-    return record
+        for loop_spec in loops:
+            record.loops.append(
+                _run_loop(bench, loop_spec, variant, machine, spec.scale,
+                          spec.seeds, artifacts, spec.model)
+            )
+        return record
 
 
 def _run_loop(
@@ -170,9 +146,9 @@ def _run_loop(
     variant: Variant,
     machine: MachineConfig,
     scale: float,
-    seeds: Optional[Tuple[int, int]] = None,
-    artifacts: Optional[ArtifactStore] = None,
-    model: str = "snooping",
+    seeds: Optional[Tuple[int, int]],
+    artifacts: ArtifactStore,
+    model: str,
 ) -> LoopRecord:
     """Compile one loop, build its execution trace and simulate it."""
     profile_seed, execute_seed = seeds or (bench.profile_seed,

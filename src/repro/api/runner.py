@@ -16,9 +16,9 @@ that yields results *as they complete*:
    fewer groups than requested workers, the largest groups are split so
    occupancy never drops below what the caller asked for; the pool is
    sized to the resulting task count, so tiny plans never spawn idle
-   processes).  In-flight groups are bounded (``max_inflight``) for
-   backpressure: a slow consumer never forces the whole plan's payloads
-   into the task queue at once;
+   processes).  At most twice as many groups as workers are in flight,
+   for backpressure: a slow consumer never forces the whole plan's
+   payloads into the task queue at once;
 3. fresh records are stored (and journalled, when a
    :class:`~repro.api.journal.RunJournal` is attached) the moment they
    arrive; failures become structured :class:`RunError` records instead
@@ -243,19 +243,16 @@ class Runner:
     tasks, so small plans spawn small pools).  The worker pool persists
     across plans — a sweep driver issuing many plans pays the fork cost
     once; :meth:`close` (or the context-manager exit) tears it down.
-
-    ``max_inflight`` bounds how many groups may be queued or executing
-    at once during streaming (default: twice the worker count).
+    While streaming, at most twice as many groups as workers are queued
+    or executing at once.
     """
 
     def __init__(self, store: Optional[ResultStore] = None,
                  parallel: Optional[int] = None,
-                 artifacts: Optional[ArtifactStore] = None,
-                 max_inflight: Optional[int] = None) -> None:
+                 artifacts: Optional[ArtifactStore] = None) -> None:
         self._store = store
         self._artifacts = artifacts
         self.parallel = parallel
-        self.max_inflight = max_inflight
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_size = 0
 
@@ -445,8 +442,8 @@ class Runner:
             )
 
         pool = self._ensure_pool(workers)
-        limit = self.max_inflight or 2 * workers
-        inflight = threading.Semaphore(max(1, limit))
+        limit = 2 * workers
+        inflight = threading.Semaphore(limit)
         abort = [False]
         # Submitted-but-unconsumed task count, sampled into the
         # ``runner.inflight`` histogram at every receive so the stream's
@@ -567,11 +564,6 @@ class Runner:
 # ----------------------------------------------------------------------
 # Module-level conveniences
 # ----------------------------------------------------------------------
-def default_runner(parallel: Optional[int] = None) -> Runner:
-    """A runner on the process-wide default stores."""
-    return Runner(store=None, parallel=parallel)
-
-
 def run(spec: RunSpec, store: Optional[ResultStore] = None) -> RunRecord:
     """Execute (or fetch) a single spec against ``store`` / the default."""
     return Runner(store=store).run_one(spec)

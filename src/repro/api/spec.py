@@ -21,8 +21,8 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import MachineConfig, named_config, split_model_suffix
 from repro.errors import ConfigError
-from repro.hashing import digest, jsonable
-from repro.sched.pipeline import CoherenceMode, Heuristic
+from repro.hashing import digest
+from repro.sched.stages import CoherenceMode, Heuristic
 
 #: Benchmarks on the figures' x-axes, in the paper's order.
 EVALUATED: Tuple[str, ...] = (
@@ -116,62 +116,6 @@ def parse_variant(key: Union[str, Variant]) -> Variant:
 
 
 # ----------------------------------------------------------------------
-# Canonical hashing helpers (shared discipline: repro.hashing)
-# ----------------------------------------------------------------------
-#: Backwards-compatible aliases — the canonical helpers moved to
-#: :mod:`repro.hashing` so layers below the API (stage keys in
-#: :mod:`repro.sched.stages`) share the same digest discipline.
-_jsonable = jsonable
-_digest = digest
-
-
-def machine_fingerprint(config: MachineConfig) -> str:
-    """Stable hash of *every* field of a machine configuration.
-
-    Unlike ``config.name``, the fingerprint distinguishes configurations
-    that share a name but differ structurally (e.g. a config before and
-    after :meth:`~repro.arch.config.MachineConfig.with_attraction_buffers`
-    or with a different interleave factor).  Equivalent to
-    :meth:`MachineConfig.fingerprint`.
-    """
-    return config.fingerprint()
-
-
-def spec_cache_key(
-    benchmark: str,
-    variant: str,
-    machine: MachineConfig,
-    scale: float,
-    loop: Optional[str],
-    seeds: Optional[Tuple[int, int]],
-    model: str = "snooping",
-) -> str:
-    """The canonical cache key for one unit of work.
-
-    ``machine`` must be the *effective* configuration — benchmark
-    interleave and Attraction Buffers already applied — so two keys
-    collide only for byte-identical work.  Single source of truth for
-    both :attr:`RunSpec.content_hash` and the legacy ``run_benchmark``
-    shim's ad-hoc-config path.
-
-    The memory model enters the digest only when it is not the default
-    snooping protocol, so every pre-model cache entry keeps its key.
-    """
-    payload = {
-        "benchmark": benchmark,
-        "variant": variant,
-        "machine": machine_fingerprint(machine),
-        "scale": scale,
-        "loop": loop,
-        "seeds": seeds,
-        "profile_iterations": PROFILE_ITERATIONS,
-    }
-    if model != "snooping":
-        payload["model"] = model
-    return _digest(payload)
-
-
-# ----------------------------------------------------------------------
 # RunSpec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -250,17 +194,22 @@ class RunSpec:
 
         Hashing the *resolved* machine (after the benchmark interleave and
         ``with_attraction_buffers()`` are applied) guarantees two specs
-        share a key only when they run byte-identical work.
+        share a key only when they run byte-identical work.  The memory
+        model enters the digest only when it is not the default snooping
+        protocol, so every pre-model cache entry keeps its key.
         """
-        return spec_cache_key(
-            benchmark=self.benchmark,
-            variant=self.variant,
-            machine=self.resolved_machine(),
-            scale=self.scale,
-            loop=self.loop,
-            seeds=self.seeds,
-            model=self.model,
-        )
+        payload = {
+            "benchmark": self.benchmark,
+            "variant": self.variant,
+            "machine": self.resolved_machine().fingerprint(),
+            "scale": self.scale,
+            "loop": self.loop,
+            "seeds": self.seeds,
+            "profile_iterations": PROFILE_ITERATIONS,
+        }
+        if self.model != "snooping":
+            payload["model"] = self.model
+        return digest(payload)
 
     @property
     def frontend_key(self) -> str:
@@ -275,9 +224,9 @@ class RunSpec:
         so sibling variants land in the same worker and hit each other's
         warm artifacts.
         """
-        return _digest({
+        return digest({
             "benchmark": self.benchmark,
-            "machine": machine_fingerprint(self.resolved_machine()),
+            "machine": self.resolved_machine().fingerprint(),
             "loop": self.loop,
             "seeds": self.seeds,
             "profile_iterations": PROFILE_ITERATIONS,
@@ -438,7 +387,7 @@ class Plan:
 
     @property
     def content_hash(self) -> str:
-        return _digest([spec.content_hash for spec in self.specs])
+        return digest([spec.content_hash for spec in self.specs])
 
     def to_dicts(self) -> Sequence[Dict[str, object]]:
         return [spec.to_dict() for spec in self.specs]

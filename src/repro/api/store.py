@@ -25,8 +25,6 @@ built once per shard, validated by the shard directory's mtime (so
 writes from other processes are picked up), invalidated shard-by-shard
 on in-process writes, and persisted to ``index.meta`` so a fresh
 process warm-starts.
-Legacy flat layouts (``root/<key>.json``) are still readable and are
-migrated to the sharded layout on write.
 
 The process-wide default store is swappable via :func:`set_default_store`
 — e.g. tests inject a fresh :class:`MemoryStore`, the CLI injects a
@@ -72,10 +70,31 @@ def resolve_cache_root(root: Union[str, Path, None] = None) -> Path:
     return Path(root)
 
 
+def remove_files(directory: Path, pattern: str,
+                 older_than_seconds: Optional[float] = None) -> int:
+    """Delete the files in ``directory`` matching the glob ``pattern``;
+    with ``older_than_seconds``, only those last modified longer ago.
+    Returns the number removed.  A file another process removes first
+    is skipped, not an error."""
+    if not directory.is_dir():
+        return 0
+    cutoff = (None if older_than_seconds is None
+              else time.time() - older_than_seconds)
+    count = 0
+    for path in directory.glob(pattern):
+        try:
+            if cutoff is None or path.stat().st_mtime < cutoff:
+                path.unlink()
+                count += 1
+        except OSError:  # another process removed it first
+            pass
+    return count
+
+
 def shard_prefix(key: str) -> str:
     """The shard directory a key lives in: first two hex chars of its
     SHA-1.  Keys carry heterogeneous human prefixes (``unroll-…``,
-    ``adhoc-…``), so sharding on a hash of the whole key keeps the 256
+    ``profile-…``), so sharding on a hash of the whole key keeps the 256
     shards uniformly filled regardless of the keyspace."""
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:2]
 
@@ -97,9 +116,7 @@ class JsonFileStore:
       would delete a healthy entry under a concurrent sweep;
     * entries are sharded into 256 two-hex-char subdirectories (see
       :func:`shard_prefix`); a lazily maintained index makes store-wide
-      operations scan-free.  ``sharded=False`` keeps the legacy flat
-      one-directory layout (and its scan-everything semantics) for
-      comparison benchmarks;
+      operations scan-free;
     * :meth:`prune` drops entries whose file is older than a cutoff.
 
     Subclasses pick the payload envelope field (``PAYLOAD_FIELD``) and
@@ -115,11 +132,9 @@ class JsonFileStore:
     PAYLOAD_FIELD = "record"
 
     def __init__(self, root: Union[str, Path, None] = None,
-                 version: Optional[str] = None,
-                 sharded: bool = True) -> None:
+                 version: Optional[str] = None) -> None:
         self.root = resolve_cache_root(root)
         self._version = version
-        self.sharded = bool(sharded)
         #: shard name -> {"mtime": dir st_mtime_ns, "entries":
         #: {key: [size_bytes, file_mtime_seconds]}}; ``None`` until the
         #: first store-wide operation builds it.
@@ -132,28 +147,12 @@ class JsonFileStore:
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
-    def _flat_path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _path(self, key: str) -> Path:
-        if not self.sharded:
-            return self._flat_path(key)
-        return self.root / shard_prefix(key) / f"{key}.json"
-
     def entry_path(self, key: str) -> Path:
-        """Where a put of ``key`` lands (the sharded location)."""
-        return self._path(key)
+        """The file ``key`` lives in: ``root/<shard>/<key>.json``."""
+        return self.root / shard_prefix(key) / f"{key}.json"
 
     def _index_path(self) -> Path:
         return self.root / INDEX_FILE
-
-    def _candidate_paths(self, key: str) -> List[Path]:
-        """Read locations for ``key``: the sharded home first, then the
-        legacy flat location (pre-sharding layouts stay readable)."""
-        primary = self._path(key)
-        if not self.sharded:
-            return [primary]
-        return [primary, self._flat_path(key)]
 
     # ------------------------------------------------------------------
     # Raw payload plumbing
@@ -162,26 +161,22 @@ class JsonFileStore:
         """The stored payload for ``key``, or ``None`` on a miss.
 
         Stale (version-mismatched) and malformed envelopes are removed;
-        transient I/O failures are a miss, never a deletion.  Entries
-        still sitting in a legacy flat layout are found via fallback.
+        transient I/O failures are a miss, never a deletion.
         """
         with metrics.registry().time_block("store.read_seconds",
                                            kind=self.PAYLOAD_FIELD):
-            for path in self._candidate_paths(key):
-                envelope = self._read_payload(path)
-                if envelope is None:
-                    continue
-                try:
-                    stale = envelope.get("version") != self.version
-                    payload = (None if stale
-                               else envelope[self.PAYLOAD_FIELD])
-                except (AttributeError, KeyError, TypeError):
-                    payload = None  # valid JSON of the wrong shape: a miss
-                if payload is None:
-                    self._discard_entry(key, path)
-                    continue
-                return payload
-            return None
+            path = self.entry_path(key)
+            envelope = self._read_payload(path)
+            if envelope is None:
+                return None
+            try:
+                stale = envelope.get("version") != self.version
+                payload = None if stale else envelope[self.PAYLOAD_FIELD]
+            except (AttributeError, KeyError, TypeError):
+                payload = None  # valid JSON of the wrong shape: a miss
+            if payload is None:
+                self._discard_entry(path)
+            return payload
 
     def put_payload(self, key: str, payload) -> None:
         with metrics.registry().time_block("store.write_seconds",
@@ -189,7 +184,7 @@ class JsonFileStore:
             self._put_payload(key, payload)
 
     def _put_payload(self, key: str, payload) -> None:
-        target = self._path(key)
+        target = self.entry_path(key)
         target.parent.mkdir(parents=True, exist_ok=True)
         envelope = {
             "version": self.version,
@@ -207,13 +202,7 @@ class JsonFileStore:
             except OSError:
                 pass
             raise
-        if self.sharded:
-            flat = self._flat_path(key)
-            if flat != target:
-                # Migrate on write: a fresh entry supersedes any copy
-                # still sitting in the legacy flat layout.
-                self._discard(flat)
-            self._index_invalidate(target)
+        self._index_invalidate(target)
 
     def _read_payload(self, path: Path):
         """Read + parse one entry, retrying transient failures.
@@ -250,15 +239,10 @@ class JsonFileStore:
         except OSError:  # pragma: no cover - concurrent removal
             pass
 
-    def _discard_entry(self, key: str, path: Path) -> None:
+    def _discard_entry(self, path: Path) -> None:
         """Unlink one entry file and keep the index in step."""
         self._discard(path)
         self._index_invalidate(path)
-
-    def _drop_key(self, key: str) -> None:
-        """Remove every on-disk location of ``key`` (sharded and flat)."""
-        for path in dict.fromkeys(self._candidate_paths(key)):
-            self._discard_entry(key, path)
 
     # ------------------------------------------------------------------
     # Lazily maintained shard index
@@ -369,13 +353,6 @@ class JsonFileStore:
         return [child for child in self.root.iterdir()
                 if child.is_dir() and _SHARD_RE.match(child.name)]
 
-    def _flat_files(self) -> List[Path]:
-        """Legacy flat-layout entries still awaiting migration."""
-        if not self.root.is_dir():
-            return []
-        return [path for path in self.root.glob("*.json")
-                if not path.is_dir()]
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -383,26 +360,14 @@ class JsonFileStore:
         count = 0
         if not self.root.is_dir():
             return 0
-        if self.sharded:
-            for shard in self._shard_dirs():
-                for path in shard.glob("*.json"):
-                    try:
-                        path.unlink()
-                        count += 1
-                    except OSError:  # pragma: no cover - concurrent
-                        pass
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass  # non-entry stragglers: leave the dir alone
-            self._discard(self._index_path())
-            self._index = {}
-        for path in self._flat_files():
+        for shard in self._shard_dirs():
+            count += remove_files(shard, "*.json")
             try:
-                path.unlink()
-                count += 1
-            except OSError:  # pragma: no cover - concurrent removal
-                pass
+                shard.rmdir()
+            except OSError:
+                pass  # non-entry stragglers: leave the dir alone
+        self._discard(self._index_path())
+        self._index = {}
         return count
 
     def prune(self, older_than_seconds: float,
@@ -415,73 +380,44 @@ class JsonFileStore:
         count = 0
         if not self.root.is_dir():
             return 0
-        if self.sharded:
-            index = self._ensure_index()
-            dirty = False
-            for shard, cell in list(index.items()):
-                stale = [key
-                         for key, (_size, mtime) in cell["entries"].items()
-                         if mtime < cutoff]
-                if not stale:
-                    continue
-                shard_dir = self.root / shard
-                for key in stale:
-                    try:
-                        (shard_dir / f"{key}.json").unlink()
-                        count += 1
-                    except OSError:  # pragma: no cover - concurrent
-                        pass
-                # We mutated the shard: drop its cell so the next
-                # store-wide operation rescans it (see _index_invalidate
-                # — only _ensure_index may stamp shard mtimes).
-                index.pop(shard, None)
-                dirty = True
-            if dirty:
-                self._save_index()
-        for path in self._flat_files():
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
+        index = self._ensure_index()
+        dirty = False
+        for shard, cell in list(index.items()):
+            stale = [key
+                     for key, (_size, mtime) in cell["entries"].items()
+                     if mtime < cutoff]
+            if not stale:
+                continue
+            shard_dir = self.root / shard
+            for key in stale:
+                try:
+                    (shard_dir / f"{key}.json").unlink()
                     count += 1
-            except OSError:  # pragma: no cover - concurrent removal
-                pass
+                except OSError:  # pragma: no cover - concurrent removal
+                    pass
+            # We mutated the shard: drop its cell so the next store-wide
+            # operation rescans it (see _index_invalidate — only
+            # _ensure_index may stamp shard mtimes).
+            index.pop(shard, None)
+            dirty = True
+        if dirty:
+            self._save_index()
         return count
 
     def keys(self) -> Iterator[str]:
         if not self.root.is_dir():
             return iter(())
-        if not self.sharded:
-            return (path.stem for path in sorted(self.root.glob("*.json")))
         names = set()
         for cell in self._ensure_index().values():
             names.update(cell["entries"])
-        names.update(path.stem for path in self._flat_files())
         return iter(sorted(names))
 
     def size_bytes(self) -> int:
         if not self.root.is_dir():
             return 0
-        total = 0
-        if self.sharded:
-            for cell in self._ensure_index().values():
-                for size, _mtime in cell["entries"].values():
-                    total += int(size)
-        else:
-            for path in self.root.glob("*.json"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    # The entry vanished between the glob and the stat (a
-                    # concurrent prune/clear/put): count what remains
-                    # instead of crashing the scan, like prune does.
-                    continue
-            return total
-        for path in self._flat_files():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
+        return sum(int(size)
+                   for cell in self._ensure_index().values()
+                   for size, _mtime in cell["entries"].values())
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -555,7 +491,7 @@ class DiskStore(JsonFileStore, ResultStore):
             record = RunRecord.from_dict(payload)
         except (AttributeError, KeyError, TypeError, ValueError):
             # Valid JSON of the wrong shape: a miss, not a crash loop.
-            self._drop_key(key)
+            self._discard_entry(self.entry_path(key))
             return None
         self._memo[key] = record
         return record

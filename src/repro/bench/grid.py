@@ -379,8 +379,10 @@ def to_csv(trajectory: Dict[str, Any]) -> str:
 
 def write_trajectory(trajectory: Dict[str, Any],
                      out_dir: Union[str, Path] = ".") -> Dict[str, Path]:
-    """Write ``BENCH_<grid>.json`` + CSV; returns the paths."""
+    """Write ``BENCH_<grid>.json`` + CSV (creating ``out_dir``); returns
+    the paths."""
     paths = bench_paths(str(trajectory["grid"]), out_dir)
+    paths["json"].parent.mkdir(parents=True, exist_ok=True)
     paths["json"].write_text(
         json.dumps(trajectory, indent=2, sort_keys=True) + "\n"
     )

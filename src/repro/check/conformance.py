@@ -39,7 +39,6 @@ from repro.errors import CheckError
 from repro.check.model import (
     ABSENT,
     COMPLETE,
-    CORE_TRANSITIONS,
     ModelOp,
     ProtocolModel,
     State,
@@ -113,7 +112,7 @@ class ConformanceReport:
     num_subblocks: int
     model: str = "snooping"
     #: the checked model's core transition names (its coverage target)
-    core: Tuple[str, ...] = CORE_TRANSITIONS
+    core: Tuple[str, ...] = ProtocolModel.core_transitions()
     runs: int = 0
     programs: int = 0
     transitions: int = 0

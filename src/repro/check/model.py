@@ -779,13 +779,6 @@ TRANSITION_TABLE: Tuple[GuardedAction, ...] = (
 
 ProtocolModel.TRANSITION_TABLE = TRANSITION_TABLE
 
-#: Module-level aliases of the snooping table's lookups, kept for
-#: importers that predate per-class tables (use
-#: :meth:`ProtocolModel.table_by_name` / ``core_transitions`` for
-#: model-generic code).
-TABLE_BY_NAME = ProtocolModel.table_by_name()
-CORE_TRANSITIONS: Tuple[str, ...] = ProtocolModel.core_transitions()
-
 
 # ----------------------------------------------------------------------
 # Program enumeration

@@ -27,7 +27,7 @@ Rules (each finding carries its ``rule`` name):
   posterior access.
 
 The pipeline exposes this as the opt-in ninth stage (``verify=True`` on
-:func:`repro.sched.pipeline.compile_loop`) and the CLI as
+:func:`repro.sched.stages.compile_loop`) and the CLI as
 ``repro check schedule <benchmark> <variant>``.
 """
 
@@ -58,7 +58,7 @@ class LintFinding:
 
 
 def lint_compilation(result: CompilationResult) -> List[LintFinding]:
-    """Lint one :func:`~repro.sched.pipeline.compile_loop` result."""
+    """Lint one :func:`~repro.sched.stages.compile_loop` result."""
     return lint_schedule(
         result.ddg,
         result.machine,

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import format_table
-from repro.api.runner import Runner, default_runner
+from repro.api.runner import Runner
 from repro.api.spec import DDGT_PREF, EVALUATED, FREE_PREF, MDC_PREF, Variant
-from repro.arch.config import BASELINE_CONFIG, MachineConfig
 from repro.experiments.common import fetch_records
 from repro.sim.stats import AccessType
 
@@ -62,14 +61,13 @@ class Figure6Result:
 
 def run_figure6(
     benchmarks: Optional[List[str]] = None,
-    config: MachineConfig = BASELINE_CONFIG,
     scale: Optional[float] = None,
     runner: Optional[Runner] = None,
     progress=None,
 ) -> Figure6Result:
     names = list(benchmarks) if benchmarks is not None else list(EVALUATED)
-    runner = runner if runner is not None else default_runner()
-    records = fetch_records(names, BARS, config, scale, False, runner,
+    runner = runner if runner is not None else Runner()
+    records = fetch_records(names, BARS, scale, False, runner,
                             progress=progress)
     result = Figure6Result()
     for name in names:

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import format_table
-from repro.api.runner import Runner, default_runner
+from repro.api.runner import Runner
 from repro.api.spec import EVALUATED, FIGURE7_BARS, FREE_MIN, Variant
-from repro.arch.config import BASELINE_CONFIG, MachineConfig
 from repro.experiments.common import fetch_records
 
 
@@ -78,7 +77,6 @@ class Figure7Result:
 
 def run_figure7(
     benchmarks: Optional[List[str]] = None,
-    config: MachineConfig = BASELINE_CONFIG,
     scale: Optional[float] = None,
     attraction: bool = False,
     bars: Tuple[Variant, ...] = FIGURE7_BARS,
@@ -87,9 +85,9 @@ def run_figure7(
 ) -> Figure7Result:
     """Also reused by Figure 9 (same bars, Attraction Buffers enabled)."""
     names = list(benchmarks) if benchmarks is not None else list(EVALUATED)
-    runner = runner if runner is not None else default_runner()
+    runner = runner if runner is not None else Runner()
     records = fetch_records(
-        names, (FREE_MIN,) + tuple(bars), config, scale, attraction, runner,
+        names, (FREE_MIN,) + tuple(bars), scale, attraction, runner,
         progress=progress,
     )
 

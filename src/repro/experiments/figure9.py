@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.api.runner import Runner, default_runner
+from repro.api.runner import Runner
 from repro.api.spec import DDGT_PREF, EVALUATED, MDC_PREF
-from repro.arch.config import BASELINE_CONFIG, MachineConfig
 from repro.experiments.common import fetch_records
 from repro.experiments.figure7 import Figure7Result, run_figure7
 
@@ -40,21 +39,20 @@ class Figure9Result:
 
 def run_figure9(
     benchmarks: Optional[List[str]] = None,
-    config: MachineConfig = BASELINE_CONFIG,
     scale: Optional[float] = None,
     runner: Optional[Runner] = None,
     progress=None,
 ) -> Figure9Result:
-    runner = runner if runner is not None else default_runner()
+    runner = runner if runner is not None else Runner()
     figure = run_figure7(
-        benchmarks=benchmarks, config=config, scale=scale, attraction=True,
+        benchmarks=benchmarks, scale=scale, attraction=True,
         runner=runner, progress=progress,
     )
     result = Figure9Result(figure=figure)
     names = benchmarks if benchmarks is not None else EVALUATED
     if "epicdec" in names:
         records = fetch_records(
-            ["epicdec"], (MDC_PREF, DDGT_PREF), config, scale, True, runner,
+            ["epicdec"], (MDC_PREF, DDGT_PREF), scale, True, runner,
             progress=progress,
         )
         for variant, bar in ((MDC_PREF, "MDC"), (DDGT_PREF, "DDGT")):

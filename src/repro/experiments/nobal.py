@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
-from repro.api.runner import Runner, default_runner
+from repro.api.runner import Runner
 from repro.api.spec import DDGT_PREF, EVALUATED, MDC_MIN, MDC_PREF, Plan
 from repro.arch.config import NOBAL_MEM_CONFIG, NOBAL_REG_CONFIG
 from repro.experiments import paperdata
@@ -68,7 +68,7 @@ def run_nobal(
     runner: Optional[Runner] = None,
 ) -> NobalResult:
     names = list(benchmarks) if benchmarks is not None else list(EVALUATED)
-    runner = runner if runner is not None else default_runner()
+    runner = runner if runner is not None else Runner()
     variants = (MDC_PREF, MDC_MIN, DDGT_PREF)
     plan = Plan.grid(
         benchmarks=names,

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
-from repro.api.runner import Runner, default_runner
+from repro.api.runner import Runner
 from repro.api.spec import DDGT_PREF, EVALUATED, FREE_PREF, MDC_PREF
-from repro.arch.config import BASELINE_CONFIG, MachineConfig
 from repro.experiments import paperdata
 from repro.experiments.common import fetch_records
 
@@ -55,15 +54,14 @@ class Table4Result:
 
 def run_table4(
     benchmarks: Optional[List[str]] = None,
-    config: MachineConfig = BASELINE_CONFIG,
     scale: Optional[float] = None,
     runner: Optional[Runner] = None,
     progress=None,
 ) -> Table4Result:
     names = list(benchmarks) if benchmarks is not None else list(EVALUATED)
-    runner = runner if runner is not None else default_runner()
+    runner = runner if runner is not None else Runner()
     records = fetch_records(
-        names, (FREE_PREF, MDC_PREF, DDGT_PREF), config, scale, False, runner,
+        names, (FREE_PREF, MDC_PREF, DDGT_PREF), scale, False, runner,
         progress=progress,
     )
     result = Table4Result()

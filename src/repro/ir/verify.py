@@ -3,8 +3,7 @@
 :func:`verify_ddg` checks the invariants every graph handed to the
 scheduler must satisfy.  It raises :class:`~repro.errors.GraphError` with a
 message naming the offending node/edge; transformations call it in their
-tests (and the compilation pipeline calls it in between phases when
-``check=True``).
+tests (and the compilation pipeline calls it in between phases).
 """
 
 from __future__ import annotations

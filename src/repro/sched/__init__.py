@@ -1,11 +1,10 @@
 """The clustered modulo scheduler and the paper's two coherence solutions.
 
-Public entry point: :func:`repro.sched.pipeline.compile_loop`, which runs
-the staged pipeline of :mod:`repro.sched.stages` (unrolling,
-disambiguation, profiling, MDC or DDGT, cluster assignment, copy
-insertion, latency assignment, iterative modulo scheduling, MinComs
-post-pass) and returns a
-:class:`~repro.sched.pipeline.CompilationResult`.  The
+Public entry point: :func:`repro.sched.stages.compile_loop`, which runs
+the staged pipeline (unrolling, disambiguation, profiling, MDC or DDGT,
+cluster assignment, copy insertion, latency assignment, iterative modulo
+scheduling, MinComs post-pass) and returns a
+:class:`~repro.sched.stages.CompilationResult`.  The
 variant-independent front end is content-addressed and shareable
 through an artifact store (see ``docs/architecture.md``).
 """
@@ -14,7 +13,11 @@ from repro.sched.schedule import Schedule, ScheduledOp, edge_latency
 from repro.sched.stages import (
     FRONTEND_STAGES,
     PIPELINE_STAGES,
+    CoherenceMode,
+    CompilationResult,
+    Heuristic,
     StageDef,
+    compile_loop,
     reset_stage_counters,
     stage_counters,
 )
@@ -22,12 +25,6 @@ from repro.sched.mii import minimum_ii, rec_mii, res_mii
 from repro.sched.mdc import MdcResult, apply_mdc, memory_dependent_chains
 from repro.sched.ddgt import DdgtResult, apply_ddgt
 from repro.sched.cluster import ClusterAssignment, assign_clusters
-from repro.sched.pipeline import (
-    CompilationResult,
-    CoherenceMode,
-    Heuristic,
-    compile_loop,
-)
 
 __all__ = [
     "Schedule",

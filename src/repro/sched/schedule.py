@@ -223,7 +223,7 @@ class Schedule:
         """Check dependence and resource constraints; raise on violation.
 
         This re-checks everything from scratch and is used by tests and by
-        the pipeline's ``check=True`` mode.
+        every pipeline run.
         """
         for instr in self.ddg:
             if instr.iid not in self.ops:

@@ -1,7 +1,6 @@
-"""The staged compilation pipeline.
+"""The staged compilation pipeline and its front door, :func:`compile_loop`.
 
-The monolithic ``compile_loop`` of earlier versions ran eight phases
-inline; this module makes each one an explicit, named *stage* with
+Compilation runs the paper's phases as explicit, named *stages* with
 declared inputs and outputs:
 
     unroll -> disambiguate -> profile -> coherence -> assign -> copies
@@ -26,6 +25,13 @@ Artifact stores are duck-typed (``get(key) -> dict | None`` /
 :mod:`repro.api.artifacts`, and this module stays independent of the API
 layer.  Every ``get`` must hand back a payload the pipeline may own
 outright — the back end mutates the graphs it receives.
+
+Every stage execution is observable: counts and wall time land in the
+process metrics registry (``stages.executed`` / ``stages.seconds``,
+including the ``check`` verification passes) and, when a tracer is
+installed, each stage and artifact interaction becomes a span nested
+under ``compile:<loop>`` — see :mod:`repro.obs` and
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -143,10 +149,6 @@ class StageCounters:
 
     executed: Dict[str, int] = field(default_factory=dict)
     seconds: Dict[str, float] = field(default_factory=dict)
-
-    def note(self, stage: str, elapsed: float) -> None:
-        self.executed[stage] = self.executed.get(stage, 0) + 1
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed
 
     def executions(self, stages: Tuple[str, ...]) -> int:
         return sum(self.executed.get(name, 0) for name in stages)
@@ -407,7 +409,6 @@ def _frontend(
     unroll_factor: Optional[int],
     add_mem_deps: bool,
     profile_iterations: Optional[int],
-    check: bool,
     artifacts,
 ) -> Tuple[Ddg, int, Optional[Dict[int, ClusterProfile]]]:
     """Run (or replay) the variant-independent front end.
@@ -447,9 +448,8 @@ def _frontend(
     else:
         with _timed("disambiguate"):
             work = run_disambiguate(work, add_mem_deps)
-        if check:
-            with _timed("check"):
-                verify_ddg(work, machine)
+        with _timed("check"):
+            verify_ddg(work, machine)
         if artifacts is not None:
             with trace.span("artifact.record", cat="artifact",
                             stage="disambiguate"):
@@ -486,7 +486,7 @@ def _frontend(
     return work, factor, profiles
 
 
-def execute_pipeline(
+def compile_loop(
     ddg: Ddg,
     machine: MachineConfig,
     *,
@@ -497,19 +497,40 @@ def execute_pipeline(
     unroll_factor: Optional[int] = None,
     add_mem_deps: bool = True,
     profile_iterations: Optional[int] = 256,
-    check: bool = True,
     verify: bool = False,
     artifacts=None,
 ) -> CompilationResult:
-    """Run the staged pipeline end to end for one variant.
+    """Compile one loop for the clustered machine.
 
-    With ``artifacts`` (an object with ``get(key) -> dict | None`` and
-    ``put(key, dict)``) the front-end stages are replayed from — and
-    recorded into — the store; without it the pipeline is pure compute.
-
-    ``verify=True`` runs the ninth, opt-in stage: the independent static
-    schedule verifier (:mod:`repro.check.schedule_lint`), which raises
-    :class:`~repro.errors.CheckError` on any finding.
+    Parameters
+    ----------
+    trace_factory:
+        Builds an address trace over a (possibly unrolled) graph; used for
+        preferred-cluster profiling.  The workload catalog passes the
+        *profile* data set here (Table 1 distinguishes profile and
+        execution inputs).  Either this or ``profiles`` must be provided
+        for PrefClus.  When the factory carries a ``key`` attribute (see
+        :class:`repro.workloads.traces.TraceSpec`), profiling results are
+        artifact-cacheable.
+    unroll_factor:
+        ``None`` = automatic (the locality heuristic); 1 disables.
+    add_mem_deps:
+        Run conservative disambiguation.  Disable when the input graph
+        already carries hand-written memory edges (e.g. the paper's
+        Figure 3 example).
+    verify:
+        Run the opt-in ninth stage: the independent static schedule
+        verifier (:mod:`repro.check.schedule_lint`).  Raises
+        :class:`~repro.errors.CheckError` on any finding.  The
+        scheduler's own assertions always run; ``verify`` re-derives the
+        rules from scratch and adds the whole-compilation ones (copy
+        completeness, memory-op placement under MDC/DDGT).
+    artifacts:
+        Optional artifact store (``get(key) -> dict | None`` /
+        ``put(key, dict)``).  Front-end stage outputs are replayed from —
+        and recorded into — the store, so the 6-way variant cross of one
+        loop shares unrolling, disambiguation and profiling.  ``None``
+        (the default) compiles from scratch.
     """
     work, factor, profiles = _frontend(
         ddg, machine,
@@ -518,7 +539,6 @@ def execute_pipeline(
         unroll_factor=unroll_factor,
         add_mem_deps=add_mem_deps,
         profile_iterations=profile_iterations,
-        check=check,
         artifacts=artifacts,
     )
     if profiles is None:
@@ -535,9 +555,8 @@ def execute_pipeline(
         work, mdc_result, ddgt_result = run_coherence(
             work, machine, coherence, profiles
         )
-    if check:
-        with _timed("check"):
-            verify_ddg(work, machine)
+    with _timed("check"):
+        verify_ddg(work, machine)
 
     with _timed("assign"):
         assignment = run_assign(work, machine, heuristic, profiles,
@@ -553,9 +572,8 @@ def execute_pipeline(
                 work, machine, assignment, schedule, profiles
             )
 
-    if check:
-        with _timed("check"):
-            schedule.validate()
+    with _timed("check"):
+        schedule.validate()
 
     result = CompilationResult(
         schedule=schedule,

@@ -42,7 +42,7 @@ from repro.alias.profiles import TraceLike
 from repro.errors import SimulationError
 from repro.ir.edges import DepKind
 from repro.obs import metrics
-from repro.sched.pipeline import CompilationResult
+from repro.sched.stages import CompilationResult
 from repro.sim.coherence import CoherenceChecker, ViolationCounts
 from repro.sim.memory import MemorySystem
 from repro.sim.stats import SimStats
@@ -104,7 +104,6 @@ def simulate(
     trace: TraceLike,
     iterations: Optional[int] = None,
     check_coherence: bool = True,
-    flush_abs: bool = True,
     engine: str = "events",
     model: str = "snooping",
 ) -> SimulationResult:
@@ -156,7 +155,7 @@ def simulate(
     if engine == "events":
         busy_cycles = run_flat(
             machine, model_impl, schedule, n_iter, total_indexes,
-            ops_by_slot, completions, trace, stats, checker, flush_abs,
+            ops_by_slot, completions, trace, stats, checker,
         )
     else:
         if model == _models.DEFAULT_MODEL:
@@ -170,8 +169,7 @@ def simulate(
             schedule, n_iter, total_indexes, ops_by_slot, completions,
             trace, memory, stats,
         )
-        if flush_abs:
-            memory.flush_attraction_buffers()
+        memory.flush_attraction_buffers()
         busy_cycles = memory.fabric.busy_cycles
 
     # One registry publication per run (never per cycle): engine counters

@@ -188,7 +188,7 @@ def _next_prune_after(index: int, interval: int) -> int:
 
 def run_flat(
     machine, model, schedule, n_iter, total_indexes, ops_by_slot,
-    completions, trc, stats, checker, flush_abs,
+    completions, trc, stats, checker,
 ) -> List[int]:
     """Run one compiled loop to completion under memory ``model``.
 
@@ -574,36 +574,6 @@ def run_flat(
             (_REQ_STORE, home, block, addr, version, owner))
         queued += 1
 
-    def inject_1bus(cycle):
-        # inject() specialized for single-bus fabrics (the contended
-        # configurations where it dominates the profile): at most one
-        # message moves per cycle, so the free-list and the post-loop
-        # min() collapse away.
-        nonlocal queued, rr_start, transfers, bus_queued_cycles, bus_min
-        if bus_free[0] > cycle:
-            bus_queued_cycles += queued
-            return
-        base = rr_start
-        rr_start = (base + 1) % num_clusters
-        for k in range(num_clusters):
-            queue = queues[(base + k) % num_clusters]
-            if queue:
-                message = queue.popleft()
-                queued -= 1
-                arrival = cycle + bus_latency
-                bus_free[0] = arrival
-                bus_min = arrival
-                busy_cycles[0] += bus_latency
-                bucket = in_flight.get(arrival)
-                if bucket is None:
-                    in_flight[arrival] = [message]
-                else:
-                    bucket.append(message)
-                transfers += 1
-                transfers_by_kind[message[0]] += 1
-                break
-        bus_queued_cycles += queued
-
     def inject(cycle):
         # BusFabric.inject for the queued case: round-robin arbitration
         # over sources for the free buses (highest-numbered free bus
@@ -649,9 +619,6 @@ def run_flat(
                 return
             b -= 1
         bus_min = min(bus_free)
-
-    if num_buses == 1:
-        inject = inject_1bus
 
     def nl_accept(cycle):
         # NextLevel.tick's acceptance half (fills are handled inline at
@@ -1063,7 +1030,7 @@ def run_flat(
         # ---- loop-boundary Attraction-Buffer flush (sections 5.2/5.3):
         # every dirty attracted copy is written back to its home cluster
         # and all entries drop.
-        if use_abs and flush_abs:
+        if use_abs:
             for cluster_sets in ab_sets:
                 for abset in cluster_sets:
                     for key, entry in abset.items():

@@ -1,15 +1,14 @@
-"""The learned cost model: pure-python boosted stumps / ridge per target.
+"""The learned cost model: pure-python boosted stumps per target.
 
 One :class:`SurrogateModel` predicts the three quantities the sweep
 frontier cares about — ``ipc`` (issued ops per cycle), ``ii`` (mean
 initiation interval) and ``traffic`` (bus transfers per kernel
 iteration) — from the :mod:`repro.surrogate.features` vector of a cell.
-Everything is standard-library python.  The default predictor family is
-gradient-boosted depth-1 regression stumps fit on raw features; the
-``ridge`` family standardizes features (zero-mean/unit-variance over
-the training set) and solves the normal equations
-``(XᵀX + λI)·w = Xᵀy`` by Gaussian elimination with partial pivoting —
-a ~45×45 dense solve, microseconds of work.
+Everything is standard-library python.  Each target gets an ensemble of
+gradient-boosted depth-1 regression stumps fit on raw features: the
+sweep targets respond nonlinearly to the generator knobs (II saturates
+with recurrence, traffic explodes with alias density under mincoms),
+which a linear model cannot rank.
 
 The model carries its **training rows** (feature vector + targets +
 cell key) in the artifact, which is what makes the active-learning loop
@@ -31,27 +30,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, WorkloadError
 from repro.hashing import digest
-from repro.surrogate.features import FEATURE_NAMES, feature_schema_hash
+from repro.surrogate.features import feature_schema_hash
 
 #: The quantities a surrogate predicts, in canonical order.
 TARGETS: Tuple[str, ...] = ("ipc", "ii", "traffic")
 
-#: Default L2 regularization strength (``model_type="ridge"``).
-DEFAULT_RIDGE_LAMBDA = 1.0
+#: Boosting hyperparameters.
+BOOST_ROUNDS = 200
+LEARN_RATE = 0.15
 
-#: Default boosting hyperparameters (``model_type="gbs"``).
-DEFAULT_BOOST_ROUNDS = 200
-DEFAULT_LEARN_RATE = 0.15
-
-#: Supported predictor families.  ``gbs`` (gradient-boosted stumps) is
-#: the default: the sweep targets respond nonlinearly to the generator
-#: knobs (II saturates with recurrence, traffic explodes with alias
-#: density under mincoms), which a linear model provably cannot rank —
-#: ridge stays available as the cheap, fully-interpretable baseline.
-MODEL_TYPES: Tuple[str, ...] = ("gbs", "ridge")
-
-#: Model artifact format version.
-MODEL_SCHEMA = 1
+#: Model artifact format version.  Older artifacts refuse to load and
+#: must be retrained.
+MODEL_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -80,71 +70,11 @@ class TrainRow:
 
 
 # ----------------------------------------------------------------------
-# Dense linear algebra (pure python, no deps)
+# Boosted stumps
 # ----------------------------------------------------------------------
-def _solve(matrix: List[List[float]], rhs: List[float]) -> List[float]:
-    """Solve ``matrix · x = rhs`` by Gaussian elimination with partial
-    pivoting.  ``matrix`` is mutated; ridge regularization guarantees the
-    system is well-conditioned for any λ > 0."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-12:
-            raise WorkloadError(
-                "singular system while fitting the surrogate (is the "
-                "ridge lambda zero on degenerate data?)"
-            )
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1.0 / aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] * inv
-            if factor == 0.0:
-                continue
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    out = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        acc = aug[row][n]
-        for c in range(row + 1, n):
-            acc -= aug[row][c] * out[c]
-        out[row] = acc / aug[row][row]
-    return out
-
-
-def fit_ridge(
-    x_rows: Sequence[Sequence[float]],
-    y: Sequence[float],
-    ridge_lambda: float,
-) -> List[float]:
-    """Ridge-regression weights for one target over standardized rows.
-
-    The first column (the bias slot) is excluded from regularization so
-    the intercept is never shrunk toward zero.
-    """
-    n_features = len(x_rows[0])
-    xtx = [[0.0] * n_features for _ in range(n_features)]
-    xty = [0.0] * n_features
-    for row, target in zip(x_rows, y):
-        for i in range(n_features):
-            ri = row[i]
-            if ri == 0.0:
-                continue
-            xty[i] += ri * target
-            xtx_i = xtx[i]
-            for j in range(n_features):
-                xtx_i[j] += ri * row[j]
-    for i in range(1, n_features):  # slot 0 is the unregularized bias
-        xtx[i][i] += ridge_lambda
-    xtx[0][0] += 1e-9  # keep the bias row non-singular on empty data
-    return _solve(xtx, xty)
-
-
 def fit_boosted_stumps(
     x_rows: Sequence[Sequence[float]],
     y: Sequence[float],
-    rounds: int = DEFAULT_BOOST_ROUNDS,
-    learn_rate: float = DEFAULT_LEARN_RATE,
 ) -> Dict[str, object]:
     """Gradient-boosted depth-1 regression trees on *raw* features.
 
@@ -167,7 +97,7 @@ def fit_boosted_stumps(
         for f in range(n_features)
     ]
     stumps: List[List[float]] = []
-    for _ in range(rounds):
+    for _ in range(BOOST_ROUNDS):
         resid = [y[i] - preds[i] for i in range(n)]
         total = sum(resid)
         best_gain = 1e-12
@@ -193,8 +123,8 @@ def fit_boosted_stumps(
         if best is None:
             break  # residuals are flat (or all features constant)
         f, threshold, left, right = best
-        left *= learn_rate
-        right *= learn_rate
+        left *= LEARN_RATE
+        right *= LEARN_RATE
         stumps.append([float(f), threshold, left, right])
         for i in range(n):
             preds[i] += left if x_rows[i][f] <= threshold else right
@@ -273,19 +203,11 @@ class SurrogateModel:
     version: str
     schema_hash: str
     feature_names: Tuple[str, ...]
-    means: Tuple[float, ...]
-    scales: Tuple[float, ...]
-    weights: Dict[str, Tuple[float, ...]]
-    ridge_lambda: float
     train_size: int
     metrics: Dict[str, Dict[str, float]]
+    #: Per-target boosted-stump ensembles (see :func:`fit_boosted_stumps`).
+    boosters: Dict[str, Dict[str, object]]
     rows: List[TrainRow] = field(default_factory=list)
-    #: ``"gbs"`` (boosted stumps, the default) or ``"ridge"``.
-    model_type: str = "ridge"
-    #: Per-target boosted-stump ensembles (``model_type="gbs"``).
-    boosters: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    boost_rounds: int = DEFAULT_BOOST_ROUNDS
-    learn_rate: float = DEFAULT_LEARN_RATE
 
     # ------------------------------------------------------------------
     @property
@@ -294,12 +216,6 @@ class SurrogateModel:
         file name, so identical trainings collide into one file."""
         return digest(self.to_dict())
 
-    def standardize(self, vector: Sequence[float]) -> List[float]:
-        return [
-            (v - m) / s if s else (v - m)
-            for v, m, s in zip(vector, self.means, self.scales)
-        ]
-
     def predict(self, vector: Sequence[float]) -> Dict[str, float]:
         """Predicted ``{target: value}`` for one feature vector."""
         if len(vector) != len(self.feature_names):
@@ -307,16 +223,9 @@ class SurrogateModel:
                 f"feature vector has {len(vector)} slots, model expects "
                 f"{len(self.feature_names)}"
             )
-        if self.model_type == "gbs":
-            # Stumps split on raw values; no standardization needed.
-            return {
-                target: predict_boosted(booster, vector)
-                for target, booster in self.boosters.items()
-            }
-        std = self.standardize(vector)
         return {
-            target: sum(w * x for w, x in zip(weights, std))
-            for target, weights in self.weights.items()
+            target: predict_boosted(booster, vector)
+            for target, booster in self.boosters.items()
         }
 
     def predict_many(
@@ -334,8 +243,7 @@ class SurrogateModel:
                 f"retrain with 'repro surrogate train'"
             )
 
-    def refit_with(self, new_rows: Sequence[TrainRow],
-                   **train_kwargs) -> "SurrogateModel":
+    def refit_with(self, new_rows: Sequence[TrainRow]) -> "SurrogateModel":
         """The active-learning step: merge freshly measured rows into the
         training set (new measurements replace stale rows for the same
         cell) and retrain from scratch.  Returns the new model; ``self``
@@ -345,12 +253,8 @@ class SurrogateModel:
         merged: Dict[str, TrainRow] = {row.key: row for row in self.rows}
         for row in new_rows:
             merged[row.key] = row
-        train_kwargs.setdefault("model_type", self.model_type)
-        train_kwargs.setdefault("ridge_lambda", self.ridge_lambda)
-        train_kwargs.setdefault("boost_rounds", self.boost_rounds)
-        train_kwargs.setdefault("learn_rate", self.learn_rate)
         return train_from_rows(
-            sorted(merged.values(), key=lambda row: row.key), **train_kwargs
+            sorted(merged.values(), key=lambda row: row.key)
         )
 
     # ------------------------------------------------------------------
@@ -361,14 +265,7 @@ class SurrogateModel:
             "schema": MODEL_SCHEMA,
             "version": self.version,
             "schema_hash": self.schema_hash,
-            "model_type": self.model_type,
             "feature_names": list(self.feature_names),
-            "means": list(self.means),
-            "scales": list(self.scales),
-            "weights": {
-                target: list(self.weights[target])
-                for target in sorted(self.weights)
-            },
             "boosters": {
                 target: {
                     "base": self.boosters[target]["base"],
@@ -377,9 +274,6 @@ class SurrogateModel:
                 }
                 for target in sorted(self.boosters)
             },
-            "ridge_lambda": self.ridge_lambda,
-            "boost_rounds": self.boost_rounds,
-            "learn_rate": self.learn_rate,
             "train_size": self.train_size,
             "metrics": {
                 target: {k: self.metrics[target][k]
@@ -394,26 +288,18 @@ class SurrogateModel:
         if int(data.get("schema", 0)) != MODEL_SCHEMA:
             raise ConfigError(
                 f"unsupported surrogate model schema "
-                f"{data.get('schema')!r}; this build reads {MODEL_SCHEMA}"
+                f"{data.get('schema')!r}; this build reads {MODEL_SCHEMA} "
+                f"— retrain with 'repro surrogate train'"
             )
         return cls(
             version=str(data["version"]),
             schema_hash=str(data["schema_hash"]),
             feature_names=tuple(str(n) for n in data["feature_names"]),
-            means=tuple(float(v) for v in data["means"]),
-            scales=tuple(float(v) for v in data["scales"]),
-            weights={
-                str(t): tuple(float(w) for w in ws)
-                for t, ws in dict(data["weights"]).items()
-            },
-            ridge_lambda=float(data["ridge_lambda"]),
             train_size=int(data["train_size"]),
             metrics={
                 str(t): {str(k): float(v) for k, v in dict(m).items()}
                 for t, m in dict(data["metrics"]).items()
             },
-            rows=[TrainRow.from_dict(d) for d in data.get("rows", [])],
-            model_type=str(data.get("model_type", "ridge")),
             boosters={
                 str(t): {
                     "base": float(b["base"]),
@@ -421,11 +307,9 @@ class SurrogateModel:
                         [float(v) for v in stump] for stump in b["stumps"]
                     ],
                 }
-                for t, b in dict(data.get("boosters", {})).items()
+                for t, b in dict(data["boosters"]).items()
             },
-            boost_rounds=int(data.get("boost_rounds",
-                                      DEFAULT_BOOST_ROUNDS)),
-            learn_rate=float(data.get("learn_rate", DEFAULT_LEARN_RATE)),
+            rows=[TrainRow.from_dict(d) for d in data.get("rows", [])],
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -437,18 +321,13 @@ class SurrogateModel:
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
-        hyper = (
-            f"ridge lambda {self.ridge_lambda:g}"
-            if self.model_type == "ridge"
-            else f"{self.boost_rounds} rounds @ lr {self.learn_rate:g}"
-        )
         lines = [
             f"surrogate model {self.model_id}",
             f"  package version : {self.version}",
-            f"  model type      : {self.model_type}",
             f"  feature schema  : {self.schema_hash} "
             f"({len(self.feature_names)} features)",
-            f"  training rows   : {self.train_size} ({hyper})",
+            f"  training rows   : {self.train_size} "
+            f"({BOOST_ROUNDS} boosting rounds @ lr {LEARN_RATE:g})",
         ]
         for target in sorted(self.metrics):
             m = self.metrics[target]
@@ -467,7 +346,7 @@ def describe_model(model: SurrogateModel) -> str:
         default=0.0,
     )
     return (
-        f"{model.model_id}  v{model.version}  {model.model_type}  "
+        f"{model.model_id}  v{model.version}  "
         f"schema {model.schema_hash}  rows {model.train_size}  "
         f"worst rank-corr {worst_corr:+.3f}"
     )

@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.api.store import resolve_cache_root
+from repro.api.store import remove_files, resolve_cache_root
 from repro.errors import ConfigError
 from repro.surrogate.model import SurrogateModel
 
@@ -25,6 +25,9 @@ LATEST_POINTER = "latest"
 
 _PREFIX = "model-"
 _SUFFIX = ".json"
+
+#: Glob matching every model artifact in the surrogate directory.
+MODEL_GLOB = f"{_PREFIX}*{_SUFFIX}"
 
 
 def surrogate_root(cache_root: Union[str, Path, None] = None) -> Path:
@@ -62,11 +65,8 @@ def list_model_ids(cache_root: Union[str, Path, None] = None) -> List[str]:
     root = surrogate_root(cache_root)
     if not root.is_dir():
         return []
-    return sorted(
-        entry.name[len(_PREFIX):-len(_SUFFIX)]
-        for entry in root.iterdir()
-        if entry.name.startswith(_PREFIX) and entry.name.endswith(_SUFFIX)
-    )
+    return sorted(path.name[len(_PREFIX):-len(_SUFFIX)]
+                  for path in root.glob(MODEL_GLOB))
 
 
 def latest_model_id(
@@ -119,15 +119,8 @@ def load_models(
 def clear_models(cache_root: Union[str, Path, None] = None) -> int:
     """Delete every model artifact (and the pointer); returns the count."""
     root = surrogate_root(cache_root)
-    if not root.is_dir():
-        return 0
-    removed = 0
-    for entry in list(root.iterdir()):
-        if entry.name.startswith(_PREFIX) and entry.name.endswith(_SUFFIX):
-            entry.unlink()
-            removed += 1
-        elif entry.name == LATEST_POINTER:
-            entry.unlink()
+    removed = remove_files(root, MODEL_GLOB)
+    remove_files(root, LATEST_POINTER)
     try:
         root.rmdir()
     except OSError:

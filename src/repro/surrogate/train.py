@@ -16,7 +16,7 @@ through :mod:`repro.obs` as ``surrogate.*`` gauges.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro import __version__
 from repro.errors import WorkloadError
@@ -30,15 +30,10 @@ from repro.surrogate.features import (
     featurize,
 )
 from repro.surrogate.model import (
-    DEFAULT_BOOST_ROUNDS,
-    DEFAULT_LEARN_RATE,
-    DEFAULT_RIDGE_LAMBDA,
-    MODEL_TYPES,
     TARGETS,
     SurrogateModel,
     TrainRow,
     fit_boosted_stumps,
-    fit_ridge,
     mean_absolute_error,
     predict_boosted,
     rank_correlation,
@@ -116,56 +111,20 @@ def _is_holdout(key: str, holdout_frac: float) -> bool:
 def train_from_rows(
     rows: Sequence[TrainRow],
     *,
-    model_type: str = "gbs",
-    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
-    boost_rounds: int = DEFAULT_BOOST_ROUNDS,
-    learn_rate: float = DEFAULT_LEARN_RATE,
     holdout_frac: float = DEFAULT_HOLDOUT_FRAC,
 ) -> SurrogateModel:
     """Fit a :class:`SurrogateModel` on training rows.
 
-    ``model_type`` picks the predictor family: ``"gbs"`` (boosted
-    stumps, the default) or ``"ridge"``.  The final fit uses **all**
-    rows; the held-out metrics come from an intermediate fit on the
-    non-held-out subset, so the reported error is honest while the
-    shipped model wastes no data.
+    The final fit uses **all** rows; the held-out metrics come from an
+    intermediate fit on the non-held-out subset, so the reported error
+    is honest while the shipped model wastes no data.
     """
-    if model_type not in MODEL_TYPES:
-        raise WorkloadError(
-            f"unknown surrogate model type {model_type!r}; "
-            f"expected one of {MODEL_TYPES}"
-        )
     if len(rows) < 8:
         raise WorkloadError(
             f"surrogate training needs at least 8 featurizable cells, "
             f"got {len(rows)} (run a sweep first)"
         )
-    n_features = len(FEATURE_NAMES)
     vectors = [row.features for row in rows]
-
-    # Standardization statistics over the full training set.
-    means = [0.0] * n_features
-    for vector in vectors:
-        for i, value in enumerate(vector):
-            means[i] += value
-    means = [m / len(vectors) for m in means]
-    variances = [0.0] * n_features
-    for vector in vectors:
-        for i, value in enumerate(vector):
-            variances[i] += (value - means[i]) ** 2
-    scales = [(v / len(vectors)) ** 0.5 for v in variances]
-    # The bias slot stays as-is (mean 0, scale 1) so weight 0 is the
-    # plain intercept.
-    means[0] = 0.0
-    scales[0] = 1.0
-
-    def standardize(vector: Tuple[float, ...]) -> List[float]:
-        return [
-            (v - m) / s if s else (v - m)
-            for v, m, s in zip(vector, means, scales)
-        ]
-
-    std_rows = [standardize(vector) for vector in vectors]
 
     # Deterministic held-out split for the error report.
     holdout_idx = [i for i, row in enumerate(rows)
@@ -175,31 +134,18 @@ def train_from_rows(
         train_idx, holdout_idx = list(range(len(rows))), []
 
     metrics: Dict[str, Dict[str, float]] = {}
-    weights: Dict[str, Tuple[float, ...]] = {}
     boosters: Dict[str, Dict[str, object]] = {}
     for target in TARGETS:
         y_all = [rows[i].targets.get(target, 0.0) for i in range(len(rows))]
         if holdout_idx:
-            if model_type == "gbs":
-                eval_booster = fit_boosted_stumps(
-                    [vectors[i] for i in train_idx],
-                    [y_all[i] for i in train_idx],
-                    rounds=boost_rounds, learn_rate=learn_rate,
-                )
-                predicted = [
-                    predict_boosted(eval_booster, vectors[i])
-                    for i in holdout_idx
-                ]
-            else:
-                eval_weights = fit_ridge(
-                    [std_rows[i] for i in train_idx],
-                    [y_all[i] for i in train_idx],
-                    ridge_lambda,
-                )
-                predicted = [
-                    sum(w * x for w, x in zip(eval_weights, std_rows[i]))
-                    for i in holdout_idx
-                ]
+            eval_booster = fit_boosted_stumps(
+                [vectors[i] for i in train_idx],
+                [y_all[i] for i in train_idx],
+            )
+            predicted = [
+                predict_boosted(eval_booster, vectors[i])
+                for i in holdout_idx
+            ]
             actual = [y_all[i] for i in holdout_idx]
         else:
             predicted, actual = [], []
@@ -208,30 +154,16 @@ def train_from_rows(
             "rank_corr": rank_correlation(predicted, actual),
             "holdout": float(len(holdout_idx)),
         }
-        if model_type == "gbs":
-            boosters[target] = fit_boosted_stumps(
-                vectors, y_all,
-                rounds=boost_rounds, learn_rate=learn_rate,
-            )
-        else:
-            weights[target] = tuple(fit_ridge(std_rows, y_all,
-                                              ridge_lambda))
+        boosters[target] = fit_boosted_stumps(vectors, y_all)
 
     model = SurrogateModel(
         version=__version__,
         schema_hash=feature_schema_hash(),
         feature_names=FEATURE_NAMES,
-        means=tuple(means),
-        scales=tuple(scales),
-        weights=weights,
-        ridge_lambda=ridge_lambda,
         train_size=len(rows),
         metrics=metrics,
-        rows=list(rows),
-        model_type=model_type,
         boosters=boosters,
-        boost_rounds=boost_rounds,
-        learn_rate=learn_rate,
+        rows=list(rows),
     )
     _publish(model)
     return model

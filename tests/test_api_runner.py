@@ -1,4 +1,4 @@
-"""Runner: caching semantics, parallel/serial equivalence, shims."""
+"""Runner: caching semantics, parallel/serial equivalence, grouping."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.api.records import RunRecord
 from repro.api.runner import Runner, run
 from repro.api.spec import MDC_PREF, Plan, RunSpec
 from repro.api.store import MemoryStore, set_default_store
-from repro.arch.config import BASELINE_CONFIG
 from repro.errors import WorkloadError
 
 SCALE = 0.1
@@ -210,62 +209,3 @@ class TestFrontendGrouping:
             Runner(store=MemoryStore(), parallel=2,
                    artifacts=PlainCustom()).run(Plan(PLAN.specs[:2]))
 
-
-class TestLegacyRunBenchmark:
-    def test_shares_store_with_new_api(self, store):
-        from repro.experiments.common import run_benchmark
-
-        previous = set_default_store(store)
-        try:
-            spec = RunSpec(benchmark="gsmdec", variant=MDC_PREF.key,
-                           scale=SCALE)
-            record = run(spec)
-            assert store.puts == 1
-            legacy = run_benchmark("gsmdec", MDC_PREF, scale=SCALE)
-            assert store.puts == 1, "legacy path must reuse the new cache"
-            assert legacy.to_dict() == record.to_dict()
-        finally:
-            set_default_store(previous)
-
-    def test_drivers_honor_adhoc_configs(self, store):
-        """A custom MachineConfig passed to a figure driver must actually
-        be simulated, not silently swapped for its registry namesake."""
-        from dataclasses import replace
-
-        from repro.experiments.figure7 import run_figure7
-
-        slow_next_level = replace(
-            BASELINE_CONFIG,
-            next_level=replace(BASELINE_CONFIG.next_level, latency=40),
-        )
-        assert slow_next_level.name == "baseline"
-        previous = set_default_store(store)
-        try:
-            stock = run_figure7(["gsmdec"], scale=SCALE)
-            custom = run_figure7(["gsmdec"], config=slow_next_level,
-                                 scale=SCALE)
-        finally:
-            set_default_store(previous)
-        assert (custom.baseline_cycles["gsmdec"]
-                != stock.baseline_cycles["gsmdec"]), (
-            "a 4x next-level latency must change absolute cycle counts"
-        )
-
-    def test_adhoc_config_keyed_by_effective_machine(self, store):
-        """Same config name, different structure -> different cache keys."""
-        from dataclasses import replace
-
-        from repro.experiments.common import run_benchmark
-
-        custom = replace(BASELINE_CONFIG)  # same name, not the registry obj
-        weird = replace(BASELINE_CONFIG,
-                        cache=replace(BASELINE_CONFIG.cache, hit_latency=2))
-        assert custom.name == weird.name == "baseline"
-        previous = set_default_store(store)
-        try:
-            a = run_benchmark("gsmdec", MDC_PREF, config=custom, scale=SCALE)
-            b = run_benchmark("gsmdec", MDC_PREF, config=weird, scale=SCALE)
-        finally:
-            set_default_store(previous)
-        assert store.puts == 2, "structurally different configs must not collide"
-        assert a.spec_key != b.spec_key

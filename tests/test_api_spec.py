@@ -15,12 +15,11 @@ from repro.api.spec import (
     RunSpec,
     Variant,
     default_scale,
-    machine_fingerprint,
     parse_variant,
 )
 from repro.arch.config import BASELINE_CONFIG, NOBAL_REG_CONFIG
 from repro.errors import ConfigError
-from repro.sched.pipeline import CoherenceMode, Heuristic
+from repro.sched import CoherenceMode, Heuristic
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -124,14 +123,33 @@ class TestContentHash:
         )
         assert out.stdout.strip() == spec.content_hash
 
-    def test_machine_fingerprint_sees_structure_not_name(self):
+    @pytest.mark.parametrize("spec, key", [
+        (RunSpec(benchmark="gsmdec", scale=0.1, model="dls"),
+         "82ea0176cf3b7a50"),
+        (RunSpec(benchmark="gsmdec", variant="ddgt/mincoms", scale=0.1,
+                 attraction=True, loop="gsmdec.l0", seeds=(1, 2),
+                 model="directory"),
+         "843ef42f3f381a18"),
+        (RunSpec(benchmark="scn-gather-n24-m45-r2-a30-s7", scale=0.05,
+                 machine="gen-c4-mb4x2-rb4x2-cm2048b32a2-nl10p4"),
+         "3174df71a379b5af"),
+    ])
+    def test_pinned_keys(self, spec, key):
+        """Records carry the key as ``spec_key`` and disk stores file
+        entries under it, so its payload may never drift: a changed key
+        orphans every cached record and breaks record equality.  The
+        catalog goldens pin snooping keys; these cover the model, loop,
+        seeds and generated-machine fields."""
+        assert spec.content_hash == key
+
+    def test_fingerprint_sees_structure_not_name(self):
         """Two configs sharing a name but differing structurally must not
         collide (the old cache keyed on config.name alone)."""
         plain = BASELINE_CONFIG
         with_ab = BASELINE_CONFIG.with_attraction_buffers()
-        assert machine_fingerprint(plain) != machine_fingerprint(with_ab)
+        assert plain.fingerprint() != with_ab.fingerprint()
         renamed = NOBAL_REG_CONFIG
-        assert machine_fingerprint(plain) != machine_fingerprint(renamed)
+        assert plain.fingerprint() != renamed.fingerprint()
 
 
 class TestPlan:

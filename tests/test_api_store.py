@@ -1,15 +1,18 @@
 """ResultStore implementations: hit/miss, version invalidation, defaults."""
 
 import json
-
-import pytest
+import os
+import time
+from pathlib import Path
 
 from repro.api.records import LoopRecord, RunRecord
 from repro.api.store import (
     DiskStore,
     MemoryStore,
     default_store,
+    remove_files,
     set_default_store,
+    shard_prefix,
 )
 from repro.sim.stats import SimStats
 
@@ -25,6 +28,14 @@ def make_record(benchmark="gsmdec", cycles=100) -> RunRecord:
     )
     return RunRecord(benchmark=benchmark, variant="mdc/prefclus",
                      scale=0.1, spec_key="k", loops=[loop])
+
+
+def write_entry(store, key, text):
+    """Plant raw ``text`` where ``store`` keeps ``key``."""
+    entry = store.entry_path(key)
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    entry.write_text(text)
+    return entry
 
 
 class TestMemoryStore:
@@ -74,24 +85,25 @@ class TestDiskStore:
         assert payload["version"] == repro.__version__
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{not json")
-        assert DiskStore(tmp_path).get("bad") is None
+        store = DiskStore(tmp_path)
+        write_entry(store, "bad", "{not json")
+        assert store.get("bad") is None
 
     def test_wrong_shape_entry_is_a_miss_and_removed(self, tmp_path):
         """Valid JSON of the wrong shape must self-heal, not crash."""
         import repro
 
-        (tmp_path / "a.json").write_text("[1, 2, 3]")
-        (tmp_path / "b.json").write_text(
-            json.dumps({"version": repro.__version__})  # no 'record'
-        )
-        (tmp_path / "c.json").write_text(
-            json.dumps({"version": repro.__version__, "record": {"loops": 3}})
-        )
         store = DiskStore(tmp_path)
+        write_entry(store, "a", "[1, 2, 3]")
+        write_entry(store, "b", json.dumps(
+            {"version": repro.__version__}  # no 'record'
+        ))
+        write_entry(store, "c", json.dumps(
+            {"version": repro.__version__, "record": {"loops": 3}}
+        ))
         for key in ("a", "b", "c"):
             assert store.get(key) is None
-            assert not (tmp_path / f"{key}.json").exists(), key
+            assert not store.entry_path(key).exists(), key
 
     def test_clear_and_info(self, tmp_path):
         store = DiskStore(tmp_path)
@@ -157,9 +169,10 @@ class TestDiskStoreConcurrencyHardening:
     def test_persistently_corrupt_entry_is_dropped(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.setattr("repro.api.store.time.sleep", lambda _s: None)
-        (tmp_path / "bad.json").write_text("{torn")
-        assert DiskStore(tmp_path).get("bad") is None
-        assert not (tmp_path / "bad.json").exists()
+        store = DiskStore(tmp_path)
+        entry = write_entry(store, "bad", "{torn")
+        assert store.get("bad") is None
+        assert not entry.exists()
 
     def test_concurrent_writers_same_key_keep_store_readable(self, tmp_path):
         """Interleaved atomic puts of the same key never tear reads."""
@@ -188,21 +201,66 @@ class TestDiskStoreConcurrencyHardening:
         assert not errors
         final = DiskStore(tmp_path).get("shared")
         assert final is not None
-        # No stray temp files survive the interleaved writes.
-        assert list(tmp_path.glob("*.tmp")) == []
+        # No stray temp files survive the interleaved writes (they are
+        # created next to their entry, inside the shard directory).
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_size_bytes_tolerates_entries_vanishing_mid_scan(self, tmp_path):
         """``repro cache info``/``artifacts`` must not crash when a
         concurrent prune/clear deletes an entry between the glob and the
         stat.  A dangling symlink reproduces exactly that window: listed
-        by the glob, gone by stat time."""
+        by the index's shard scan, gone by stat time."""
         store = DiskStore(tmp_path)
         store.put("a", make_record())
         store.put("b", make_record())
         intact = store.size_bytes()
         assert intact > 0
-        (tmp_path / "vanished.json").symlink_to(tmp_path / "no-such-entry")
+        # A shard no entry lives in yet, so the next store-wide
+        # operation must scan it (asserted so a hashing change fails
+        # loudly instead of silently weakening the test).
+        assert shard_prefix("vanished") not in {
+            shard_prefix("a"), shard_prefix("b")
+        }
+        vanished = store.entry_path("vanished")
+        vanished.parent.mkdir()
+        vanished.symlink_to(tmp_path / "no-such-entry")
         assert store.size_bytes() == intact
+
+
+class TestRemoveFiles:
+    """The one helper behind ``repro cache clear``/``prune`` for run
+    journals and surrogate artifacts, and behind store clears."""
+
+    def test_glob_and_age_cutoff(self, tmp_path):
+        old, fresh, other = (tmp_path / name for name in
+                             ("old.jsonl", "fresh.jsonl", "keep.json"))
+        for path in (old, fresh, other):
+            path.write_text("x")
+        stale = time.time() - 3600
+        os.utime(old, (stale, stale))
+        assert remove_files(tmp_path, "*.jsonl", 60) == 1
+        assert not old.exists() and fresh.exists()
+        assert remove_files(tmp_path, "*.jsonl") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
+
+    def test_missing_directory_removes_nothing(self, tmp_path):
+        assert remove_files(tmp_path / "absent", "*.jsonl") == 0
+
+    def test_file_removed_concurrently_is_skipped(self, tmp_path,
+                                                  monkeypatch):
+        for name in ("a.jsonl", "b.jsonl"):
+            (tmp_path / name).write_text("x")
+        raced = tmp_path / "a.jsonl"
+        real_unlink = Path.unlink
+
+        def unlink_after_another_process(path, *args, **kwargs):
+            if path == raced:
+                real_unlink(path)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink_after_another_process)
+        assert remove_files(tmp_path, "*.jsonl") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDefaultStore:
@@ -214,17 +272,3 @@ class TestDefaultStore:
         finally:
             set_default_store(previous)
         assert default_store() is previous
-
-
-class TestLegacyClearCache:
-    def test_clear_cache_clears_default_store(self):
-        from repro.experiments.common import clear_cache
-
-        previous = set_default_store(MemoryStore())
-        try:
-            default_store().put("k", make_record())
-            with pytest.warns(DeprecationWarning):
-                clear_cache()
-            assert default_store().get("k") is None
-        finally:
-            set_default_store(previous)

@@ -14,7 +14,7 @@ from repro.api.records import RunRecord
 from repro.api.runner import RunError, Runner
 from repro.api.spec import Plan, RunSpec
 from repro.api.store import DiskStore, JsonFileStore, MemoryStore
-from repro.errors import ConfigError, ExecutionError, WorkloadError
+from repro.errors import ExecutionError, WorkloadError
 
 SCALE = 0.1
 PLAN = Plan.grid(
@@ -246,12 +246,6 @@ class TestPoolLifecycle:
             assert runner._pool is not None
             assert runner._pool_size <= 2
 
-    def test_max_inflight_bounds_are_accepted(self):
-        with Runner(store=MemoryStore(), parallel=2,
-                    max_inflight=1) as runner:
-            records = runner.run(PLAN)
-        assert len(records) == len(PLAN)
-
 
 class TestParallelFloorWarning:
     @pytest.fixture
@@ -291,24 +285,6 @@ class TestShardedStore:
         assert all(len(p.name) == 2 for p in shards)
         assert not list(tmp_path.glob("*.json")), "no flat entries"
         assert sum(1 for _ in store.keys()) == 20
-
-    def test_legacy_flat_entries_still_readable(self, tmp_path):
-        flat = JsonFileStore(tmp_path, sharded=False)
-        flat.put_payload("legacy", {"x": 1})
-        assert (tmp_path / "legacy.json").exists()
-        sharded = JsonFileStore(tmp_path)
-        assert sharded.get_payload("legacy") == {"x": 1}
-        assert list(sharded.keys()) == ["legacy"]
-        assert sharded.size_bytes() > 0
-
-    def test_flat_entry_migrates_on_write(self, tmp_path):
-        JsonFileStore(tmp_path, sharded=False).put_payload("k", {"x": 1})
-        store = JsonFileStore(tmp_path)
-        store.put_payload("k", {"x": 2})
-        assert not (tmp_path / "k.json").exists(), "flat copy superseded"
-        assert store.entry_path("k").exists()
-        assert store.get_payload("k") == {"x": 2}
-        assert list(store.keys()) == ["k"]
 
     def test_index_is_persisted_and_reused(self, tmp_path):
         store = JsonFileStore(tmp_path)
@@ -390,12 +366,15 @@ class TestShardedStore:
         (tmp_path / "index.meta").write_text("{garbage")
         assert list(JsonFileStore(tmp_path).keys()) == ["k"]
 
-    def test_diskstore_rejects_wrong_shape_in_either_layout(self, tmp_path):
-        # Legacy flat garbage must self-heal through the fallback path.
-        (tmp_path / "bad.json").write_text("[1, 2]")
+    def test_diskstore_rejects_wrong_shape_entry(self, tmp_path):
+        # Valid JSON that is no envelope must self-heal: a miss, and the
+        # entry is removed.
         store = DiskStore(tmp_path)
+        entry = store.entry_path("bad")
+        entry.parent.mkdir(parents=True)
+        entry.write_text("[1, 2]")
         assert store.get("bad") is None
-        assert not (tmp_path / "bad.json").exists()
+        assert not entry.exists()
 
 
 class TestCliResume:

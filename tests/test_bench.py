@@ -113,6 +113,15 @@ class TestEmission:
         assert lines[0].startswith("series,wall_seconds")
         assert lines[1].startswith("one,1.000000")
 
+    def test_write_creates_the_out_dir(self, tmp_path):
+        """``repro bench run --out-dir bench-smoke`` in a fresh checkout
+        must not lose a finished run to a missing directory."""
+        trajectory = _trajectory(one=_series_cell())
+        trajectory["grid"] = "tiny"
+        paths = bench.write_trajectory(trajectory, tmp_path / "a" / "b")
+        assert bench.load_trajectory(paths["json"]) == trajectory
+        assert paths["csv"].is_file()
+
     def test_load_rejects_non_trajectory_json(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("[1, 2]")

@@ -10,7 +10,7 @@ from repro.check.conformance import (
     run_program,
     subblock_address,
 )
-from repro.check.model import CORE_TRANSITIONS, ModelOp
+from repro.check.model import ModelOp, ProtocolModel
 from repro.errors import CheckError, ReproError
 from repro.sim.interleave import block_id, home_cluster
 
@@ -70,7 +70,7 @@ class TestBattery:
         assert report.programs == 8 ** 2
         assert report.runs == report.programs * len(issue_schedules(2))
         assert report.transitions > 0
-        for name in CORE_TRANSITIONS:
+        for name in ProtocolModel.core_transitions():
             assert report.coverage.get(name, 0) > 0, name
 
     def test_summary_renders(self):

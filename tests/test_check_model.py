@@ -6,7 +6,6 @@ from repro.check.model import (
     ABSENT,
     CLEAN,
     COMPLETE,
-    CORE_TRANSITIONS,
     DIRTY,
     TRANSITION_TABLE,
     UNISSUED,
@@ -78,15 +77,16 @@ class TestModelBasics:
         faithful = ProtocolModel(2, 2, program)
         mutated = ProtocolModel(2, 2, program, mutation="stale_combining")
         names = {e.name for e in TRANSITION_TABLE}
-        assert set(CORE_TRANSITIONS) < names
+        core = set(ProtocolModel.core_transitions())
+        assert core < names
         assert "issue_remote_combine" in names
-        assert "issue_remote_combine" not in CORE_TRANSITIONS
+        assert "issue_remote_combine" not in core
         # The guard machinery never offers a gated transition.
         for model in (faithful, mutated):
             state = model.initial_state()
             enabled = {t.name for t in model.enabled(state)}
             assert enabled <= (
-                set(CORE_TRANSITIONS)
+                core
                 | ({"issue_remote_combine", "deliver_request_premature"}
                    if model.mutation else set())
             )

@@ -4,8 +4,7 @@ be violation-free over the same exhaustive sweep."""
 
 import pytest
 
-from repro.check import MUTATIONS, check_protocol
-from repro.check.model import CORE_TRANSITIONS
+from repro.check import MUTATIONS, ProtocolModel, check_protocol
 
 
 class TestFaithfulProtocol:
@@ -26,7 +25,7 @@ class TestFaithfulProtocol:
         assert clean_report.elapsed_seconds < 60
 
     def test_every_core_transition_reached(self, clean_report):
-        for name in CORE_TRANSITIONS:
+        for name in ProtocolModel.core_transitions():
             assert clean_report.transition_coverage.get(name, 0) > 0, name
 
     def test_free_races_exist_but_are_not_violations(self, clean_report):

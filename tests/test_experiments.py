@@ -6,6 +6,7 @@ absolute numbers (see EXPERIMENTS.md for the full-scale comparison).
 
 import pytest
 
+from repro.api import DDGT_PREF, FREE_PREF, MDC_PREF, RunSpec, run
 from repro.experiments import (
     run_figure6,
     run_figure7,
@@ -14,15 +15,16 @@ from repro.experiments import (
     run_table4,
     run_table5,
 )
-from repro.experiments.common import (
-    DDGT_PREF,
-    FREE_PREF,
-    MDC_PREF,
-    run_benchmark,
-)
 
 SCALE = 0.15
 SUBSET = ["epicdec", "gsmdec", "pgpdec"]
+
+
+def run_cell(name, variant, attraction=False):
+    """One benchmark x variant on the baseline machine at ``SCALE``,
+    through the default result store the drivers share."""
+    return run(RunSpec(benchmark=name, variant=variant.key,
+                       attraction=attraction, scale=SCALE))
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +71,8 @@ class TestFigure7Shape:
         into compute time, so the robust claim is about total cycles."""
         mdc_total = ddgt_total = 0
         for name in SUBSET:
-            mdc = run_benchmark(name, MDC_PREF, scale=SCALE)
-            ddgt = run_benchmark(name, DDGT_PREF, scale=SCALE)
+            mdc = run_cell(name, MDC_PREF)
+            ddgt = run_cell(name, DDGT_PREF)
             mdc_total += mdc.loops[0].total_cycles
             ddgt_total += ddgt.loops[0].total_cycles
         assert ddgt_total <= mdc_total
@@ -110,10 +112,8 @@ class TestFigure9Shape:
         """ABs attract remote chain data: MDC's stall time shrinks (or at
         worst stays) vs the AB-less machine (paper: ~30% reduction)."""
         for name in ("epicdec", "rasta"):
-            plain = run_benchmark(name, MDC_PREF, scale=SCALE)
-            with_ab = run_benchmark(
-                name, MDC_PREF, scale=SCALE, attraction=True
-            )
+            plain = run_cell(name, MDC_PREF)
+            with_ab = run_cell(name, MDC_PREF, attraction=True)
             assert with_ab.stall_cycles <= plain.stall_cycles
 
     def test_figure9_runs_and_reports_epicdec_loop(self):
@@ -144,11 +144,11 @@ class TestCoherenceAcrossSweep:
     @pytest.mark.parametrize("variant", [MDC_PREF, DDGT_PREF])
     @pytest.mark.parametrize("name", SUBSET)
     def test_no_violations_anywhere(self, name, variant):
-        run = run_benchmark(name, variant, scale=SCALE)
-        assert run.violations == 0
+        record = run_cell(name, variant)
+        assert record.violations == 0
 
     def test_baseline_keeps_timing_edges(self):
         """Even the optimistic baseline rarely violates on these loops —
         memory edges still constrain timing — but it is *allowed* to."""
-        run = run_benchmark("epicdec", FREE_PREF, scale=SCALE)
-        assert run.violations >= 0
+        record = run_cell("epicdec", FREE_PREF)
+        assert record.violations >= 0

@@ -24,7 +24,7 @@ from repro.scenarios import (
     build_scenario_ddg,
     sample_scenarios,
 )
-from repro.sched.pipeline import CoherenceMode, Heuristic, compile_loop
+from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.workloads.traces import trace_factory
 
 #: The ~100 seeded scenarios the generator-level properties run over.
@@ -76,7 +76,7 @@ def test_scenarios_compile_to_valid_schedules(params, mode):
         trace_factory=trace_factory(64, seed=5),
         profile_iterations=64,
     )
-    compiled.schedule.validate()  # redundant with check=True; explicit
+    compiled.schedule.validate()  # redundant with the pipeline's; explicit
     assert compiled.ii >= 1
 
 

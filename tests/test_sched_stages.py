@@ -4,7 +4,7 @@ import pytest
 
 from repro.api.artifacts import MemoryArtifactStore
 from repro.arch.config import BASELINE_CONFIG
-from repro.sched.pipeline import CoherenceMode, Heuristic, compile_loop
+from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sched.stages import (
     FRONTEND_STAGES,
     PIPELINE_STAGES,

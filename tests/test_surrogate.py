@@ -10,6 +10,7 @@ is one the exhaustive sweep reports too.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.surrogate import (
     SurrogateModel,
     TrainRow,
     cell_key,
+    clear_models,
     describe_features,
     feature_schema_hash,
     featurize,
@@ -35,11 +37,13 @@ from repro.surrogate import (
     interest_scores,
     list_model_ids,
     load_model,
+    model_path,
     rank_correlation,
     record_targets,
     rows_from_records,
     save_model,
     select_frontier,
+    surrogate_root,
     top_fraction_keys,
     train_from_records,
     train_from_rows,
@@ -140,9 +144,8 @@ def _synthetic_rows(n: int = 24):
 
 
 class TestModelTraining:
-    @pytest.mark.parametrize("model_type", ["gbs", "ridge"])
-    def test_roundtrip_is_byte_stable(self, model_type):
-        model = train_from_rows(_synthetic_rows(), model_type=model_type)
+    def test_roundtrip_is_byte_stable(self):
+        model = train_from_rows(_synthetic_rows())
         text = model.to_json()
         clone = SurrogateModel.from_json(text)
         assert clone.to_json() == text, "load -> dump must be byte-identical"
@@ -150,17 +153,14 @@ class TestModelTraining:
         vector = _synthetic_rows()[0].features
         assert clone.predict(vector) == model.predict(vector)
 
-    @pytest.mark.parametrize("model_type", ["gbs", "ridge"])
-    def test_learns_to_rank_the_training_targets(self, model_type):
+    def test_learns_to_rank_the_training_targets(self):
         rows = _synthetic_rows(32)
-        model = train_from_rows(rows, model_type=model_type,
-                                holdout_frac=0.0)
+        model = train_from_rows(rows, holdout_frac=0.0)
         for target in TARGETS:
             predicted = [model.predict(r.features)[target] for r in rows]
             actual = [r.targets[target] for r in rows]
             assert rank_correlation(predicted, actual) > 0.8, (
-                f"{model_type} failed to rank {target} on its own "
-                f"training set"
+                f"failed to rank {target} on its own training set"
             )
 
     def test_holdout_metrics_are_reported(self):
@@ -174,10 +174,6 @@ class TestModelTraining:
     def test_too_few_rows_is_a_clean_error(self):
         with pytest.raises(WorkloadError):
             train_from_rows(_synthetic_rows(4))
-
-    def test_unknown_model_type_is_a_clean_error(self):
-        with pytest.raises(WorkloadError):
-            train_from_rows(_synthetic_rows(), model_type="forest")
 
     def test_schema_mismatch_refuses_to_predict(self):
         model = train_from_rows(_synthetic_rows())
@@ -193,7 +189,6 @@ class TestModelTraining:
                          targets={"ipc": 9.0, "ii": 1.0, "traffic": 0.0})
         refit = model.refit_with([fresh])
         assert refit.train_size == model.train_size
-        assert refit.model_type == model.model_type
         kept = {row.key: row for row in refit.rows}[stale.key]
         assert kept.targets["ipc"] == 9.0
 
@@ -295,11 +290,49 @@ class TestModelStore:
         assert save_model(model, tmp_path) == save_model(model, tmp_path)
         assert len(list_model_ids(tmp_path)) == 1
 
+    def test_clear_tolerates_a_concurrent_clear(self, tmp_path,
+                                                monkeypatch):
+        """Two ``repro cache clear`` runs racing on one cache: an artifact
+        the other run removed first is skipped, not a crash, and the
+        ``latest`` pointer still goes."""
+        save_model(train_from_rows(_synthetic_rows()), tmp_path)
+        save_model(train_from_rows(_synthetic_rows(28)), tmp_path)
+        root = surrogate_root(tmp_path)
+        raced = model_path(list_model_ids(tmp_path)[0], tmp_path)
+        real_unlink = Path.unlink
+
+        def unlink_after_the_other_run(path, *args, **kwargs):
+            if path == raced:
+                real_unlink(path)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink_after_the_other_run)
+        assert clear_models(tmp_path) == 1
+        assert not root.exists()
+
     def test_missing_model_is_a_clean_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_model("latest", tmp_path)
         with pytest.raises(ConfigError):
             load_model("deadbeef00000000", tmp_path)
+
+    def test_schema_1_artifact_asks_for_a_retrain(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """An artifact written before schema 2 must refuse to load with a
+        retrain hint, and ``repro list`` must skip it instead of
+        crashing."""
+        legacy = train_from_rows(_synthetic_rows()).to_dict()
+        legacy["schema"] = 1
+        path = model_path("0123456789abcdef", tmp_path)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(legacy))
+        with pytest.raises(ConfigError, match="retrain"):
+            load_model("latest", tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "0123456789abcdef" not in out
+        assert "(none" in out
 
 
 # ----------------------------------------------------------------------
