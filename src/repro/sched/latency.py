@@ -12,6 +12,10 @@ schedule length:
 * same II  ->  compute time per iteration is unchanged;
 * bounded length growth ->  the deeper software pipeline costs only a few
   extra fill/drain stages, negligible against the loop trip count.
+
+Since a level is only accepted at the base II, each pessimistic level's
+modulo search is capped there (``max_ii``): it tries that one II, or none
+when the level's own minimum II is already larger.
 """
 
 from __future__ import annotations
@@ -56,11 +60,12 @@ def schedule_with_latency_policy(
     for level in sorted(set(ladder[1:]), reverse=True):
         try:
             candidate = modulo_schedule(
-                ddg, machine, assignment, uniform(level), min_ii=base.ii
+                ddg, machine, assignment, uniform(level),
+                min_ii=base.ii, max_ii=base.ii,
             )
         except SchedulingError:
             continue
-        if candidate.ii == base.ii and candidate.length <= limit:
+        if candidate.length <= limit:
             return candidate
     return base
 

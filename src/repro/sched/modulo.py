@@ -2,33 +2,45 @@
 
 The scheduler consumes a DDG whose instructions already carry a cluster
 assignment.  For a candidate II it places operations highest-priority
-first (priority = dependence height), each within a window of II slots
-starting at its earliest legal time; when no slot has a free resource the
-operation is force-placed and the conflicting/violated operations are
-ejected and re-queued.  A placement budget bounds the search; on failure
-the II is increased, up to ``MAX_II_SLACK`` above the lower bound.
+first (priority = dependence height, ties to the lower iid), each within a
+window of II slots starting at its earliest legal time; when no slot has a
+free resource the operation is force-placed and the conflicting/violated
+operations are ejected and re-queued.  A placement budget bounds the
+search; on failure the II is increased.
+
+The II window starts at ``max(ResMII, RecMII, min_ii)`` and ends
+``MAX_II_SLACK`` IIs above that, or at ``max_ii`` when the caller caps it.
+The latency ladder (:mod:`repro.sched.latency`) caps it at the base II,
+the only II it accepts, so a pessimistic level tries at most one II.
+Edge weights and adjacency are built once per call and shared by every II
+tried.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.errors import SchedulingError
 from repro.ir.ddg import Ddg
 from repro.sched.cluster import ClusterAssignment
-from repro.sched.mii import minimum_ii
-from repro.sched.schedule import (
-    ReservationTable,
-    Schedule,
-    ScheduledOp,
-    edge_latency,
+from repro.sched.mii import (
+    MAX_REC_II,
+    Weight,
+    edge_weights,
+    recurrence_floor,
+    res_mii,
 )
+from repro.sched.schedule import ReservationTable, Schedule, ScheduledOp
 
 #: How far above max(ResMII, RecMII) the scheduler will search.
 MAX_II_SLACK = 64
 #: Placement attempts allowed per candidate II, per operation.
 BUDGET_FACTOR = 12
+
+#: ``iid -> [(neighbour, latency, distance)]``
+Adjacency = Dict[int, List[Tuple[int, int, int]]]
 
 
 def modulo_schedule(
@@ -37,112 +49,125 @@ def modulo_schedule(
     assignment: ClusterAssignment,
     assumed_latency: Optional[Dict[int, int]] = None,
     min_ii: Optional[int] = None,
+    max_ii: Optional[int] = None,
 ) -> Schedule:
     """Produce a valid modulo schedule; raise SchedulingError if impossible
-    within the II search window."""
+    within the II search window.
+
+    ``min_ii`` raises the window's start and ``max_ii`` caps its end; when
+    the minimum II lies above ``max_ii`` no II is tried.
+    """
     assumed = dict(assumed_latency or {})
-    lower = minimum_ii(ddg, machine, assumed)
+    weights = edge_weights(ddg, machine, assumed)
+    floor = res_mii(ddg, machine)
     if min_ii is not None:
-        lower = max(lower, min_ii)
-    for ii in range(lower, lower + MAX_II_SLACK + 1):
-        ops = _try_ii(ddg, machine, assignment, assumed, ii)
-        if ops is not None:
+        floor = max(floor, min_ii)
+    if max_ii is None:
+        lower = recurrence_floor(ddg, weights, floor)
+        upper = lower + MAX_II_SLACK
+    else:
+        if floor > max_ii:
+            raise SchedulingError(
+                f"no schedule found for {ddg.name!r} within II in "
+                f"[{floor}, {max_ii}]: the window is empty"
+            )
+        lower = recurrence_floor(ddg, weights, floor, min(max_ii, MAX_REC_II))
+        upper = min(lower + MAX_II_SLACK, max_ii)
+
+    preds: Adjacency = {v.iid: [] for v in ddg}
+    succs: Adjacency = {v.iid: [] for v in ddg}
+    for src, dst, lat, d in weights:
+        preds[dst].append((src, lat, d))
+        succs[src].append((dst, lat, d))
+    # Sinks first: one relaxation round settles an acyclic, program-ordered
+    # graph.
+    by_sink = weights[::-1]
+    for ii in range(lower, upper + 1):
+        times = _try_ii(ddg, machine, assignment, by_sink, preds, succs, ii)
+        if times is not None:
             return Schedule(
                 ii=ii,
-                ops=ops,
+                ops={
+                    iid: ScheduledOp(iid, assignment[iid], time)
+                    for iid, time in times.items()
+                },
                 ddg=ddg,
                 machine=machine,
                 assumed_latency=assumed,
             )
     raise SchedulingError(
-        f"no schedule found for {ddg.name!r} within II in "
-        f"[{lower}, {lower + MAX_II_SLACK}]"
+        f"no schedule found for {ddg.name!r} within II in [{lower}, {upper}]"
     )
 
 
 # ----------------------------------------------------------------------
-def _edge_weights(
-    ddg: Ddg, machine: MachineConfig, assumed: Dict[int, int]
-) -> List[Tuple[int, int, int, int]]:
-    return [
-        (e.src, e.dst, edge_latency(e, ddg, machine, assumed), e.distance)
-        for e in ddg.edges()
-    ]
-
-
 def _heights(
-    ddg: Ddg, weights, ii: int
-) -> Dict[int, int]:
+    ddg: Ddg, weights: Sequence[Weight], ii: int
+) -> Optional[Dict[int, int]]:
     """Dependence height of each node at this II (longest outgoing path
-    with weights ``lat - II * distance``); the scheduling priority."""
+    with weights ``lat - II * distance``); the scheduling priority.
+
+    The heights are the relaxation's unique fixpoint, whatever the edge
+    order; ``None`` when a positive cycle keeps it from converging (this
+    II is below the recurrence bound).
+    """
     height = {instr.iid: 0 for instr in ddg}
-    n = len(height)
-    for _ in range(n):
+    edges = [(src, dst, lat - ii * d) for src, dst, lat, d in weights]
+    for _ in range(len(height)):
         changed = False
-        for src, dst, lat, d in weights:
-            w = lat - ii * d
-            if height[dst] + w > height[src]:
-                height[src] = height[dst] + w
+        for src, dst, w in edges:
+            h = height[dst] + w
+            if h > height[src]:
+                height[src] = h
                 changed = True
         if not changed:
-            break
-    else:
-        # Positive cycle: this II is below the recurrence bound.
-        raise SchedulingError(f"positive dependence cycle at II={ii}")
-    return height
+            return height
+    return None
 
 
 def _try_ii(
     ddg: Ddg,
     machine: MachineConfig,
     assignment: ClusterAssignment,
-    assumed: Dict[int, int],
+    weights: Sequence[Weight],
+    preds: Adjacency,
+    succs: Adjacency,
     ii: int,
-) -> Optional[Dict[int, ScheduledOp]]:
-    weights = _edge_weights(ddg, machine, assumed)
-    try:
-        height = _heights(ddg, weights, ii)
-    except SchedulingError:
+) -> Optional[Dict[int, int]]:
+    """Start time of every op, in final placement order, or ``None`` when
+    the placement budget runs out."""
+    height = _heights(ddg, weights, ii)
+    if height is None:
         return None
 
-    preds: Dict[int, List[Tuple[int, int, int]]] = {v.iid: [] for v in ddg}
-    succs: Dict[int, List[Tuple[int, int, int]]] = {v.iid: [] for v in ddg}
-    for src, dst, lat, d in weights:
-        preds[dst].append((src, lat, d))
-        succs[src].append((dst, lat, d))
-
+    node = ddg.node
     table = ReservationTable(machine, ii)
-    placed: Dict[int, ScheduledOp] = {}
+    placed: Dict[int, int] = {}  # iid -> time
     last_time: Dict[int, int] = {}  # previous placement, for retry floor
     budget = BUDGET_FACTOR * max(1, len(ddg))
 
-    pending: Set[int] = {v.iid for v in ddg}
-
-    def pick_next() -> int:
-        return max(pending, key=lambda iid: (height[iid], -iid))
-
-    def earliest_start(iid: int) -> int:
-        start = 0
-        for src, lat, d in preds[iid]:
-            if src in placed:
-                start = max(start, placed[src].time + lat - ii * d)
-        return start
+    # Highest first, ties to the lower iid; the keys are unique, so the
+    # heap pops what max() over the pending set would pick.
+    pending = [(-h, iid) for iid, h in height.items()]
+    heapify(pending)
 
     def eject(iid: int) -> None:
-        op = placed.pop(iid)
-        table.remove(ddg.node(iid), op.cluster, op.time)
-        pending.add(iid)
+        table.remove(node(iid), assignment[iid], placed.pop(iid))
+        heappush(pending, (-height[iid], iid))
 
     while pending:
         if budget <= 0:
             return None
         budget -= 1
-        iid = pick_next()
-        pending.discard(iid)
-        instr = ddg.node(iid)
+        iid = heappop(pending)[1]
+        instr = node(iid)
         cluster = assignment[iid]
 
-        start = earliest_start(iid)
+        start = 0
+        for src, lat, d in preds[iid]:
+            time = placed.get(src)
+            if time is not None and time + lat - ii * d > start:
+                start = time + lat - ii * d
         floor = last_time.get(iid)
         if floor is not None and floor + 1 > start:
             start = floor + 1
@@ -158,29 +183,21 @@ def _try_ii(
                 eject(victim)
 
         table.place(instr, cluster, chosen)
-        placed[iid] = ScheduledOp(iid=iid, cluster=cluster, time=chosen)
+        placed[iid] = chosen
         last_time[iid] = chosen
 
         # Eject successors whose dependence the new placement violates.
+        # Predecessors placed later in time are caught when they are
+        # (re)placed: this op is then one of *their* successors.
         for dst, lat, d in succs[iid]:
-            if dst in placed and dst != iid:
-                if placed[dst].time < chosen + lat - ii * d:
+            if dst != iid:
+                time = placed.get(dst)
+                if time is not None and time < chosen + lat - ii * d:
                     eject(dst)
-        # Predecessor constraints were honoured via earliest_start for the
-        # scheduled ones; unscheduled predecessors will see this node when
-        # their own earliest_start is computed... but a predecessor placed
-        # *later* in time is fine only if its edge allows it — handled when
-        # the predecessor is (re)placed, by ejecting ITS violated
-        # successors, which includes this node.
 
-    # Normalize: shift so the earliest op starts at time 0 (keeps slot
-    # structure: shifting by a multiple of II only; otherwise keep as is).
-    min_time = min(op.time for op in placed.values())
-    if min_time:
-        shift = (min_time // ii) * ii
-        if shift:
-            placed = {
-                iid: ScheduledOp(op.iid, op.cluster, op.time - shift)
-                for iid, op in placed.items()
-            }
+    # Normalize: shift by a whole number of IIs (keeping every op's slot)
+    # so the earliest op starts in stage 0.
+    shift = (min(placed.values()) // ii) * ii
+    if shift:
+        placed = {iid: time - shift for iid, time in placed.items()}
     return placed

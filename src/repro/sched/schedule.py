@@ -77,12 +77,25 @@ class ScheduledOp:
         return self.time // ii
 
 
+#: Functional-unit classes in reservation-table row order.
+_KINDS = tuple(FuKind)
+_KIND_ROW = {kind: row for row, kind in enumerate(_KINDS)}
+#: Row marker for COPY operations, which hold a register bus instead.
+_BUS = -1
+
+
 class ReservationTable:
     """Modulo reservation table for one candidate II.
 
-    Tracks, per modulo slot, which operation occupies each functional unit
-    and each register bus.  ``place``/``remove`` keep the table consistent
-    under the iterative scheduler's eject-and-retry policy.
+    Functional units: each (cluster, unit class, slot) cell lists the
+    operations holding its units, in a dict keyed by one int.  Register
+    buses: one occupancy bitmask over the II slots per bus; a COPY issued
+    in slot ``s`` needs the precomputed window mask of slots
+    ``s .. s + latency - 1`` (mod II) clear on some bus, and takes the
+    first such bus.  Each instruction's unit class is resolved once per
+    table, by iid, so the hot path hashes no enum.  ``place``/``remove``
+    keep the table consistent under the iterative scheduler's
+    eject-and-retry policy.
     """
 
     def __init__(self, machine: MachineConfig, ii: int) -> None:
@@ -90,85 +103,105 @@ class ReservationTable:
             raise SchedulingError(f"II must be >= 1, got {ii}")
         self.machine = machine
         self.ii = ii
-        # (cluster, fu_kind, slot) -> list of iids (len <= units)
-        self._fu: Dict[Tuple[int, FuKind, int], List[int]] = {}
-        # (bus_index, slot) -> iid
-        self._bus: Dict[Tuple[int, int], int] = {}
-        # iid -> bus index (for removal)
-        self._bus_of: Dict[int, int] = {}
+        self._units = [machine.fu_per_cluster.get(kind, 0) for kind in _KINDS]
+        # iid -> row in _KINDS, or _BUS
+        self._row: Dict[int, int] = {}
+        # (cluster * len(_KINDS) + row) * ii + slot -> iids (len <= units)
+        self._fu: Dict[int, List[int]] = {}
+        self._latency = latency = machine.register_buses.latency
+        span = (1 << min(latency, ii)) - 1
+        full = (1 << ii) - 1
+        self._window = [
+            ((span << slot) | (span << slot >> ii)) & full
+            for slot in range(ii)
+        ]
+        self._busy = [0] * machine.register_buses.count
+        # iid -> (bus, issue slot) of each placed COPY
+        self._bus_of: Dict[int, Tuple[int, int]] = {}
+        # slot -> iid holding bus 0 there (the transfers a forced COPY
+        # evicts)
+        self._first_bus: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _fu_free(self, instr: Instruction, cluster: int, slot: int) -> bool:
-        kind = instr.fu_kind
-        assert kind is not None
-        units = self.machine.fu_per_cluster.get(kind, 0)
-        if units == 0:
-            return False
-        taken = self._fu.get((cluster, kind, slot), [])
-        return len(taken) < units
+    def _row_of(self, instr: Instruction) -> int:
+        row = self._row.get(instr.iid)
+        if row is None:
+            row = _BUS if instr.is_copy else _KIND_ROW[instr.fu_kind]
+            self._row[instr.iid] = row
+        return row
 
-    def _bus_slots(self, slot: int) -> List[int]:
-        return [
-            (slot + k) % self.ii for k in range(self.machine.register_buses.latency)
-        ]
+    def _cell(self, cluster: int, row: int, slot: int) -> int:
+        return (cluster * len(_KINDS) + row) * self.ii + slot
+
+    def _window_slots(self, slot: int) -> List[int]:
+        return [(slot + k) % self.ii for k in range(self._latency)]
 
     def _find_free_bus(self, slot: int) -> Optional[int]:
-        for bus in range(self.machine.register_buses.count):
-            if all((bus, s) not in self._bus for s in self._bus_slots(slot)):
+        window = self._window[slot]
+        for bus, busy in enumerate(self._busy):
+            if not busy & window:
                 return bus
         return None
 
     # ------------------------------------------------------------------
     def fits(self, instr: Instruction, cluster: int, time: int) -> bool:
         slot = time % self.ii
-        if instr.is_copy:
+        row = self._row_of(instr)
+        if row == _BUS:
             return self._find_free_bus(slot) is not None
-        return self._fu_free(instr, cluster, slot)
+        taken = self._fu.get(self._cell(cluster, row, slot))
+        return (len(taken) if taken else 0) < self._units[row]
 
     def place(self, instr: Instruction, cluster: int, time: int) -> None:
         slot = time % self.ii
-        if instr.is_copy:
+        row = self._row_of(instr)
+        if row == _BUS:
             bus = self._find_free_bus(slot)
             if bus is None:
                 raise SchedulingError(
                     f"no register bus free at slot {slot} for {instr.label}"
                 )
-            for s in self._bus_slots(slot):
-                self._bus[(bus, s)] = instr.iid
-            self._bus_of[instr.iid] = bus
+            self._busy[bus] |= self._window[slot]
+            self._bus_of[instr.iid] = (bus, slot)
+            if bus == 0:
+                for s in self._window_slots(slot):
+                    self._first_bus[s] = instr.iid
             return
-        kind = instr.fu_kind
-        if not self._fu_free(instr, cluster, slot):
+        taken = self._fu.setdefault(self._cell(cluster, row, slot), [])
+        if len(taken) >= self._units[row]:
             raise SchedulingError(
-                f"{kind} unit busy in cluster {cluster} slot {slot} "
+                f"{_KINDS[row]} unit busy in cluster {cluster} slot {slot} "
                 f"for {instr.label}"
             )
-        self._fu.setdefault((cluster, kind, slot), []).append(instr.iid)
+        taken.append(instr.iid)
 
     def remove(self, instr: Instruction, cluster: int, time: int) -> None:
-        slot = time % self.ii
-        if instr.is_copy:
-            bus = self._bus_of.pop(instr.iid)
-            for s in self._bus_slots(slot):
-                if self._bus.get((bus, s)) == instr.iid:
-                    del self._bus[(bus, s)]
+        """Undo the ``place`` of ``instr`` at this cluster and time."""
+        row = self._row_of(instr)
+        if row == _BUS:
+            bus, slot = self._bus_of.pop(instr.iid)
+            self._busy[bus] &= ~self._window[slot]
+            if bus == 0:
+                for s in self._window_slots(slot):
+                    self._first_bus.pop(s, None)
             return
-        self._fu[(cluster, instr.fu_kind, slot)].remove(instr.iid)
+        self._fu[self._cell(cluster, row, time % self.ii)].remove(instr.iid)
 
     def conflicting_ops(
         self, instr: Instruction, cluster: int, time: int
     ) -> List[int]:
         """Operations that must be ejected to place ``instr`` here."""
         slot = time % self.ii
-        if instr.is_copy:
+        row = self._row_of(instr)
+        if row == _BUS:
             # Eject every transfer overlapping the first bus's window.
-            victims = []
-            for s in self._bus_slots(slot):
-                owner = self._bus.get((0, s))
+            victims: List[int] = []
+            for s in self._window_slots(slot):
+                owner = self._first_bus.get(s)
                 if owner is not None and owner not in victims:
                     victims.append(owner)
             return victims
-        return list(self._fu.get((cluster, instr.fu_kind, slot), []))
+        return list(self._fu.get(self._cell(cluster, row, slot), ()))
 
 
 @dataclass

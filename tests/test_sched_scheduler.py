@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alias import MemRef
-from repro.arch import BASELINE_CONFIG, FuKind, MachineConfig
+from repro.arch import BASELINE_CONFIG
 from repro.errors import SchedulingError
 from repro.ir import Ddg, DdgBuilder, DepKind, Opcode
 from repro.sched.cluster import ClusterAssignment, HeuristicKind
@@ -196,3 +196,116 @@ class TestModuloScheduler:
         sched.ops[load.iid] = ScheduledOp(load.iid, 0, -100)
         with pytest.raises(SchedulingError):
             sched.validate()
+
+
+class TestLadderBound:
+    """``max_ii`` caps the II window; the latency ladder caps it at the
+    base II, the only II it accepts."""
+
+    @pytest.fixture(scope="class")
+    def stencil(self):
+        """The schedule stage's input for a DDGT stencil whose base II
+        and one pessimistic level each fail at their first II."""
+        from unittest import mock
+
+        from repro.scenarios import ScenarioParams, build_scenario_ddg
+        from repro.sched import stages
+
+        captured = []
+
+        def capture(work, machine, assignment):
+            captured.append((work.clone(), machine, assignment))
+            return stages.schedule_with_latency_policy(work, machine,
+                                                       assignment)
+
+        with mock.patch.object(stages, "run_schedule", capture):
+            stages.compile_loop(
+                build_scenario_ddg(ScenarioParams(
+                    family="stencil", size=8, recurrence=0, seed=3)),
+                BASELINE_CONFIG, coherence=stages.CoherenceMode.DDGT,
+                heuristic=HeuristicKind.MINCOMS,
+            )
+        (inputs,) = captured
+        return inputs
+
+    def test_never_returns_an_ii_above_max_ii(self, stencil):
+        ddg, machine, assignment = stencil
+        floor = assignment_res_mii(ddg, machine, assignment)
+        free = modulo_schedule(ddg, machine, assignment, min_ii=floor)
+        lower = max(floor, minimum_ii(ddg, machine))
+        assert free.ii > lower  # the uncapped search went past its start
+        for k in range(lower, free.ii + 3):
+            if k < free.ii:
+                with pytest.raises(SchedulingError,
+                                   match=rf"II in \[{lower}, {k}\]"):
+                    modulo_schedule(ddg, machine, assignment,
+                                    min_ii=floor, max_ii=k)
+            else:
+                capped = modulo_schedule(ddg, machine, assignment,
+                                         min_ii=floor, max_ii=k)
+                assert capped.ii == free.ii <= k
+                assert capped.ops == free.ops
+
+    @pytest.mark.parametrize("min_ii, max_ii, window", [
+        (None, 3, r"II in \[1, 3\]"),  # below the recurrence bound
+        (6, 5, r"II in \[6, 5\]"),  # below the requested floor
+    ])
+    def test_window_below_minimum_ii_raises(self, min_ii, max_ii, window):
+        # acc = fmul(acc@1): RecMII 4.
+        b = DdgBuilder()
+        b.fmul("acc", b.carried("acc", 1))
+        ddg = b.build()
+        with pytest.raises(SchedulingError, match=window):
+            modulo_schedule(ddg, BASELINE_CONFIG,
+                            ClusterAssignment({v.iid: 0 for v in ddg}),
+                            min_ii=min_ii, max_ii=max_ii)
+
+    def test_partial_recurrence_matches_whole_graph_reference(self):
+        """Two cycles, one through a load; a tail hanging off them, a
+        self loop, and a carried edge between acyclic ops add edges no
+        recurrence uses."""
+        import sched_reference as reference
+
+        b = DdgBuilder()
+        b.ialu("a", b.carried("c", 2), name="a")
+        b.fmul("c", "a", name="c")
+        b.load("x", b.carried("y", 1), mem=MemRef("A"), name="x")
+        b.ialu("y", "x", "c", name="y")
+        b.falu("z", "y", b.carried("x", 1), name="z")
+        b.ialu("w", b.carried("w", 3), "z", name="w")
+        b.ialu("u", name="u")
+        b.ialu("v", b.carried("u", 1), name="v")
+        ddg = b.build()
+        load = next(v.iid for v in ddg if v.name == "x")
+        for latency in (1, 5, 40, 200):
+            assumed = {load: latency}
+            assert rec_mii(ddg, BASELINE_CONFIG, assumed) == \
+                reference.rec_mii(ddg, BASELINE_CONFIG, assumed) == \
+                max(3, latency + 1)
+            assert minimum_ii(ddg, BASELINE_CONFIG, assumed) == \
+                reference.minimum_ii(ddg, BASELINE_CONFIG, assumed)
+
+    def test_pessimistic_levels_try_at_most_one_ii(self, stencil,
+                                                   monkeypatch):
+        """Counted ``_try_ii`` calls per ``modulo_schedule`` call of the
+        ladder: uncapped, the failing level went on to the next II and
+        the ladder discarded what it found there."""
+        from repro.sched import latency, modulo
+
+        tries = []
+        try_ii, schedule = modulo._try_ii, latency.modulo_schedule
+
+        def counting_try(*args, **kwargs):
+            tries[-1] += 1
+            return try_ii(*args, **kwargs)
+
+        def counting_schedule(*args, **kwargs):
+            tries.append(0)
+            return schedule(*args, **kwargs)
+
+        monkeypatch.setattr(modulo, "_try_ii", counting_try)
+        monkeypatch.setattr(latency, "modulo_schedule", counting_schedule)
+        latency.schedule_with_latency_policy(*stencil)
+        assert len(tries) == 4  # the base schedule and three levels
+        assert tries[0] > 1  # the base search is not capped
+        assert max(tries[1:]) <= 1
