@@ -8,7 +8,9 @@ six variants, so per-variant recompilation does 6× redundant front-end
 work.  This bench runs the cross both ways and asserts the
 content-addressed :class:`~repro.api.artifacts.ArtifactStore` removes at
 least half of it (stage executions are counted exactly; wall time is
-reported alongside).  Wired into the CI smoke step.
+reported alongside), and that the shared sweep keeps one artifact entry
+per loop: one put per (benchmark, loop), one lookup per (spec, loop).
+Wired into the CI smoke step.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from repro.api import (
     Plan,
     Runner,
 )
+from repro.api.artifacts import artifact_stats, reset_artifact_stats
 from repro.sched.stages import (
     FRONTEND_STAGES,
     reset_stage_counters,
     stage_counters,
 )
+from repro.workloads import get_benchmark
 
 SUBSET = ("gsmdec", "g721dec", "rasta")
 SCALE = 0.1
@@ -50,14 +54,18 @@ class _NullArtifacts:
 
 def _sweep(artifacts) -> dict:
     reset_stage_counters()
+    reset_artifact_stats()
     Runner(store=MemoryStore(), artifacts=artifacts).run(
         variant_cross_plan()
     )
     counters = stage_counters()
+    stats = artifact_stats()
     return {
         "frontend_execs": counters.frontend_executions(),
         "frontend_seconds": counters.frontend_seconds(),
         "per_stage": dict(counters.executed),
+        "artifact_puts": stats.puts,
+        "artifact_lookups": stats.lookups,
     }
 
 
@@ -74,6 +82,10 @@ def test_shared_frontend_beats_per_variant_recompilation(benchmark):
           f"shared {shared['frontend_execs']} | {reduction:.1f}x reduction")
     print(f"front-end seconds: cold {cold['frontend_seconds']:.3f}s | "
           f"shared {shared['frontend_seconds']:.3f}s")
+    loops = sum(len(get_benchmark(name).loops) for name in SUBSET)
+    print(f"shared artifacts: {shared['artifact_puts']} puts for {loops} "
+          f"loops | {shared['artifact_lookups']} lookups for "
+          f"{loops * len(ALL_VARIANTS)} (spec, loop) compiles")
 
     # Every spec recompiles the front end cold: one execution of each
     # front-end stage per (benchmark, loop, variant).
@@ -89,3 +101,6 @@ def test_shared_frontend_beats_per_variant_recompilation(benchmark):
     for stage in FRONTEND_STAGES:
         assert cold["per_stage"][stage] == \
             shared["per_stage"][stage] * per_variant, stage
+    # The whole front end of a loop is one artifact entry.
+    assert shared["artifact_puts"] == loops
+    assert shared["artifact_lookups"] == loops * per_variant

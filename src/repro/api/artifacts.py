@@ -2,13 +2,13 @@
 
 One layer below the :class:`~repro.api.store.ResultStore`: where the
 result store caches a *finished* ``RunRecord`` per spec hash, the
-artifact store caches the intermediate products of the compilation
-pipeline's front-end stages (unrolled graphs, disambiguated graphs,
-preferred-cluster profiles), keyed by the content hashes
-:mod:`repro.sched.stages` derives.  The paper's 6-way
-coherence × heuristic cross shares those stages verbatim, so a
-differential sweep that would re-run the front end six times per loop
-hits warm artifacts five times instead.
+artifact store caches the compilation pipeline's front end — one entry
+per loop holding its unrolled, disambiguated graph, unroll factor and
+preferred-cluster profiles — keyed by
+:func:`repro.sched.stages.frontend_artifact_key`.  The paper's 6-way
+coherence × heuristic cross shares that front end verbatim, so a
+differential sweep that would run it six times per loop hits the warm
+entry five times instead.
 
 Two implementations:
 
@@ -22,14 +22,14 @@ Two implementations:
 
 Both return callers a *fresh* decode of the stored JSON on every get, so
 a pipeline mutating the graph it built from an artifact can never poison
-the cache.  Process-wide hit/miss counters feed the ``repro cache
+the cache.  Process-wide hit/miss/put counters feed the ``repro cache
 artifacts`` CLI verb and the stage benchmarks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
@@ -56,8 +56,8 @@ class ArtifactStats:
 
     Since the `repro.obs` migration this is a *snapshot view* built by
     :func:`artifact_stats` from the process metrics registry
-    (``artifacts.lookups`` labeled by stage and outcome,
-    ``artifacts.puts``) — fetch it after the work you want to measure.
+    (``artifacts.lookups`` labeled by outcome, ``artifacts.puts``) —
+    fetch it after the work you want to measure.
     Because the runner merges each pool worker's metric deltas back into
     the parent registry, the view now covers ``parallel>1`` runs too.
     """
@@ -65,8 +65,6 @@ class ArtifactStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    #: per stage-name breakdown, ``{"unroll": [hits, misses], ...}``
-    by_stage: Dict[str, list] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -77,21 +75,12 @@ class ArtifactStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def _record_lookup(key: str, hit: bool) -> None:
-    metrics.inc("artifacts.lookups", stage=key.split("-", 1)[0],
-                outcome="hit" if hit else "miss")
-
-
 def artifact_stats() -> ArtifactStats:
     """Current artifact counters, read out of the metrics registry."""
     stats = ArtifactStats()
     reg = metrics.registry()
     for labels, value in reg.counter_items("artifacts.lookups"):
-        stage = labels.get("stage", "")
-        hit = labels.get("outcome") == "hit"
-        cell = stats.by_stage.setdefault(stage, [0, 0])
-        cell[0 if hit else 1] += int(value)
-        if hit:
+        if labels.get("outcome") == "hit":
             stats.hits += int(value)
         else:
             stats.misses += int(value)
@@ -118,7 +107,8 @@ class ArtifactStore:
     def get(self, key: str) -> Optional[dict]:
         with trace.span("artifact.get", cat="artifact", key=key):
             text = self._get(key)
-        _record_lookup(key, hit=text is not None)
+        metrics.inc("artifacts.lookups",
+                    outcome="miss" if text is None else "hit")
         if text is None:
             return None
         return json.loads(text)
@@ -185,7 +175,7 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
     like the record store.
 
     Payload text is memoized in-process after the first read, so a sweep
-    re-deriving the same stage key pays the disk read once.
+    re-deriving the same key pays the disk read once.
     """
 
     PAYLOAD_FIELD = "artifact"
@@ -209,7 +199,13 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
         return text
 
     def _put(self, key: str, text: str) -> None:
-        self.put_payload(key, json.loads(text))
+        # The payload is canonical JSON already: splice it into the
+        # envelope instead of decoding it only to encode it again.
+        envelope = '{"%s":%s,"key":%s,"version":%s}' % (
+            self.PAYLOAD_FIELD, text, json.dumps(key),
+            json.dumps(self.version),
+        )
+        self._put_envelope(key, envelope)
         self._memo[key] = text
 
     def clear(self) -> int:

@@ -878,9 +878,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if stats.lookups:
             print(f"hit rate     : {stats.hits}/{stats.lookups} "
                   f"({stats.hit_rate:.1%}) since process start")
-            for stage in sorted(stats.by_stage):
-                hits, misses = stats.by_stage[stage]
-                print(f"  {stage:13s}: {hits} hits / {misses} misses")
         else:
             # Counters are per-process: a standalone `repro cache
             # artifacts` invocation has not looked anything up yet.

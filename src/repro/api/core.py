@@ -154,7 +154,7 @@ def _run_loop(
     profile_seed, execute_seed = seeds or (bench.profile_seed,
                                            bench.execute_seed)
     # One frozen, keyed spec per (iterations, seed): its key is what lets
-    # the profile stage hit the artifact store across the variant cross.
+    # the front end hit the artifact store across the variant cross.
     profile = cached_trace_spec(PROFILE_ITERATIONS, seed=profile_seed)
     with trace.span(f"compile:{spec.name}", cat="compile"):
         compiled = compile_loop(

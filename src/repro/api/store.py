@@ -179,30 +179,33 @@ class JsonFileStore:
             return payload
 
     def put_payload(self, key: str, payload) -> None:
-        with metrics.registry().time_block("store.write_seconds",
-                                           kind=self.PAYLOAD_FIELD):
-            self._put_payload(key, payload)
-
-    def _put_payload(self, key: str, payload) -> None:
-        target = self.entry_path(key)
-        target.parent.mkdir(parents=True, exist_ok=True)
         envelope = {
             "version": self.version,
             "key": key,
             self.PAYLOAD_FIELD: payload,
         }
-        fd, tmp = tempfile.mkstemp(dir=str(target.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(envelope, handle, sort_keys=True)
-            os.replace(tmp, target)
-        except BaseException:
+        self._put_envelope(key, json.dumps(envelope, sort_keys=True))
+
+    def _put_envelope(self, key: str, text: str) -> None:
+        """Atomically write ``key``'s entry: an envelope already encoded
+        as JSON text (``version``, ``key`` and the payload field)."""
+        with metrics.registry().time_block("store.write_seconds",
+                                           kind=self.PAYLOAD_FIELD):
+            target = self.entry_path(key)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=str(target.parent),
+                                       suffix=".tmp")
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._index_invalidate(target)
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text)
+                os.replace(tmp, target)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+            self._index_invalidate(target)
 
     def _read_payload(self, path: Path):
         """Read + parse one entry, retrying transient failures.

@@ -191,7 +191,7 @@ class MachineConfig:
 
         Distinguishes configurations that share a ``name`` but differ
         structurally; the building block of spec cache keys
-        (:mod:`repro.api.spec`) and compilation stage keys
+        (:mod:`repro.api.spec`) and the front-end artifact key
         (:mod:`repro.sched.stages`).
         """
         from repro.hashing import digest

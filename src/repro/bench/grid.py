@@ -49,7 +49,7 @@ from repro.api.store import MemoryStore
 from repro.errors import WorkloadError
 from repro.hashing import digest
 from repro.obs import metrics, trace
-from repro.sched.stages import FRONTEND_STAGES
+from repro.sched.stages import stage_counters
 
 #: Trajectory files are ``BENCH_<grid name>.json`` at the output root.
 BENCH_FILE_PREFIX = "BENCH_"
@@ -201,15 +201,6 @@ def _records_digest(records: Sequence[RunRecord]) -> str:
     return digest([r.to_dict() for r in records])
 
 
-def _frontend_seconds_now() -> float:
-    reg = metrics.registry()
-    total = 0.0
-    for labels, value in reg.counter_items("stages.seconds"):
-        if labels.get("stage") in FRONTEND_STAGES:
-            total += value
-    return total
-
-
 def run_series(series: GridSeries, repeat: int) -> Dict[str, Any]:
     """Execute one series ``repeat`` times cold; median-walled result."""
     if series.surrogate is not None:
@@ -224,12 +215,12 @@ def run_series(series: GridSeries, repeat: int) -> Dict[str, Any]:
         # cost the series claims to measure.
         runner = Runner(store=MemoryStore(),
                         artifacts=MemoryArtifactStore())
-        frontend_before = _frontend_seconds_now()
+        frontend_before = stage_counters().frontend_seconds()
         start = time.perf_counter()
         with trace.span(f"bench:{series.key}", cat="bench"):
             records = runner.run(plan)
         walls.append(time.perf_counter() - start)
-        frontend = _frontend_seconds_now() - frontend_before
+        frontend = stage_counters().frontend_seconds() - frontend_before
     wall = statistics.median(walls)
     total_cycles = 0
     issued_ops = 0
@@ -292,7 +283,7 @@ def _run_series_surrogate(series: GridSeries, repeat: int) -> Dict[str, Any]:
     for _ in range(repeat):
         runner = Runner(store=MemoryStore(),
                         artifacts=MemoryArtifactStore())
-        frontend_before = _frontend_seconds_now()
+        frontend_before = stage_counters().frontend_seconds()
         start = time.perf_counter()
         with trace.span(f"bench:{series.key}", cat="bench"):
             train_records = runner.run(train_plan)
@@ -303,7 +294,7 @@ def _run_series_surrogate(series: GridSeries, repeat: int) -> Dict[str, Any]:
             )
             records = runner.run(Plan(tuple(selection.chosen)))
         walls.append(time.perf_counter() - start)
-        frontend = _frontend_seconds_now() - frontend_before
+        frontend = stage_counters().frontend_seconds() - frontend_before
         chosen = len(selection.chosen)
     wall = statistics.median(walls)
     total_cycles = 0

@@ -2,8 +2,8 @@
 
 The single digest discipline behind every content-addressed key in the
 package: spec cache keys (:mod:`repro.api.spec`), machine fingerprints
-(:meth:`repro.arch.config.MachineConfig.fingerprint`) and compilation
-stage/artifact keys (:mod:`repro.sched.stages`).  Payloads are reduced to
+(:meth:`repro.arch.config.MachineConfig.fingerprint`) and the
+front-end artifact key (:mod:`repro.sched.stages`).  Payloads are reduced to
 canonical JSON (dataclasses to field dicts, enums to values, dict keys
 sorted) and hashed with SHA-256, so two processes — or two interpreter
 versions — always agree on the key for the same work.

@@ -12,11 +12,9 @@ through an artifact store (see ``docs/architecture.md``).
 from repro.sched.schedule import Schedule, ScheduledOp, edge_latency
 from repro.sched.stages import (
     FRONTEND_STAGES,
-    PIPELINE_STAGES,
     CoherenceMode,
     CompilationResult,
     Heuristic,
-    StageDef,
     compile_loop,
     reset_stage_counters,
     stage_counters,
@@ -44,8 +42,6 @@ __all__ = [
     "CoherenceMode",
     "FRONTEND_STAGES",
     "Heuristic",
-    "PIPELINE_STAGES",
-    "StageDef",
     "compile_loop",
     "reset_stage_counters",
     "stage_counters",

@@ -1,24 +1,22 @@
 """The staged compilation pipeline and its front door, :func:`compile_loop`.
 
-Compilation runs the paper's phases as explicit, named *stages* with
-declared inputs and outputs:
+Compilation runs the paper's phases as explicit, named *stages*:
 
     unroll -> disambiguate -> profile -> coherence -> assign -> copies
            -> schedule -> postpass
 
 The first three — the **front end** — depend only on the source graph,
 the machine, and the profile trace; they are *identical* across the
-paper's 6-way coherence × heuristic variant cross.  Each front-end stage
-derives a content-hash key (chained, Nix-style: a stage key digests its
-parent's key plus the parameters that actually reach the stage) and
-stores its output in a pluggable artifact store, so sibling variants —
-and later processes, via the on-disk store — reuse the front end instead
-of recomputing it.
+paper's 6-way coherence × heuristic variant cross.  Their combined
+output is one artifact per loop: :func:`frontend_artifact_key` digests
+every input that reaches them, and the payload (the disambiguated
+graph, the unroll factor and the profiles) lives in a pluggable
+artifact store, so sibling variants — and later processes, via the
+on-disk store — replay the front end instead of recomputing it.
 
 The **back end** (coherence, assign, copies, schedule, postpass) is
 variant-specific and mutates its working graph, so it always executes;
-its stages are still named and keyed for instrumentation, but not
-persisted.
+its stages are named for instrumentation, but not persisted.
 
 Artifact stores are duck-typed (``get(key) -> dict | None`` /
 ``put(key, dict)``): the real implementations live one layer up in
@@ -81,52 +79,9 @@ class CoherenceMode(enum.Enum):
 Heuristic = HeuristicKind
 
 
-# ----------------------------------------------------------------------
-# Stage declarations
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StageDef:
-    """One named pipeline stage with its declared dataflow."""
-
-    name: str
-    inputs: Tuple[str, ...]
-    outputs: Tuple[str, ...]
-    #: Front-end stages are variant-independent and artifact-cacheable.
-    cacheable: bool = False
-
-
-#: The pipeline, in execution order.  ``inputs``/``outputs`` name the
-#: values flowing between stages (``ddg`` is the working graph).
-PIPELINE_STAGES: Tuple[StageDef, ...] = (
-    StageDef("unroll", ("source", "machine", "unroll_factor"),
-             ("ddg", "unroll_factor"), cacheable=True),
-    StageDef("disambiguate", ("ddg", "add_mem_deps"), ("ddg",),
-             cacheable=True),
-    StageDef("profile", ("ddg", "machine", "trace"), ("profiles",),
-             cacheable=True),
-    StageDef("coherence", ("ddg", "machine", "coherence", "profiles"),
-             ("ddg", "mdc", "ddgt")),
-    StageDef("assign", ("ddg", "machine", "heuristic", "profiles", "mdc"),
-             ("assignment",)),
-    StageDef("copies", ("ddg", "machine", "assignment"), ("copies",)),
-    StageDef("schedule", ("ddg", "machine", "assignment"), ("schedule",)),
-    StageDef("postpass",
-             ("ddg", "machine", "assignment", "schedule", "profiles"),
-             ("assignment", "schedule")),
-    # Opt-in (``verify=True``): the independent static verifier of
-    # ``repro.check.schedule_lint`` re-derives every legality rule from
-    # the machine description and fails the compilation on any finding.
-    StageDef("verify",
-             ("ddg", "machine", "assignment", "schedule", "coherence"),
-             ()),
-)
-
-#: The variant-independent prefix shared by the whole variant cross.
-FRONTEND_STAGES: Tuple[str, ...] = tuple(
-    s.name for s in PIPELINE_STAGES if s.cacheable
-)
-
-STAGE_BY_NAME: Dict[str, StageDef] = {s.name: s for s in PIPELINE_STAGES}
+#: The variant-independent stages shared by the whole variant cross, in
+#: execution order; one artifact per loop holds their combined output.
+FRONTEND_STAGES: Tuple[str, ...] = ("unroll", "disambiguate", "profile")
 
 
 # ----------------------------------------------------------------------
@@ -203,65 +158,44 @@ class _timed:
 
 
 # ----------------------------------------------------------------------
-# Stage keys (chained content hashes)
+# The front-end artifact key
 # ----------------------------------------------------------------------
-def unroll_key(source: Ddg, machine: MachineConfig,
-               unroll_factor: Optional[int]) -> str:
-    """Key of the unroll stage: exact source snapshot, machine (the
-    locality heuristic reads cluster count and interleave), requested
-    factor.
+def frontend_artifact_key(
+    source: Ddg,
+    machine: MachineConfig,
+    unroll_factor: Optional[int],
+    add_mem_deps: bool,
+    trace_key: Optional[str],
+    profile_iterations: Optional[int],
+) -> str:
+    """Key of one loop's front-end artifact: every input that reaches
+    unrolling, disambiguation and profiling.
 
-    The digest covers :meth:`Ddg.to_dict` — not the canonicalizing
-    :meth:`Ddg.fingerprint` — because downstream passes are sensitive to
-    node/edge *iteration order*, which the fingerprint deliberately
-    ignores: two graphs with equal fingerprints but different insertion
-    orders may compile to different (equally valid) schedules, and must
-    therefore never share an artifact key.
+    The digest covers the source's exact :meth:`Ddg.to_dict` snapshot —
+    not the canonicalizing :meth:`Ddg.fingerprint` — because downstream
+    passes are sensitive to node/edge *iteration order*, which the
+    fingerprint deliberately ignores: two graphs with equal fingerprints
+    but different insertion orders may compile to different (equally
+    valid) schedules, and must therefore never share an artifact key.
+    The machine enters through its fingerprint (the locality heuristic
+    and profiling read cluster count and interleave).  ``trace_key``
+    names the profile trace's content (see
+    :class:`repro.workloads.traces.TraceSpec`); ``None`` means nothing
+    is profiled.
     """
-    return "unroll-" + digest([
-        source.to_dict(),
+    # Encoded directly: the snapshot is plain JSON already, and walking
+    # it through repro.hashing.jsonable costs several times as much for
+    # the same canonical text.
+    snapshot = json.dumps(source.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
+    return "frontend-" + digest([
+        snapshot,
         machine.fingerprint(),
         "auto" if unroll_factor is None else int(unroll_factor),
+        bool(add_mem_deps),
+        trace_key,
+        profile_iterations,
     ])
-
-
-def disambiguate_key(parent_key: str, add_mem_deps: bool) -> str:
-    return "disambiguate-" + digest([parent_key, bool(add_mem_deps)])
-
-
-def profile_key(parent_key: str, machine: MachineConfig, trace_key: str,
-                max_iterations: Optional[int]) -> str:
-    """Key of the profiling stage.  ``trace_key`` identifies the profile
-    trace's content (iterations, seed, padding) — see
-    :class:`repro.workloads.traces.TraceSpec`."""
-    return "profile-" + digest([
-        parent_key, machine.fingerprint(), trace_key, max_iterations,
-    ])
-
-
-# ----------------------------------------------------------------------
-# Artifact payload codecs
-# ----------------------------------------------------------------------
-def _replayed(ddg_payload) -> Ddg:
-    """Decode a graph payload exactly as a warm store hit would.
-
-    Run on freshly-computed graphs *before* they reach the back end, so
-    cold (computed, then stored) and warm (replayed) compilations hand
-    the variant-specific stages byte-identical inputs by construction.
-    """
-    return Ddg.from_dict(json.loads(json.dumps(ddg_payload)))
-
-
-def _profiles_to_payload(
-    profiles: Dict[int, ClusterProfile]
-) -> List[List[object]]:
-    return [[iid, list(p.counts)] for iid, p in profiles.items()]
-
-
-def _profiles_from_payload(payload) -> Dict[int, ClusterProfile]:
-    return {
-        int(iid): ClusterProfile(tuple(counts)) for iid, counts in payload
-    }
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +334,30 @@ class CompilationResult:
         return self.schedule.ii
 
 
+def _run_frontend(
+    ddg: Ddg,
+    machine: MachineConfig,
+    trace_factory: Optional[Callable[[Ddg], TraceLike]],
+    unroll_factor: Optional[int],
+    add_mem_deps: bool,
+    profile_iterations: Optional[int],
+) -> Tuple[Ddg, int, Optional[Dict[int, ClusterProfile]]]:
+    """Compute the front end; profiling runs only with a trace factory."""
+    with _timed("unroll"):
+        work, factor = run_unroll(ddg, machine, unroll_factor)
+    with _timed("disambiguate"):
+        work = run_disambiguate(work, add_mem_deps)
+    with _timed("check"):
+        verify_ddg(work, machine)
+    profiles = None
+    if trace_factory is not None:
+        with _timed("profile"):
+            profiles = run_profile(
+                work, machine, trace_factory, profile_iterations
+            )
+    return work, factor, profiles
+
+
 def _frontend(
     ddg: Ddg,
     machine: MachineConfig,
@@ -413,77 +371,55 @@ def _frontend(
 ) -> Tuple[Ddg, int, Optional[Dict[int, ClusterProfile]]]:
     """Run (or replay) the variant-independent front end.
 
-    Verification runs only when a stage actually computes — a warm
-    artifact was verified by whoever produced it.
+    With a store the whole front end is one artifact: a hit replays it,
+    a miss computes it and puts it once.  Explicit ``profiles`` and a
+    trace factory without a ``key`` have no content key, so they bypass
+    the store.  Verification runs only when the front end computes — a
+    replayed artifact was verified by whoever produced it.
     """
-    # -- unroll --------------------------------------------------------
-    with trace.span("artifact.key", cat="artifact", stage="unroll"):
-        k_unroll = unroll_key(ddg, machine, unroll_factor)
-    cached = artifacts.get(k_unroll) if artifacts is not None else None
-    if cached is not None:
-        with trace.span("artifact.replay", cat="artifact", stage="unroll"):
-            work = Ddg.from_dict(cached["ddg"])
-        factor = cached["factor"]
-    else:
-        with _timed("unroll"):
-            work, factor = run_unroll(ddg, machine, unroll_factor)
-        if artifacts is not None:
-            with trace.span("artifact.record", cat="artifact",
-                            stage="unroll"):
-                payload = work.to_dict()
-                text = artifacts.put(k_unroll,
-                                     {"ddg": payload, "factor": factor})
-                work = (Ddg.from_dict(json.loads(text)["ddg"])
-                        if isinstance(text, str) else _replayed(payload))
+    if profiles is not None:
+        work, factor, _ = _run_frontend(ddg, machine, None, unroll_factor,
+                                        add_mem_deps, profile_iterations)
+        return work, factor, profiles
+    trace_key = getattr(trace_factory, "key", None)
+    if artifacts is None or (trace_factory is not None and trace_key is None):
+        return _run_frontend(ddg, machine, trace_factory, unroll_factor,
+                             add_mem_deps, profile_iterations)
 
-    # -- disambiguate --------------------------------------------------
-    with trace.span("artifact.key", cat="artifact",
-                    stage="disambiguate"):
-        k_disamb = disambiguate_key(k_unroll, add_mem_deps)
-    cached = artifacts.get(k_disamb) if artifacts is not None else None
-    if cached is not None:
-        with trace.span("artifact.replay", cat="artifact",
-                        stage="disambiguate"):
-            work = Ddg.from_dict(cached["ddg"])
-    else:
-        with _timed("disambiguate"):
-            work = run_disambiguate(work, add_mem_deps)
-        with _timed("check"):
-            verify_ddg(work, machine)
-        if artifacts is not None:
-            with trace.span("artifact.record", cat="artifact",
-                            stage="disambiguate"):
-                payload = work.to_dict()
-                text = artifacts.put(k_disamb, {"ddg": payload})
-                work = (Ddg.from_dict(json.loads(text)["ddg"])
-                        if isinstance(text, str) else _replayed(payload))
-
-    # -- profile -------------------------------------------------------
-    if profiles is None and trace_factory is not None:
-        trace_key = getattr(trace_factory, "key", None)
-        k_profile = (
-            profile_key(k_disamb, machine, trace_key, profile_iterations)
-            if trace_key is not None else None
+    with trace.span("artifact.key", cat="artifact"):
+        key = frontend_artifact_key(ddg, machine, unroll_factor,
+                                    add_mem_deps, trace_key,
+                                    profile_iterations)
+    payload = artifacts.get(key)
+    if payload is None:
+        work, factor, profiles = _run_frontend(
+            ddg, machine, trace_factory, unroll_factor, add_mem_deps,
+            profile_iterations,
         )
-        cached = (
-            artifacts.get(k_profile)
-            if artifacts is not None and k_profile is not None else None
-        )
-        if cached is not None:
-            with trace.span("artifact.replay", cat="artifact",
-                            stage="profile"):
-                profiles = _profiles_from_payload(cached["profiles"])
-        else:
-            with _timed("profile"):
-                profiles = run_profile(
-                    work, machine, trace_factory, profile_iterations
-                )
-            if artifacts is not None and k_profile is not None:
-                artifacts.put(
-                    k_profile,
-                    {"profiles": _profiles_to_payload(profiles)},
-                )
-    return work, factor, profiles
+        with trace.span("artifact.record", cat="artifact"):
+            payload = {
+                "ddg": work.to_dict(),
+                "factor": factor,
+                "profiles": None if profiles is None else [
+                    [iid, list(p.counts)] for iid, p in profiles.items()
+                ],
+            }
+            text = artifacts.put(key, payload)
+            # The back end gets exactly what a warm hit replays: a decode
+            # of the stored canonical text (or of a JSON round trip, for
+            # stores whose put returns nothing).
+            payload = json.loads(
+                text if isinstance(text, str) else json.dumps(payload)
+            )
+    with trace.span("artifact.replay", cat="artifact"):
+        work = Ddg.from_dict(payload["ddg"])
+        profiles = payload["profiles"]
+        if profiles is not None:
+            profiles = {
+                int(iid): ClusterProfile(tuple(counts))
+                for iid, counts in profiles
+            }
+    return work, payload["factor"], profiles
 
 
 def compile_loop(
@@ -509,9 +445,9 @@ def compile_loop(
         preferred-cluster profiling.  The workload catalog passes the
         *profile* data set here (Table 1 distinguishes profile and
         execution inputs).  Either this or ``profiles`` must be provided
-        for PrefClus.  When the factory carries a ``key`` attribute (see
-        :class:`repro.workloads.traces.TraceSpec`), profiling results are
-        artifact-cacheable.
+        for PrefClus.  Only a factory carrying a content ``key`` (see
+        :class:`repro.workloads.traces.TraceSpec`) lets the front end
+        use ``artifacts``.
     unroll_factor:
         ``None`` = automatic (the locality heuristic); 1 disables.
     add_mem_deps:
@@ -527,10 +463,14 @@ def compile_loop(
         completeness, memory-op placement under MDC/DDGT).
     artifacts:
         Optional artifact store (``get(key) -> dict | None`` /
-        ``put(key, dict)``).  Front-end stage outputs are replayed from —
-        and recorded into — the store, so the 6-way variant cross of one
-        loop shares unrolling, disambiguation and profiling.  ``None``
-        (the default) compiles from scratch.
+        ``put(key, dict)``).  The whole front end — unrolled and
+        disambiguated graph, unroll factor, profiles — is one entry
+        keyed by :func:`frontend_artifact_key`: one lookup per compile,
+        one put on a miss, so the 6-way variant cross of one loop
+        computes it once.  Explicit ``profiles=`` and a trace factory
+        without a ``key`` bypass the store (the front end then runs
+        uncached); the back end is never stored.  ``None`` (the default)
+        compiles from scratch.
     """
     work, factor, profiles = _frontend(
         ddg, machine,

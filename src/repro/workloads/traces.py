@@ -137,10 +137,12 @@ def trace_factory(
     """A factory suitable for :func:`repro.sched.stages.compile_loop`'s
     ``trace_factory`` argument and for building execution traces.
 
-    For the common keyable case (no explicit base map), prefer
+    The returned closure has no content key, so a compilation profiled
+    with it bypasses the artifact store and runs its whole front end
+    uncached.  For the common keyable case (no explicit base map), prefer
     :func:`cached_trace_spec` — its :class:`TraceSpec` carries a content
-    key, which is what lets the staged pipeline cache profiling results
-    in the artifact store.
+    key, which is what lets the staged pipeline store the front end
+    (unrolled graph, disambiguation and profiles) as one artifact.
     """
 
     def build(ddg: Ddg) -> AddressTrace:
@@ -160,12 +162,13 @@ class TraceSpec:
     """A declarative, *keyed* trace factory.
 
     Callable like the closures :func:`trace_factory` returns, but frozen
-    and content-addressable: :attr:`key` names the trace's content, so
-    the staged pipeline (:mod:`repro.sched.stages`) can cache profiling
-    results derived from it.  Explicit ``base_of`` maps are not
+    and content-addressable: :attr:`key` names the trace's content and
+    enters :func:`repro.sched.stages.frontend_artifact_key`, so the
+    staged pipeline can store a loop's whole front end — profiles
+    included — as one artifact.  Explicit ``base_of`` maps are not
     representable here — they have no canonical key; use
-    :func:`trace_factory` for those (profiling then simply isn't
-    artifact-cached).
+    :func:`trace_factory` for those (the front end then bypasses the
+    artifact store).
     """
 
     num_iterations: int
@@ -199,6 +202,6 @@ def cached_trace_spec(num_iterations: int, seed: int = 0,
     ``(PROFILE_ITERATIONS, profile_seed)`` pair; this returns the one
     frozen spec per distinct ``(iterations, seed, padded)`` triple
     instead, so trace identity is stable across the whole variant cross
-    (and the artifact layer above it caches the actual profiling work).
+    (and the artifact layer above it stores the front end it profiles).
     """
     return TraceSpec(num_iterations, seed, padded)

@@ -105,20 +105,18 @@ class TestDiskArtifactStore:
 
 
 class TestCounters:
-    def test_hit_miss_accounting_by_stage(self, tmp_path):
+    def test_hit_miss_accounting(self, tmp_path):
         store = DiskArtifactStore(tmp_path)
-        store.get("unroll-a")          # miss
-        store.put("unroll-a", PAYLOAD)
-        store.get("unroll-a")          # hit
-        store.get("profile-b")         # miss
+        store.get("frontend-a")        # miss
+        store.put("frontend-a", PAYLOAD)
+        store.get("frontend-a")        # hit
+        store.get("frontend-b")        # miss
         stats = artifact_stats()
         assert stats.hits == 1
         assert stats.misses == 2
         assert stats.puts == 1
         assert stats.lookups == 3
         assert stats.hit_rate == pytest.approx(1 / 3)
-        assert stats.by_stage["unroll"] == [1, 1]
-        assert stats.by_stage["profile"] == [0, 1]
 
     def test_counters_span_stores(self):
         a, b = MemoryArtifactStore(), MemoryArtifactStore()

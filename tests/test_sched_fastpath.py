@@ -13,8 +13,9 @@ whole :class:`~repro.sched.schedule.Schedule` the latency policy returns
   ``nobal+mem`` and a slow-memory machine whose pessimistic RecMII
   reaches the hundreds × the six variants;
 * over a derandomized hypothesis search of ``scn-`` knobs × ``gen-``
-  machines × variants through the ``repro run`` pipeline; a failure
-  names the ``repro run`` command that replays the cell;
+  machines × variants through the ``repro run`` pipeline, each cell
+  also checked by the independent schedule verifier; a failure names
+  the ``repro run`` command that replays the cell;
 * and, for the reservation table alone, over random
   ``place``/``remove``/``fits``/``conflicting_ops`` sequences on
   machines with several register buses.
@@ -22,6 +23,7 @@ whole :class:`~repro.sched.schedule.Schedule` the latency policy returns
 
 from __future__ import annotations
 
+import functools
 import warnings
 from unittest import mock
 
@@ -34,14 +36,14 @@ from repro.api import core
 from repro.api.artifacts import MemoryArtifactStore
 from repro.api.spec import ALL_VARIANTS, RunSpec
 from repro.arch.config import BusConfig, FuKind, MachineConfig, named_config
-from repro.errors import SchedulingError
+from repro.errors import CheckError, SchedulingError
 from repro.ir import Ddg, Opcode
 from repro.scenarios import FAMILIES, ScenarioParams, build_scenario_ddg
 from repro.scenarios.machines import machine_grid
 from repro.sched import CoherenceMode, Heuristic, compile_loop, mii, stages
 from repro.sched.latency import schedule_with_latency_policy
 from repro.sched.schedule import ReservationTable
-from repro.workloads import trace_factory
+from repro.workloads import cached_trace_spec
 
 import sched_reference as reference
 
@@ -131,7 +133,8 @@ def test_schedule_matches_reference(artifacts, machine, params, variant):
         compile_loop(
             build_scenario_ddg(params), named_config(machine),
             coherence=variant.coherence, heuristic=variant.heuristic,
-            trace_factory=trace_factory(64, seed=5), profile_iterations=64,
+            trace_factory=cached_trace_spec(64, seed=5),
+            profile_iterations=64,
             artifacts=artifacts(params, machine),
         )
     assert not mismatches, mismatches[0]
@@ -192,17 +195,26 @@ def cells(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(cells())
 def test_fuzzed_cells_match_reference(spec):
+    """Every fuzzed cell also passes the independent schedule verifier
+    (``compile_loop(verify=True)``)."""
+    replay = (
+        f"replay the cell with: repro run {spec.benchmark} "
+        f"-v {spec.variant} --machine {spec.machine} --scale {spec.scale:g}"
+    )
+    verified = functools.partial(compile_loop, verify=True)
     mismatches = []
     with mock.patch.object(stages, "run_schedule",
                            differential(mismatches)), \
+            mock.patch.object(core, "compile_loop", verified), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        core.execute_spec(spec, artifacts=MemoryArtifactStore())
+        try:
+            core.execute_spec(spec, artifacts=MemoryArtifactStore())
+        except CheckError as err:
+            pytest.fail(f"{err}\n{replay}")
     assert not mismatches, (
         f"fast scheduler != reference (fast, reference): "
-        f"{mismatches[0][1:]}; replay the cell with: repro run "
-        f"{spec.benchmark} -v {spec.variant} --machine {spec.machine} "
-        f"--scale {spec.scale:g}"
+        f"{mismatches[0][1:]}; {replay}"
     )
 
 

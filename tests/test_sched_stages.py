@@ -1,19 +1,20 @@
-"""The staged pipeline: stage table, key derivation, artifact sharing."""
+"""The staged pipeline: the front-end artifact key, artifact sharing."""
 
 import pytest
 
-from repro.api.artifacts import MemoryArtifactStore
+from repro.api.artifacts import (
+    DiskArtifactStore,
+    MemoryArtifactStore,
+    artifact_stats,
+    reset_artifact_stats,
+)
 from repro.arch.config import BASELINE_CONFIG
 from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sched.stages import (
     FRONTEND_STAGES,
-    PIPELINE_STAGES,
-    STAGE_BY_NAME,
-    disambiguate_key,
-    profile_key,
+    frontend_artifact_key,
     reset_stage_counters,
     stage_counters,
-    unroll_key,
 )
 from repro.workloads import cached_trace_spec, get_benchmark
 from repro.workloads.traces import TraceSpec
@@ -29,8 +30,10 @@ ALL_VARIANTS = [
 @pytest.fixture(autouse=True)
 def fresh_counters():
     reset_stage_counters()
+    reset_artifact_stats()
     yield
     reset_stage_counters()
+    reset_artifact_stats()
 
 
 @pytest.fixture
@@ -39,40 +42,32 @@ def loop_spec():
     return bench, bench.loops[0]
 
 
-class TestStageTable:
-    def test_declared_order_and_frontend(self):
-        names = [s.name for s in PIPELINE_STAGES]
-        assert names == [
-            "unroll", "disambiguate", "profile", "coherence", "assign",
-            "copies", "schedule", "postpass", "verify",
-        ]
-        assert FRONTEND_STAGES == ("unroll", "disambiguate", "profile")
-        assert all(not STAGE_BY_NAME[n].cacheable
-                   for n in names if n not in FRONTEND_STAGES)
-
-    def test_dataflow_is_connected(self):
-        """Every stage input is either a pipeline parameter or an output
-        of an earlier stage."""
-        parameters = {
-            "source", "machine", "unroll_factor", "add_mem_deps", "trace",
-            "coherence", "heuristic",
-        }
-        available = set(parameters)
-        for stage in PIPELINE_STAGES:
-            missing = set(stage.inputs) - available
-            assert not missing, f"{stage.name} consumes unknown {missing}"
-            available |= set(stage.outputs)
-
-
 class TestStageKeys:
-    def test_unroll_key_sees_graph_machine_and_factor(self, loop_spec):
+    TRACE = "iters256-seed1-padded1"
+
+    def test_every_input_changes_the_key(self, loop_spec):
         _, spec = loop_spec
-        base = unroll_key(spec.ddg, MACHINE, None)
-        assert base.startswith("unroll-")
-        assert unroll_key(spec.ddg, MACHINE, None) == base
-        assert unroll_key(spec.ddg, MACHINE, 2) != base
-        other_machine = MACHINE.with_interleave(8)
-        assert unroll_key(spec.ddg, other_machine, None) != base
+        base_args = (spec.ddg, MACHINE, None, True, self.TRACE, 256)
+        base = frontend_artifact_key(*base_args)
+        assert base.startswith("frontend-")
+        assert frontend_artifact_key(*base_args) == base
+        variations = {
+            "machine": (spec.ddg, MACHINE.with_interleave(8), None, True,
+                        self.TRACE, 256),
+            "unroll factor": (spec.ddg, MACHINE, 2, True, self.TRACE, 256),
+            "add_mem_deps": (spec.ddg, MACHINE, None, False, self.TRACE,
+                             256),
+            "trace key": (spec.ddg, MACHINE, None, True,
+                          "iters256-seed2-padded1", 256),
+            "no trace": (spec.ddg, MACHINE, None, True, None, 256),
+            "profile_iterations": (spec.ddg, MACHINE, None, True,
+                                   self.TRACE, 128),
+        }
+        keys = {name: frontend_artifact_key(*args)
+                for name, args in variations.items()}
+        for name, key in keys.items():
+            assert key != base, name
+        assert len(set(keys.values())) == len(keys)
 
     def test_equal_fingerprint_different_order_graphs_never_collide(self):
         """fingerprint() canonicalizes iteration order away; artifact
@@ -90,16 +85,8 @@ class TestStageKeys:
         backward.insert(first)
         assert forward.fingerprint() == backward.fingerprint()
         assert forward.to_dict() != backward.to_dict()
-        assert unroll_key(forward, MACHINE, 1) != \
-            unroll_key(backward, MACHINE, 1)
-
-    def test_chained_keys_propagate(self):
-        a = disambiguate_key("unroll-aaa", True)
-        assert a != disambiguate_key("unroll-bbb", True)
-        assert a != disambiguate_key("unroll-aaa", False)
-        p = profile_key(a, MACHINE, "iters256-seed1-padded1", 256)
-        assert p != profile_key(a, MACHINE, "iters256-seed2-padded1", 256)
-        assert p != profile_key(a, MACHINE, "iters256-seed1-padded1", 128)
+        assert frontend_artifact_key(forward, MACHINE, 1, True, None, 256) \
+            != frontend_artifact_key(backward, MACHINE, 1, True, None, 256)
 
     def test_trace_spec_key_and_memoization(self):
         spec = cached_trace_spec(256, seed=11)
@@ -107,6 +94,22 @@ class TestStageKeys:
         assert spec.key == "iters256-seed11-padded1"
         assert cached_trace_spec(256, seed=12) is not spec
         assert TraceSpec(64, 3, padded=False).key == "iters64-seed3-padded0"
+
+
+def _whole(result):
+    """Everything a compilation hands the simulator and the records, in
+    iteration order."""
+    return (
+        result.ddg.to_dict(),
+        result.source.to_dict(),
+        [(iid, op.cluster, op.time)
+         for iid, op in result.schedule.ops.items()],
+        list(result.schedule.assumed_latency.items()),
+        [(iid, p.counts) for iid, p in result.profiles.items()],
+        result.copies,
+        result.ii,
+        result.unroll_factor,
+    )
 
 
 class TestFrontendSharing:
@@ -140,30 +143,65 @@ class TestFrontendSharing:
         for stage in FRONTEND_STAGES:
             assert counters.executed[stage] == len(ALL_VARIANTS), stage
 
-    def test_shared_frontend_results_identical(self, loop_spec):
+    def test_variant_cross_is_one_entry(self, loop_spec):
+        """One lookup per compile; one miss and one put per front end."""
         artifacts = MemoryArtifactStore()
         for coherence, heuristic in ALL_VARIANTS:
-            cold = self._compile(loop_spec, coherence, heuristic, None)
-            warm = self._compile(loop_spec, coherence, heuristic, artifacts)
-            assert cold.ii == warm.ii
-            assert cold.unroll_factor == warm.unroll_factor
-            assert cold.ddg.fingerprint() == warm.ddg.fingerprint()
-            assert cold.source.fingerprint() == warm.source.fingerprint()
-            assert cold.num_copies == warm.num_copies
-            assert {
-                iid: op.cluster for iid, op in cold.schedule.ops.items()
-            } == {
-                iid: op.cluster for iid, op in warm.schedule.ops.items()
+            self._compile(loop_spec, coherence, heuristic, artifacts)
+        stats = artifact_stats()
+        assert (stats.lookups, stats.misses, stats.puts) == (
+            len(ALL_VARIANTS), 1, 1)
+        (key,) = artifacts.keys()
+        assert key.startswith("frontend-")
+
+    def test_fresh_disk_store_replays_the_cross(self, loop_spec, tmp_path):
+        self._compile(loop_spec, CoherenceMode.NONE, Heuristic.MINCOMS,
+                      DiskArtifactStore(tmp_path))
+        reset_stage_counters()
+        replay = DiskArtifactStore(tmp_path)
+        for coherence, heuristic in ALL_VARIANTS:
+            self._compile(loop_spec, coherence, heuristic, replay)
+        counters = stage_counters()
+        assert counters.frontend_executions() == 0
+        assert counters.executed["schedule"] == len(ALL_VARIANTS)
+
+    def test_shared_frontend_results_identical(self, loop_spec, tmp_path):
+        """No store, a cold store, a warm store and a second disk store on
+        the same directory compile every variant identically — iteration
+        order included, which ``Ddg.fingerprint()`` ignores."""
+        warm = MemoryArtifactStore()
+        self._compile(loop_spec, CoherenceMode.NONE, Heuristic.MINCOMS, warm)
+        for n, (coherence, heuristic) in enumerate(ALL_VARIANTS):
+            root = tmp_path / str(n)
+            results = {
+                case: _whole(self._compile(loop_spec, coherence, heuristic,
+                                           store))
+                for case, store in (
+                    ("no store", None),
+                    ("cold store", DiskArtifactStore(root)),
+                    ("warm store", warm),
+                    ("second disk instance", DiskArtifactStore(root)),
+                )
             }
+            want = results.pop("no store")
+            for case, got in results.items():
+                assert got == want, (case, coherence, heuristic)
+        assert len(warm) == 1
 
     def test_unkeyed_trace_factory_still_compiles(self, loop_spec):
-        """A plain closure (no .key) disables profile caching only."""
+        """A plain closure (no .key) has no content key: the front end
+        runs uncached, leaves the store empty and compiles what the keyed
+        spec of the same trace compiles."""
         from repro.workloads import trace_factory
 
         bench, spec = loop_spec
+        keyed = self._compile(loop_spec, CoherenceMode.MDC,
+                              Heuristic.PREFCLUS, MemoryArtifactStore())
+        reset_stage_counters()
+        reset_artifact_stats()
         artifacts = MemoryArtifactStore()
         for _ in range(2):
-            compile_loop(
+            unkeyed = compile_loop(
                 spec.ddg,
                 bench.machine(MACHINE),
                 coherence=CoherenceMode.MDC,
@@ -172,8 +210,31 @@ class TestFrontendSharing:
                 unroll_factor=spec.unroll,
                 artifacts=artifacts,
             )
+            assert _whole(unkeyed) == _whole(keyed)
+        counters = stage_counters()
+        assert counters.executed["unroll"] == 2
+        assert counters.executed["profile"] == 2
+        assert len(artifacts) == 0
+        assert artifact_stats().lookups == 0
+
+    def test_explicit_profiles_bypass_the_store(self, loop_spec):
+        bench, spec = loop_spec
+        keyed = self._compile(loop_spec, CoherenceMode.MDC,
+                              Heuristic.PREFCLUS, MemoryArtifactStore())
+        reset_stage_counters()
+        artifacts = MemoryArtifactStore()
+        given = compile_loop(
+            spec.ddg,
+            bench.machine(MACHINE),
+            coherence=CoherenceMode.MDC,
+            heuristic=Heuristic.PREFCLUS,
+            profiles=keyed.profiles,
+            unroll_factor=spec.unroll,
+            artifacts=artifacts,
+        )
+        assert _whole(given) == _whole(keyed)
+        assert len(artifacts) == 0
         counters = stage_counters()
         assert counters.executed["unroll"] == 1
-        assert counters.executed["profile"] == 2
-        assert not [k for k in artifacts.keys()
-                    if k.startswith("profile-")]
+        assert "profile" not in counters.executed
+
