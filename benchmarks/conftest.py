@@ -3,8 +3,10 @@
 Each ``bench_*`` module regenerates one table or figure of the paper.
 Experiments are heavy (hundreds of compile+simulate runs), so every
 benchmark runs its driver exactly once via ``benchmark.pedantic`` and
-prints the paper-vs-measured table to stdout (run with ``-s`` to see it,
-or read EXPERIMENTS.md for a captured full-scale run).
+prints the paper-vs-measured table to stdout (run with ``-s`` to see
+it).  The paper's values are transcribed in
+``repro/experiments/paperdata.py``; ROADMAP.md's paper-fidelity item
+records how the full-scale reproduction compares with them.
 
 All drivers go through the :mod:`repro.api` session layer: the shared
 :data:`RUNNER` below executes every figure/table plan against the

@@ -11,7 +11,9 @@ A *trace* is any object exposing::
     num_iterations : int
     address(iid: int, iteration: int) -> int
 
-(the workload trace generators satisfy this protocol).
+(the workload trace generators satisfy this protocol).  Whole streams
+are read through :func:`repro.workloads.traces.address_table`, the
+memoized per-op table of an ``AddressTrace``.
 """
 
 from __future__ import annotations
@@ -82,15 +84,18 @@ def profile_preferred_clusters(
     inherit no profile here; profiling runs on the pre-transformation graph
     exactly like the paper profiles the original program.
     """
+    # Local: repro.workloads imports repro.alias.
+    from repro.workloads.traces import address_table
+
     iterations = trace.num_iterations
     if max_iterations is not None:
         iterations = min(iterations, max_iterations)
+    home_cluster = machine.home_cluster
     profiles: Dict[int, ClusterProfile] = {}
     for instr in ddg.memory_instructions():
         counts = [0] * machine.num_clusters
-        for i in range(iterations):
-            addr = trace.address(instr.iid, i)
-            counts[machine.home_cluster(addr)] += 1
+        for addr in address_table(trace, instr.iid, iterations):
+            counts[home_cluster(addr)] += 1
         profiles[instr.iid] = ClusterProfile(tuple(counts))
     return profiles
 

@@ -8,12 +8,21 @@ against an :class:`~repro.api.artifacts.ArtifactStore`, so the
 variant-independent front end (unrolling, disambiguation, profiling) is
 shared across the coherence × heuristic cross instead of being
 recomputed per variant.  Each loop then simulates once.
+
+Inside a :func:`model_siblings` block, specs that differ only in their
+memory model also share each loop's compiled result, execution trace
+(with its address tables) and the checker's expected versions: none of
+them depends on the model.  The runner opens one block per group of
+such siblings and closes it before yielding the group's records.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Optional, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.records import LoopRecord, RunRecord
@@ -26,10 +35,16 @@ from repro.api.spec import (
 from repro.arch.config import MachineConfig
 from repro.errors import WorkloadError
 from repro.obs import trace
-from repro.sched.stages import compile_loop
+from repro.sched.stages import CompilationResult, compile_loop
+from repro.sim.coherence import ExpectedVersions, expected_versions
 from repro.sim.executor import simulate
+from repro.sim.models import DEFAULT_MODEL
 from repro.workloads.catalog import Benchmark, LoopSpec, get_benchmark
-from repro.workloads.traces import cached_trace_spec, trace_factory
+from repro.workloads.traces import (
+    AddressTrace,
+    cached_trace_spec,
+    trace_factory,
+)
 
 
 #: Minimum kernel iterations simulated per loop: below this the pipeline
@@ -97,6 +112,49 @@ def warn_floor_from_record(record: RunRecord) -> None:
             return
 
 
+@dataclass(frozen=True)
+class _LoopInputs:
+    """What simulating one compiled loop needs, under any memory model."""
+
+    compiled: CompilationResult
+    execution: AddressTrace
+    expected: ExpectedVersions
+    kernel_iterations: int
+    iteration_floor: int
+
+
+#: The open :func:`model_siblings` memo: (sibling key, loop) -> inputs.
+#: A context variable rather than a parameter, so ``execute_spec`` keeps
+#: the ``(spec, artifacts=)`` signature its callers and wrappers use.
+_SIBLING_MEMO: ContextVar[
+    Optional[Dict[Tuple[RunSpec, str], _LoopInputs]]
+] = ContextVar("repro_sibling_memo", default=None)
+
+
+def sibling_key(spec: RunSpec) -> RunSpec:
+    """``spec`` with the default memory model: equal exactly for *model
+    siblings*, the specs that differ only in ``model``."""
+    return replace(spec, model=DEFAULT_MODEL)
+
+
+@contextmanager
+def model_siblings() -> Iterator[None]:
+    """Share simulation inputs between the :func:`execute_spec` calls
+    made inside the block.
+
+    A loop's compilation, execution trace and expected versions are
+    computed by the first call that needs them and reused by its model
+    siblings; each call still simulates under its own model.  The memo
+    lives exactly as long as the block, so nothing it holds outlives the
+    sibling group.
+    """
+    token = _SIBLING_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SIBLING_MEMO.reset(token)
+
+
 def execute_spec(spec: RunSpec,
                  artifacts: Optional[ArtifactStore] = None) -> RunRecord:
     """Compile + simulate the work a spec declares (no result caching):
@@ -105,12 +163,16 @@ def execute_spec(spec: RunSpec,
 
     ``artifacts`` (default: the process-wide store) shares front-end
     compilation stages with every other spec run in this process.
+    Inside a :func:`model_siblings` block, the loops' simulation inputs
+    are shared with the block's other calls.
     """
     if artifacts is None:
         artifacts = default_artifact_store()
     machine = resolve_machine(spec)
     variant = spec.variant_obj
     key = spec.content_hash
+    memo = _SIBLING_MEMO.get()
+    sibling = sibling_key(spec) if memo is not None else None
     with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
                     machine=spec.machine, spec_key=key):
         bench = get_benchmark(spec.benchmark)
@@ -133,14 +195,21 @@ def execute_spec(spec: RunSpec,
             model=spec.model,
         )
         for loop_spec in loops:
+            inputs = None
+            if memo is not None:
+                inputs = memo.get((sibling, loop_spec.name))
+            if inputs is None:
+                inputs = _loop_inputs(bench, loop_spec, variant, machine,
+                                      spec.scale, spec.seeds, artifacts)
+                if memo is not None:
+                    memo[(sibling, loop_spec.name)] = inputs
             record.loops.append(
-                _run_loop(bench, loop_spec, variant, machine, spec.scale,
-                          spec.seeds, artifacts, spec.model)
+                _run_loop(bench, loop_spec, variant, inputs, spec.model)
             )
         return record
 
 
-def _run_loop(
+def _loop_inputs(
     bench: Benchmark,
     spec: LoopSpec,
     variant: Variant,
@@ -148,9 +217,9 @@ def _run_loop(
     scale: float,
     seeds: Optional[Tuple[int, int]],
     artifacts: ArtifactStore,
-    model: str,
-) -> LoopRecord:
-    """Compile one loop, build its execution trace and simulate it."""
+) -> _LoopInputs:
+    """Compile one loop and build its execution trace and the checker's
+    expected versions over it."""
     profile_seed, execute_seed = seeds or (bench.profile_seed,
                                            bench.execute_seed)
     # One frozen, keyed spec per (iterations, seed): its key is what lets
@@ -179,16 +248,31 @@ def _run_loop(
     with trace.span(f"trace-gen:{spec.name}", cat="trace-gen"):
         execution = trace_factory(kernel_iters,
                                   seed=execute_seed)(compiled.ddg)
+        expected = expected_versions(compiled.ddg, execution, kernel_iters)
+    return _LoopInputs(compiled, execution, expected, kernel_iters,
+                       iteration_floor)
+
+
+def _run_loop(
+    bench: Benchmark,
+    spec: LoopSpec,
+    variant: Variant,
+    inputs: _LoopInputs,
+    model: str,
+) -> LoopRecord:
+    """Simulate one compiled loop under ``model``."""
+    compiled = inputs.compiled
     with trace.span(f"simulate:{spec.name}", cat="sim"):
-        sim = simulate(compiled, execution, iterations=kernel_iters,
-                       model=model)
+        sim = simulate(compiled, inputs.execution,
+                       iterations=inputs.kernel_iterations, model=model,
+                       expected=inputs.expected)
     return LoopRecord(
         benchmark=bench.name,
         loop=spec.name,
         variant=variant.key,
         ii=compiled.ii,
         unroll=compiled.unroll_factor,
-        kernel_iterations=kernel_iters,
+        kernel_iterations=inputs.kernel_iterations,
         compute_cycles=sim.compute_cycles,
         stall_cycles=sim.stall_cycles,
         stats=sim.stats,
@@ -200,5 +284,5 @@ def _run_loop(
         fake_consumers=(
             len(compiled.ddgt.fake_consumers) if compiled.ddgt else 0
         ),
-        iteration_floor=iteration_floor,
+        iteration_floor=inputs.iteration_floor,
     )

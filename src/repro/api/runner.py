@@ -14,12 +14,19 @@ that yields results *as they complete*:
    under ``parallel`` each *group* becomes one pool task fanned out over
    one persistent worker pool via ``imap_unordered`` (when there are
    fewer groups than requested workers, the largest groups are split so
-   occupancy never drops below what the caller asked for; the pool is
-   sized to the resulting task count, so tiny plans never spawn idle
-   processes).  At most twice as many groups as workers are in flight,
-   for backpressure: a slow consumer never forces the whole plan's
-   payloads into the task queue at once;
-3. fresh records are stored (and journalled, when a
+   occupancy never drops below what the caller asked for, between model
+   siblings where possible; the pool is sized to the resulting task
+   count, so tiny plans never spawn idle processes).  At most twice as
+   many groups as workers are in flight, for backpressure: a slow
+   consumer never forces the whole plan's payloads into the task queue
+   at once;
+3. *model siblings* — specs equal except for ``model`` — run back to
+   back, each through its own ``execute_spec`` call, inside one
+   :func:`~repro.api.core.model_siblings` block, so each loop compiles,
+   generates its execution trace and walks the checker's oracle once
+   for all of them.  The block closes before any of the siblings'
+   results is yielded;
+4. fresh records are stored (and journalled, when a
    :class:`~repro.api.journal.RunJournal` is attached) the moment they
    arrive; failures become structured :class:`RunError` records instead
    of killing sibling specs mid-flight.
@@ -39,6 +46,7 @@ import threading
 import time
 import traceback as _tb
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -48,6 +56,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -61,6 +70,8 @@ from repro.api.artifacts import (
 )
 from repro.api.core import (
     execute_spec,
+    model_siblings,
+    sibling_key,
     suppress_floor_warning,
     warn_floor_from_record,
 )
@@ -164,6 +175,45 @@ StreamItem = Union[RunRecord, RunError]
 
 
 # ----------------------------------------------------------------------
+# Model siblings
+# ----------------------------------------------------------------------
+def _sibling_groups(specs: Sequence[RunSpec]) -> List[List[int]]:
+    """Positions of ``specs`` grouped into model siblings, in first-seen
+    group order and plan order within a group."""
+    groups: Dict[RunSpec, List[int]] = {}
+    for pos, spec in enumerate(specs):
+        groups.setdefault(sibling_key(spec), []).append(pos)
+    return list(groups.values())
+
+
+def _execute_siblings(
+    specs: Sequence[RunSpec], keys: Sequence[str],
+    artifacts: ArtifactStore, spec_done: Callable[[float], None],
+) -> List[StreamItem]:
+    """Execute one group of model siblings back to back, each through
+    its own ``execute_spec`` call, and return their results in order.
+
+    Siblings share one :func:`~repro.api.core.model_siblings` memo,
+    which is dropped before this returns; a failure is captured per
+    spec, so the other siblings still run.  ``spec_done`` receives each
+    spec's elapsed seconds.
+    """
+    items: List[StreamItem] = []
+    # A lone spec shares nothing, so its loops' inputs need not outlive
+    # each loop.
+    with model_siblings() if len(specs) > 1 else nullcontext():
+        for spec, key in zip(specs, keys):
+            start = time.perf_counter()
+            try:
+                item: StreamItem = execute_spec(spec, artifacts=artifacts)
+            except Exception as exc:
+                item = RunError.from_exception(spec, key, exc)
+            spec_done(time.perf_counter() - start)
+            items.append(item)
+    return items
+
+
+# ----------------------------------------------------------------------
 # Pool worker side
 # ----------------------------------------------------------------------
 def _worker_init() -> None:
@@ -178,7 +228,9 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Top-level (hence picklable) pool worker: one front-end group in,
     one result dict per spec out, so payloads cross process boundaries
     as pure JSON-able data.  Failures are captured per spec — a bad spec
-    reports a structured error instead of poisoning its group.
+    reports a structured error instead of poisoning its group.  Model
+    siblings run back to back and share their simulation inputs, like
+    the serial loop's.
 
     With an ``artifact_root`` the worker replays/records front-end
     artifacts on disk (shared with every other worker and process);
@@ -199,28 +251,30 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
         DiskArtifactStore(root, version=payload.get("artifact_version"))
         if root else default_artifact_store()
     )
-    results: List[Dict[str, object]] = []
+    specs = [RunSpec.from_dict(data) for data in payload["specs"]]
+    keys = payload["keys"]
+    results: List[Dict[str, object]] = [{} for _ in specs]
     worker_tracer = trace.Tracer() if payload.get("trace") else None
     metrics_enabled = bool(payload.get("metrics_enabled", True))
     with metrics.capture(enabled=metrics_enabled) as reg:
+
+        def spec_done(elapsed: float) -> None:
+            reg.observe("runner.spec_seconds", elapsed, mode="parallel")
+            reg.inc("runner.worker_busy_seconds", elapsed)
+
         previous_tracer = trace.set_tracer(worker_tracer)
         try:
-            for data, key in zip(payload["specs"], payload["keys"]):
-                spec = RunSpec.from_dict(data)
-                start = time.perf_counter()
-                try:
-                    record = execute_spec(spec, artifacts=artifacts)
-                    results.append({"record": record.to_dict()})
-                except Exception as exc:
-                    results.append({
-                        "error": RunError.from_exception(
-                            spec, key, exc
-                        ).to_dict()
-                    })
-                elapsed = time.perf_counter() - start
-                reg.observe("runner.spec_seconds", elapsed,
-                            mode="parallel")
-                reg.inc("runner.worker_busy_seconds", elapsed)
+            for group in _sibling_groups(specs):
+                items = _execute_siblings(
+                    [specs[pos] for pos in group],
+                    [keys[pos] for pos in group], artifacts, spec_done,
+                )
+                for pos, item in zip(group, items):
+                    results[pos] = (
+                        {"record": item.to_dict()}
+                        if isinstance(item, RunRecord)
+                        else {"error": item.to_dict()}
+                    )
         finally:
             trace.set_tracer(previous_tracer)
     envelope: Dict[str, object] = {
@@ -405,22 +459,26 @@ class Runner:
         workers = self._effective_parallel(len(specs))
         if workers <= 1:
             # The shared artifact store already makes sibling variants
-            # warm for each other; plan order is fine serially.
+            # warm for each other; model siblings run back to back.
             artifacts = self.artifacts
-            for pos, spec in enumerate(specs):
-                start = time.perf_counter()
-                try:
-                    item: StreamItem = execute_spec(spec, artifacts=artifacts)
-                except Exception as exc:
-                    item = RunError.from_exception(
-                        spec, keys[misses[pos]], exc
-                    )
-                metrics.observe("runner.spec_seconds",
-                                time.perf_counter() - start, mode="serial")
-                yield misses[pos], item
+
+            def spec_done(elapsed: float) -> None:
+                metrics.observe("runner.spec_seconds", elapsed,
+                                mode="serial")
+
+            for group in _sibling_groups(specs):
+                items = _execute_siblings(
+                    [specs[pos] for pos in group],
+                    [keys[misses[pos]] for pos in group],
+                    artifacts, spec_done,
+                )
+                for pos, item in zip(group, items):
+                    yield misses[pos], item
             return
 
-        tasks = self._balance(self._group_indices(specs), workers)
+        siblings = [sibling_key(spec) for spec in specs]
+        tasks = self._balance(self._group_indices(specs), workers,
+                              siblings.__getitem__)
         # Clamp to the post-split task count: a tiny plan on a many-core
         # machine (parallel=-1) must not spawn a pool of idle processes.
         workers = min(workers, len(tasks))
@@ -525,14 +583,18 @@ class Runner:
     @staticmethod
     def _group_indices(specs: List[RunSpec]) -> List[List[int]]:
         """Partition spec indices by shared front-end key, preserving
-        first-seen group order and in-group plan order."""
-        groups: Dict[str, List[int]] = {}
+        first-seen group order.  Within a group, model siblings are
+        adjacent, in first-seen order; otherwise plan order holds."""
+        groups: Dict[str, Dict[RunSpec, List[int]]] = {}
         for index, spec in enumerate(specs):
-            groups.setdefault(spec.frontend_key, []).append(index)
-        return list(groups.values())
+            groups.setdefault(spec.frontend_key, {}).setdefault(
+                sibling_key(spec), []).append(index)
+        return [[index for siblings in group.values() for index in siblings]
+                for group in groups.values()]
 
     @staticmethod
-    def _balance(groups: List[List[int]], workers: int) -> List[List[int]]:
+    def _balance(groups: List[List[int]], workers: int,
+                 sibling: Callable[[int], object]) -> List[List[int]]:
         """Split the largest groups until every worker has a task.
 
         Grouping must never *reduce* parallelism below what the caller
@@ -541,15 +603,24 @@ class Runner:
         front-end sharing for occupancy — with a disk artifact store the
         split halves still share through the file system, and the loss is
         bounded by one redundant front end per extra worker.
+
+        ``sibling`` maps an index to its model-sibling key (see
+        :func:`~repro.api.core.sibling_key`): a split falls on the
+        sibling boundary nearest the middle of the group, so siblings
+        stay in one task unless a task holds nothing else.
         """
         tasks = [list(group) for group in groups]
         while len(tasks) < workers:
             largest = max(range(len(tasks)), key=lambda j: len(tasks[j]))
-            if len(tasks[largest]) <= 1:
+            group = tasks[largest]
+            if len(group) <= 1:
                 break
-            group = tasks.pop(largest)
             mid = (len(group) + 1) // 2
-            tasks[largest:largest] = [group[:mid], group[mid:]]
+            cuts = [c for c in range(1, len(group))
+                    if sibling(group[c]) != sibling(group[c - 1])]
+            if cuts:
+                mid = min(cuts, key=lambda c: (abs(c - mid), c))
+            tasks[largest:largest + 1] = [group[:mid], group[mid:]]
         return tasks
 
     def _effective_parallel(self, num_tasks: int) -> int:

@@ -7,11 +7,13 @@ version different from the one sequential program order prescribes, or a
 store application inverting program order at its home module.
 
 Versions are ``(iteration, seq)`` pairs stamped by stores; for any single
-address they are totally ordered by program order.  Before simulation the
-checker walks the whole access stream in sequential order and records, for
-every load instance, the version of the last store instance that wrote its
-address — the *expected* version.  At run time the memory system reports
-what each load actually observed.
+address they are totally ordered by program order.  Before simulation
+:func:`expected_versions` walks the whole access stream in sequential
+order and records, for every load instance, the version of the last
+store instance that wrote its address — the *expected* version.  The
+walk depends on the graph and the trace only, never on the memory
+model, so a loop simulated under several models can walk once.  At run
+time the memory system reports what each load actually observed.
 
 Observation points are *untimed*: the memory system reports each load at
 its serialization point and each write inversion at store application,
@@ -34,8 +36,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.alias.profiles import TraceLike
 from repro.ir.ddg import Ddg
+from repro.workloads.traces import address_table
 
 Version = Tuple[int, int]
+#: (load iid, iteration) -> the version that load instance must observe
+ExpectedVersions = Dict[Tuple[int, int], Optional[Version]]
 
 
 def classify_observation(
@@ -69,8 +74,45 @@ class ViolationCounts:
         return self.stale_reads + self.future_reads + self.write_inversions
 
 
+def expected_versions(
+    ddg: Ddg, trace: TraceLike, iterations: int
+) -> ExpectedVersions:
+    """Sequential walk of all memory instances in program order.
+
+    Replicated store instances stand for a single logical store; only
+    the original (``iid == replica_group``) participates in the walk.
+    """
+    ops = [
+        v
+        for v in ddg.memory_instructions()
+        if v.replica_group is None or v.replica_group == v.iid
+    ]
+    ops.sort(key=lambda v: (v.seq, v.iid))
+    walk = [
+        (op.iid, op.is_store, op.seq,
+         address_table(trace, op.iid, iterations))
+        for op in ops
+    ]
+    expected: ExpectedVersions = {}
+    last_writer: Dict[int, Version] = {}
+    for iteration in range(iterations):
+        for iid, is_store, seq, table in walk:
+            if is_store:
+                last_writer[table[iteration]] = (iteration, seq)
+            else:
+                expected[(iid, iteration)] = last_writer.get(
+                    table[iteration])
+    return expected
+
+
 class CoherenceChecker:
     """Oracle for sequential memory semantics over one simulated loop.
+
+    ``expected`` takes the loop's precomputed :func:`expected_versions`
+    over the same graph, trace and iterations (a caller simulating one
+    trace under several memory models builds it once); by default the
+    checker walks the trace itself.  The checker only reads the map, so
+    one map can serve several checkers.
 
     Granularity note: versions are tracked per exact access address; the
     workload catalog only aliases accesses of identical address and width,
@@ -82,32 +124,12 @@ class CoherenceChecker:
         ddg: Ddg,
         trace: TraceLike,
         iterations: int,
+        expected: Optional[ExpectedVersions] = None,
     ) -> None:
         self.counts = ViolationCounts()
-        self._expected: Dict[Tuple[int, int], Optional[Version]] = {}
-        self._precompute(ddg, trace, iterations)
-
-    # ------------------------------------------------------------------
-    def _precompute(self, ddg: Ddg, trace: TraceLike, iterations: int) -> None:
-        """Sequential walk of all memory instances in program order.
-
-        Replicated store instances stand for a single logical store; only
-        the original (``iid == replica_group``) participates in the walk.
-        """
-        ops = [
-            v
-            for v in ddg.memory_instructions()
-            if v.replica_group is None or v.replica_group == v.iid
-        ]
-        ops.sort(key=lambda v: (v.seq, v.iid))
-        last_writer: Dict[int, Version] = {}
-        for iteration in range(iterations):
-            for op in ops:
-                addr = trace.address(op.iid, iteration)
-                if op.is_store:
-                    last_writer[addr] = (iteration, op.seq)
-                else:
-                    self._expected[(op.iid, iteration)] = last_writer.get(addr)
+        if expected is None:
+            expected = expected_versions(ddg, trace, iterations)
+        self._expected = expected
 
     # ------------------------------------------------------------------
     def expected(self, load_iid: int, iteration: int) -> Optional[Version]:

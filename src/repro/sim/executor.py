@@ -43,7 +43,11 @@ from repro.errors import SimulationError
 from repro.ir.edges import DepKind
 from repro.obs import metrics
 from repro.sched.stages import CompilationResult
-from repro.sim.coherence import CoherenceChecker, ViolationCounts
+from repro.sim.coherence import (
+    CoherenceChecker,
+    ExpectedVersions,
+    ViolationCounts,
+)
 from repro.sim.memory import MemorySystem
 from repro.sim.stats import SimStats
 
@@ -106,6 +110,7 @@ def simulate(
     check_coherence: bool = True,
     engine: str = "events",
     model: str = "snooping",
+    expected: Optional[ExpectedVersions] = None,
 ) -> SimulationResult:
     """Run a compiled loop against an execution address trace.
 
@@ -117,6 +122,12 @@ def simulate(
     ``model`` names the registered memory model
     (:mod:`repro.sim.models`) the run simulates; both engines support
     every model.
+
+    ``expected`` is the coherence checker's oracle,
+    :func:`~repro.sim.coherence.expected_versions` over this loop's graph,
+    ``trace`` and iteration count.  It does not depend on ``model``, so a
+    caller simulating one trace under several models can build it once;
+    by default the checker builds it.
     """
     if engine not in ENGINES:
         raise SimulationError(
@@ -141,7 +152,8 @@ def simulate(
     model_impl.validate_machine(machine)
 
     checker = (
-        CoherenceChecker(ddg, trace, n_iter) if check_coherence else None
+        CoherenceChecker(ddg, trace, n_iter, expected)
+        if check_coherence else None
     )
     stats = SimStats()
     ops_by_slot = _prepare(compilation)

@@ -17,8 +17,10 @@ call instead of dataclass messages, delivery closures and method chains:
 * next-level requests are ``(cluster, block)`` tuples (``None`` for
   victim write-backs), keyed by completion cycle;
 * load completion callbacks collapse to ``per_load[iteration] = cycle``;
-* per-op address streams and their placements are precomputed into
-  flat lists, so the cycle loop never calls ``AddressTrace.address``;
+* per-op address streams come from the trace's memoized tables
+  (:meth:`~repro.workloads.traces.AddressTrace.addresses`) and their
+  placements are precomputed into flat lists, so the cycle loop never
+  calls ``AddressTrace.address``;
 * stats accumulate in local integers and flush to
   :class:`~repro.sim.stats.SimStats` once, in the ``finally`` block.
 
@@ -56,12 +58,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List
 
-from repro.alias.memref import AccessPattern
 from repro.errors import SimulationError
 from repro.sim import executor as _executor
 from repro.sim.executor import _all_ready, _due_ops
 from repro.sim.stats import AccessType
-from repro.workloads.traces import _MASK64, AddressTrace
+from repro.workloads.traces import address_table
 
 # Bus-message kinds (tuple position 0), indexing _KIND_NAMES.
 _REQ_LOAD = 0
@@ -75,60 +76,6 @@ _KIND_NAMES = ("req_load", "req_store", "resp", "fwd_load", "fwd_store")
 _ACT_STORE = 0
 _ACT_LOAD = 1
 _ACT_RESPOND = 2
-
-
-def _address_table(trc, iid: int, n_iter: int) -> List[int]:
-    """Per-iteration addresses of one memory op, as a flat list.
-
-    Replicates :meth:`~repro.workloads.traces.AddressTrace.address` for
-    the concrete trace class (affine as straight arithmetic, indirect
-    through the same hash); any other ``TraceLike`` goes through its own
-    ``address`` method, so doubles keep their exact streams.
-    """
-    if type(trc) is not AddressTrace:
-        return [trc.address(iid, it) for it in range(n_iter)]
-    mem = trc._ddg.node(iid).mem
-    if mem is None:
-        raise SimulationError(f"instruction {iid} is not a memory op")
-    if mem.width < 1:  # unconstructible via MemRef; defensive
-        raise SimulationError(
-            f"access width must be positive, got {mem.width}")
-    start = trc.base(mem.space) + mem.offset
-    if mem.pattern is AccessPattern.AFFINE:
-        stride = mem.stride
-        return [start + stride * it for it in range(n_iter)]
-    slots = max(1, mem.spread // mem.width)
-    seed = trc.seed
-    space_hash = trc._space_hash[mem.space]
-    salt = mem.salt
-    width = mem.width
-    # _mix(seed, space_hash, salt, it) with the three SplitMix64 steps
-    # inlined: the tables are built once per run but cover every op
-    # instance, so the 4-deep call chain is worth flattening.
-    mask = _MASK64
-    out = []
-    append = out.append
-    for it in range(n_iter):
-        x = ((salt ^ it) + 0x9E3779B97F4A7C15) & mask
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & mask
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-        x = ((space_hash ^ x) + 0x9E3779B97F4A7C15) & mask
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & mask
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-        x = ((seed ^ x) + 0x9E3779B97F4A7C15) & mask
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & mask
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-        append(start + (x % slots) * width)
-    return out
 
 
 def _fastpath_tables(ops_by_slot, ii: int, n_iter: int, total_indexes: int):
@@ -664,7 +611,7 @@ def run_flat(
         for info in bucket:
             kq = info.time // ii
             if info.is_load or info.is_store:
-                addrs = _address_table(trc, info.iid, n_iter)
+                addrs = address_table(trc, info.iid, n_iter)
                 homes, owners = model.placement(machine, addrs)
                 tables[info.iid] = (addrs, homes, owners)
                 flat.append((

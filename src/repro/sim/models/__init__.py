@@ -31,7 +31,7 @@ suffix), so content hashes distinguish models.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.errors import ConfigError
@@ -71,7 +71,7 @@ class MemoryModel:
         raise NotImplementedError
 
     def placement(
-        self, machine: MachineConfig, addrs: List[int]
+        self, machine: MachineConfig, addrs: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
         """``(homes, owners)`` of a run's addresses, for the flat path.
 

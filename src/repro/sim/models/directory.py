@@ -31,7 +31,7 @@ Buffers are rejected.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.sim.bus import BusMessage
@@ -304,7 +304,7 @@ class DirectoryModel(MemoryModel):
         return DirectoryMemorySystem(machine, stats, checker, trace)
 
     def placement(
-        self, machine: MachineConfig, addrs: List[int]
+        self, machine: MachineConfig, addrs: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
         block_bytes = machine.cache.block_bytes
         n = machine.num_clusters

@@ -16,7 +16,7 @@ cache *extra* copies) are meaningless here and are rejected.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.sim.coherence import CoherenceChecker
@@ -62,7 +62,7 @@ class DLSModel(MemoryModel):
         return DLSMemorySystem(machine, stats, checker, trace)
 
     def placement(
-        self, machine: MachineConfig, addrs: List[int]
+        self, machine: MachineConfig, addrs: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
         block_bytes = machine.cache.block_bytes
         n = machine.num_clusters

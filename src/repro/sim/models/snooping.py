@@ -10,7 +10,7 @@ goldens.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.sim.coherence import CoherenceChecker
@@ -37,7 +37,7 @@ class SnoopingModel(MemoryModel):
         return MemorySystem(machine, stats, checker, trace)
 
     def placement(
-        self, machine: MachineConfig, addrs: List[int]
+        self, machine: MachineConfig, addrs: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
         # home_cluster() over a whole table; the home holds the data.
         unit = machine.interleave_bytes

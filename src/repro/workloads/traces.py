@@ -11,17 +11,26 @@ different pseudo-random stream.
 Traces are deterministic functions of (seed, space, salt, iteration) —
 repeated runs and replicated store instances (which share their MemRef)
 see identical addresses.
+
+:meth:`AddressTrace.address` is the scalar definition of a stream.
+Everything that walks whole streams — the profiler, the coherence
+checker's oracle and the flat simulator — reads one memoized table per
+reference instead (:meth:`AddressTrace.addresses`, through
+:func:`address_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.alias.memref import AccessPattern
+from repro.alias.memref import AccessPattern, MemRef
 from repro.errors import WorkloadError
 from repro.ir.ddg import Ddg
+
+if TYPE_CHECKING:
+    from repro.alias.profiles import TraceLike
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,6 +115,8 @@ class AddressTrace:
             space: splitmix64(sum(ord(c) << (8 * (i % 8)) for i, c in enumerate(space)))
             for space in spaces
         }
+        #: MemRef -> its address stream, as long as the longest request
+        self._tables: Dict[MemRef, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     def base(self, space: str) -> int:
@@ -126,6 +137,74 @@ class AddressTrace:
             self.seed, self._space_hash[mem.space], mem.salt, iteration
         ) % slots
         return base + mem.offset + pick * mem.width
+
+    def addresses(self, iid: int, n: int) -> Tuple[int, ...]:
+        """``tuple(self.address(iid, i) for i in range(n))``, memoized.
+
+        The table is kept per :class:`~repro.alias.memref.MemRef`, so
+        ops with equal references (the replicas of a store) share one,
+        and a shorter request is a prefix of a longer one.  Every caller
+        gets the same tuple; the tables go when the trace goes.
+        """
+        mem = self._ddg.node(iid).mem
+        if mem is None:
+            raise WorkloadError(f"instruction {iid} is not a memory op")
+        table = self._tables.get(mem)
+        if table is None or len(table) < n:
+            table = self._tables[mem] = self._stream(mem, n)
+        return table if len(table) == n else table[:n]
+
+    def _stream(self, mem: MemRef, n: int) -> Tuple[int, ...]:
+        start = self.base(mem.space) + mem.offset
+        if mem.pattern is AccessPattern.AFFINE:
+            if mem.stride == 0:
+                return (start,) * n
+            return tuple(range(start, start + mem.stride * n, mem.stride))
+        slots = max(1, mem.spread // mem.width)
+        seed = self.seed
+        space_hash = self._space_hash[mem.space]
+        salt = mem.salt
+        width = mem.width
+        # _mix(seed, space_hash, salt, it) with its three SplitMix64
+        # steps inlined: a table covers every instance of its op, so the
+        # four-deep call chain is worth flattening.
+        mask = _MASK64
+        out = []
+        append = out.append
+        for it in range(n):
+            x = ((salt ^ it) + 0x9E3779B97F4A7C15) & mask
+            x ^= x >> 30
+            x = (x * 0xBF58476D1CE4E5B9) & mask
+            x ^= x >> 27
+            x = (x * 0x94D049BB133111EB) & mask
+            x ^= x >> 31
+            x = ((space_hash ^ x) + 0x9E3779B97F4A7C15) & mask
+            x ^= x >> 30
+            x = (x * 0xBF58476D1CE4E5B9) & mask
+            x ^= x >> 27
+            x = (x * 0x94D049BB133111EB) & mask
+            x ^= x >> 31
+            x = ((seed ^ x) + 0x9E3779B97F4A7C15) & mask
+            x ^= x >> 30
+            x = (x * 0xBF58476D1CE4E5B9) & mask
+            x ^= x >> 27
+            x = (x * 0x94D049BB133111EB) & mask
+            x ^= x >> 31
+            append(start + (x % slots) * width)
+        return tuple(out)
+
+
+def address_table(trace: TraceLike, iid: int, n: int) -> Sequence[int]:
+    """Addresses of memory op ``iid`` for iterations ``[0, n)``.
+
+    The memoized table of an :class:`AddressTrace`; any other
+    ``TraceLike`` (a test double, or a subclass that overrides
+    ``address``) goes through its own ``address`` method, so doubles
+    keep their exact streams.
+    """
+    if type(trace) is AddressTrace:
+        return trace.addresses(iid, n)
+    return [trace.address(iid, it) for it in range(n)]
 
 
 def trace_factory(

@@ -1,5 +1,7 @@
 """Runner: caching semantics, parallel/serial equivalence, grouping."""
 
+import json
+
 import pytest
 
 from repro.api.records import RunRecord
@@ -136,14 +138,15 @@ class TestFrontendGrouping:
 
     def test_balance_splits_groups_to_fill_workers(self):
         one_cross = [list(range(6))]
-        tasks = Runner._balance(one_cross, 4)
+        tasks = Runner._balance(one_cross, 4, lambda i: i)
         assert len(tasks) == 4
         assert sorted(i for t in tasks for i in t) == list(range(6))
         assert all(tasks)
         # Enough groups already: nothing is split.
-        assert Runner._balance([[0, 1], [2, 3]], 2) == [[0, 1], [2, 3]]
+        assert Runner._balance([[0, 1], [2, 3]], 2, lambda i: i) == \
+            [[0, 1], [2, 3]]
         # Singletons cannot be split further.
-        assert Runner._balance([[0]], 8) == [[0]]
+        assert Runner._balance([[0]], 8, lambda i: i) == [[0]]
 
     def test_single_group_plan_still_parallelizes_correctly(self):
         plan = Plan.grid(benchmarks=["gsmdec"],
@@ -213,3 +216,154 @@ class TestFrontendGrouping:
             Runner(store=MemoryStore(), parallel=2,
                    artifacts=PlainCustom()).run(Plan(PLAN.specs[:2]))
 
+
+MODEL_PLAN = Plan.grid(
+    benchmarks="gsmdec",
+    variants=("mdc/prefclus", "ddgt/mincoms"),
+    scale=SCALE,
+    models=("snooping", "dls", "directory"),
+)
+
+
+def as_json(items):
+    return [json.dumps(item.to_dict(), sort_keys=True) for item in items]
+
+
+def unshared(specs):
+    """Each spec alone: a fresh artifact store and no sibling memo."""
+    from repro.api.artifacts import MemoryArtifactStore
+    from repro.api.core import execute_spec
+
+    return [execute_spec(spec, artifacts=MemoryArtifactStore())
+            for spec in specs]
+
+
+class TestModelSiblings:
+    """Specs equal except for ``model`` share one compile, execution
+    trace and checker oracle per loop, and still give the records each
+    spec gives alone."""
+
+    def loops(self):
+        from repro.workloads import get_benchmark
+
+        return len(get_benchmark("gsmdec").loops)
+
+    def test_serial_shares_and_matches_unshared(self, monkeypatch):
+        import repro.api.core as core
+        from repro.api.artifacts import MemoryArtifactStore
+
+        compiled = []
+        original = core.compile_loop
+
+        def counting(ddg, machine, **kwargs):
+            compiled.append((kwargs["coherence"], kwargs["heuristic"],
+                             id(ddg)))
+            return original(ddg, machine, **kwargs)
+
+        expected = as_json(unshared(MODEL_PLAN))
+        monkeypatch.setattr(core, "compile_loop", counting)
+        records = Runner(store=MemoryStore(),
+                         artifacts=MemoryArtifactStore()).run(MODEL_PLAN)
+        assert as_json(records) == expected
+        # Once per (variant, loop), not once per model.
+        assert len(compiled) == len(set(compiled)) == 2 * self.loops()
+
+    def test_parallel_shares_and_matches_unshared(self):
+        from repro.obs import metrics
+
+        with metrics.capture() as reg:
+            with Runner(store=MemoryStore(), parallel=2) as runner:
+                records = runner.run(MODEL_PLAN)
+        assert as_json(records) == as_json(unshared(MODEL_PLAN))
+        # Each back end ran once per (variant, loop), whichever worker
+        # ran it: the two tasks are the two sibling groups.
+        assert reg.counter("stages.executed", stage="schedule") == \
+            2 * self.loops()
+
+    def test_group_order_and_balance_keep_siblings_together(self):
+        from repro.api.core import sibling_key
+
+        specs = list(MODEL_PLAN.specs)  # variants inside models
+        groups = Runner._group_indices(specs)
+        assert groups == [[0, 2, 4, 1, 3, 5]]
+        siblings = [sibling_key(spec) for spec in specs]
+        assert Runner._balance(groups, 2, siblings.__getitem__) == [
+            [0, 2, 4], [1, 3, 5]
+        ]
+        # Three sibling pairs: the cut moves off the middle (3) to the
+        # nearest sibling boundary.
+        pairs = [[0, 1, 2, 3, 4, 5]]
+        assert Runner._balance(pairs, 2, lambda i: i) == [
+            [0, 1, 2], [3, 4, 5]
+        ]
+        assert Runner._balance(pairs, 2, lambda i: i // 2) == [
+            [0, 1], [2, 3, 4, 5]
+        ]
+        # More workers than sibling groups: occupancy wins, every spec
+        # still runs exactly once.
+        tasks = Runner._balance(groups, 4, siblings.__getitem__)
+        assert len(tasks) == 4
+        assert sorted(i for task in tasks for i in task) == list(range(6))
+
+    def test_simulate_failure_stays_with_its_model(self, monkeypatch):
+        import repro.api.core as core
+        from repro.api.artifacts import MemoryArtifactStore
+        from repro.api.runner import RunError
+        from repro.errors import SimulationError
+
+        original = core.simulate
+
+        def failing(*args, **kwargs):
+            if kwargs["model"] == "dls":
+                raise SimulationError("injected dls failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(core, "simulate", failing)
+        items = list(Runner(store=MemoryStore(),
+                            artifacts=MemoryArtifactStore()).stream(
+            MODEL_PLAN, on_error="yield"))
+        errors = [i for i in items if isinstance(i, RunError)]
+        records = [i for i in items if isinstance(i, RunRecord)]
+        assert sorted(e.spec_key for e in errors) == sorted(
+            s.content_hash for s in MODEL_PLAN if s.model == "dls")
+        assert all(e.message == "injected dls failure" for e in errors)
+        monkeypatch.setattr(core, "simulate", original)
+        by_key = {r.spec_key: r for r in records}
+        survivors = [s for s in MODEL_PLAN if s.model != "dls"]
+        assert as_json(by_key[s.content_hash] for s in survivors) == \
+            as_json(unshared(survivors))
+
+    def test_compile_failure_reaches_every_sibling(self, monkeypatch):
+        import repro.api.core as core
+        from repro.api.artifacts import MemoryArtifactStore
+        from repro.api.runner import RunError
+        from repro.errors import SchedulingError
+
+        def failing(*_args, **_kwargs):
+            raise SchedulingError("injected compile failure")
+
+        monkeypatch.setattr(core, "compile_loop", failing)
+        items = list(Runner(store=MemoryStore(),
+                            artifacts=MemoryArtifactStore()).stream(
+            MODEL_PLAN, on_error="yield"))
+        assert all(isinstance(i, RunError) for i in items)
+        assert sorted(i.spec_key for i in items) == sorted(
+            s.content_hash for s in MODEL_PLAN)
+        assert sorted(i.spec.get("model", "snooping") for i in items) == \
+            sorted(s.model for s in MODEL_PLAN)
+
+    def test_parallel_model_rejection_stays_with_its_model(self):
+        """Single-copy models reject Attraction Buffers in ``simulate``,
+        after the snooping sibling filled the memo."""
+        from repro.api.runner import RunError
+
+        plan = Plan.grid(benchmarks="gsmdec", variants="mdc/prefclus",
+                         scale=SCALE, attraction=True,
+                         models=("snooping", "dls", "directory"))
+        with Runner(store=MemoryStore(), parallel=2) as runner:
+            items = list(runner.stream(plan, on_error="yield"))
+        errors = sorted(i.spec["model"] for i in items
+                        if isinstance(i, RunError))
+        assert errors == ["directory", "dls"]
+        records = [i for i in items if isinstance(i, RunRecord)]
+        assert as_json(records) == as_json(unshared(plan.specs[:1]))

@@ -1,7 +1,9 @@
 """Experiment-driver tests on a reduced benchmark subset and scale.
 
 These check the *shape* claims each figure/table must reproduce, not
-absolute numbers (see EXPERIMENTS.md for the full-scale comparison).
+absolute numbers.  The paper's published values are transcribed in
+``repro/experiments/paperdata.py``; ROADMAP.md's paper-fidelity item
+records how the full-scale reproduction compares with them.
 """
 
 import pytest

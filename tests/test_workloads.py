@@ -131,6 +131,156 @@ class TestTraces:
         assert trace.base("A") == 0
 
 
+def _mixed_refs_loop():
+    """Affine refs (positive, zero and negative stride) and indirect refs
+    (two widths, salted) over three spaces; two equal store refs; loads
+    that read what earlier iterations stored."""
+    from repro.alias import AccessPattern, MemRef
+    from repro.ir import DdgBuilder
+
+    b = DdgBuilder()
+    b.load("a", mem=MemRef("A", offset=8, stride=4), name="up")
+    b.load("z", mem=MemRef("A", offset=64), name="invariant")
+    b.load("d", mem=MemRef("B", offset=4096, stride=-8, width=8),
+           name="down")
+    b.load("i", mem=MemRef("T", width=4, pattern=AccessPattern.INDIRECT,
+                           spread=256, salt=3), name="lut")
+    b.load("w", mem=MemRef("T", offset=16, width=8,
+                           pattern=AccessPattern.INDIRECT, spread=1024),
+           name="wide")
+    b.load("p", mem=MemRef("A", offset=508, stride=4), name="prev")
+    b.ialu("s", "a", "i", "p", name="sum")
+    b.store("s", mem=MemRef("A", offset=512, stride=4), name="st")
+    b.store("s", mem=MemRef("A", offset=512, stride=4), name="st2")
+    b.store("s", mem=MemRef("T", width=4, pattern=AccessPattern.INDIRECT,
+                            spread=256, salt=5), name="scatter")
+    return b.build()
+
+
+class TestAddressTables:
+    """``AddressTrace.addresses`` against the scalar ``address``."""
+
+    @staticmethod
+    def scalar(trace, iid, n):
+        return [trace.address(iid, i) for i in range(n)]
+
+    @pytest.mark.parametrize("padded", [True, False])
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_every_ref_matches_the_scalar_stream(self, padded, seed):
+        ddg = _mixed_refs_loop()
+        trace = AddressTrace(ddg, 96, seed=seed, padded=padded)
+        for op in ddg.memory_instructions():
+            table = trace.addresses(op.iid, 96)
+            assert list(table) == self.scalar(trace, op.iid, 96), op.name
+
+    def test_explicit_base_of(self):
+        ddg = _mixed_refs_loop()
+        trace = AddressTrace(ddg, 40, seed=5,
+                             base_of={"A": 1 << 20, "T": 12345})
+        assert trace.base("A") == 1 << 20
+        for op in ddg.memory_instructions():
+            assert list(trace.addresses(op.iid, 40)) == \
+                self.scalar(trace, op.iid, 40)
+
+    def test_cut_to_the_profile_length_and_grown_again(self):
+        from repro.api.spec import PROFILE_ITERATIONS
+
+        ddg = _mixed_refs_loop()
+        trace = AddressTrace(ddg, PROFILE_ITERATIONS + 44, seed=11)
+        for op in ddg.memory_instructions():
+            short = trace.addresses(op.iid, PROFILE_ITERATIONS)
+            assert list(short) == self.scalar(trace, op.iid,
+                                              PROFILE_ITERATIONS)
+            full = trace.addresses(op.iid, trace.num_iterations)
+            assert list(full) == self.scalar(trace, op.iid,
+                                             trace.num_iterations)
+            assert trace.addresses(op.iid, 3) == full[:3]
+            assert trace.addresses(op.iid, 0) == ()
+
+    def test_equal_refs_share_one_table(self):
+        ddg = _mixed_refs_loop()
+        trace = AddressTrace(ddg, 16, seed=1)
+        st, st2, _ = ddg.stores()
+        assert trace.addresses(st.iid, 16) is trace.addresses(st2.iid, 16)
+
+    def test_non_memory_instruction_raises(self, stream_loop):
+        trace = trace_factory(4, seed=1)(stream_loop)
+        alu = next(v for v in stream_loop if not v.is_memory)
+        with pytest.raises(WorkloadError):
+            trace.addresses(alu.iid, 4)
+
+    def test_doubles_keep_their_own_address(self):
+        from repro.workloads.traces import address_table
+
+        class Shifted(AddressTrace):
+            def address(self, iid, iteration):
+                return super().address(iid, iteration) + 1
+
+        ddg = _mixed_refs_loop()
+        double = Shifted(ddg, 8, seed=2)
+        plain = AddressTrace(ddg, 8, seed=2)
+        for op in ddg.memory_instructions():
+            assert list(address_table(double, op.iid, 8)) == [
+                a + 1 for a in plain.addresses(op.iid, 8)
+            ]
+            assert address_table(plain, op.iid, 8) is \
+                plain.addresses(op.iid, 8)
+
+    def test_profile_matches_the_scalar_histogram(self):
+        from repro.alias import profile_preferred_clusters
+
+        ddg = _mixed_refs_loop()
+        trace = AddressTrace(ddg, 300, seed=4)
+        profiles = profile_preferred_clusters(ddg, trace, BASELINE_CONFIG,
+                                              max_iterations=256)
+        for op in ddg.memory_instructions():
+            counts = [0] * BASELINE_CONFIG.num_clusters
+            for i in range(256):
+                counts[BASELINE_CONFIG.home_cluster(
+                    trace.address(op.iid, i))] += 1
+            assert profiles[op.iid].counts == tuple(counts)
+
+    def test_checker_oracle_matches_the_scalar_walk(self):
+        from repro.sim.coherence import CoherenceChecker
+
+        ddg = _mixed_refs_loop()
+        trace = AddressTrace(ddg, 64, seed=9)
+        ops = sorted(ddg.memory_instructions(), key=lambda v: (v.seq, v.iid))
+        last, expected = {}, {}
+        for i in range(64):
+            for op in ops:
+                addr = trace.address(op.iid, i)
+                if op.is_store:
+                    last[addr] = (i, op.seq)
+                else:
+                    expected[(op.iid, i)] = last.get(addr)
+        checker = CoherenceChecker(ddg, trace, 64)
+        assert any(v is not None for v in expected.values())
+        for (iid, i), version in expected.items():
+            assert checker.expected(iid, i) == version
+        assert checker.expected(ops[0].iid, 64) is None
+
+    @pytest.mark.parametrize("model", ["snooping", "dls", "directory"])
+    def test_no_hot_path_calls_the_scalar_address(self, monkeypatch,
+                                                  model):
+        """Profiling, the checker's oracle and the flat stepper all read
+        the tables; only the per-cycle reference calls ``address``."""
+        from repro.api.artifacts import MemoryArtifactStore
+        from repro.api.core import execute_spec
+        from repro.api.spec import RunSpec
+
+        spec = RunSpec(benchmark="gsmdec", variant="ddgt/prefclus",
+                       scale=0.1, model=model)
+        expected = execute_spec(spec, artifacts=MemoryArtifactStore())
+
+        def scalar_address(self, iid, iteration):
+            raise AssertionError("AddressTrace.address on a hot path")
+
+        monkeypatch.setattr(AddressTrace, "address", scalar_address)
+        record = execute_spec(spec, artifacts=MemoryArtifactStore())
+        assert record.to_dict() == expected.to_dict()
+
+
 class TestCatalog:
     def test_all_table1_rows_present(self):
         assert len(BENCHMARKS) == 14
