@@ -13,10 +13,6 @@ Built on the same :class:`~repro.api.spec.Plan` objects as the library:
 * ``repro check {protocol,conformance,schedule}`` — the exhaustive
   coherence-protocol model checker, the simulator/model conformance
   bridge, and the static schedule verifier (:mod:`repro.check`);
-* ``repro surrogate train`` — fit the learned cost model on the result
-  store's records and save a content-hashed artifact
-  (:mod:`repro.surrogate`); ``repro scenarios sweep --surrogate
-  --budget N`` then simulates only the predicted-interesting frontier;
 * ``repro cache {info,clear}`` — manage the on-disk result store;
 * ``repro bench {run,compare}`` — config-driven benchmark grids with a
   persistent ``BENCH_*.json`` perf trajectory (:mod:`repro.bench`);
@@ -184,23 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="continue a killed sweep from its checkpoint journal "
              "(requires the on-disk store)")
-    p_scn_sweep.add_argument(
-        "--surrogate", nargs="?", const="latest", default=None,
-        metavar="MODEL",
-        help="guide the sweep with a trained surrogate model (id, "
-             "artifact path, or 'latest'; requires --budget); store "
-             "hits are always kept, only fresh simulations are "
-             "rationed, and skipped cells are reported as skipped")
-    p_scn_sweep.add_argument(
-        "--budget", type=int, default=None, metavar="N",
-        help="max fresh simulations under --surrogate")
-    p_scn_sweep.add_argument(
-        "--explore-frac", type=float, default=0.1, metavar="F",
-        help="fraction of the budget spent on seeded random "
-             "exploration off the predicted frontier (default: 0.1)")
-    p_scn_sweep.add_argument(
-        "--surrogate-seed", type=int, default=0, metavar="S",
-        help="seed for the exploration draw (default: 0)")
     add_sweep_args(p_scn_sweep)
 
     p_scn_rep = scn_sub.add_parser(
@@ -272,32 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk_sched.add_argument("--loop", default=None,
                              help="restrict to one loop of each benchmark")
     p_chk_sched.add_argument("--out", default=None, metavar="FILE")
-
-    p_sur = sub.add_parser(
-        "surrogate",
-        help="learned cost model: train on stored sweep results "
-             "(repro.surrogate)",
-    )
-    sur_sub = p_sur.add_subparsers(dest="action", required=True)
-    p_sur_train = sur_sub.add_parser(
-        "train",
-        help="fit IPC/II/traffic predictors on the result store's "
-             "scn-… records and save a content-hashed model artifact")
-    p_sur_train.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result store to train from (and save the artifact under)")
-    p_sur_train.add_argument(
-        "--holdout-frac", type=float, default=None, metavar="F",
-        help="held-out fraction for the error report (default: 0.2)")
-    p_sur_train.add_argument(
-        "--min-rank-corr", type=float, default=None, metavar="R",
-        help="exit non-zero unless every target's held-out rank "
-             "correlation is >= R (CI floor)")
-    p_sur_train.add_argument(
-        "--no-save", action="store_true",
-        help="report metrics only; do not write the model artifact")
-    p_sur_train.add_argument("--out", default=None, metavar="FILE",
-                             help="also write the training report to FILE")
 
     sub.add_parser("list", help="list benchmarks, variants and configs")
 
@@ -632,17 +585,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     models = tuple(args.models) if args.models else ("snooping",)
 
     if args.action == "sweep":
-        surrogate_model = None
-        if getattr(args, "surrogate", None):
-            if args.budget is None:
-                raise ConfigError(
-                    "--surrogate needs --budget N (max fresh simulations)"
-                )
-            from repro.surrogate import load_model
-
-            surrogate_model = load_model(
-                args.surrogate, getattr(args, "cache_dir", None)
-            )
         plan = sweep_plan(names, machines, scale=args.scale, models=models)
         journal = _journal(args, plan)
         with _runner(args) as runner:
@@ -654,19 +596,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 runner=runner,
                 journal=journal,
                 progress=_progress_printer(),
-                surrogate=surrogate_model,
-                budget=getattr(args, "budget", None),
-                explore_frac=getattr(args, "explore_frac", 0.1),
-                surrogate_seed=getattr(args, "surrogate_seed", 0),
             )
-        if (result.surrogate is not None
-                and not getattr(args, "no_cache", False)):
-            # Active learning: persist the refit model so the next
-            # guided sweep starts from the sharpened predictor.
-            from repro.surrogate import save_model
-
-            refit_path = save_model(result.surrogate, args.cache_dir)
-            print(f"surrogate refit -> {refit_path}", file=sys.stderr)
         _emit(result.render(), args.out)
         if args.csv:
             with open(args.csv, "w") as handle:
@@ -803,72 +733,22 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.scenarios import FAMILIES
 
     lines.append("scenario families (repro scenarios): " + ", ".join(FAMILIES))
-    from repro.surrogate import describe_model, load_models, surrogate_root
-
-    lines.append(f"surrogate models ({surrogate_root()}/):")
-    surrogates = load_models()
-    if surrogates:
-        lines.extend(f"  {describe_model(model)}" for model in surrogates)
-    else:
-        lines.append("  (none — train with 'repro surrogate train')")
     lines.append("figures: 6, 7, 9   tables: 4, 5")
     print("\n".join(lines))
     return 0
 
 
-def _cmd_surrogate(args: argparse.Namespace) -> int:
-    from repro.surrogate import (
-        DEFAULT_HOLDOUT_FRAC,
-        save_model,
-        train_from_store,
-    )
-
-    model = train_from_store(
-        DiskStore(args.cache_dir),
-        holdout_frac=(args.holdout_frac if args.holdout_frac is not None
-                      else DEFAULT_HOLDOUT_FRAC),
-    )
-    text = model.summary()
-    if not args.no_save:
-        path = save_model(model, args.cache_dir)
-        text += f"\nartifact -> {path}"
-    _emit(text, args.out)
-    if args.min_rank_corr is not None:
-        worst = min(
-            m.get("rank_corr", 0.0) for m in model.metrics.values()
-        )
-        if worst < args.min_rank_corr:
-            print(
-                f"error: held-out rank correlation {worst:+.3f} below "
-                f"the --min-rank-corr floor {args.min_rank_corr:+.3f}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.surrogate.store import (
-        MODEL_GLOB,
-        clear_models,
-        list_model_ids,
-        surrogate_root,
-    )
-
     store = DiskStore(args.cache_dir)
     artifacts = DiskArtifactStore(artifact_root(args.cache_dir))
     journals_dir = journal_root(args.cache_dir)
-    surrogate_dir = surrogate_root(args.cache_dir)
     if args.action == "clear":
         records = store.clear()
         dropped = artifacts.clear()
         journals = remove_files(journals_dir, "*.jsonl")
-        surrogates = clear_models(args.cache_dir)
         print(f"removed {records} cached records from {store.root}/")
         print(f"removed {dropped} artifacts from {artifacts.root}/")
         print(f"removed {journals} run journals from {journals_dir}/")
-        print(f"removed {surrogates} surrogate models from "
-              f"{surrogate_dir}/")
     elif args.action == "artifacts":
         stats = artifact_stats()
         print(f"artifact dir : {artifacts.root}/")
@@ -891,23 +771,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         dropped = artifacts.prune(age)
         # Journals accumulate one file per plan hash unless pruned.
         journals = remove_files(journals_dir, "*.jsonl", age)
-        surrogates = remove_files(surrogate_dir, MODEL_GLOB, age)
         print(f"pruned {records} records from {store.root}/")
         print(f"pruned {dropped} artifacts from {artifacts.root}/")
         print(f"pruned {journals} run journals from {journals_dir}/")
-        print(f"pruned {surrogates} surrogate models from "
-              f"{surrogate_dir}/")
     else:
         journals = (len(list(journals_dir.glob("*.jsonl")))
                     if journals_dir.is_dir() else 0)
-        surrogates = len(list_model_ids(args.cache_dir))
         print(f"cache dir : {store.root}/")
         print(f"records   : {len(store)}")
         print(f"artifacts : {len(artifacts)} "
               f"({artifacts.size_bytes()} bytes under {artifacts.root}/)")
         print(f"journals  : {journals}")
-        print(f"surrogates: {surrogates} model artifacts under "
-              f"{surrogate_dir}/")
         print(f"size      : {store.size_bytes()} bytes")
         print(f"version   : {store.version}")
     return 0
@@ -960,7 +834,6 @@ _COMMANDS = {
     "figure": _cmd_figure,
     "table": _cmd_table,
     "scenarios": _cmd_scenarios,
-    "surrogate": _cmd_surrogate,
     "check": _cmd_check,
     "list": _cmd_list,
     "cache": _cmd_cache,

@@ -8,8 +8,10 @@
   ``cycles_per_second`` down).  The default threshold (15%) absorbs
   normal machine noise while catching real slowdowns;
 * a series present in the previous trajectory but **missing** from the
-  current one is a regression (coverage must never silently shrink);
-  new series are a note;
+  current one is a regression (coverage must never silently shrink),
+  unless the current trajectory lists its key under ``retired`` (the
+  grid config dropped it on purpose), which is a note; new series are
+  a note;
 * **deterministic fields** (spec counts, simulated cycles, record
   digests) differing is a *note*, not a failure: they change exactly
   when the simulated work changes, which a PR may do on purpose — but
@@ -74,11 +76,19 @@ def compare(current: Dict[str, Any], previous: Dict[str, Any],
     result = Comparison()
     cur_series: Dict[str, Dict] = dict(current.get("series") or {})
     prev_series: Dict[str, Dict] = dict(previous.get("series") or {})
+    retired = set(current.get("retired") or ())
     for key in sorted(prev_series):
         if key not in cur_series:
-            result.regressions.append(
-                f"{key}: series disappeared from the current trajectory"
-            )
+            if key in retired:
+                result.notes.append(
+                    f"{key}: retired (the current grid config drops it "
+                    "on purpose)"
+                )
+            else:
+                result.regressions.append(
+                    f"{key}: series disappeared from the current "
+                    "trajectory"
+                )
             continue
         cur, prev = cur_series[key], prev_series[key]
         for name, direction in PERF_DIRECTIONS.items():

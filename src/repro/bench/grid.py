@@ -7,8 +7,8 @@ or sampled synthetic scenarios, crossed with variants and machines —
 that :func:`run_grid` executes through the ordinary ``Plan``/``Runner``
 path against **fresh in-memory stores per repeat**, so every repeat
 measures cold end-to-end cost (compile + simulate) rather than cache
-luck.  The median wall time over ``repeat`` repeats is the series'
-tracked number.
+luck.  The series tracks the medians over ``repeat`` repeats of its wall
+time and of its front-end time.
 
 The output is one :data:`BENCH_FILE_PREFIX`\\ ``<grid>.json`` trajectory
 file plus a flat CSV (anomalib-style machine-readable emission), meant
@@ -80,12 +80,6 @@ class GridSeries:
     scale: float
     loop: Optional[str] = None
     model: str = "snooping"
-    #: Surrogate-guided series: ``{"budget": N, "explore_frac": F,
-    #: "seed": S, "train": {"seed": …, "count": …}}``.  Each repeat pays
-    #: the *whole* guided pipeline cold — train-sweep simulation, model
-    #: fit, frontier selection, frontier simulation — so the tracked
-    #: wall time is the honest end-to-end cost of guidance.
-    surrogate: Optional[Dict[str, Any]] = None
 
     def plan(self) -> Plan:
         return Plan.grid(
@@ -105,6 +99,10 @@ class GridConfig:
     name: str
     repeat: int
     series: List[GridSeries] = field(default_factory=list)
+    #: Keys of series the grid dropped on purpose.  ``run_grid`` copies
+    #: them into the trajectory so ``compare`` reports a previous
+    #: trajectory's series of that key as retired, not as lost coverage.
+    retired: List[str] = field(default_factory=list)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "GridConfig":
@@ -158,17 +156,6 @@ class GridConfig:
                     f"series {key!r} names unknown memory model "
                     f"{model!r}; expected one of {model_names()}"
                 )
-            surrogate = entry.get("surrogate")
-            if surrogate is not None:
-                if not isinstance(surrogate, dict) or "budget" not in surrogate:
-                    raise WorkloadError(
-                        f"series {key!r}: 'surrogate' must be an object "
-                        "with at least a 'budget'"
-                    )
-                if int(surrogate["budget"]) < 1:
-                    raise WorkloadError(
-                        f"series {key!r}: surrogate budget must be >= 1"
-                    )
             series.append(GridSeries(
                 key=key,
                 benchmarks=[str(b) for b in benchmarks],
@@ -179,7 +166,6 @@ class GridConfig:
                 scale=float(entry.get("scale", default_scale)),
                 loop=entry.get("loop"),
                 model=model,
-                surrogate=surrogate,
             ))
         seen: Dict[str, int] = {}
         for s in series:
@@ -187,10 +173,21 @@ class GridConfig:
         dupes = sorted(k for k, n in seen.items() if n > 1)
         if dupes:
             raise WorkloadError(f"duplicate series keys: {dupes}")
+        retired = data.get("retired", [])
+        if not isinstance(retired, list) or not all(
+                isinstance(key, str) and key for key in retired):
+            raise WorkloadError("grid config 'retired' must be a list of "
+                                "series keys")
+        live = sorted(set(retired) & set(seen))
+        if live:
+            raise WorkloadError(
+                f"retired series keys are still live series: {live}"
+            )
         return cls(
             name=name,
             repeat=max(1, int(data.get("repeat", 3))),
             series=series,
+            retired=list(retired),
         )
 
 
@@ -203,12 +200,10 @@ def _records_digest(records: Sequence[RunRecord]) -> str:
 
 def run_series(series: GridSeries, repeat: int) -> Dict[str, Any]:
     """Execute one series ``repeat`` times cold; median-walled result."""
-    if series.surrogate is not None:
-        return _run_series_surrogate(series, repeat)
     plan = series.plan()
     walls: List[float] = []
+    frontends: List[float] = []
     records: List[RunRecord] = []
-    frontend = 0.0
     for _ in range(repeat):
         # Fresh stores per repeat: no result-cache or artifact-cache
         # carry-over, so every repeat pays the full compile+simulate
@@ -220,7 +215,9 @@ def run_series(series: GridSeries, repeat: int) -> Dict[str, Any]:
         with trace.span(f"bench:{series.key}", cat="bench"):
             records = runner.run(plan)
         walls.append(time.perf_counter() - start)
-        frontend = stage_counters().frontend_seconds() - frontend_before
+        frontends.append(
+            stage_counters().frontend_seconds() - frontend_before
+        )
     wall = statistics.median(walls)
     total_cycles = 0
     issued_ops = 0
@@ -232,89 +229,11 @@ def run_series(series: GridSeries, repeat: int) -> Dict[str, Any]:
         "wall_seconds": wall,
         "wall_seconds_all": walls,
         "cycles_per_second": (total_cycles / wall) if wall else 0.0,
-        "frontend_seconds": frontend,
+        "frontend_seconds": statistics.median(frontends),
         "specs": len(plan),
         "total_cycles": total_cycles,
         "issued_ops": issued_ops,
         "records_digest": _records_digest(records),
-    }
-
-
-def _run_series_surrogate(series: GridSeries, repeat: int) -> Dict[str, Any]:
-    """Execute a surrogate-guided series ``repeat`` times, cold.
-
-    Each repeat: simulate a small seeded *training* space, fit the
-    surrogate on those records, pick the ``budget`` frontier of the
-    series' candidate plan, and simulate only that.  The tracked wall
-    time covers all four steps, so the series' speedup claim vs its
-    exhaustive twin is end-to-end honest.  Deterministic fields come
-    from the frontier records; the selection itself is deterministic
-    (seeded model, seeded exploration), so ``records_digest`` is stable.
-    """
-    from repro.scenarios.generator import sample_scenarios
-    from repro.surrogate.guide import select_frontier
-    from repro.surrogate.train import train_from_records
-
-    cfg = series.surrogate or {}
-    budget = int(cfg["budget"])
-    explore_frac = float(cfg.get("explore_frac", 0.1))
-    guide_seed = int(cfg.get("seed", 0))
-    train_cfg = cfg.get("train", {})
-    train_benchmarks = [
-        p.name for p in sample_scenarios(
-            int(train_cfg.get("seed", 1)),
-            int(train_cfg.get("count", 6)),
-            train_cfg.get("families"),
-        )
-    ]
-    train_plan = Plan.grid(
-        benchmarks=train_benchmarks,
-        variants=list(series.variants),
-        machines=list(series.machines),
-        scale=series.scale,
-        models=series.model,
-    )
-    plan = series.plan()
-
-    walls: List[float] = []
-    records: List[RunRecord] = []
-    frontend = 0.0
-    chosen = 0
-    for _ in range(repeat):
-        runner = Runner(store=MemoryStore(),
-                        artifacts=MemoryArtifactStore())
-        frontend_before = stage_counters().frontend_seconds()
-        start = time.perf_counter()
-        with trace.span(f"bench:{series.key}", cat="bench"):
-            train_records = runner.run(train_plan)
-            model = train_from_records(train_records)
-            selection = select_frontier(
-                list(plan.specs), model, budget,
-                explore_frac=explore_frac, seed=guide_seed,
-            )
-            records = runner.run(Plan(tuple(selection.chosen)))
-        walls.append(time.perf_counter() - start)
-        frontend = stage_counters().frontend_seconds() - frontend_before
-        chosen = len(selection.chosen)
-    wall = statistics.median(walls)
-    total_cycles = 0
-    issued_ops = 0
-    for record in records:
-        stats = record.merged_stats()
-        total_cycles += stats.total_cycles
-        issued_ops += stats.issued_ops
-    return {
-        "wall_seconds": wall,
-        "wall_seconds_all": walls,
-        "cycles_per_second": (total_cycles / wall) if wall else 0.0,
-        "frontend_seconds": frontend,
-        "specs": chosen,
-        "total_cycles": total_cycles,
-        "issued_ops": issued_ops,
-        "records_digest": _records_digest(records),
-        "candidate_specs": len(plan),
-        "skipped_specs": len(plan) - chosen,
-        "train_specs": len(train_plan),
     }
 
 
@@ -335,6 +254,7 @@ def run_grid(config: GridConfig,
         "grid": config.name,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "repeat": repeat,
+        "retired": list(config.retired),
         "env": {
             "python": platform.python_version(),
             "platform": platform.platform(),

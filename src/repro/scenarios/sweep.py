@@ -65,28 +65,18 @@ class FamilySummary:
     mean_bus_per_iter: float
     violations: int
     model: str = "snooping"
-    #: Of ``runs``, how many were freshly simulated (vs store hits).
-    simulated: int = 0
-    #: Cells of this (family, variant, model) group the surrogate budget
-    #: pruned — never measured, never aggregated into the means.
-    skipped: int = 0
-    #: Where this row's numbers came from: ``store`` / ``simulated`` /
-    #: ``mixed``; ``skipped`` when the whole group was pruned.
-    source: str = "simulated"
 
     def row(self) -> List[object]:
         return [
             self.family, self.variant, self.runs, self.mean_ii,
             self.mean_ipc, self.mean_local_hit, self.mean_bus_per_iter,
-            self.violations, self.model, self.simulated, self.skipped,
-            self.source,
+            self.violations, self.model,
         ]
 
 
 SUMMARY_COLUMNS = (
     "family", "variant", "runs", "mean_ii", "mean_ipc", "mean_local_hit",
-    "mean_bus_per_iter", "violations", "model", "simulated", "skipped",
-    "source",
+    "mean_bus_per_iter", "violations", "model",
 )
 
 
@@ -107,56 +97,23 @@ class SweepResult:
     free_violations: Dict[Tuple[str, str, str, str], int] = field(
         default_factory=dict
     )
-    #: Specs a surrogate budget pruned (empty for exhaustive sweeps).
-    skipped_specs: List = field(default_factory=list)
-    #: The refit surrogate after folding realized results back in
-    #: (active learning); ``None`` for unguided sweeps.
-    surrogate: Optional[object] = None
 
     @property
     def ok(self) -> bool:
         """True when violations appeared only under free scheduling."""
         return not self.anomalies
 
-    @property
-    def simulated_runs(self) -> int:
-        return sum(1 for r in self.records if r.source == "simulated")
-
-    @property
-    def store_runs(self) -> int:
-        return sum(1 for r in self.records if r.source == "store")
-
-    @property
-    def skipped_runs(self) -> int:
-        return len(self.skipped_specs)
-
     # ------------------------------------------------------------------
     def render(self) -> str:
-        # Provenance columns appear in the rendered table only for
-        # guided sweeps: an unguided rerun against a warm store must
-        # stay byte-identical to the cold run (the CSV always carries
-        # them — that is where trajectory diffs and audits look).
-        guided = bool(self.skipped_specs)
-        columns = list(
-            SUMMARY_COLUMNS if guided else SUMMARY_COLUMNS[:-3]
-        )
         lines = [format_table(
-            columns,
-            [s.row() if guided else s.row()[:-3]
-             for s in self.summaries],
+            SUMMARY_COLUMNS,
+            [s.row() for s in self.summaries],
             title=(
                 f"differential sweep: {len(self.scenarios)} scenarios x "
                 f"{len(self.machines)} machines x {len(self.variants)} "
                 f"variants = {len(self.plan)} runs"
             ),
         )]
-        if self.skipped_specs:
-            lines.append(
-                f"surrogate-guided: {self.simulated_runs} simulated, "
-                f"{self.store_runs} from store, {self.skipped_runs} "
-                f"skipped by budget (all reported numbers are measured; "
-                f"skipped cells carry no data)"
-            )
         free_total = sum(self.free_violations.values())
         flagged = sum(1 for count in self.free_violations.values() if count)
         lines.append(
@@ -182,7 +139,6 @@ class SweepResult:
                 s.family, s.variant, s.runs, f"{s.mean_ii:.3f}",
                 f"{s.mean_ipc:.4f}", f"{s.mean_local_hit:.4f}",
                 f"{s.mean_bus_per_iter:.3f}", s.violations, s.model,
-                s.simulated, s.skipped, s.source,
             ])
         return out.getvalue()
 
@@ -211,22 +167,15 @@ def sweep_plan(
     )
 
 
-def summarize(records: Sequence[RunRecord],
-              skipped: Sequence = ()) -> SweepResult:
+def summarize(records: Sequence[RunRecord]) -> SweepResult:
     """Differential cross-check + per-family aggregation of sweep records.
 
     Standalone so callers holding warm-store records (e.g. the ``report``
-    CLI verb) can re-aggregate without re-running anything.  ``skipped``
-    is the list of specs a surrogate budget pruned: they contribute only
-    to the per-cell ``skipped`` counts (never to the measured means) and
-    a cell with no measured runs at all is reported with
-    ``source="skipped"``.
+    CLI verb) can re-aggregate without re-running anything.  The result
+    is a pure function of the records: how each one was obtained (fresh
+    simulation or store hit) never shows.
     """
     grouped: Dict[Tuple[str, str, str], List[RunRecord]] = {}
-    skipped_counts: Dict[Tuple[str, str, str], int] = {}
-    for spec in skipped:
-        key = (scenario_family(spec.benchmark), spec.variant, spec.model)
-        skipped_counts[key] = skipped_counts.get(key, 0) + 1
     anomalies: List[str] = []
     free_violations: Dict[Tuple[str, str, str, str], int] = {}
     for record in records:
@@ -258,30 +207,19 @@ def summarize(records: Sequence[RunRecord],
                 f"{model_arg}"
             )
 
-    models = sorted(
-        {record.model for record in records}
-        | {model for (_, _, model) in skipped_counts}
-    )
+    models = sorted({record.model for record in records})
     summaries: List[FamilySummary] = []
     for family in FAMILIES:
         for variant in DIFFERENTIAL_VARIANTS:
             for model in models:
-                key = (family, variant, model)
-                cell = grouped.pop(key, None)
-                skips = skipped_counts.pop(key, 0)
-                if cell or skips:
+                cell = grouped.pop((family, variant, model), None)
+                if cell:
                     summaries.append(
-                        _summarize_cell(family, variant, model,
-                                        cell or [], skips)
+                        _summarize_cell(family, variant, model, cell)
                     )
     # Cells outside the canonical family/variant grid (custom variants).
-    leftovers = sorted(set(grouped) | set(skipped_counts))
-    for key in leftovers:
-        family, variant, model = key
-        summaries.append(_summarize_cell(
-            family, variant, model,
-            grouped.get(key, []), skipped_counts.get(key, 0),
-        ))
+    for key in sorted(grouped):
+        summaries.append(_summarize_cell(*key, grouped[key]))
 
     scenarios = sorted({r.benchmark for r in records})
     machines = sorted({r.machine for r in records})
@@ -295,28 +233,11 @@ def summarize(records: Sequence[RunRecord],
         summaries=summaries,
         anomalies=anomalies,
         free_violations=free_violations,
-        skipped_specs=list(skipped),
     )
-
-
-def _cell_source(store_n: int, simulated_n: int, skipped_n: int) -> str:
-    kinds = [
-        kind
-        for kind, n in (
-            ("store", store_n),
-            ("simulated", simulated_n),
-            ("skipped", skipped_n),
-        )
-        if n
-    ]
-    if not kinds:
-        return "simulated"
-    return kinds[0] if len(kinds) == 1 else "mixed"
 
 
 def _summarize_cell(
     family: str, variant: str, model: str, cell: List[RunRecord],
-    skipped: int = 0,
 ) -> FamilySummary:
     iis: List[int] = []
     ipcs: List[float] = []
@@ -335,8 +256,6 @@ def _summarize_cell(
         if iters:
             bus_rates.append(stats.bus_transfers / iters)
         violations += record.violations
-    simulated = sum(1 for record in cell if record.source == "simulated")
-    store_hits = len(cell) - simulated
     return FamilySummary(
         family=family,
         variant=variant,
@@ -347,9 +266,6 @@ def _summarize_cell(
         mean_bus_per_iter=_mean(bus_rates),
         violations=violations,
         model=model,
-        simulated=simulated,
-        skipped=skipped,
-        source=_cell_source(store_hits, simulated, skipped),
     )
 
 
@@ -371,10 +287,6 @@ def run_sweep(
     runner: Optional[Runner] = None,
     journal=None,
     progress=None,
-    surrogate=None,
-    budget: Optional[int] = None,
-    explore_frac: float = 0.1,
-    surrogate_seed: int = 0,
 ) -> SweepResult:
     """Sample (or take) scenarios, run the differential grid, cross-check.
 
@@ -386,16 +298,6 @@ def run_sweep(
     ``journal`` (:class:`~repro.api.journal.RunJournal`) checkpoints the
     sweep so a killed run resumes — against the on-disk store — without
     re-executing completed groups.
-
-    With a ``surrogate`` (:class:`~repro.surrogate.SurrogateModel`) and a
-    ``budget``, the sweep becomes frontier-guided: store hits are always
-    kept (they are free), and of the remaining cells only the
-    ``budget``-most-interesting by predicted IPC/II/traffic — plus a
-    seeded ``explore_frac`` random slice — are simulated.  Pruned specs
-    land in ``SweepResult.skipped_specs`` and per-cell ``skipped``
-    counts; every reported number still comes from real simulation, and
-    the realized results are folded back into the returned
-    ``SweepResult.surrogate`` (active learning).
     """
     if scenarios is None:
         scenarios = [
@@ -407,79 +309,13 @@ def run_sweep(
         runner = Runner(store=None)
     plan = sweep_plan(scenarios, machines, variants, scale, models)
 
-    skipped_specs: List = []
-    if surrogate is not None:
-        if budget is None:
-            raise WorkloadError(
-                "surrogate-guided sweep needs a simulation budget"
-            )
-        plan, skipped_specs = _guide_plan(
-            plan, runner, surrogate, budget, explore_frac, surrogate_seed
-        )
-
     with trace.span("sweep", cat="sweep", scenarios=len(scenarios),
                     runs=len(plan)):
         records = runner.run(plan, journal=journal, progress=progress)
-        result = summarize(records, skipped=skipped_specs)
+        result = summarize(records)
     metrics.inc("sweep.runs", len(records))
-    metrics.inc("sweep.skipped", len(skipped_specs))
     if result.anomalies:
         metrics.inc("sweep.anomalies", len(result.anomalies))
     result.plan = plan
     result.scenarios = list(scenarios)
-
-    if surrogate is not None:
-        result.surrogate = _refit_surrogate(surrogate, records)
     return result
-
-
-def _guide_plan(
-    plan: Plan, runner: Runner, surrogate, budget: int,
-    explore_frac: float, surrogate_seed: int,
-) -> Tuple[Plan, List]:
-    """Partition the full plan into the guided plan + the pruned specs.
-
-    Store hits ride along for free regardless of the budget — the budget
-    only rations *fresh simulations* — and plan order is preserved so the
-    runner's front-end grouping still shares compilations.
-    """
-    from repro.surrogate.guide import select_frontier
-
-    store = runner.store
-    hits = [
-        spec for spec in plan.specs if store is not None
-        and spec.content_hash in store
-    ]
-    hit_keys = {spec.content_hash for spec in hits}
-    misses = [
-        spec for spec in plan.specs if spec.content_hash not in hit_keys
-    ]
-    if budget >= len(misses):
-        return plan, []
-    selection = select_frontier(
-        misses, surrogate, budget,
-        explore_frac=explore_frac, seed=surrogate_seed,
-    )
-    chosen_keys = hit_keys | {
-        spec.content_hash for spec in selection.chosen
-    }
-    guided = [s for s in plan.specs if s.content_hash in chosen_keys]
-    skipped = [s for s in plan.specs if s.content_hash not in chosen_keys]
-    return Plan(tuple(guided)), skipped
-
-
-def _refit_surrogate(surrogate, records: Sequence[RunRecord]):
-    """Fold freshly simulated ground truth back into the model (active
-    learning); returns the original model when nothing new was measured
-    or the merged training set is still too small."""
-    from repro.surrogate.train import rows_from_records
-
-    fresh = rows_from_records(
-        [record for record in records if record.source == "simulated"]
-    )
-    if not fresh:
-        return surrogate
-    try:
-        return surrogate.refit_with(fresh)
-    except WorkloadError:
-        return surrogate

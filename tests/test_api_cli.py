@@ -197,6 +197,70 @@ class TestCacheArtifactVerbs:
         assert not list((cache / "journal").glob("*.jsonl"))
 
 
+class TestOldSurrogateDirectory:
+    """A ``surrogate/`` directory left by an older version is not part
+    of any store: the cache verbs neither count nor remove it."""
+
+    def _cache_with_old_models(self, tmp_path):
+        cache = tmp_path / "cache"
+        main(["run", "gsmdec", "-v", "mdc/prefclus", "--scale", "0.1",
+              "--cache-dir", str(cache)])
+        old = cache / "surrogate" / "model-0123abcd.json"
+        old.parent.mkdir()
+        old.write_text("{}")
+        return cache, old
+
+    def test_info_reports_only_the_stores(self, tmp_path, capsys):
+        cache, _ = self._cache_with_old_models(tmp_path)
+        capsys.readouterr()
+        assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
+        labels = [line.split(":")[0].strip()
+                  for line in capsys.readouterr().out.splitlines()]
+        assert labels == ["cache dir", "records", "artifacts", "journals",
+                          "size", "version"]
+
+    def test_clear_leaves_it_alone(self, tmp_path, capsys):
+        cache, old = self._cache_with_old_models(tmp_path)
+        capsys.readouterr()
+        assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1 cached records" in out
+        assert "surrogate" not in out
+        assert old.read_text() == "{}"
+
+    def test_prune_leaves_it_alone(self, tmp_path, capsys):
+        import os
+        import time
+
+        cache, old = self._cache_with_old_models(tmp_path)
+        stale = time.time() - 3 * 86400
+        for path in cache.rglob("*.json"):
+            os.utime(path, (stale, stale))
+        capsys.readouterr()
+        assert main(["cache", "prune", "--older-than", "1d",
+                     "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "pruned 1 records" in out
+        assert "surrogate" not in out
+        assert old.read_text() == "{}"
+
+
+class TestRetiredFlags:
+    @pytest.mark.parametrize("argv", [
+        ["surrogate"],
+        ["surrogate", "train"],
+        ["scenarios", "sweep", "--budget", "5"],
+        ["scenarios", "sweep", "--surrogate", "latest"],
+        ["scenarios", "sweep", "--explore-frac", "0.2"],
+        ["scenarios", "sweep", "--surrogate-seed", "1"],
+    ])
+    def test_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestScenarioErrorPaths:
     def test_report_on_an_empty_store_is_clean_and_nonzero(self, tmp_path,
                                                            capsys):

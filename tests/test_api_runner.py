@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro.api.artifacts import MemoryArtifactStore
 from repro.api.records import RunRecord
 from repro.api.runner import Runner, run
 from repro.api.spec import MDC_PREF, Plan, RunSpec
-from repro.api.store import MemoryStore, set_default_store
+from repro.api.store import DiskStore, MemoryStore, set_default_store
 from repro.errors import WorkloadError
 
 SCALE = 0.1
@@ -66,6 +67,53 @@ class TestRunnerCaching:
         finally:
             set_default_store(previous)
         assert again.to_dict() == record.to_dict()
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_store_hits_are_tagged_but_not_serialized(self, kind,
+                                                      tmp_path):
+        """``RunRecord.source`` says where a record came from, for
+        callers that count store hits; it never reaches equality or the
+        serialized record."""
+        store = MemoryStore() if kind == "memory" else DiskStore(tmp_path)
+        runner = Runner(store=store, artifacts=MemoryArtifactStore())
+        spec = RunSpec(benchmark="scn-gather-n24-m45-r2-a30-s7",
+                       variant="mdc/prefclus", machine="baseline",
+                       scale=0.05)
+        first = runner.run([spec])[0]
+        again = runner.run([spec])[0]
+        assert first.source == "simulated"
+        assert again.source == "store"
+        assert first == again, "provenance must not affect equality"
+        assert "source" not in first.to_dict()
+        assert "source" not in json.dumps(again.to_dict())
+
+    @pytest.mark.parametrize("kind", ["memory", "disk"])
+    def test_partial_hits_are_tagged_per_record(self, kind, tmp_path):
+        """In a plan that is half warm, exactly the warm records say
+        ``store``, in plan order."""
+        store = MemoryStore() if kind == "memory" else DiskStore(tmp_path)
+        runner = Runner(store=store, artifacts=MemoryArtifactStore())
+        plan = Plan.grid(benchmarks=["scn-gather-n24-m45-r2-a30-s7"],
+                         variants=("mdc/prefclus", "mdc/mincoms",
+                                   "ddgt/prefclus", "ddgt/mincoms"),
+                         scale=0.05)
+        runner.run(Plan(plan.specs[:2]))
+        records = runner.run(plan)
+        assert [r.source for r in records] == [
+            "store", "store", "simulated", "simulated",
+        ]
+
+    def test_streamed_store_hits_are_tagged(self):
+        runner = Runner(store=MemoryStore(), artifacts=MemoryArtifactStore())
+        spec = RunSpec(benchmark="scn-gather-n24-m45-r2-a30-s7",
+                       variant="mdc/prefclus", machine="baseline",
+                       scale=0.05)
+        (first,) = runner.stream([spec])
+        (again,) = runner.stream([spec])
+        assert (first.source, again.source) == ("simulated", "store")
+        assert again == first
 
 
 class TestParallelEqualsSerial:
@@ -197,8 +245,6 @@ class TestFrontendGrouping:
         )
 
     def test_custom_artifact_store_warns_in_parallel(self):
-        from repro.api.artifacts import MemoryArtifactStore
-
         class CustomStore(MemoryArtifactStore):
             pass
 
@@ -250,8 +296,6 @@ class TestModelSiblings:
 
     def test_serial_shares_and_matches_unshared(self, monkeypatch):
         import repro.api.core as core
-        from repro.api.artifacts import MemoryArtifactStore
-
         compiled = []
         original = core.compile_loop
 

@@ -229,7 +229,7 @@ class TestDiskStoreConcurrencyHardening:
 
 class TestRemoveFiles:
     """The one helper behind ``repro cache clear``/``prune`` for run
-    journals and surrogate artifacts, and behind store clears."""
+    journals, and behind store clears."""
 
     def test_glob_and_age_cutoff(self, tmp_path):
         old, fresh, other = (tmp_path / name for name in

@@ -1,6 +1,7 @@
 """`repro.bench`: grid configs, trajectory emission, regression compare."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro import bench
 from repro.api.cli import main
 from repro.bench.grid import GridConfig, run_series
 from repro.errors import WorkloadError
+
+REPO = Path(__file__).resolve().parent.parent
 
 TINY_GRID = {
     "name": "tiny",
@@ -68,6 +71,10 @@ class TestGridConfig:
             {"key": "a", "benchmarks": ["gsmdec"]},
             {"key": "a", "benchmarks": ["g721dec"]},
         ]},
+        dict(TINY_GRID, retired=["one"]),  # retired key is still live
+        dict(TINY_GRID, retired="gone"),  # retired is not a list
+        dict(TINY_GRID, retired=[1]),  # retired entry is not a key
+        dict(TINY_GRID, retired=[""]),  # retired entry is empty
     ])
     def test_malformed_configs_raise_workload_error(self, broken):
         with pytest.raises(WorkloadError):
@@ -82,12 +89,28 @@ class TestGridConfig:
             GridConfig.load(bad)
 
     def test_default_grid_config_is_valid(self):
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent
-        config = GridConfig.load(repo / "benchmarks/grids/default.json")
+        config = GridConfig.load(REPO / "benchmarks/grids/default.json")
         assert config.name == "default"
         assert len(config.series) >= 3
+
+    def test_retired_defaults_to_empty(self):
+        config = GridConfig.from_dict(TINY_GRID)
+        assert config.retired == []
+        assert bench.run_grid(config)["retired"] == []
+
+    def test_default_grid_retires_the_surrogate_series(self):
+        config = GridConfig.load(REPO / "benchmarks/grids/default.json")
+        assert config.retired == ["surrogate-guided"]
+        assert "surrogate-guided" not in {s.key for s in config.series}
+
+    def test_committed_trajectory_matches_the_default_grid(self):
+        """The committed ``BENCH_default.json`` was produced by the grid
+        config as it stands: same live series, same retired keys."""
+        config = GridConfig.load(REPO / "benchmarks/grids/default.json")
+        trajectory = bench.load_trajectory(REPO / "BENCH_default.json")
+        assert sorted(trajectory["series"]) == sorted(
+            s.key for s in config.series)
+        assert trajectory["retired"] == config.retired
 
 
 class TestRunSeries:
@@ -100,6 +123,48 @@ class TestRunSeries:
         assert first["specs"] == 1
         assert first["total_cycles"] > 0
         assert first["wall_seconds"] > 0
+
+    def test_frontend_seconds_is_the_median_over_repeats(self,
+                                                         monkeypatch):
+        """Front-end time is a median over repeats, like wall time, not
+        the last repeat's reading."""
+        readings = iter([0.0, 5.0, 5.0, 6.0, 6.0, 100.0])  # 5, 1, 94 s
+
+        class Counters:
+            def frontend_seconds(self):
+                return next(readings)
+
+        monkeypatch.setattr(bench.grid, "stage_counters", Counters)
+        series = GridConfig.from_dict(TINY_GRID).series[0]
+        assert run_series(series, repeat=3)["frontend_seconds"] == 5.0
+
+    @pytest.mark.parametrize("per_repeat, median", [
+        ([7.0], 7.0),
+        ([2.0, 4.0], 3.0),
+        ([4.0, 1.0, 3.0, 100.0], 3.5),
+    ])
+    def test_frontend_seconds_median_by_repeat_count(self, monkeypatch,
+                                                     per_repeat, median):
+        readings = []
+        clock = 0.0
+        for seconds in per_repeat:
+            readings += [clock, clock + seconds]
+            clock += seconds
+        readings = iter(readings)
+
+        class Counters:
+            def frontend_seconds(self):
+                return next(readings)
+
+        monkeypatch.setattr(bench.grid, "stage_counters", Counters)
+        series = GridConfig.from_dict(TINY_GRID).series[0]
+        result = run_series(series, repeat=len(per_repeat))
+        assert result["frontend_seconds"] == median
+        assert len(result["wall_seconds_all"]) == len(per_repeat)
+
+    def test_run_grid_copies_the_retired_keys(self):
+        config = GridConfig.from_dict(dict(TINY_GRID, retired=["gone"]))
+        assert bench.run_grid(config)["retired"] == ["gone"]
 
 
 class TestEmission:
@@ -121,6 +186,11 @@ class TestEmission:
         paths = bench.write_trajectory(trajectory, tmp_path / "a" / "b")
         assert bench.load_trajectory(paths["json"]) == trajectory
         assert paths["csv"].is_file()
+
+    def test_write_load_round_trip_keeps_retired(self, tmp_path):
+        trajectory = dict(_trajectory(one=_series_cell()), retired=["gone"])
+        paths = bench.write_trajectory(trajectory, tmp_path)
+        assert bench.load_trajectory(paths["json"])["retired"] == ["gone"]
 
     def test_load_rejects_non_trajectory_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -169,6 +239,34 @@ class TestCompare:
         result = bench.compare(cur, prev)
         assert any("disappeared" in r for r in result.regressions)
         assert any("new series" in n for n in result.notes)
+
+    def test_retired_series_is_a_note_other_losses_still_regress(self):
+        prev = _trajectory(one=_series_cell(), gone=_series_cell(),
+                           lost=_series_cell())
+        cur = dict(_trajectory(one=_series_cell()), retired=["gone"])
+        result = bench.compare(cur, prev)
+        assert result.regressions == [
+            "lost: series disappeared from the current trajectory"
+        ]
+        assert any(n.startswith("gone: retired") for n in result.notes)
+        del prev["series"]["lost"]
+        assert bench.compare(cur, prev).ok
+
+    def test_retirement_is_declared_by_the_current_trajectory(self):
+        """A key the *previous* trajectory retired does not excuse a
+        series the current one lost."""
+        prev = dict(_trajectory(one=_series_cell(), gone=_series_cell()),
+                    retired=["gone"])
+        result = bench.compare(_trajectory(one=_series_cell()), prev)
+        assert result.regressions == [
+            "gone: series disappeared from the current trajectory"
+        ]
+
+    def test_retiring_a_series_the_previous_never_had_is_silent(self):
+        t = _trajectory(one=_series_cell())
+        result = bench.compare(dict(t, retired=["never"]), t)
+        assert result.ok
+        assert not result.notes
 
     def test_deterministic_drift_is_a_note_not_a_failure(self):
         prev = _trajectory(one=_series_cell(cycles=1000))
@@ -227,6 +325,20 @@ class TestCli:
                    "--against", str(previous)])
         assert rc == 1
         assert "REGRESSIONS" in capsys.readouterr().out
+
+    def test_bench_compare_passes_the_committed_retirement(self, tmp_path,
+                                                            capsys):
+        """The committed trajectory against one that still carried the
+        ``surrogate-guided`` series: retired, not lost."""
+        current = REPO / "BENCH_default.json"
+        previous = json.loads(current.read_text())
+        del previous["retired"]
+        previous["series"]["surrogate-guided"] = _series_cell()
+        prev_path = tmp_path / "BENCH_prev.json"
+        prev_path.write_text(json.dumps(previous))
+        assert main(["bench", "compare", str(current),
+                     "--against", str(prev_path)]) == 0
+        assert "surrogate-guided: retired" in capsys.readouterr().out
 
     def test_bench_compare_missing_file_is_a_clean_error(self, tmp_path,
                                                          capsys):

@@ -1,4 +1,5 @@
-"""Every name a package exports through ``__all__`` resolves."""
+"""Every name a package exports through ``__all__`` resolves, and the
+retired surrogate-guided sweep surface stays gone."""
 
 import importlib
 
@@ -9,7 +10,6 @@ PACKAGES = (
     "repro.api",
     "repro.sched",
     "repro.experiments",
-    "repro.surrogate",
     "repro.check",
 )
 
@@ -20,3 +20,67 @@ def test_all_names_resolve(package):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ lists unresolvable {missing}"
     assert len(set(module.__all__)) == len(module.__all__), "duplicates"
+
+
+def test_the_surrogate_package_is_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.surrogate")
+
+
+def test_front_door_imports_load_no_surrogate_module():
+    """Nothing the library, the sweep harness or the CLI imports pulls
+    in a learned-model module."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys, repro, repro.scenarios, repro.api, repro.api.cli\n"
+        "print(sorted(m for m in sys.modules if 'surrogate' in m))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("keyword", [
+    "surrogate", "budget", "explore_frac", "surrogate_seed",
+])
+def test_run_sweep_takes_no_guidance_keywords(keyword):
+    from repro.scenarios import run_sweep
+
+    with pytest.raises(TypeError, match=keyword):
+        run_sweep(["scn-stream-n16-m40-r0-a10-s1"], **{keyword: 1})
+
+
+def test_summarize_takes_only_the_records():
+    from repro.scenarios import summarize
+
+    assert summarize([]).summaries == []
+    with pytest.raises(TypeError):
+        summarize([], skipped=[])
+
+
+def test_family_summary_fields_are_the_csv_columns():
+    """One field per summary column, in column order: nothing in a row
+    records how its numbers were obtained."""
+    from dataclasses import fields
+
+    from repro.scenarios.sweep import SUMMARY_COLUMNS, FamilySummary
+
+    assert tuple(f.name for f in fields(FamilySummary)) == SUMMARY_COLUMNS
+
+
+@pytest.mark.parametrize("name", [
+    "skipped_specs", "surrogate", "simulated_runs", "store_runs",
+    "skipped_runs",
+])
+def test_sweep_result_keeps_no_guidance_bookkeeping(name):
+    from repro.scenarios.sweep import SweepResult
+
+    assert not hasattr(SweepResult, name)
+    assert name not in SweepResult.__dataclass_fields__

@@ -3,10 +3,14 @@ harness and the ``repro scenarios`` CLI verb."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.api.artifacts import MemoryArtifactStore
 from repro.api.cli import main
 from repro.api.records import LoopRecord, RunRecord
+from repro.api.runner import Runner
 from repro.api.spec import RunSpec
 from repro.arch.config import (
     BASELINE_CONFIG,
@@ -14,6 +18,7 @@ from repro.arch.config import (
     named_config,
     parse_config_name,
 )
+from repro.api.store import MemoryStore
 from repro.errors import ConfigError, WorkloadError
 from repro.scenarios import (
     DEFAULT_MACHINE_SPACE,
@@ -23,6 +28,7 @@ from repro.scenarios import (
     ScenarioParams,
     ScenarioRng,
     build_scenario_ddg,
+    run_sweep,
     machine_grid,
     sample_machines,
     sample_scenarios,
@@ -31,6 +37,7 @@ from repro.scenarios import (
     summarize,
     sweep_plan,
 )
+from repro.scenarios.sweep import SUMMARY_COLUMNS
 from repro.sim.stats import SimStats
 from repro.workloads.catalog import benchmark_names, get_benchmark
 
@@ -289,6 +296,102 @@ class TestSweepHarness:
         assert header.startswith("family,variant,runs")
 
 
+class TestSummaryIsAFunctionOfTheRecords:
+    NAMES = ("scn-alias-n24-m40-r1-a10-s0", "scn-stream-n24-m40-r1-a10-s0")
+
+    def _records(self):
+        records = [
+            _fake_record(name, variant,
+                         violations=2 if variant.startswith("none/") else 0)
+            for name in self.NAMES for variant in DIFFERENTIAL_VARIANTS
+        ]
+        records.append(_fake_record(self.NAMES[0], "mdc/offgrid"))
+        return records
+
+    @pytest.mark.parametrize("tags", ["simulated", "store", "alternating"])
+    def test_provenance_never_shows(self, tags):
+        """Whether a record was simulated or served from the store
+        changes neither the summaries, the table nor the CSV."""
+        baseline = summarize(self._records())
+        records = self._records()
+        for pos, record in enumerate(records):
+            record.source = (tags if tags != "alternating"
+                             else ("store", "simulated")[pos % 2])
+        result = summarize(records)
+        assert result.summaries == baseline.summaries
+        assert result.render() == baseline.render()
+        assert result.to_csv() == baseline.to_csv()
+
+    def test_csv_rows_follow_the_columns(self):
+        result = summarize(self._records())
+        header, *rows = result.to_csv().splitlines()
+        assert header.split(",") == list(SUMMARY_COLUMNS)
+        assert len(rows) == len(result.summaries)
+        assert all(len(row.split(",")) == len(SUMMARY_COLUMNS)
+                   for row in rows)
+
+    def test_off_grid_variants_follow_the_grid(self):
+        """Every record lands in exactly one row; a variant outside the
+        differential grid gets its own row after the grid's."""
+        records = self._records()
+        result = summarize(records)
+        assert sum(s.runs for s in result.summaries) == len(records)
+        last = result.summaries[-1]
+        assert (last.family, last.variant, last.runs) == (
+            "alias", "mdc/offgrid", 1)
+        assert len(result.summaries) == 2 * len(DIFFERENTIAL_VARIANTS) + 1
+
+
+@pytest.fixture(scope="module")
+def cold_and_warm():
+    """One small sweep run cold, then again on the same runner."""
+    names = [p.name for p in sample_scenarios(29, 4)]
+    runner = Runner(store=MemoryStore(), artifacts=MemoryArtifactStore())
+    cold = run_sweep(names, scale=0.05, runner=runner)
+    warm = run_sweep(names, scale=0.05, runner=runner)
+    return cold, warm
+
+
+class TestSweepEndToEnd:
+    def test_every_cell_of_the_plan_is_simulated(self, cold_and_warm):
+        cold, _ = cold_and_warm
+        assert len(cold.plan) == 4 * len(DIFFERENTIAL_VARIANTS)
+        assert [(r.benchmark, r.variant) for r in cold.records] == [
+            (s.benchmark, s.variant) for s in cold.plan
+        ]
+        assert {r.source for r in cold.records} == {"simulated"}
+
+    def test_summaries_account_for_every_record(self, cold_and_warm):
+        cold, _ = cold_and_warm
+        assert sum(s.runs for s in cold.summaries) == len(cold.records)
+        assert {(s.family, s.variant, s.model) for s in cold.summaries} == {
+            (scenario_family(r.benchmark), r.variant, r.model)
+            for r in cold.records
+        }
+
+    def test_metrics_are_finite(self, cold_and_warm):
+        cold, _ = cold_and_warm
+        for record in cold.records:
+            stats = record.merged_stats()
+            assert stats.total_cycles > 0 and stats.issued_ops > 0
+        for summary in cold.summaries:
+            assert summary.mean_ii >= 1
+            for value in (summary.mean_ipc, summary.mean_local_hit,
+                          summary.mean_bus_per_iter):
+                assert math.isfinite(value)
+
+    def test_warm_rerun_is_served_from_the_store(self, cold_and_warm):
+        cold, warm = cold_and_warm
+        assert {r.source for r in warm.records} == {"store"}
+        assert warm.records == cold.records
+
+    def test_warm_rerun_renders_and_writes_identically(self, cold_and_warm):
+        cold, warm = cold_and_warm
+        assert warm.render() == cold.render()
+        assert warm.to_csv() == cold.to_csv()
+        assert "surrogate" not in cold.render()
+
+
 class TestScenariosCli:
     def test_generate_lists_scenarios(self, capsys):
         assert main(["scenarios", "generate", "--seed", "1",
@@ -319,6 +422,22 @@ class TestScenariosCli:
         assert "warning" not in report_out
         # The report's summary table matches the sweep's byte for byte.
         assert report_out.splitlines()[1:] == sweep_out.splitlines()[1:]
+
+    def test_summary_csv_depends_only_on_the_records(self, tmp_path,
+                                                     capsys):
+        """A cold sweep, its warm rerun and a store-only report write
+        byte-identical summary CSVs: how each record was obtained
+        (simulated or served from the store) never shows."""
+        args = ["--seed", "1", "--count", "2", "--scale", "0.05",
+                "--cache-dir", str(tmp_path / "cache")]
+        csvs = []
+        for pos, verb in enumerate(("sweep", "sweep", "report")):
+            path = tmp_path / f"summary-{pos}.csv"
+            assert main(["scenarios", verb, *args, "--csv", str(path)]) == 0
+            csvs.append(path.read_bytes())
+        capsys.readouterr()
+        assert csvs[0].startswith(b"family,variant,runs")
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_report_on_cold_store_is_incomplete_not_passed(self, tmp_path,
                                                            capsys):
