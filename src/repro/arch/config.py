@@ -77,6 +77,10 @@ class CacheConfig:
             )
         if self.block_bytes % BYTES_PER_WORD:
             raise ConfigError("cache block size must be a whole number of words")
+        if self.hit_latency < 1:
+            raise ConfigError(
+                f"cache hit_latency must be >= 1, got {self.hit_latency}"
+            )
 
     @property
     def num_sets(self) -> int:

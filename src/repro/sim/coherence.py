@@ -32,7 +32,7 @@ engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.alias.profiles import TraceLike
 from repro.ir.ddg import Ddg
@@ -132,6 +132,13 @@ class CoherenceChecker:
         self._expected = expected
 
     # ------------------------------------------------------------------
+    @property
+    def oracle(self) -> Mapping[Tuple[int, int], Optional[Version]]:
+        """The expected versions themselves, read-only.  A hot loop can
+        compare each observation against this map inline and call
+        :meth:`observe_load` only on a mismatch."""
+        return self._expected
+
     def expected(self, load_iid: int, iteration: int) -> Optional[Version]:
         return self._expected.get((load_iid, iteration))
 

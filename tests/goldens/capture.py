@@ -7,6 +7,9 @@ set of catalog benchmarks and generated scenarios through
 were captured from the *monolithic* ``compile_loop`` path immediately
 before the staged-pipeline refactor; ``tests/test_golden_equivalence.py``
 asserts the staged, artifact-cached path reproduces them byte-for-byte.
+``model_goldens.json`` pins the catalog cross under the ``dls`` and
+``directory`` memory models; it was captured immediately before the
+flat stepper was rewritten as one cycle loop.
 
 Regenerate (only when a deliberate behavior change invalidates them)::
 
@@ -27,10 +30,14 @@ GOLDEN_SCALE = 0.1
 CATALOG_BENCHMARKS = ("gsmdec", "g721dec", "rasta")
 SCENARIO_SEED = 0
 SCENARIO_COUNT = 20
+#: The non-default memory models, pinned over the catalog cross (the
+#: other two golden files run the default ``snooping`` model).
+MODELS = ("dls", "directory")
 
 
-def golden_key(benchmark: str, variant: str) -> str:
-    return f"{benchmark}|{variant}"
+def golden_key(benchmark: str, variant: str, model: str = "snooping") -> str:
+    key = f"{benchmark}|{variant}"
+    return key if model == "snooping" else f"{key}|{model}"
 
 
 def scenario_names():
@@ -39,7 +46,7 @@ def scenario_names():
     return [p.name for p in sample_scenarios(SCENARIO_SEED, SCENARIO_COUNT)]
 
 
-def capture(benchmarks) -> dict:
+def capture(benchmarks, model: str = "snooping") -> dict:
     from repro.api.core import execute_spec
     from repro.api.spec import ALL_VARIANTS, RunSpec
 
@@ -47,11 +54,11 @@ def capture(benchmarks) -> dict:
     for bench in benchmarks:
         for variant in ALL_VARIANTS:
             spec = RunSpec(benchmark=bench, variant=variant.key,
-                           scale=GOLDEN_SCALE)
+                           scale=GOLDEN_SCALE, model=model)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 record = execute_spec(spec)
-            goldens[golden_key(bench, variant.key)] = record.to_dict()
+            goldens[golden_key(bench, variant.key, model)] = record.to_dict()
     return goldens
 
 
@@ -70,6 +77,11 @@ def main() -> None:
     scenarios = capture(scenario_names())
     path = write(scenarios, "scenario_goldens.json")
     print(f"{path}: {len(scenarios)} records")
+    models = {}
+    for model in MODELS:
+        models.update(capture(CATALOG_BENCHMARKS, model))
+    path = write(models, "model_goldens.json")
+    print(f"{path}: {len(models)} records")
 
 
 if __name__ == "__main__":

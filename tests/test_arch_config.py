@@ -107,6 +107,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CacheConfig(module_bytes=1000)  # not a multiple of block*ways
 
+    @pytest.mark.parametrize("hit_latency", [0, -2])
+    def test_cache_hit_latency_positive(self, hit_latency):
+        # A zero-cycle hit would let a load's consumer issue in the
+        # load's own cycle, before the load is even in flight.
+        with pytest.raises(ConfigError, match="hit_latency"):
+            CacheConfig(hit_latency=hit_latency)
+
     def test_cache_num_sets(self):
         assert CacheConfig().num_sets == 2048 // (32 * 2)
 

@@ -5,7 +5,9 @@ The fixtures under ``tests/goldens/`` were captured from the monolithic
 (see ``tests/goldens/capture.py``).  These tests replay the full
 coherence × heuristic cross through the staged, artifact-cached path —
 cold, warm-in-memory, and warm-on-disk — and require the resulting
-``RunRecord`` JSON to be identical to the goldens.
+``RunRecord`` JSON to be identical to the goldens.  The catalog cross
+under the ``dls`` and ``directory`` memory models is pinned the same
+way (``model_goldens.json``).
 """
 
 import importlib.util
@@ -36,12 +38,14 @@ CATALOG_GOLDENS = json.loads((GOLDEN_DIR / "catalog_goldens.json").read_text())
 SCENARIO_GOLDENS = json.loads(
     (GOLDEN_DIR / "scenario_goldens.json").read_text()
 )
+MODEL_GOLDENS = json.loads((GOLDEN_DIR / "model_goldens.json").read_text())
 VARIANT_KEYS = [v.key for v in ALL_VARIANTS]
 
 
-def _execute(benchmark: str, variant: str, artifacts) -> dict:
+def _execute(benchmark: str, variant: str, artifacts,
+             model: str = "snooping") -> dict:
     spec = RunSpec(benchmark=benchmark, variant=variant,
-                   scale=cap.GOLDEN_SCALE)
+                   scale=cap.GOLDEN_SCALE, model=model)
     with warnings.catch_warnings():
         # Tiny scaled scenario runs intentionally hit the kernel-
         # iteration floor; the one-time warning is not under test here.
@@ -69,6 +73,23 @@ class TestCatalogCross:
         got = _execute(bench_name, variant, shared_artifacts)
         want = CATALOG_GOLDENS[cap.golden_key(bench_name, variant)]
         assert _canonical(got) == _canonical(want)
+
+
+class TestModelCross:
+    @pytest.mark.parametrize("model", cap.MODELS)
+    @pytest.mark.parametrize("bench_name", cap.CATALOG_BENCHMARKS)
+    @pytest.mark.parametrize("variant", VARIANT_KEYS)
+    def test_byte_identical_to_model_golden(
+        self, bench_name, variant, model, shared_artifacts
+    ):
+        got = _execute(bench_name, variant, shared_artifacts, model)
+        want = MODEL_GOLDENS[cap.golden_key(bench_name, variant, model)]
+        assert _canonical(got) == _canonical(want)
+
+    def test_goldens_cover_the_cross(self):
+        assert len(MODEL_GOLDENS) == (
+            len(cap.MODELS) * len(cap.CATALOG_BENCHMARKS) * len(VARIANT_KEYS)
+        )
 
 
 class TestScenarioCross:

@@ -177,6 +177,27 @@ def test_stall_watchdog_parity_on_a_load_miss(model, monkeypatch):
     assert errors["cycles"].startswith("machine stalled for 41 cycles")
 
 
+@pytest.mark.parametrize("model, params, watchdog", [
+    # A 10-cycle next-level fill behind a 2-cycle watchdog: the stall
+    # crosses the bound on a cycle the default path steps through.
+    ("dls", None, 2),
+    ("directory", None, 2),
+    ("snooping", ScenarioParams(family="gather", size=12, mem_pct=15,
+                                seed=3), 6),
+], ids=["dls-single-load", "directory-single-load", "snooping-gather"])
+def test_stall_watchdog_parity_on_a_processed_cycle(model, params, watchdog,
+                                                    monkeypatch):
+    """Where the stall streak crosses the bound on a cycle the default
+    path processes (a memory event lands on it) rather than inside a
+    skipped window, both engines must still raise the same error."""
+    monkeypatch.setattr(executor_mod, "STALL_WATCHDOG", watchdog)
+    ddg = single_load_loop() if params is None else build_scenario_ddg(params)
+    errors = _watchdog_errors(_compile(ddg), 64, model)
+    assert errors["events"] == errors["cycles"]
+    assert errors["cycles"].startswith(
+        f"machine stalled for {watchdog + 1} cycles")
+
+
 @pytest.mark.parametrize("model", model_names())
 def test_drain_watchdog_parity_on_a_store_only_loop(model, monkeypatch):
     """Stores never stall the core, but the last ones still wait on the

@@ -3,16 +3,18 @@
 ``simulate()`` runs the flat fast path (:mod:`repro.sim.flatmem`) by
 default; ``engine="cycles"`` drives the model's object ``MemorySystem``
 one tick pair per cycle.  The two must agree on every serialized
-counter, on the per-kind bus traffic and on the violation breakdown,
-for every registered memory model:
+counter, on the per-kind bus traffic, on the violation breakdown and on
+each bus's busy cycles (``sim.bus_busy_cycles``), for every registered
+memory model:
 
 * over a fixed cross — every model × the Table-2 baseline and a
   stall-heavy machine (one slow bus, tiny modules, far next level) ×
   the three coherence modes × the six scenario families, plus snooping
   with Attraction Buffers;
 * over a derandomized hypothesis search of ``scn-`` knobs × ``gen-``
-  machines × models × variants through the ``repro run`` pipeline; a
-  failure names the ``repro run`` command that replays the cell.
+  machines × models × variants × Attraction Buffers (snooping only)
+  through the ``repro run`` pipeline; a failure names the ``repro run``
+  command that replays the cell.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.api.spec import ALL_VARIANTS, RunSpec
 from repro.arch import BASELINE_CONFIG
 from repro.arch.config import parse_config_name
 from repro.errors import ConfigError
+from repro.obs import metrics
 from repro.scenarios import FAMILIES, ScenarioParams, build_scenario_ddg
 from repro.scenarios.machines import machine_grid
 from repro.sched import CoherenceMode, Heuristic, compile_loop
@@ -60,19 +63,28 @@ def _compile(params, machine, mode=CoherenceMode.NONE):
     )
 
 
-def observation(result):
-    """Everything the two engines must agree on."""
-    return (result.stats.to_dict(), result.stats.bus_transfer_kinds,
-            result.violations)
+def observe(compiled, trace, **kwargs):
+    """One ``simulate`` run: its result, and everything the two engines
+    must agree on, per-bus busy cycles included."""
+    with metrics.capture() as registry:
+        result = simulate(compiled, trace, **kwargs)
+    busy = {
+        labels["bus"]: cycles
+        for labels, cycles in registry.counter_items("sim.bus_busy_cycles")
+    }
+    return result, (result.stats.to_dict(), result.stats.bus_transfer_kinds,
+                    result.violations, busy)
 
 
 def run_both(compiled, model="snooping"):
-    """``(default path, reference)`` results of one run."""
+    """``(default path, reference)`` runs of one loop, each a
+    ``(result, observation)`` pair."""
     trace = trace_factory(ITERATIONS, seed=7)(compiled.ddg)
-    default = simulate(compiled, trace, iterations=ITERATIONS, model=model)
-    reference = simulate(compiled, trace, iterations=ITERATIONS,
-                         model=model, engine="cycles")
-    return default, reference
+    return tuple(
+        observe(compiled, trace, iterations=ITERATIONS, model=model,
+                engine=engine)
+        for engine in ("events", "cycles")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +112,9 @@ def test_scenarios_cover_every_family():
 @pytest.mark.parametrize("model", model_names())
 def test_default_path_matches_reference(compiled, model, machine, mode,
                                         params):
-    default, reference = run_both(compiled(params, machine, mode), model)
-    assert observation(default) == observation(reference)
+    (_, seen), (_, expected) = run_both(compiled(params, machine, mode),
+                                        model)
+    assert seen == expected
 
 
 @pytest.mark.parametrize("machine, geometry", [
@@ -115,8 +128,8 @@ def test_snooping_with_attraction_buffers(machine, geometry):
         params, MACHINES[machine].with_attraction_buffers(*geometry),
         CoherenceMode.MDC,
     )
-    default, reference = run_both(result)
-    assert observation(default) == observation(reference)
+    (default, seen), (_, expected) = run_both(result)
+    assert seen == expected
     assert default.stats.ab_fills > 0
 
 
@@ -154,12 +167,15 @@ def cells(draw):
         alias_pct=draw(st.sampled_from((0, 25, 50))),
         seed=draw(st.integers(0, 999)),
     )
+    model = draw(st.sampled_from(model_names()))
     return RunSpec(
         benchmark=params.name,
         variant=draw(st.sampled_from([v.key for v in ALL_VARIANTS])),
         machine=draw(st.sampled_from(FUZZ_MACHINES)),
         scale=FUZZ_SCALE,
-        model=draw(st.sampled_from(model_names())),
+        model=model,
+        # Only snooping keeps the per-cluster copies buffers extend.
+        attraction=model == "snooping" and draw(st.booleans()),
     )
 
 
@@ -169,11 +185,10 @@ def test_fuzzed_cells_match_reference(spec):
     mismatches = []
 
     def differential(compiled, trace, **kwargs):
-        default = simulate(compiled, trace, **kwargs)
-        reference = simulate(compiled, trace, engine="cycles", **kwargs)
-        if observation(default) != observation(reference):
-            mismatches.append((observation(default),
-                               observation(reference)))
+        default, seen = observe(compiled, trace, **kwargs)
+        _, expected = observe(compiled, trace, engine="cycles", **kwargs)
+        if seen != expected:
+            mismatches.append((seen, expected))
         return default
 
     with mock.patch.object(core, "simulate", differential), \
@@ -185,4 +200,5 @@ def test_fuzzed_cells_match_reference(spec):
         f"{mismatches[0]}; replay the cell with: repro run "
         f"{spec.benchmark} -v {spec.variant} --machine {spec.machine} "
         f"--model {spec.model} --scale {spec.scale:g}"
+        + (" --attraction" if spec.attraction else "")
     )
