@@ -39,7 +39,6 @@ from repro.api.artifacts import (
     set_default_artifact_store,
 )
 from repro.api.core import execute_spec
-from repro.api.journal import JournalState, RunJournal, journal_root
 from repro.api.records import (
     LoopRecord,
     RunRecord,
@@ -86,7 +85,6 @@ __all__ = [
     "FIGURE7_BARS",
     "FREE_MIN",
     "FREE_PREF",
-    "JournalState",
     "LoopRecord",
     "MDC_MIN",
     "MDC_PREF",
@@ -96,7 +94,6 @@ __all__ = [
     "Plan",
     "ResultStore",
     "RunError",
-    "RunJournal",
     "RunRecord",
     "RunSpec",
     "Runner",
@@ -104,7 +101,6 @@ __all__ = [
     "artifact_root",
     "artifact_stats",
     "default_artifact_store",
-    "journal_root",
     "default_scale",
     "default_store",
     "execute_spec",

@@ -17,13 +17,12 @@ Two implementations:
   ``.repro_cache/artifacts/``, on the hardened
   :class:`~repro.api.store.JsonFileStore` machinery (atomic writes,
   torn-read retries, version stamping, pruning, prefix-sharded
-  directories with the lazily maintained index that keeps store-wide
-  operations scan-free).
+  directories).
 
 Both return callers a *fresh* decode of the stored JSON on every get, so
 a pipeline mutating the graph it built from an artifact can never poison
-the cache.  Process-wide hit/miss/put counters feed the ``repro cache
-artifacts`` CLI verb and the stage benchmarks.
+the cache.  Process-wide hit/miss/put counters feed a run's
+``--metrics`` snapshot and the stage benchmarks.
 """
 
 from __future__ import annotations
@@ -212,8 +211,8 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
         self._memo.clear()
         return JsonFileStore.clear(self)
 
-    def prune(self, older_than_seconds, now=None) -> int:
-        removed = JsonFileStore.prune(self, older_than_seconds, now)
+    def prune(self, older_than_seconds: float) -> int:
+        removed = JsonFileStore.prune(self, older_than_seconds)
         if removed:
             # Keep get/keys/len consistent: never serve pruned entries
             # from the in-process memo.

@@ -13,7 +13,8 @@ Built on the same :class:`~repro.api.spec.Plan` objects as the library:
 * ``repro check {protocol,conformance,schedule}`` — the exhaustive
   coherence-protocol model checker, the simulator/model conformance
   bridge, and the static schedule verifier (:mod:`repro.check`);
-* ``repro cache {info,clear}`` — manage the on-disk result store;
+* ``repro cache {info,clear,prune}`` — manage the on-disk result and
+  artifact stores;
 * ``repro bench {run,compare}`` — config-driven benchmark grids with a
   persistent ``BENCH_*.json`` perf trajectory (:mod:`repro.bench`);
 * ``repro obs {trace,metrics}`` — summarize trace/metric files produced
@@ -24,9 +25,9 @@ and use the on-disk :class:`~repro.api.store.DiskStore` under
 ``.repro_cache/`` by default, so a second invocation is near-instant and
 byte-identical.  ``repro run`` and ``repro scenarios sweep`` stream:
 completions print live progress (a ``\\r`` status line on a tty,
-periodic plain lines otherwise), checkpoint into a
-:class:`~repro.api.journal.RunJournal`, and ``--resume`` picks a killed
-run back up without re-executing completed work.  Every command accepts
+periodic plain lines otherwise), and each record is stored as it
+arrives, so rerunning a killed command executes only what it had not
+finished.  Every command accepts
 ``--trace FILE`` (Perfetto-loadable span trace; ``.jsonl`` for JSONL)
 and ``--metrics FILE`` (metrics-registry snapshot) where they appear.
 """
@@ -46,9 +47,7 @@ from repro.api.artifacts import (
     DiskArtifactStore,
     MemoryArtifactStore,
     artifact_root,
-    artifact_stats,
 )
-from repro.api.journal import RunJournal, journal_root
 from repro.api.records import RunRecord, records_to_csv, records_to_json
 from repro.api.runner import Runner
 from repro.api.spec import (
@@ -57,12 +56,7 @@ from repro.api.spec import (
     Plan,
     default_scale,
 )
-from repro.api.store import (
-    DEFAULT_CACHE_DIR,
-    DiskStore,
-    MemoryStore,
-    remove_files,
-)
+from repro.api.store import DEFAULT_CACHE_DIR, DiskStore, MemoryStore
 from repro.errors import ConfigError, ReproError
 
 
@@ -117,9 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write full records as JSON")
     p_run.add_argument("--csv", default=None, metavar="FILE",
                        help="write per-loop records as CSV")
-    p_run.add_argument("--resume", action="store_true",
-                       help="continue a killed run from its checkpoint "
-                            "journal (requires the on-disk store)")
     add_common(p_run)
 
     p_fig = sub.add_parser("figure", help="regenerate a figure's data")
@@ -176,10 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scn_sweep = scn_sub.add_parser(
         "sweep", help="run the free/MDC/DDGT differential sweep")
-    p_scn_sweep.add_argument(
-        "--resume", action="store_true",
-        help="continue a killed sweep from its checkpoint journal "
-             "(requires the on-disk store)")
     add_sweep_args(p_scn_sweep)
 
     p_scn_rep = scn_sub.add_parser(
@@ -259,10 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="manage the on-disk result + artifact stores",
     )
     p_cache.add_argument(
-        "action", choices=("info", "clear", "artifacts", "prune"),
-        help="info: both stores; clear: drop both stores; artifacts: "
-             "artifact count/bytes/hit-rate; prune: drop entries older "
-             "than --older-than",
+        "action", choices=("info", "clear", "prune"),
+        help="info: both stores; clear: drop both stores; prune: drop "
+             "entries older than --older-than",
     )
     p_cache.add_argument("--cache-dir", default=None, metavar="DIR")
     p_cache.add_argument(
@@ -363,36 +349,6 @@ def _runner(args: argparse.Namespace) -> Runner:
                   artifacts=_artifact_store(args))
 
 
-def _journal(args: argparse.Namespace, plan: Plan) -> Optional[RunJournal]:
-    """The checkpoint journal for a plan — and the resume bookkeeping.
-
-    Without ``--resume`` an existing journal for the same plan is
-    discarded (fresh-run semantics); with it, prior progress is reported
-    and appended to.  Resume needs the on-disk store (that is where
-    completed records live), so ``--no-cache`` refuses it.
-    """
-    if getattr(args, "no_cache", False):
-        if getattr(args, "resume", False):
-            raise ConfigError(
-                "--resume needs the on-disk result store; drop --no-cache"
-            )
-        return None
-    journal = RunJournal.for_plan(plan, getattr(args, "cache_dir", None))
-    if getattr(args, "resume", False):
-        state = journal.load()
-        if state.plan_hash == plan.content_hash and (state.done
-                                                     or state.errors):
-            print(
-                f"resuming plan {plan.content_hash}: "
-                f"{len(state.done)}/{len(plan)} specs already completed, "
-                f"{len(state.errors)} recorded failures will be retried",
-                file=sys.stderr,
-            )
-    else:
-        journal.discard()
-    return journal
-
-
 def _progress_printer():
     """Live progress on stderr, degrading gracefully off a tty.
 
@@ -480,10 +436,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         loops=args.loop,
         models=tuple(args.models) if args.models else "snooping",
     )
-    journal = _journal(args, plan)
     with _runner(args) as runner:
-        records = runner.run(plan, journal=journal,
-                             progress=_progress_printer())
+        records = runner.run(plan, progress=_progress_printer())
     rows = []
     for record in records:
         stats = record.merged_stats()
@@ -585,8 +539,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     models = tuple(args.models) if args.models else ("snooping",)
 
     if args.action == "sweep":
-        plan = sweep_plan(names, machines, scale=args.scale, models=models)
-        journal = _journal(args, plan)
         with _runner(args) as runner:
             result = run_sweep(
                 names,
@@ -594,7 +546,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 scale=args.scale,
                 models=models,
                 runner=runner,
-                journal=journal,
                 progress=_progress_printer(),
             )
         _emit(result.render(), args.out)
@@ -741,47 +692,24 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     store = DiskStore(args.cache_dir)
     artifacts = DiskArtifactStore(artifact_root(args.cache_dir))
-    journals_dir = journal_root(args.cache_dir)
     if args.action == "clear":
         records = store.clear()
         dropped = artifacts.clear()
-        journals = remove_files(journals_dir, "*.jsonl")
         print(f"removed {records} cached records from {store.root}/")
         print(f"removed {dropped} artifacts from {artifacts.root}/")
-        print(f"removed {journals} run journals from {journals_dir}/")
-    elif args.action == "artifacts":
-        stats = artifact_stats()
-        print(f"artifact dir : {artifacts.root}/")
-        print(f"artifacts    : {len(artifacts)}")
-        print(f"size         : {artifacts.size_bytes()} bytes")
-        print(f"version      : {artifacts.version}")
-        if stats.lookups:
-            print(f"hit rate     : {stats.hits}/{stats.lookups} "
-                  f"({stats.hit_rate:.1%}) since process start")
-        else:
-            # Counters are per-process: a standalone `repro cache
-            # artifacts` invocation has not looked anything up yet.
-            print("hit rate     : no artifact lookups in this process "
-                  "(counters reset at process start)")
     elif args.action == "prune":
         if args.older_than is None:
             raise ConfigError("cache prune requires --older-than AGE")
         age = parse_age(args.older_than)
         records = store.prune(age)
         dropped = artifacts.prune(age)
-        # Journals accumulate one file per plan hash unless pruned.
-        journals = remove_files(journals_dir, "*.jsonl", age)
         print(f"pruned {records} records from {store.root}/")
         print(f"pruned {dropped} artifacts from {artifacts.root}/")
-        print(f"pruned {journals} run journals from {journals_dir}/")
     else:
-        journals = (len(list(journals_dir.glob("*.jsonl")))
-                    if journals_dir.is_dir() else 0)
         print(f"cache dir : {store.root}/")
         print(f"records   : {len(store)}")
         print(f"artifacts : {len(artifacts)} "
               f"({artifacts.size_bytes()} bytes under {artifacts.root}/)")
-        print(f"journals  : {journals}")
         print(f"size      : {store.size_bytes()} bytes")
         print(f"version   : {store.version}")
     return 0

@@ -1,4 +1,4 @@
-"""Plan execution: a streaming, resumable core over stores and workers.
+"""Plan execution: a streaming core over stores and workers.
 
 The :class:`Runner` is the only component that touches both the stores
 and the executor.  Its primitive is :meth:`Runner.stream`, a generator
@@ -26,16 +26,15 @@ that yields results *as they complete*:
    generates its execution trace and walks the checker's oracle once
    for all of them.  The block closes before any of the siblings'
    results is yielded;
-4. fresh records are stored (and journalled, when a
-   :class:`~repro.api.journal.RunJournal` is attached) the moment they
-   arrive; failures become structured :class:`RunError` records instead
-   of killing sibling specs mid-flight.
+4. fresh records are stored the moment they arrive; failures become
+   structured :class:`RunError` records instead of killing sibling specs
+   mid-flight.
 
 :meth:`Runner.run` is a thin wrapper that drains the stream and
 reassembles plan order — byte-identical to the historical batch
-behaviour.  With a journal plus the on-disk store, a killed run resumes
-where it stopped: completed groups are store hits, the journal carries
-what finished and what failed.
+behaviour.  Against the on-disk store, rerunning a killed plan resumes
+it: every record stored before the kill is a store hit, and only the
+missing or failed specs execute again.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ from repro.api.core import (
     suppress_floor_warning,
     warn_floor_from_record,
 )
-from repro.api.journal import RunJournal
 from repro.api.records import RunRecord
 from repro.api.spec import Plan, RunSpec
 from repro.api.store import ResultStore, default_store
@@ -93,8 +91,8 @@ class RunError:
     """Structured record of one spec's failure.
 
     Captured in the worker (or inline, serially) so one bad spec cannot
-    kill its siblings; journalled for post-mortems and retried on
-    resume.  ``spec``/``spec_key`` identify the work, ``error_type`` is
+    kill its siblings; never stored, so a rerun of the plan executes the
+    spec again.  ``spec``/``spec_key`` identify the work, ``error_type`` is
     the exception class name, ``traceback`` the formatted worker-side
     stack.
     """
@@ -241,8 +239,7 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     whose snapshot travels back in the result envelope — the parent
     merges it on receipt, so artifact hit/miss counters, stage timings
     and per-spec latencies survive the process boundary instead of
-    dying with the worker (the historical ``repro cache artifacts``
-    under-reporting bug).  With ``payload["trace"]`` the task also runs
+    dying with the worker.  With ``payload["trace"]`` the task also runs
     under a private tracer whose spans ship back for wall-clock
     re-basing into the parent trace.
     """
@@ -359,7 +356,6 @@ class Runner:
         return self.run(Plan.single(spec))[0]
 
     def run(self, plan: PlanLike, *,
-            journal: Optional[RunJournal] = None,
             progress: Optional[ProgressFn] = None) -> List[RunRecord]:
         """Execute (or fetch) every spec; records come back in plan
         order, byte-identical to the historical batch behaviour.
@@ -373,7 +369,7 @@ class Runner:
         total = len(plan.specs)
         records: List[Optional[RunRecord]] = [None] * total
         done = 0
-        for index, item in self._stream(plan, journal, on_error="raise"):
+        for index, item in self._stream(plan, on_error="raise"):
             records[index] = item  # on_error="raise": always a RunRecord
             done += 1
             if progress is not None:
@@ -381,7 +377,6 @@ class Runner:
         return records  # type: ignore[return-value]
 
     def stream(self, plan: PlanLike, *,
-               journal: Optional[RunJournal] = None,
                on_error: str = "raise") -> Iterator[StreamItem]:
         """Yield one result per plan spec in *completion* order.
 
@@ -389,18 +384,17 @@ class Runner:
         pool (or the serial loop) finishes them.  ``on_error="raise"``
         re-raises the first failure; ``on_error="yield"`` emits
         structured :class:`RunError` items in place of records so a
-        sweep can keep going around a poisoned spec.  Attach a
-        ``journal`` to checkpoint progress for ``--resume``.
+        sweep can keep going around a poisoned spec.
         """
         if not isinstance(plan, Plan):
             plan = Plan(tuple(plan))
-        for _index, item in self._stream(plan, journal, on_error):
+        for _index, item in self._stream(plan, on_error):
             yield item
 
     # ------------------------------------------------------------------
     # Streaming core
     # ------------------------------------------------------------------
-    def _stream(self, plan: Plan, journal: Optional[RunJournal],
+    def _stream(self, plan: Plan,
                 on_error: str) -> Iterator[Tuple[int, StreamItem]]:
         if on_error not in ("raise", "yield"):
             raise ValueError(
@@ -411,8 +405,6 @@ class Runner:
         key_indices: Dict[str, List[int]] = {}
         for i, key in enumerate(keys):
             key_indices.setdefault(key, []).append(i)
-        if journal is not None:
-            journal.begin(plan)
         misses: List[int] = []
         for i, key in enumerate(keys):
             if key_indices[key][0] != i:
@@ -423,8 +415,6 @@ class Runner:
             if record is None:
                 misses.append(i)
                 continue
-            if journal is not None:
-                journal.note_done(key)
             # Tag a shallow copy: a MemoryStore hands back the object it
             # stored, and mutating it would retroactively relabel the
             # record the original simulation yielded.
@@ -438,17 +428,10 @@ class Runner:
             key = keys[i]
             if isinstance(item, RunRecord):
                 store.put(key, item)
-                if journal is not None:
-                    journal.note_done(key)
-                for j in key_indices[key]:
-                    yield j, item
-            else:
-                if journal is not None:
-                    journal.note_error(key, item)
-                if on_error == "raise":
-                    item.reraise()
-                for j in key_indices[key]:
-                    yield j, item
+            elif on_error == "raise":
+                item.reraise()
+            for j in key_indices[key]:
+                yield j, item
 
     def _execute_stream(
         self, plan: Plan, keys: List[str], misses: List[int]

@@ -18,13 +18,11 @@ is shared with the compilation-artifact layer one level below
 Entries are *prefix-sharded*: a key lives under ``root/<ss>/<key>.json``
 where ``<ss>`` is the first two hex characters of the key's SHA-1, so no
 single directory grows past a few dozen entries even for multi-thousand
--run sweeps.  Store-wide operations (:meth:`~JsonFileStore.keys`,
-:meth:`~JsonFileStore.size_bytes`, :meth:`~JsonFileStore.prune`) run off
-a lazily maintained index instead of rescanning the tree: the index is
-built once per shard, validated by the shard directory's mtime (so
-writes from other processes are picked up), invalidated shard-by-shard
-on in-process writes, and persisted to ``index.meta`` so a fresh
-process warm-starts.
+-run sweeps.  The entries are the only thing a store persists:
+store-wide operations (:meth:`~JsonFileStore.keys`,
+:meth:`~JsonFileStore.size_bytes`, :meth:`~JsonFileStore.prune`) walk
+the shard directories, so they always see what other processes wrote
+or removed.
 
 The process-wide default store is swappable via :func:`set_default_store`
 — e.g. tests inject a fresh :class:`MemoryStore`, the CLI injects a
@@ -41,7 +39,7 @@ import re
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.records import RunRecord
 from repro.obs import metrics
@@ -51,10 +49,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Shard directory names: two lowercase hex characters.
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
-
-#: File the lazily maintained shard index persists to (deliberately not
-#: ``*.json`` so entry globs and key namespaces can never collide with it).
-INDEX_FILE = "index.meta"
 
 
 def _package_version() -> str:
@@ -115,9 +109,9 @@ class JsonFileStore:
       momentarily-missing file, and treating that transient as corruption
       would delete a healthy entry under a concurrent sweep;
     * entries are sharded into 256 two-hex-char subdirectories (see
-      :func:`shard_prefix`); a lazily maintained index makes store-wide
-      operations scan-free;
-    * :meth:`prune` drops entries whose file is older than a cutoff.
+      :func:`shard_prefix`); store-wide operations walk them;
+    * :meth:`prune` drops entries whose file is older than a cutoff,
+      and the temp files of writers killed before their rename.
 
     Subclasses pick the payload envelope field (``PAYLOAD_FIELD``) and
     layer their own decoding/memoization on :meth:`get_payload` /
@@ -135,10 +129,6 @@ class JsonFileStore:
                  version: Optional[str] = None) -> None:
         self.root = resolve_cache_root(root)
         self._version = version
-        #: shard name -> {"mtime": dir st_mtime_ns, "entries":
-        #: {key: [size_bytes, file_mtime_seconds]}}; ``None`` until the
-        #: first store-wide operation builds it.
-        self._index: Optional[Dict[str, Dict[str, object]]] = None
 
     @property
     def version(self) -> str:
@@ -150,9 +140,6 @@ class JsonFileStore:
     def entry_path(self, key: str) -> Path:
         """The file ``key`` lives in: ``root/<shard>/<key>.json``."""
         return self.root / shard_prefix(key) / f"{key}.json"
-
-    def _index_path(self) -> Path:
-        return self.root / INDEX_FILE
 
     # ------------------------------------------------------------------
     # Raw payload plumbing
@@ -175,7 +162,7 @@ class JsonFileStore:
             except (AttributeError, KeyError, TypeError):
                 payload = None  # valid JSON of the wrong shape: a miss
             if payload is None:
-                self._discard_entry(path)
+                self._discard(path)
             return payload
 
     def put_payload(self, key: str, payload) -> None:
@@ -205,7 +192,6 @@ class JsonFileStore:
                 except OSError:
                     pass
                 raise
-            self._index_invalidate(target)
 
     def _read_payload(self, path: Path):
         """Read + parse one entry, retrying transient failures.
@@ -242,185 +228,56 @@ class JsonFileStore:
         except OSError:  # pragma: no cover - concurrent removal
             pass
 
-    def _discard_entry(self, path: Path) -> None:
-        """Unlink one entry file and keep the index in step."""
-        self._discard(path)
-        self._index_invalidate(path)
-
-    # ------------------------------------------------------------------
-    # Lazily maintained shard index
-    # ------------------------------------------------------------------
-    def _ensure_index(self) -> Dict[str, Dict[str, object]]:
-        """Build/refresh the in-memory shard index.
-
-        Each shard is trusted while its directory mtime matches the
-        indexed one and rescanned otherwise, so external writers are
-        picked up at the cost of one ``stat`` per shard instead of a
-        full-tree walk.  Rescans are persisted to ``index.meta`` so a
-        fresh process warm-starts from them.
-        """
-        if self._index is None:
-            self._index = self._load_index()
-        index = self._index
-        if not self.root.is_dir():
-            index.clear()
-            return index
-        on_disk: Dict[str, Path] = {}
-        for child in self.root.iterdir():
-            if child.is_dir() and _SHARD_RE.match(child.name):
-                on_disk[child.name] = child
-        dirty = False
-        for name in list(index):
-            if name not in on_disk:
-                del index[name]
-                dirty = True
-        for name, child in on_disk.items():
-            try:
-                # Stat *before* scanning: anything written mid-scan bumps
-                # the real mtime past the recorded one, forcing a rescan
-                # on the next store-wide operation.
-                dir_mtime = child.stat().st_mtime_ns
-            except OSError:  # pragma: no cover - shard vanished mid-walk
-                index.pop(name, None)
-                dirty = True
-                continue
-            cell = index.get(name)
-            if cell is not None and cell.get("mtime") == dir_mtime:
-                continue
-            entries: Dict[str, List[float]] = {}
-            with metrics.registry().time_block("store.scan_seconds",
-                                               kind=self.PAYLOAD_FIELD):
-                for path in child.glob("*.json"):
-                    try:
-                        st = path.stat()
-                    except OSError:
-                        continue  # vanished between glob and stat
-                    entries[path.stem] = [st.st_size, st.st_mtime]
-            metrics.inc("store.shard_rescans", kind=self.PAYLOAD_FIELD)
-            index[name] = {"mtime": dir_mtime, "entries": entries}
-            dirty = True
-        if dirty:
-            self._save_index()
-        return index
-
-    def _load_index(self) -> Dict[str, Dict[str, object]]:
-        try:
-            data = json.loads(self._index_path().read_text())
-            shards = data["shards"]
-            if not isinstance(shards, dict):
-                return {}
-            return {
-                name: {"mtime": cell["mtime"],
-                       "entries": dict(cell["entries"])}
-                for name, cell in shards.items()
-                if _SHARD_RE.match(name)
-            }
-        except (OSError, ValueError, KeyError, TypeError):
-            return {}
-
-    def _save_index(self) -> None:
-        """Persist the index (best-effort: it is a cache of a cache)."""
-        index = self._index
-        if index is None or not self.root.is_dir():
-            return
-        try:
-            fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump({"shards": index}, handle)
-            os.replace(tmp, self._index_path())
-        except OSError:  # pragma: no cover - read-only root, etc.
-            pass
-
-    def _index_invalidate(self, path: Path) -> None:
-        """Drop the index cell of the shard ``path`` lives in.
-
-        Called after this instance writes or removes an entry.  Only
-        :meth:`_ensure_index` ever *stamps* a shard's mtime — right
-        after scanning it — so a cell can never claim to cover changes
-        it did not see.  Re-stamping here instead (with the post-write
-        directory mtime) would permanently mask entries a concurrent
-        writer slipped into the same shard between our last scan and
-        this write.  The cost is one single-shard rescan (~N/256
-        entries) at the next store-wide operation, only for shards this
-        process actually touched.
-        """
-        if self._index is None:
-            return
-        shard = path.parent.name
-        if _SHARD_RE.match(shard):
-            self._index.pop(shard, None)
-
     def _shard_dirs(self) -> List[Path]:
         if not self.root.is_dir():
             return []
         return [child for child in self.root.iterdir()
                 if child.is_dir() and _SHARD_RE.match(child.name)]
 
+    def _entry_sizes(self) -> Iterator[Tuple[str, int]]:
+        """``(key, size in bytes)`` of every entry file in the shards.
+        An entry another process removes between the glob and the stat
+        is skipped."""
+        for shard in self._shard_dirs():
+            for path in shard.glob("*.json"):
+                try:
+                    size = path.stat().st_size
+                except OSError:
+                    continue
+                yield path.stem, size
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def clear(self) -> int:
         count = 0
-        if not self.root.is_dir():
-            return 0
         for shard in self._shard_dirs():
             count += remove_files(shard, "*.json")
             try:
                 shard.rmdir()
             except OSError:
                 pass  # non-entry stragglers: leave the dir alone
-        self._discard(self._index_path())
-        self._index = {}
         return count
 
-    def prune(self, older_than_seconds: float,
-              now: Optional[float] = None) -> int:
+    def prune(self, older_than_seconds: float) -> int:
         """Drop entries whose file modification time is older than
-        ``older_than_seconds``; returns the number removed."""
-        if now is None:
-            now = time.time()
-        cutoff = now - older_than_seconds
+        ``older_than_seconds``; returns the number removed.
+
+        Temp files as old are removed too, uncounted: a writer killed
+        between ``mkstemp`` and its rename leaves one behind, and a
+        write still in flight is younger than any cutoff longer than
+        one write."""
         count = 0
-        if not self.root.is_dir():
-            return 0
-        index = self._ensure_index()
-        dirty = False
-        for shard, cell in list(index.items()):
-            stale = [key
-                     for key, (_size, mtime) in cell["entries"].items()
-                     if mtime < cutoff]
-            if not stale:
-                continue
-            shard_dir = self.root / shard
-            for key in stale:
-                try:
-                    (shard_dir / f"{key}.json").unlink()
-                    count += 1
-                except OSError:  # pragma: no cover - concurrent removal
-                    pass
-            # We mutated the shard: drop its cell so the next store-wide
-            # operation rescans it (see _index_invalidate — only
-            # _ensure_index may stamp shard mtimes).
-            index.pop(shard, None)
-            dirty = True
-        if dirty:
-            self._save_index()
+        for shard in self._shard_dirs():
+            count += remove_files(shard, "*.json", older_than_seconds)
+            remove_files(shard, "*.tmp", older_than_seconds)
         return count
 
     def keys(self) -> Iterator[str]:
-        if not self.root.is_dir():
-            return iter(())
-        names = set()
-        for cell in self._ensure_index().values():
-            names.update(cell["entries"])
-        return iter(sorted(names))
+        return iter(sorted({key for key, _size in self._entry_sizes()}))
 
     def size_bytes(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(int(size)
-                   for cell in self._ensure_index().values()
-                   for size, _mtime in cell["entries"].values())
+        return sum(size for _key, size in self._entry_sizes())
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -494,7 +351,7 @@ class DiskStore(JsonFileStore, ResultStore):
             record = RunRecord.from_dict(payload)
         except (AttributeError, KeyError, TypeError, ValueError):
             # Valid JSON of the wrong shape: a miss, not a crash loop.
-            self._discard_entry(self.entry_path(key))
+            self._discard(self.entry_path(key))
             return None
         self._memo[key] = record
         return record
@@ -507,9 +364,8 @@ class DiskStore(JsonFileStore, ResultStore):
         self._memo.clear()
         return super().clear()
 
-    def prune(self, older_than_seconds: float,
-              now: Optional[float] = None) -> int:
-        removed = super().prune(older_than_seconds, now)
+    def prune(self, older_than_seconds: float) -> int:
+        removed = super().prune(older_than_seconds)
         if removed:
             # get/keys/len must agree after maintenance: drop the memo so
             # pruned entries are not served from RAM.

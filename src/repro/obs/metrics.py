@@ -6,10 +6,9 @@ process-wide :class:`MetricsRegistry` (:func:`registry`):
 * the staged pipeline credits per-stage execution counts and wall time
   (``stages.executed`` / ``stages.seconds``, labeled by stage);
 * the artifact store counts hits/misses/puts (``artifacts.lookups``
-  labeled by stage and outcome) — the counters behind
-  ``repro cache artifacts``;
-* the :class:`~repro.api.store.JsonFileStore` times entry reads/writes
-  and shard scans (``store.read_seconds`` etc.);
+  labeled by outcome, ``artifacts.puts``);
+* the :class:`~repro.api.store.JsonFileStore` times entry reads and
+  writes (``store.read_seconds``, ``store.write_seconds``);
 * the :class:`~repro.api.runner.Runner` streaming core tracks store hit
   rate, per-spec latency, in-flight task depth and worker utilization;
 * ``simulate()`` surfaces the engine counters (cycles by kind, accesses

@@ -285,7 +285,6 @@ def run_sweep(
     scale: Optional[float] = None,
     models: Sequence[str] = ("snooping",),
     runner: Optional[Runner] = None,
-    journal=None,
     progress=None,
 ) -> SweepResult:
     """Sample (or take) scenarios, run the differential grid, cross-check.
@@ -294,10 +293,9 @@ def run_sweep(
     ``count`` scenarios are drawn from ``seed`` over ``families``.
 
     The grid executes through the runner's streaming core: ``progress``
-    (``(done, total, record)``) fires as each run completes, and a
-    ``journal`` (:class:`~repro.api.journal.RunJournal`) checkpoints the
-    sweep so a killed run resumes — against the on-disk store — without
-    re-executing completed groups.
+    (``(done, total, record)``) fires as each run completes, and each
+    record is stored as it arrives, so rerunning a killed sweep against
+    the on-disk store executes only the runs it had not finished.
     """
     if scenarios is None:
         scenarios = [
@@ -311,7 +309,7 @@ def run_sweep(
 
     with trace.span("sweep", cat="sweep", scenarios=len(scenarios),
                     runs=len(plan)):
-        records = runner.run(plan, journal=journal, progress=progress)
+        records = runner.run(plan, progress=progress)
         result = summarize(records)
     metrics.inc("sweep.runs", len(records))
     if result.anomalies:

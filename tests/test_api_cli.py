@@ -102,30 +102,6 @@ class TestCacheArtifactVerbs:
               "--cache-dir", str(cache)])
         return cache
 
-    def test_artifacts_reports_count_bytes_hit_rate(self, tmp_path,
-                                                    capsys):
-        cache = self._warm(tmp_path)
-        assert (cache / "artifacts").is_dir()
-        assert list((cache / "artifacts").rglob("*.json"))
-        capsys.readouterr()
-        assert main(["cache", "artifacts", "--cache-dir", str(cache)]) == 0
-        out = capsys.readouterr().out
-        assert "artifacts    :" in out
-        assert "hit rate" in out and "since process start" in out
-        # One entry kind is left, so there is no per-stage breakdown.
-        assert "unroll" not in out
-
-    def test_artifacts_without_lookups_says_so(self, tmp_path, capsys):
-        """A standalone invocation (fresh process, no lookups yet) must
-        not pretend a 0/0 hit rate is a measurement."""
-        from repro.api.artifacts import reset_artifact_stats
-
-        reset_artifact_stats()
-        assert main(["cache", "artifacts",
-                     "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "no artifact lookups in this process" in out
-
     def test_info_mentions_artifacts(self, tmp_path, capsys):
         cache = self._warm(tmp_path)
         capsys.readouterr()
@@ -181,67 +157,69 @@ class TestCacheArtifactVerbs:
                      "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "pruned 1 records" in out
-        assert "pruned 0 run journals" in out
+        assert "pruned 0 artifacts" in out
         assert not [p for p in cache.rglob("*.json")
                     if "artifacts" not in p.parts]
-        # Artifact and journal files were fresh, so they all survive.
+        # Artifact files were fresh, so they all survive.
         assert list((cache / "artifacts").rglob("*.json"))
-        assert list((cache / "journal").glob("*.jsonl"))
-
-        # Aged journals are pruned like everything else.
-        for path in (cache / "journal").glob("*.jsonl"):
-            os.utime(path, (stale, stale))
-        assert main(["cache", "prune", "--older-than", "1d",
-                     "--cache-dir", str(cache)]) == 0
-        assert "pruned 1 run journals" in capsys.readouterr().out
-        assert not list((cache / "journal").glob("*.jsonl"))
 
 
-class TestOldSurrogateDirectory:
-    """A ``surrogate/`` directory left by an older version is not part
-    of any store: the cache verbs neither count nor remove it."""
+#: Files older versions kept in the cache directory, beside the stores:
+#: surrogate models, run journals and the persisted shard index.
+LEFTOVERS = {
+    "surrogate": "surrogate/model-0123abcd.json",
+    "journal": "journal/0123abcd.jsonl",
+    "index-meta": "index.meta",
+}
 
-    def _cache_with_old_models(self, tmp_path):
+
+@pytest.mark.parametrize("leftover", sorted(LEFTOVERS))
+class TestFilesOlderVersionsLeftBehind:
+    """Files an older version left in the cache directory are not part
+    of any store: the cache verbs neither count nor remove them."""
+
+    def _cache_with(self, tmp_path, leftover):
         cache = tmp_path / "cache"
         main(["run", "gsmdec", "-v", "mdc/prefclus", "--scale", "0.1",
               "--cache-dir", str(cache)])
-        old = cache / "surrogate" / "model-0123abcd.json"
-        old.parent.mkdir()
+        old = cache / LEFTOVERS[leftover]
+        old.parent.mkdir(exist_ok=True)
         old.write_text("{}")
         return cache, old
 
-    def test_info_reports_only_the_stores(self, tmp_path, capsys):
-        cache, _ = self._cache_with_old_models(tmp_path)
+    def test_info_reports_only_the_stores(self, tmp_path, capsys, leftover):
+        cache, _ = self._cache_with(tmp_path, leftover)
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
-        labels = [line.split(":")[0].strip()
-                  for line in capsys.readouterr().out.splitlines()]
-        assert labels == ["cache dir", "records", "artifacts", "journals",
-                          "size", "version"]
+        out = capsys.readouterr().out
+        labels = [line.split(":")[0].strip() for line in out.splitlines()]
+        assert labels == ["cache dir", "records", "artifacts", "size",
+                          "version"]
+        assert "records   : 1" in out
 
-    def test_clear_leaves_it_alone(self, tmp_path, capsys):
-        cache, old = self._cache_with_old_models(tmp_path)
+    def test_clear_leaves_it_alone(self, tmp_path, capsys, leftover):
+        cache, old = self._cache_with(tmp_path, leftover)
         capsys.readouterr()
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
-        out = capsys.readouterr().out
-        assert "removed 1 cached records" in out
-        assert "surrogate" not in out
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2, "one line per store"
+        assert out[0].startswith("removed 1 cached records")
         assert old.read_text() == "{}"
 
-    def test_prune_leaves_it_alone(self, tmp_path, capsys):
+    def test_prune_leaves_it_alone(self, tmp_path, capsys, leftover):
         import os
         import time
 
-        cache, old = self._cache_with_old_models(tmp_path)
+        cache, old = self._cache_with(tmp_path, leftover)
         stale = time.time() - 3 * 86400
-        for path in cache.rglob("*.json"):
+        for path in cache.rglob("*"):
             os.utime(path, (stale, stale))
         capsys.readouterr()
         assert main(["cache", "prune", "--older-than", "1d",
                      "--cache-dir", str(cache)]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 records" in out
-        assert "surrogate" not in out
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2, "one line per store"
+        assert out[0].startswith("pruned 1 records")
         assert old.read_text() == "{}"
 
 
@@ -253,6 +231,9 @@ class TestRetiredFlags:
         ["scenarios", "sweep", "--surrogate", "latest"],
         ["scenarios", "sweep", "--explore-frac", "0.2"],
         ["scenarios", "sweep", "--surrogate-seed", "1"],
+        ["run", "gsmdec", "--resume"],
+        ["scenarios", "sweep", "--resume"],
+        ["cache", "artifacts"],
     ])
     def test_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

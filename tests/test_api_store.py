@@ -5,6 +5,9 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
+from repro.api.artifacts import DiskArtifactStore
 from repro.api.records import LoopRecord, RunRecord
 from repro.api.store import (
     DiskStore,
@@ -129,6 +132,32 @@ class TestDiskStore:
         assert store.get("new") is not None
         assert sorted(store.keys()) == ["new"]
 
+    @pytest.mark.parametrize("store_cls, payload", [
+        (DiskStore, make_record()),
+        (DiskArtifactStore, {"x": 1}),
+    ], ids=["records", "artifacts"])
+    def test_prune_removes_temp_files_of_killed_writers(self, tmp_path,
+                                                        store_cls, payload):
+        """A writer killed between mkstemp and its rename leaves a temp
+        file in the shard: prune removes it once it is as old as the
+        cutoff, keeps a younger one (a write in flight), and counts
+        entries only."""
+        store = store_cls(tmp_path)
+        store.put("old", payload)
+        store.put("new", payload)
+        shard = store.entry_path("old").parent
+        killed = shard / "tmpkilled.tmp"
+        in_flight = shard / "tmpwriting.tmp"
+        for path in (killed, in_flight):
+            path.write_text('{"torn')
+        stale = time.time() - 30 * 86400
+        for path in (store.entry_path("old"), killed):
+            os.utime(path, (stale, stale))
+        assert store.prune(older_than_seconds=86400) == 1
+        assert not killed.exists()
+        assert in_flight.exists()
+        assert sorted(store.keys()) == ["new"]
+
     def test_env_var_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         store = DiskStore()
@@ -206,18 +235,18 @@ class TestDiskStoreConcurrencyHardening:
         assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_size_bytes_tolerates_entries_vanishing_mid_scan(self, tmp_path):
-        """``repro cache info``/``artifacts`` must not crash when a
-        concurrent prune/clear deletes an entry between the glob and the
-        stat.  A dangling symlink reproduces exactly that window: listed
-        by the index's shard scan, gone by stat time."""
+        """``repro cache info`` must not crash when a concurrent
+        prune/clear deletes an entry between the glob and the stat.  A
+        dangling symlink reproduces exactly that window: listed by the
+        shard walk, gone by stat time."""
         store = DiskStore(tmp_path)
         store.put("a", make_record())
         store.put("b", make_record())
         intact = store.size_bytes()
         assert intact > 0
-        # A shard no entry lives in yet, so the next store-wide
-        # operation must scan it (asserted so a hashing change fails
-        # loudly instead of silently weakening the test).
+        # A shard no entry lives in yet, so the symlink is the only
+        # entry in it (asserted so a hashing change fails loudly
+        # instead of silently weakening the test).
         assert shard_prefix("vanished") not in {
             shard_prefix("a"), shard_prefix("b")
         }
@@ -225,11 +254,11 @@ class TestDiskStoreConcurrencyHardening:
         vanished.parent.mkdir()
         vanished.symlink_to(tmp_path / "no-such-entry")
         assert store.size_bytes() == intact
+        assert sorted(store.keys()) == ["a", "b"]
 
 
 class TestRemoveFiles:
-    """The one helper behind ``repro cache clear``/``prune`` for run
-    journals, and behind store clears."""
+    """The one helper behind store clears and prunes."""
 
     def test_glob_and_age_cutoff(self, tmp_path):
         old, fresh, other = (tmp_path / name for name in

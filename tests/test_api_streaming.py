@@ -1,6 +1,6 @@
-"""Streaming execution core: stream/run equivalence, the checkpoint
-journal and resume, structured error records, pool lifecycle, and the
-sharded store's index machinery."""
+"""Streaming execution core: stream/run equivalence, resuming a killed
+run from the store, structured error records, pool lifecycle, and the
+sharded store's store-wide operations."""
 
 import json
 import os
@@ -9,12 +9,12 @@ import time
 import pytest
 
 import repro.api.core as core
-from repro.api.journal import RunJournal, journal_root
 from repro.api.records import RunRecord
 from repro.api.runner import RunError, Runner
 from repro.api.spec import Plan, RunSpec
 from repro.api.store import DiskStore, JsonFileStore, MemoryStore
 from repro.errors import ExecutionError, WorkloadError
+from repro.obs import metrics
 
 SCALE = 0.1
 PLAN = Plan.grid(
@@ -130,100 +130,34 @@ class TestStructuredErrors:
         assert "test_api_streaming" in clone.traceback
 
 
-class TestJournalAndResume:
-    def test_journal_records_done_events(self, tmp_path):
-        journal = RunJournal(tmp_path / "j.jsonl")
-        runner = Runner(store=MemoryStore())
-        records = runner.run(PLAN, journal=journal)
-        state = RunJournal(tmp_path / "j.jsonl").load()
-        assert state.plan_hash == PLAN.content_hash
-        assert state.total == len(PLAN)
-        assert state.done == {r.spec_key for r in records}
-        assert not state.errors
-
-    def test_killed_stream_resumes_without_reexecuting(self, tmp_path,
-                                                       monkeypatch):
-        store = DiskStore(tmp_path / "cache")
-        journal = RunJournal(tmp_path / "j.jsonl")
-        stream = Runner(store=store).stream(PLAN, journal=journal)
-        next(stream), next(stream)
-        stream.close()  # the "kill": two specs done, two never ran
-        journal.close()
-        state = RunJournal(tmp_path / "j.jsonl").load()
-        assert len(state.done) == 2
-
-        executed = []
-        original = core.execute_spec
-
-        def counting(spec, artifacts=None):
-            executed.append(spec)
-            return original(spec, artifacts=artifacts)
-
-        monkeypatch.setattr("repro.api.runner.execute_spec", counting)
-        resumed_journal = RunJournal(tmp_path / "j.jsonl")
-        # A fresh store instance, as after a process kill + restart.
-        records = Runner(store=DiskStore(tmp_path / "cache")).run(
-            PLAN, journal=resumed_journal
+class TestRerunResumes:
+    @pytest.mark.parametrize("parallel", [None, 2],
+                             ids=["serial", "parallel"])
+    def test_killed_stream_rerun_executes_only_the_missing_specs(
+            self, tmp_path, parallel):
+        with Runner(store=DiskStore(tmp_path), parallel=parallel) as runner:
+            stream = runner.stream(PLAN)
+            done = {next(stream).spec_key, next(stream).spec_key}
+            stream.close()  # the "kill": two specs done, two never ran
+        assert len(list(tmp_path.glob("??/*.json"))) == 2, (
+            "each record is stored the moment it arrives"
         )
-        assert len(executed) == 2, "completed work must not re-execute"
+
+        metrics.registry().reset("runner.")
+        # A fresh store and pool, as after a process kill + restart.
+        with Runner(store=DiskStore(tmp_path), parallel=parallel) as runner:
+            records = runner.run(PLAN)
+        executed = metrics.registry().histogram(
+            "runner.spec_seconds",
+            mode="serial" if parallel is None else "parallel",
+        )
+        assert executed.count == 2, "completed work must not re-execute"
         assert [r.spec_key for r in records] == [
             s.content_hash for s in PLAN
         ]
-        assert RunJournal(tmp_path / "j.jsonl").load().done == {
-            s.content_hash for s in PLAN
-        }
-
-    def test_journal_for_a_different_plan_is_discarded(self, tmp_path):
-        journal = RunJournal(tmp_path / "j.jsonl")
-        Runner(store=MemoryStore()).run(Plan(PLAN.specs[:2]),
-                                        journal=journal)
-        journal.close()
-        other = Plan(PLAN.specs[2:])
-        fresh = RunJournal(tmp_path / "j.jsonl")
-        state = fresh.begin(other)
-        assert state.done == set()
-        assert state.plan_hash == other.content_hash
-
-    def test_journal_errors_recorded_and_cleared_on_success(self, tmp_path):
-        journal = RunJournal(tmp_path / "j.jsonl")
-        bad = RunSpec(benchmark="gsmdec", scale=SCALE, loop="nope")
-        plan = Plan.single(bad)
-        list(Runner(store=MemoryStore()).stream(
-            plan, journal=journal, on_error="yield"
-        ))
-        journal.close()
-        state = RunJournal(tmp_path / "j.jsonl").load()
-        assert bad.content_hash in state.errors
-        assert state.errors[bad.content_hash]["error_type"] == \
-            "WorkloadError"
-        # A later successful attempt supersedes the recorded failure.
-        reopened = RunJournal(tmp_path / "j.jsonl")
-        reopened.begin(plan)
-        reopened.note_done(bad.content_hash)
-        reopened.close()
-        state = RunJournal(tmp_path / "j.jsonl").load()
-        assert not state.errors
-        assert state.done == {bad.content_hash}
-
-    def test_torn_final_line_is_tolerated(self, tmp_path):
-        journal = RunJournal(tmp_path / "j.jsonl")
-        journal.begin(PLAN)
-        journal.note_done("abc")
-        journal.close()
-        with open(tmp_path / "j.jsonl", "a") as handle:
-            handle.write('{"event": "done", "key": "tr')  # kill mid-write
-        state = RunJournal(tmp_path / "j.jsonl").load()
-        assert state.done == {"abc"}
-
-    def test_stale_package_version_restarts_the_journal(self, tmp_path,
-                                                        monkeypatch):
-        journal = RunJournal(tmp_path / "j.jsonl")
-        journal.begin(PLAN)
-        journal.note_done("abc")
-        journal.close()
-        monkeypatch.setattr("repro.api.journal._package_version",
-                            lambda: "0.0.0-other")
-        assert RunJournal(tmp_path / "j.jsonl").load().done == set()
+        assert [r.source for r in records] == [
+            "store" if r.spec_key in done else "simulated" for r in records
+        ]
 
 
 class TestPoolLifecycle:
@@ -286,36 +220,20 @@ class TestShardedStore:
         assert not list(tmp_path.glob("*.json")), "no flat entries"
         assert sum(1 for _ in store.keys()) == 20
 
-    def test_index_is_persisted_and_reused(self, tmp_path):
-        store = JsonFileStore(tmp_path)
-        for i in range(10):
-            store.put_payload(f"key-{i}", {"i": i})
-        assert sum(1 for _ in store.keys()) == 10  # builds + persists
-        assert (tmp_path / "index.meta").exists()
-        fresh = JsonFileStore(tmp_path)
-        assert sum(1 for _ in fresh.keys()) == 10
-
-    def test_index_picks_up_external_writers(self, tmp_path):
+    def test_keys_see_other_writers_at_once(self, tmp_path):
         reader = JsonFileStore(tmp_path)
         reader.put_payload("a", {"x": 1})
-        assert list(reader.keys()) == ["a"]  # index now warm
+        assert list(reader.keys()) == ["a"]
         writer = JsonFileStore(tmp_path)  # another "process"
         writer.put_payload("b", {"x": 2})
-        assert sorted(reader.keys()) == ["a", "b"], (
-            "a warm index must revalidate against shard dir mtimes"
-        )
-        time.sleep(0.05)  # let the shard dir mtime tick past the scan's
-        writer_entry = writer.entry_path("b")
-        writer_entry.unlink()
-        # Removals are seen too (the shard dir mtime changed again).
+        assert sorted(reader.keys()) == ["a", "b"]
+        writer.entry_path("b").unlink()
         assert list(reader.keys()) == ["a"]
 
-    def test_own_write_never_masks_a_concurrent_writers_entry(self,
-                                                              tmp_path):
-        """Regression: an in-process put must *invalidate* its shard's
-        index cell, not re-stamp it — stamping the post-write directory
-        mtime would permanently hide an entry another process slipped
-        into the same shard between our last scan and our write."""
+    def test_same_shard_writes_from_two_instances_are_all_listed(
+            self, tmp_path):
+        """Entries two instances write into one shard, interleaved with
+        store-wide reads, all show up in keys() and size_bytes()."""
         from repro.api.store import shard_prefix
 
         # k9 / k26 / k66 share shard '76' (asserted so a hashing change
@@ -323,7 +241,7 @@ class TestShardedStore:
         assert len({shard_prefix(k) for k in ("k9", "k26", "k66")}) == 1
         a = JsonFileStore(tmp_path)
         a.put_payload("k9", {"v": 1})
-        assert list(a.keys()) == ["k9"]  # A's index is now warm
+        assert list(a.keys()) == ["k9"]
         b = JsonFileStore(tmp_path)  # another "process"
         b.put_payload("k26", {"v": 2})
         a.put_payload("k66", {"v": 3})  # same shard, right after B
@@ -349,7 +267,7 @@ class TestShardedStore:
         assert store.size_bytes() == 0
         assert not list(tmp_path.rglob("*.json"))
 
-    def test_prune_uses_the_index_and_stays_correct(self, tmp_path):
+    def test_prune_keeps_keys_and_reads_consistent(self, tmp_path):
         store = JsonFileStore(tmp_path)
         store.put_payload("old", {"x": 1})
         store.put_payload("new", {"x": 2})
@@ -359,12 +277,20 @@ class TestShardedStore:
         assert list(store.keys()) == ["new"]
         assert store.get_payload("old") is None
 
-    def test_corrupt_persisted_index_is_rebuilt(self, tmp_path):
+    def test_leftover_index_meta_is_ignored(self, tmp_path):
+        """An ``index.meta`` older versions persisted is neither read
+        nor rewritten nor removed."""
         store = JsonFileStore(tmp_path)
-        store.put_payload("k", {"x": 1})
-        list(store.keys())
-        (tmp_path / "index.meta").write_text("{garbage")
-        assert list(JsonFileStore(tmp_path).keys()) == ["k"]
+        store.put_payload("old", {"x": 1})
+        store.put_payload("new", {"x": 2})
+        leftover = tmp_path / "index.meta"
+        leftover.write_text("{garbage")
+        assert list(JsonFileStore(tmp_path).keys()) == ["new", "old"]
+        stale = time.time() - 3600
+        os.utime(store.entry_path("old"), (stale, stale))
+        assert store.prune(older_than_seconds=60) == 1
+        assert store.clear() == 1
+        assert leftover.read_text() == "{garbage"
 
     def test_diskstore_rejects_wrong_shape_entry(self, tmp_path):
         # Valid JSON that is no envelope must self-heal: a miss, and the
@@ -377,37 +303,36 @@ class TestShardedStore:
         assert not entry.exists()
 
 
-class TestCliResume:
-    def test_resume_requires_disk_store(self, tmp_path, capsys):
+class TestCliRerun:
+    """A rerun after a kill is served from the store: only the record
+    the kill lost is recomputed, and the output is unchanged."""
+
+    def _rerun_after_losing_one_record(self, argv, cache, capsys):
         from repro.api.cli import main
 
-        rc = main(["run", "gsmdec", "-v", "mdc/prefclus", "--scale", "0.1",
-                   "--no-cache", "--resume"])
-        assert rc == 2
-        assert "--resume" in capsys.readouterr().err
-
-    def test_run_resume_smoke(self, tmp_path, capsys):
-        from repro.api.cli import main
-
-        args = ["run", "gsmdec", "-v", "mdc/prefclus", "--scale", "0.1",
-                "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        journals = list((tmp_path / "journal").glob("*.jsonl"))
-        assert len(journals) == 1
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(args + ["--resume"]) == 0
+        entries = sorted(cache.glob("??/*.json"))
+        assert len(entries) > 1
+        entries[0].unlink()  # stands in for a kill before its put
+        metrics.registry().reset("runner.store_lookups")
+        assert main(argv) == 0
         assert capsys.readouterr().out == first
+        reg = metrics.registry()
+        assert reg.counter("runner.store_lookups", outcome="miss") == 1
+        assert reg.counter("runner.store_lookups",
+                           outcome="hit") == len(entries) - 1
 
-    def test_sweep_resume_smoke(self, tmp_path, capsys):
-        from repro.api.cli import main
+    def test_run_rerun_recomputes_only_the_lost_record(self, tmp_path,
+                                                       capsys):
+        self._rerun_after_losing_one_record(
+            ["run", "gsmdec", "gsmenc", "-v", "mdc/prefclus",
+             "--scale", "0.1", "--cache-dir", str(tmp_path)],
+            tmp_path, capsys)
 
-        args = ["scenarios", "sweep", "--seed", "3", "--count", "2",
-                "--scale", "0.05", "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        assert list((tmp_path / "journal").glob("*.jsonl"))
-        first = capsys.readouterr().out
-        assert main(args + ["--resume"]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_journal_root_follows_cache_dir(self, tmp_path):
-        assert journal_root(tmp_path) == tmp_path / "journal"
+    def test_sweep_rerun_recomputes_only_the_lost_record(self, tmp_path,
+                                                         capsys):
+        self._rerun_after_losing_one_record(
+            ["scenarios", "sweep", "--seed", "3", "--count", "2",
+             "--scale", "0.05", "--cache-dir", str(tmp_path)],
+            tmp_path, capsys)

@@ -5,7 +5,7 @@ Three contracts:
 * **worker telemetry survives the pool** — artifact hit/miss counters
   and per-spec latencies recorded inside pool workers aggregate into
   the parent registry (the bug class this module was built to kill:
-  ``repro cache artifacts`` silently under-reporting for parallel runs);
+  artifact hit rates silently under-reported for parallel runs);
 * **spans actually cover the work** — a traced run's stage spans sum to
   (almost all of) their compile span, and the trace file is loadable;
 * **instrumentation never changes results** — records serialize

@@ -1,5 +1,5 @@
 """Every name a package exports through ``__all__`` resolves, and the
-retired surrogate-guided sweep surface stays gone."""
+retired surrogate-guided sweep and run-journal surfaces stay gone."""
 
 import importlib
 
@@ -25,6 +25,26 @@ def test_all_names_resolve(package):
 def test_the_surrogate_package_is_gone():
     with pytest.raises(ImportError):
         importlib.import_module("repro.surrogate")
+
+
+def test_the_journal_module_is_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.api.journal")
+
+
+@pytest.mark.parametrize("entry", ["Runner.run", "Runner.stream",
+                                   "run_sweep"])
+def test_execution_entry_points_take_no_journal(entry):
+    from repro.api import MemoryStore, Plan, Runner
+    from repro.scenarios import run_sweep
+
+    runner = Runner(store=MemoryStore())
+    call = {"Runner.run": runner.run, "Runner.stream": runner.stream,
+            "run_sweep": run_sweep}[entry]
+    args = (["scn-stream-n16-m40-r0-a10-s1"] if entry == "run_sweep"
+            else Plan())
+    with pytest.raises(TypeError, match="journal"):
+        call(args, journal=None)
 
 
 def test_front_door_imports_load_no_surrogate_module():
