@@ -60,7 +60,7 @@ For the low-level path — build a DDG by hand, compile and simulate it —
 see ``examples/quickstart.py`` and :func:`compile_loop`/:func:`simulate`.
 """
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 from repro.alias import AccessPattern, MemRef
 from repro.arch import (

@@ -98,10 +98,3 @@ def profile_preferred_clusters(
             counts[home_cluster(addr)] += 1
         profiles[instr.iid] = ClusterProfile(tuple(counts))
     return profiles
-
-
-def preferred_cluster_map(
-    profiles: Dict[int, ClusterProfile]
-) -> Dict[int, int]:
-    """Collapse profiles to their argmax cluster."""
-    return {iid: profile.preferred for iid, profile in profiles.items()}

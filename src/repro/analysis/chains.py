@@ -29,14 +29,6 @@ class ChainStats:
     memory_ops: int
     total_ops: int
 
-    @property
-    def loop_cmr(self) -> float:
-        return self.biggest_chain / self.memory_ops if self.memory_ops else 0.0
-
-    @property
-    def loop_car(self) -> float:
-        return self.biggest_chain / self.total_ops if self.total_ops else 0.0
-
 
 def chain_stats(ddg: Ddg, with_mem_deps: bool = False) -> ChainStats:
     """Measure one loop's chain statistics.

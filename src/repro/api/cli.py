@@ -97,8 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="coherence/heuristic key, e.g. mdc/prefclus "
                             "(repeatable; default: all six)")
     p_run.add_argument("--machine", default="baseline",
-                       help="named machine config (default: baseline); a "
-                            "-mm<model> suffix selects a memory model")
+                       help="named machine config (default: baseline)")
     p_run.add_argument("--model", action="append", dest="models",
                        metavar="MODEL",
                        help="memory model (repeatable; see 'repro list'; "
@@ -436,8 +435,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         loops=args.loop,
         models=tuple(args.models) if args.models else "snooping",
     )
-    with _runner(args) as runner:
-        records = runner.run(plan, progress=_progress_printer())
+    records = _runner(args).run(plan, progress=_progress_printer())
     rows = []
     for record in records:
         stats = record.merged_stats()
@@ -470,11 +468,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figure9 import run_figure9
 
     drivers = {6: run_figure6, 7: run_figure7, 9: run_figure9}
-    with _runner(args) as runner:
-        result = drivers[args.number](
-            benchmarks=args.benchmarks, scale=args.scale, runner=runner,
-            progress=_progress_printer(),
-        )
+    result = drivers[args.number](
+        benchmarks=args.benchmarks, scale=args.scale, runner=_runner(args),
+        progress=_progress_printer(),
+    )
     _emit(result.render(), args.out)
     return 0
 
@@ -484,11 +481,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from repro.experiments.table5 import run_table5
 
     if args.number == 4:
-        with _runner(args) as runner:
-            result = run_table4(
-                benchmarks=args.benchmarks, scale=args.scale,
-                runner=runner, progress=_progress_printer(),
-            )
+        result = run_table4(
+            benchmarks=args.benchmarks, scale=args.scale,
+            runner=_runner(args), progress=_progress_printer(),
+        )
     else:
         # Table 5 is a static DDG analysis: no simulation, no cache.
         result = run_table5(benchmarks=args.benchmarks)
@@ -539,15 +535,14 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     models = tuple(args.models) if args.models else ("snooping",)
 
     if args.action == "sweep":
-        with _runner(args) as runner:
-            result = run_sweep(
-                names,
-                machines=machines,
-                scale=args.scale,
-                models=models,
-                runner=runner,
-                progress=_progress_printer(),
-            )
+        result = run_sweep(
+            names,
+            machines=machines,
+            scale=args.scale,
+            models=models,
+            runner=_runner(args),
+            progress=_progress_printer(),
+        )
         _emit(result.render(), args.out)
         if args.csv:
             with open(args.csv, "w") as handle:
@@ -614,7 +609,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import lint_compilation
     from repro.sched import compile_loop
     from repro.workloads.catalog import BENCHMARKS, get_benchmark
-    from repro.workloads.traces import cached_trace_spec
+    from repro.workloads.traces import trace_factory
 
     base = named_config(args.machine)
     variants = [parse_variant(v) for v in (args.variants or ALL_VARIANTS)]
@@ -623,8 +618,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for name in (args.benchmarks or list(BENCHMARKS)):
         bench = get_benchmark(name)
         machine = bench.machine(base)
-        profile = cached_trace_spec(PROFILE_ITERATIONS,
-                                    seed=bench.profile_seed)
+        profile = trace_factory(PROFILE_ITERATIONS, seed=bench.profile_seed)
         loops = bench.loops
         if args.loop is not None:
             loops = tuple(s for s in loops if s.name == args.loop)
@@ -675,8 +669,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
                  "'repro scenarios')")
     from repro.sim.models import DEFAULT_MODEL, MODELS
 
-    lines.append("memory models (--model, or a -mm<name> machine "
-                 "suffix):")
+    lines.append("memory models (--model):")
     for name in sorted(MODELS):
         model = MODELS[name]
         default = "  [default]" if name == DEFAULT_MODEL else ""

@@ -40,11 +40,7 @@ from repro.sim.coherence import ExpectedVersions, expected_versions
 from repro.sim.executor import simulate
 from repro.sim.models import DEFAULT_MODEL
 from repro.workloads.catalog import Benchmark, LoopSpec, get_benchmark
-from repro.workloads.traces import (
-    AddressTrace,
-    cached_trace_spec,
-    trace_factory,
-)
+from repro.workloads.traces import AddressTrace, trace_factory
 
 
 #: Minimum kernel iterations simulated per loop: below this the pipeline
@@ -222,9 +218,9 @@ def _loop_inputs(
     expected versions over it."""
     profile_seed, execute_seed = seeds or (bench.profile_seed,
                                            bench.execute_seed)
-    # One frozen, keyed spec per (iterations, seed): its key is what lets
-    # the front end hit the artifact store across the variant cross.
-    profile = cached_trace_spec(PROFILE_ITERATIONS, seed=profile_seed)
+    # A keyed trace spec: its key is what lets the front end hit the
+    # artifact store across the variant cross.
+    profile = trace_factory(PROFILE_ITERATIONS, seed=profile_seed)
     with trace.span(f"compile:{spec.name}", cat="compile"):
         compiled = compile_loop(
             spec.ddg,

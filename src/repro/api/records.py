@@ -174,13 +174,6 @@ class RunRecord:
             loops=[LoopRecord.from_dict(d) for d in data.get("loops", [])],
         )
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_dict(json.loads(text))
-
 
 # ----------------------------------------------------------------------
 # Bulk export helpers

@@ -11,15 +11,14 @@ that yields results *as they complete*:
    compilation front end verbatim — execute together and hit each
    other's warm artifacts.  Serially the shared
    :class:`~repro.api.artifacts.ArtifactStore` makes that automatic;
-   under ``parallel`` each *group* becomes one pool task fanned out over
-   one persistent worker pool via ``imap_unordered`` (when there are
-   fewer groups than requested workers, the largest groups are split so
-   occupancy never drops below what the caller asked for, between model
-   siblings where possible; the pool is sized to the resulting task
-   count, so tiny plans never spawn idle processes).  At most twice as
-   many groups as workers are in flight, for backpressure: a slow
-   consumer never forces the whole plan's payloads into the task queue
-   at once;
+   under ``parallel`` each *group* becomes one task of a worker pool
+   that lives for this plan only, fanned out via ``imap_unordered``
+   (when there are fewer groups than requested workers, the largest
+   groups are split so occupancy never drops below what the caller
+   asked for, between model siblings where possible; the pool is sized
+   to the resulting task count, so tiny plans never spawn idle
+   processes).  The pool ends when the plan finishes, is abandoned or
+   re-raises a failure, so no worker outlives its plan;
 3. *model siblings* — specs equal except for ``model`` — run back to
    back, each through its own ``execute_spec`` call, inside one
    :func:`~repro.api.core.model_siblings` block, so each loop compiles,
@@ -41,10 +40,8 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import threading
 import time
 import traceback as _tb
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
@@ -61,12 +58,7 @@ from typing import (
 )
 
 from repro import errors as _errors
-from repro.api.artifacts import (
-    ArtifactStore,
-    DiskArtifactStore,
-    MemoryArtifactStore,
-    default_artifact_store,
-)
+from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.core import (
     execute_spec,
     model_siblings,
@@ -214,12 +206,22 @@ def _execute_siblings(
 # ----------------------------------------------------------------------
 # Pool worker side
 # ----------------------------------------------------------------------
-def _worker_init() -> None:
-    """Pool worker initializer: the one-time kernel-iteration-floor
-    warning is per-process, so without suppression every worker would
-    re-emit it; the parent surfaces a single warning from the returned
-    records instead."""
+#: Set once per pool worker by :func:`_worker_init`: the runner's
+#: artifact store, and whether the parent records metrics and traces.
+_worker_setup: Tuple[ArtifactStore, bool, bool]
+
+
+def _worker_init(artifacts: ArtifactStore, metrics_enabled: bool,
+                 tracing: bool) -> None:
+    """Pool worker initializer: keep what every task of the plan shares.
+
+    The one-time kernel-iteration-floor warning is per-process, so
+    without suppression every worker would re-emit it; the parent
+    surfaces a single warning from the returned records instead.
+    """
+    global _worker_setup
     suppress_floor_warning()
+    _worker_setup = (artifacts, metrics_enabled, tracing)
 
 
 def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -230,29 +232,23 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     siblings run back to back and share their simulation inputs, like
     the serial loop's.
 
-    With an ``artifact_root`` the worker replays/records front-end
-    artifacts on disk (shared with every other worker and process);
-    without one it falls back to its process-local default store, which
-    still makes sibling variants of the group warm for each other.
+    Front-end artifacts go through the runner's own artifact store: a
+    disk store shares them with every other worker and process, and any
+    store makes sibling variants of the group warm for each other.
 
     Observability: the task runs under a *captured* metrics registry
     whose snapshot travels back in the result envelope — the parent
     merges it on receipt, so artifact hit/miss counters, stage timings
     and per-spec latencies survive the process boundary instead of
-    dying with the worker.  With ``payload["trace"]`` the task also runs
+    dying with the worker.  When the parent traces, the task also runs
     under a private tracer whose spans ship back for wall-clock
     re-basing into the parent trace.
     """
-    root = payload.get("artifact_root")
-    artifacts = (
-        DiskArtifactStore(root, version=payload.get("artifact_version"))
-        if root else default_artifact_store()
-    )
+    artifacts, metrics_enabled, tracing = _worker_setup
     specs = [RunSpec.from_dict(data) for data in payload["specs"]]
     keys = payload["keys"]
     results: List[Dict[str, object]] = [{} for _ in specs]
-    worker_tracer = trace.Tracer() if payload.get("trace") else None
-    metrics_enabled = bool(payload.get("metrics_enabled", True))
+    worker_tracer = trace.Tracer() if tracing else None
     with metrics.capture(enabled=metrics_enabled) as reg:
 
         def spec_done(elapsed: float) -> None:
@@ -291,11 +287,9 @@ class Runner:
     ``parallel=None`` (or 0/1) runs serially in-process; ``parallel=N``
     fans miss *groups* out over at most ``N`` worker processes;
     ``parallel=-1`` uses every available CPU (clamped to the number of
-    tasks, so small plans spawn small pools).  The worker pool persists
-    across plans — a sweep driver issuing many plans pays the fork cost
-    once; :meth:`close` (or the context-manager exit) tears it down.
-    While streaming, at most twice as many groups as workers are queued
-    or executing at once.
+    tasks, so small plans spawn small pools).  Each plan gets its own
+    pool, which ends with the plan; its workers use this runner's
+    artifact store.
     """
 
     def __init__(self, store: Optional[ResultStore] = None,
@@ -304,8 +298,6 @@ class Runner:
         self._store = store
         self._artifacts = artifacts
         self.parallel = parallel
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._pool_size = 0
 
     @property
     def store(self) -> ResultStore:
@@ -316,38 +308,6 @@ class Runner:
         if self._artifacts is not None:
             return self._artifacts
         return default_artifact_store()
-
-    # ------------------------------------------------------------------
-    # Persistent pool management
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, workers: int) -> multiprocessing.pool.Pool:
-        if self._pool is not None and self._pool_size < workers:
-            self.close()  # grow: replace the undersized pool
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(
-                processes=workers, initializer=_worker_init
-            )
-            self._pool_size = workers
-        return self._pool
-
-    def close(self) -> None:
-        """Tear down the persistent worker pool (idempotent)."""
-        pool, self._pool, self._pool_size = self._pool, None, 0
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-    def __enter__(self) -> "Runner":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # Public execution surface
@@ -424,14 +384,20 @@ class Runner:
                 yield j, record
         if not misses:
             return
-        for i, item in self._execute_stream(plan, keys, misses):
-            key = keys[i]
-            if isinstance(item, RunRecord):
-                store.put(key, item)
-            elif on_error == "raise":
-                item.reraise()
-            for j in key_indices[key]:
-                yield j, item
+        executed = self._execute_stream(plan, keys, misses)
+        try:
+            for i, item in executed:
+                key = keys[i]
+                if isinstance(item, RunRecord):
+                    store.put(key, item)
+                elif on_error == "raise":
+                    item.reraise()
+                for j in key_indices[key]:
+                    yield j, item
+        finally:
+            # Ends the plan's pool at once when the consumer stops early
+            # or a failure re-raises.
+            executed.close()
 
     def _execute_stream(
         self, plan: Plan, keys: List[str], misses: List[int]
@@ -465,95 +431,51 @@ class Runner:
         # Clamp to the post-split task count: a tiny plan on a many-core
         # machine (parallel=-1) must not spawn a pool of idle processes.
         workers = min(workers, len(tasks))
-        artifacts = self.artifacts
-        artifact_root = None
-        artifact_version = None
-        if isinstance(artifacts, DiskArtifactStore):
-            artifact_root = str(artifacts.root)
-            # Propagate the resolved version so workers read/write the
-            # same entries even when the parent pinned a custom one.
-            artifact_version = artifacts.version
-        elif not isinstance(artifacts, MemoryArtifactStore):
-            warnings.warn(
-                "custom ArtifactStore cannot cross process boundaries; "
-                "parallel workers fall back to per-worker in-memory "
-                "artifact stores (use a DiskArtifactStore to share)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-        pool = self._ensure_pool(workers)
-        limit = 2 * workers
-        inflight = threading.Semaphore(limit)
-        abort = [False]
-        # Submitted-but-unconsumed task count, sampled into the
-        # ``runner.inflight`` histogram at every receive so the stream's
-        # effective queue depth (and thus backpressure behaviour) is
-        # visible after the fact.
-        depth_lock = threading.Lock()
-        depth = [0]
-
-        def payloads() -> Iterator[Dict[str, object]]:
-            # Runs in the pool's feeder thread: the semaphore keeps at
-            # most ``limit`` groups submitted-but-unconsumed, so a slow
-            # consumer applies backpressure instead of letting the whole
-            # plan pile up in the task queue.
-            for t, indices in enumerate(tasks):
-                inflight.acquire()
-                if abort[0]:
-                    return
-                with depth_lock:
-                    depth[0] += 1
-                yield {
-                    "task": t,
-                    "specs": [specs[i].to_dict() for i in indices],
-                    "keys": [keys[misses[i]] for i in indices],
-                    "artifact_root": artifact_root,
-                    "artifact_version": artifact_version,
-                    "metrics_enabled": metrics.enabled(),
-                    "trace": trace.tracer() is not None,
-                }
-
+        payloads = [
+            {
+                "task": t,
+                "specs": [specs[i].to_dict() for i in indices],
+                "keys": [keys[misses[i]] for i in indices],
+            }
+            for t, indices in enumerate(tasks)
+        ]
         reg = metrics.registry()
         busy_before = reg.counter("runner.worker_busy_seconds")
         stream_start = time.perf_counter()
         try:
-            for reply in pool.imap_unordered(_worker_group, payloads()):
-                inflight.release()
-                with depth_lock:
-                    current = depth[0]
-                    depth[0] -= 1
-                metrics.observe("runner.inflight", current)
-                metrics.inc("runner.tasks")
-                snapshot = reply.get("metrics")
-                if snapshot:
-                    # Satellite-telemetry merge: fold the worker's
-                    # per-task metric deltas (artifact hits/misses,
-                    # stage timings, spec latencies...) into this
-                    # process's registry.
-                    reg.merge(snapshot)
-                exported = reply.get("trace")
-                if exported:
-                    parent_tracer = trace.tracer()
-                    if parent_tracer is not None:
-                        parent_tracer.absorb(exported)
-                for i, result in zip(tasks[reply["task"]],
-                                     reply["results"]):
-                    if "record" in result:
-                        record = RunRecord.from_dict(result["record"])
-                        # Workers suppress the one-time floor warning;
-                        # surface a single parent-side one instead.
-                        warn_floor_from_record(record)
-                        yield misses[i], record
-                    else:
-                        yield misses[i], RunError.from_dict(
-                            result["error"]
-                        )
+            with multiprocessing.Pool(
+                workers, initializer=_worker_init,
+                initargs=(self.artifacts, metrics.enabled(),
+                          trace.tracer() is not None),
+            ) as pool:
+                for reply in pool.imap_unordered(_worker_group, payloads):
+                    metrics.inc("runner.tasks")
+                    snapshot = reply.get("metrics")
+                    if snapshot:
+                        # Satellite-telemetry merge: fold the worker's
+                        # per-task metric deltas (artifact hits/misses,
+                        # stage timings, spec latencies...) into this
+                        # process's registry.
+                        reg.merge(snapshot)
+                    exported = reply.get("trace")
+                    if exported:
+                        parent_tracer = trace.tracer()
+                        if parent_tracer is not None:
+                            parent_tracer.absorb(exported)
+                    for i, result in zip(tasks[reply["task"]],
+                                         reply["results"]):
+                        if "record" in result:
+                            record = RunRecord.from_dict(result["record"])
+                            # Workers suppress the one-time floor
+                            # warning; surface a single parent-side one
+                            # instead.
+                            warn_floor_from_record(record)
+                            yield misses[i], record
+                        else:
+                            yield misses[i], RunError.from_dict(
+                                result["error"]
+                            )
         finally:
-            # Unblock the feeder if the consumer stopped early, so the
-            # persistent pool stays usable for the next plan.
-            abort[0] = True
-            inflight.release()
             wall = time.perf_counter() - stream_start
             if wall > 0 and metrics.enabled():
                 busy = reg.counter("runner.worker_busy_seconds")

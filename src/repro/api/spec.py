@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
-from repro.arch.config import MachineConfig, named_config, split_model_suffix
+from repro.arch.config import MachineConfig, named_config
 from repro.errors import ConfigError
 from repro.hashing import digest
 from repro.sched.stages import CoherenceMode, Heuristic
@@ -135,9 +135,7 @@ class RunSpec:
     * ``seeds`` — ``(profile_seed, execute_seed)`` override (``None`` =
       the benchmark's calibrated seeds);
     * ``model`` — the memory model simulated (see
-      :mod:`repro.sim.models`); also accepted as a lexical
-      ``-mm<model>`` suffix on ``machine`` (e.g. ``"baseline-mmdls"``),
-      which is split off at construction time.
+      :mod:`repro.sim.models`).
     """
 
     benchmark: str
@@ -152,15 +150,6 @@ class RunSpec:
     def __post_init__(self) -> None:
         variant = parse_variant(self.variant)
         object.__setattr__(self, "variant", variant.key)
-        machine, suffix_model = split_model_suffix(self.machine)
-        if suffix_model is not None:
-            if self.model not in ("snooping", suffix_model):
-                raise ConfigError(
-                    f"conflicting memory models: machine suffix "
-                    f"-mm{suffix_model} vs model={self.model!r}"
-                )
-            object.__setattr__(self, "machine", machine)
-            object.__setattr__(self, "model", suffix_model)
         from repro.sim.models import named_model
 
         named_model(self.model)  # fail fast on unknown models
@@ -388,9 +377,6 @@ class Plan:
     @property
     def content_hash(self) -> str:
         return digest([spec.content_hash for spec in self.specs])
-
-    def to_dicts(self) -> Sequence[Dict[str, object]]:
-        return [spec.to_dict() for spec in self.specs]
 
     def describe(self) -> str:
         lines = [f"plan {self.content_hash} ({len(self)} specs):"]

@@ -409,25 +409,6 @@ def parse_config_name(name: str) -> MachineConfig:
     )
 
 
-_MODEL_SUFFIX_RE = re.compile(r"^(?P<base>.+)-mm(?P<model>[a-z][a-z0-9_]*)$")
-
-
-def split_model_suffix(name: str) -> Tuple[str, str | None]:
-    """Split a ``-mm<model>`` memory-model suffix off a machine name.
-
-    Machine-space strings like ``"baseline-mmdls"`` name the baseline
-    machine simulated under the ``dls`` memory model; the suffix is
-    purely lexical (no :class:`MachineConfig` field), so configs stay
-    model-agnostic and :class:`~repro.api.spec.RunSpec` owns the model
-    dimension.  Returns ``(base_name, model)``, with ``model=None`` when
-    the name carries no suffix.
-    """
-    match = _MODEL_SUFFIX_RE.match(name)
-    if match is None:
-        return name, None
-    return match.group("base"), match.group("model")
-
-
 def named_config(name: str) -> MachineConfig:
     """Look up one of the paper's machine configurations by name, or decode
     a generated ``gen-...`` name (see :func:`encode_config_name`)."""

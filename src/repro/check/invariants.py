@@ -42,7 +42,6 @@ from repro.check.model import (
     Event,
     ProtocolModel,
     State,
-    UNISSUED,
 )
 
 #: Message kinds carrying a tuple of load ops at position 2 (``fwd_*``
@@ -220,7 +219,3 @@ def terminal_violations(model: ProtocolModel, state: State) -> List[str]:
     if problems:
         return ["deadlock: quiescence unreachable — " + "; ".join(problems)]
     return []
-
-
-def unissued_count(state: State) -> int:
-    return sum(1 for status, _v in state.ops if status == UNISSUED)

@@ -370,12 +370,6 @@ class Ddg:
         ddg._next_seq = data["next_seq"]
         return ddg
 
-    def opcode_histogram(self) -> Dict[Opcode, int]:
-        hist: Dict[Opcode, int] = {}
-        for instr in self._nodes.values():
-            hist[instr.opcode] = hist.get(instr.opcode, 0) + 1
-        return hist
-
     def describe(self) -> str:
         """Multi-line dump used by the DDG-transformation example."""
         lines = [f"DDG {self.name!r}: {len(self)} instructions"]

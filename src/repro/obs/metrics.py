@@ -134,9 +134,9 @@ class HistogramData:
 class MetricsRegistry:
     """Labeled counters, gauges and histograms with snapshot/merge.
 
-    Thread-safe: the runner's pool feeder thread and the consuming
-    thread may both record.  All mutating operations are no-ops while
-    the registry is disabled.
+    Thread-safe: any number of threads may record into one registry at
+    once.  All mutating operations are no-ops while the registry is
+    disabled.
     """
 
     def __init__(self, enabled: bool = True) -> None:

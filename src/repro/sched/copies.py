@@ -69,9 +69,3 @@ def insert_copies(
         ddg.remove_edge(edge)
 
     return inserted
-
-
-def communication_count(ddg: Ddg) -> int:
-    """Number of explicit copy operations in a compiled graph — the
-    "communication operations" metric of Table 4."""
-    return sum(1 for instr in ddg if instr.is_copy)

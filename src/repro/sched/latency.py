@@ -20,7 +20,7 @@ when the level's own minimum II is already larger.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.arch.config import MachineConfig
 from repro.errors import SchedulingError
@@ -68,26 +68,3 @@ def schedule_with_latency_policy(
         if candidate.length <= limit:
             return candidate
     return base
-
-
-def consumer_separation(schedule: Schedule, load_iid: int) -> Optional[int]:
-    """Scheduled distance (cycles) between a load and its nearest register
-    consumer — the latency the schedule tolerates before stalling.
-
-    Returns ``None`` for loads without register consumers (their value is
-    never used, so they can never cause a stall).
-    """
-    from repro.ir.edges import DepKind
-
-    ddg = schedule.ddg
-    best: Optional[int] = None
-    for edge in ddg.succs(load_iid):
-        if edge.kind is not DepKind.RF:
-            continue
-        sep = (
-            schedule.time_of(edge.dst)
-            + schedule.ii * edge.distance
-            - schedule.time_of(load_iid)
-        )
-        best = sep if best is None else min(best, sep)
-    return best

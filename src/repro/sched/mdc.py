@@ -45,10 +45,6 @@ class MdcResult:
     group_of: Dict[int, int] = field(default_factory=dict)
     preferred_cluster: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def chained_instructions(self) -> Set[int]:
-        return set(self.group_of)
-
     def biggest_chain(self) -> Set[int]:
         if not self.chains:
             return set()

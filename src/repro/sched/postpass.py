@@ -72,23 +72,3 @@ def best_cluster_permutation(
         mapping[v] = p
         remaining.remove(p)
     return mapping
-
-
-def apply_postpass(
-    ddg: Ddg,
-    machine: MachineConfig,
-    assignment: ClusterAssignment,
-    profiles: Optional[Dict[int, ClusterProfile]],
-) -> ClusterAssignment:
-    """Return the assignment with the best virtual->physical permutation
-    applied.  Pinned instructions (replicated store instances) keep their
-    required clusters by remapping their pins alongside — the instances
-    remain one-per-cluster, which is all the pin means."""
-    mapping = best_cluster_permutation(ddg, machine, assignment, profiles)
-    if all(mapping[c] == c for c in mapping):
-        return assignment
-    remapped = assignment.permuted(mapping)
-    for instr in list(ddg):
-        if instr.required_cluster is not None:
-            ddg.pin_cluster(instr.iid, mapping[instr.required_cluster])
-    return remapped

@@ -90,7 +90,3 @@ class CacheModule:
             del entries[block]
             return True
         return False
-
-    @property
-    def resident_blocks(self) -> int:
-        return sum(len(entries) for entries in self._sets)

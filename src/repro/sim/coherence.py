@@ -164,7 +164,3 @@ class CoherenceChecker:
     def observe_write_inversion(self) -> None:
         """The memory system saw a store apply under a younger version."""
         self.counts.write_inversions += 1
-
-    @property
-    def total_violations(self) -> int:
-        return self.counts.total

@@ -25,8 +25,7 @@ models:
     message kind.
 
 ``named_model()`` resolves a registry name; the name rides in
-:class:`~repro.api.spec.RunSpec` (and the ``-mm<model>`` machine-name
-suffix), so content hashes distinguish models.
+:class:`~repro.api.spec.RunSpec`, so content hashes distinguish models.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class MemoryModel:
     :meth:`conformance_address`).
     """
 
-    #: registry key; also the ``--model`` / ``-mm`` spelling
+    #: registry key; also the ``--model`` spelling
     name: str = ""
     #: one-line human description for ``repro list``
     description: str = ""

@@ -2,15 +2,15 @@
 
 The paper evaluates on 14 Mediabench programs compiled with IMPACT; this
 reproduction substitutes a calibrated catalog of synthetic loop kernels
-(see DESIGN.md for the substitution rationale).  Each benchmark model
-specifies its interleave factor and a weighted set of loops; each loop is a
-DDG template plus deterministic profile/execution address traces.
+(:mod:`repro.workloads.catalog` derives each model from the paper's
+Tables 1 and 3).  Each benchmark model specifies its interleave factor
+and a weighted set of loops; each loop is a DDG template plus
+deterministic profile/execution address traces.
 """
 
 from repro.workloads.traces import (
     AddressTrace,
     TraceSpec,
-    cached_trace_spec,
     trace_factory,
 )
 from repro.workloads.kernels import (
@@ -33,7 +33,6 @@ from repro.workloads.specialization import specialize_ambiguous
 __all__ = [
     "AddressTrace",
     "TraceSpec",
-    "cached_trace_spec",
     "trace_factory",
     "chain_kernel",
     "copy_kernel",

@@ -16,7 +16,6 @@ restrictive version is the original graph.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Tuple
 
 from repro.alias.disambiguation import (
     add_memory_dependences,
@@ -41,10 +40,3 @@ def specialize_ambiguous(ddg: Ddg) -> Ddg:
     remove_memory_dependences(aggressive)
     add_memory_dependences(aggressive)
     return aggressive
-
-
-def specialize_loop(ddg: Ddg) -> Tuple[Ddg, Ddg]:
-    """Both versions: (restrictive, aggressive) — the pair the paper's
-    check code selects between at run time."""
-    restrictive = ddg.clone(f"{ddg.name}+restr")
-    return restrictive, specialize_ambiguous(ddg)

@@ -22,8 +22,7 @@ reference instead (:meth:`AddressTrace.addresses`, through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.alias.memref import AccessPattern, MemRef
 from repro.errors import WorkloadError
@@ -207,47 +206,15 @@ def address_table(trace: TraceLike, iid: int, n: int) -> Sequence[int]:
     return [trace.address(iid, it) for it in range(n)]
 
 
-def trace_factory(
-    num_iterations: int,
-    seed: int = 0,
-    base_of: Optional[Dict[str, int]] = None,
-    padded: bool = True,
-) -> Callable[[Ddg], AddressTrace]:
-    """A factory suitable for :func:`repro.sched.stages.compile_loop`'s
-    ``trace_factory`` argument and for building execution traces.
-
-    The returned closure has no content key, so a compilation profiled
-    with it bypasses the artifact store and runs its whole front end
-    uncached.  For the common keyable case (no explicit base map), prefer
-    :func:`cached_trace_spec` — its :class:`TraceSpec` carries a content
-    key, which is what lets the staged pipeline store the front end
-    (unrolled graph, disambiguation and profiles) as one artifact.
-    """
-
-    def build(ddg: Ddg) -> AddressTrace:
-        return AddressTrace(
-            ddg,
-            num_iterations=num_iterations,
-            seed=seed,
-            base_of=base_of,
-            padded=padded,
-        )
-
-    return build
-
-
 @dataclass(frozen=True)
 class TraceSpec:
-    """A declarative, *keyed* trace factory.
+    """A declarative, *keyed* trace factory: called on a (possibly
+    unrolled) graph, it builds that graph's :class:`AddressTrace`.
 
-    Callable like the closures :func:`trace_factory` returns, but frozen
-    and content-addressable: :attr:`key` names the trace's content and
-    enters :func:`repro.sched.stages.frontend_artifact_key`, so the
-    staged pipeline can store a loop's whole front end — profiles
-    included — as one artifact.  Explicit ``base_of`` maps are not
-    representable here — they have no canonical key; use
-    :func:`trace_factory` for those (the front end then bypasses the
-    artifact store).
+    Frozen and content-addressable: :attr:`key` names the trace's
+    content and enters :func:`repro.sched.stages.frontend_artifact_key`,
+    so the staged pipeline can store a loop's whole front end —
+    profiles included — as one artifact.
     """
 
     num_iterations: int
@@ -271,16 +238,11 @@ class TraceSpec:
         )
 
 
-@lru_cache(maxsize=None)
-def cached_trace_spec(num_iterations: int, seed: int = 0,
-                      padded: bool = True) -> TraceSpec:
-    """Memoized :class:`TraceSpec` construction.
+def trace_factory(num_iterations: int, seed: int = 0) -> TraceSpec:
+    """The :class:`TraceSpec` of ``num_iterations`` iterations under
+    ``seed``: a factory for :func:`repro.sched.stages.compile_loop`'s
+    ``trace_factory`` argument and for building execution traces.
 
-    The run loop historically rebuilt an identical profile-trace callable
-    for every loop of every variant from the same
-    ``(PROFILE_ITERATIONS, profile_seed)`` pair; this returns the one
-    frozen spec per distinct ``(iterations, seed, padded)`` triple
-    instead, so trace identity is stable across the whole variant cross
-    (and the artifact layer above it stores the front end it profiles).
+    Specs are values: equal arguments give equal specs with equal keys.
     """
-    return TraceSpec(num_iterations, seed, padded)
+    return TraceSpec(num_iterations, seed)

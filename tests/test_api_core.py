@@ -7,7 +7,7 @@ import pytest
 import repro.api.core as core
 from repro.api.core import KERNEL_ITERATION_FLOOR, execute_spec
 from repro.api.spec import RunSpec
-from repro.workloads import cached_trace_spec, get_benchmark
+from repro.workloads import get_benchmark, trace_factory
 
 
 @pytest.fixture
@@ -58,7 +58,9 @@ class TestIterationFloor:
 class TestMemoizedProfileTrace:
     def test_one_spec_per_seed_and_length(self):
         bench = get_benchmark("gsmdec")
-        first = cached_trace_spec(256, seed=bench.profile_seed)
-        second = cached_trace_spec(256, seed=bench.profile_seed)
-        assert first is second, "profile trace specs must be memoized"
-        assert cached_trace_spec(128, seed=bench.profile_seed) is not first
+        first = trace_factory(256, seed=bench.profile_seed)
+        second = trace_factory(256, seed=bench.profile_seed)
+        assert first == second, "equal arguments must give equal specs"
+        assert first.key == second.key
+        other = trace_factory(128, seed=bench.profile_seed)
+        assert other != first and other.key != first.key

@@ -244,23 +244,61 @@ class TestFrontendGrouping:
             "sides treat each other's entries as stale"
         )
 
-    def test_custom_artifact_store_warns_in_parallel(self):
-        class CustomStore(MemoryArtifactStore):
-            pass
+    def test_workers_use_the_runners_memory_artifact_store(self):
+        """A pre-warmed in-memory store serves the workers' front ends:
+        every lookup hits and nothing is put.  Seeds no other test uses
+        keep the process-default store from holding these entries."""
+        from repro.obs import metrics
+        from repro.workloads import get_benchmark
 
-        class PlainCustom:
-            def get(self, key):
-                return None
+        plan = Plan(tuple(
+            RunSpec(benchmark="gsmdec", variant=variant, scale=SCALE,
+                    seeds=(104_723, 104_729))
+            for variant in ("mdc/prefclus", "ddgt/prefclus")
+        ))
+        warm = MemoryArtifactStore()
+        serial = Runner(store=MemoryStore(), artifacts=warm).run(plan)
+        with metrics.capture() as reg:
+            parallel = Runner(store=MemoryStore(), parallel=2,
+                              artifacts=warm).run(plan)
+        assert [a.to_dict() for a in parallel] == [
+            b.to_dict() for b in serial
+        ]
+        assert reg.counter("runner.tasks") == 2
+        loops = len(get_benchmark("gsmdec").loops)
+        assert reg.counter("artifacts.lookups", outcome="hit") == 2 * loops
+        assert reg.counter("artifacts.lookups", outcome="miss") == 0
+        assert reg.counter("artifacts.puts") == 0
 
-            def put(self, key, payload):
-                pass
+    def test_workers_use_a_custom_artifact_store(self):
+        """A store of neither built-in kind reaches the workers too:
+        they put the front end into their copy of it, and nothing warns
+        that the store stays behind."""
+        import warnings
 
-        # A MemoryArtifactStore subclass is fine (expected process-local).
-        Runner(store=MemoryStore(), parallel=2,
-               artifacts=CustomStore()).run(Plan(PLAN.specs[:2]))
-        with pytest.warns(RuntimeWarning, match="cannot cross process"):
-            Runner(store=MemoryStore(), parallel=2,
-                   artifacts=PlainCustom()).run(Plan(PLAN.specs[:2]))
+        from repro.api.artifacts import ArtifactStore
+        from repro.obs import metrics
+
+        class DictArtifactStore(ArtifactStore):
+            def __init__(self):
+                self.entries = {}
+
+            def _get(self, key):
+                return self.entries.get(key)
+
+            def _put(self, key, text):
+                self.entries[key] = text
+
+        plan = Plan(PLAN.specs[:2])
+        with metrics.capture() as reg, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = Runner(store=MemoryStore(), parallel=2,
+                             artifacts=DictArtifactStore()).run(plan)
+        assert [r.to_dict() for r in records] == [
+            r.to_dict() for r in Runner(store=MemoryStore()).run(plan)
+        ]
+        assert reg.counter("runner.tasks") == 2
+        assert reg.counter("artifacts.puts") > 0
 
 
 MODEL_PLAN = Plan.grid(
@@ -316,8 +354,7 @@ class TestModelSiblings:
         from repro.obs import metrics
 
         with metrics.capture() as reg:
-            with Runner(store=MemoryStore(), parallel=2) as runner:
-                records = runner.run(MODEL_PLAN)
+            records = Runner(store=MemoryStore(), parallel=2).run(MODEL_PLAN)
         assert as_json(records) == as_json(unshared(MODEL_PLAN))
         # Each back end ran once per (variant, loop), whichever worker
         # ran it: the two tasks are the two sibling groups.
@@ -404,8 +441,8 @@ class TestModelSiblings:
         plan = Plan.grid(benchmarks="gsmdec", variants="mdc/prefclus",
                          scale=SCALE, attraction=True,
                          models=("snooping", "dls", "directory"))
-        with Runner(store=MemoryStore(), parallel=2) as runner:
-            items = list(runner.stream(plan, on_error="yield"))
+        runner = Runner(store=MemoryStore(), parallel=2)
+        items = list(runner.stream(plan, on_error="yield"))
         errors = sorted(i.spec["model"] for i in items
                         if isinstance(i, RunError))
         assert errors == ["directory", "dls"]

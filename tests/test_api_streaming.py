@@ -3,6 +3,7 @@ run from the store, structured error records, pool lifecycle, and the
 sharded store's store-wide operations."""
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -38,8 +39,8 @@ class TestStreamEqualsRun:
 
     def test_stream_yields_the_same_record_set_parallel(self):
         run_records = Runner(store=MemoryStore()).run(PLAN)
-        with Runner(store=MemoryStore(), parallel=2) as runner:
-            streamed = list(runner.stream(PLAN))
+        runner = Runner(store=MemoryStore(), parallel=2)
+        streamed = list(runner.stream(PLAN))
         assert record_keys(streamed) == record_keys(run_records)
         by_key = {r.spec_key: r.to_dict() for r in streamed}
         assert by_key == {r.spec_key: r.to_dict() for r in run_records}
@@ -96,8 +97,8 @@ class TestStructuredErrors:
     def test_parallel_worker_failure_is_contained(self):
         plan = Plan((self.GOOD, self.BAD,
                      RunSpec(benchmark="gsmenc", scale=SCALE)))
-        with Runner(store=MemoryStore(), parallel=2) as runner:
-            items = list(runner.stream(plan, on_error="yield"))
+        runner = Runner(store=MemoryStore(), parallel=2)
+        items = list(runner.stream(plan, on_error="yield"))
         errors = [i for i in items if isinstance(i, RunError)]
         records = [i for i in items if isinstance(i, RunRecord)]
         assert len(errors) == 1 and len(records) == 2
@@ -135,18 +136,18 @@ class TestRerunResumes:
                              ids=["serial", "parallel"])
     def test_killed_stream_rerun_executes_only_the_missing_specs(
             self, tmp_path, parallel):
-        with Runner(store=DiskStore(tmp_path), parallel=parallel) as runner:
-            stream = runner.stream(PLAN)
-            done = {next(stream).spec_key, next(stream).spec_key}
-            stream.close()  # the "kill": two specs done, two never ran
+        runner = Runner(store=DiskStore(tmp_path), parallel=parallel)
+        stream = runner.stream(PLAN)
+        done = {next(stream).spec_key, next(stream).spec_key}
+        stream.close()  # the "kill": two specs done, two never ran
         assert len(list(tmp_path.glob("??/*.json"))) == 2, (
             "each record is stored the moment it arrives"
         )
 
         metrics.registry().reset("runner.")
         # A fresh store and pool, as after a process kill + restart.
-        with Runner(store=DiskStore(tmp_path), parallel=parallel) as runner:
-            records = runner.run(PLAN)
+        runner = Runner(store=DiskStore(tmp_path), parallel=parallel)
+        records = runner.run(PLAN)
         executed = metrics.registry().histogram(
             "runner.spec_seconds",
             mode="serial" if parallel is None else "parallel",
@@ -161,24 +162,50 @@ class TestRerunResumes:
 
 
 class TestPoolLifecycle:
-    def test_pool_persists_across_plans(self):
-        with Runner(store=MemoryStore(), parallel=2) as runner:
-            runner.run(Plan(PLAN.specs[:2]))
-            pool = runner._pool
-            assert pool is not None
-            runner.run(PLAN)
-            assert runner._pool is pool, "pool must be reused across plans"
-        assert runner._pool is None
+    """Each plan gets its own pool, and no worker outlives its plan.
+
+    Every test keeps its runner alive past the check: the workers must
+    end with the plan, not when the runner is collected.
+    """
+
+    def test_no_worker_outlives_a_finished_plan(self):
+        runner = Runner(store=MemoryStore(), parallel=2)
+        records = runner.run(Plan(PLAN.specs[:2]))
+        assert len(records) == 2
+        assert multiprocessing.active_children() == []
+        assert len(runner.run(PLAN)) == len(PLAN)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_an_abandoned_stream(self):
+        runner = Runner(store=MemoryStore(), parallel=2)
+        stream = runner.stream(PLAN)
+        next(stream)
+        stream.close()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_reraised_failure(self):
+        plan = Plan((TestStructuredErrors.BAD, TestStructuredErrors.GOOD))
+        runner = Runner(store=MemoryStore(), parallel=2)
+        with pytest.raises(WorkloadError):
+            runner.run(plan)
+        assert multiprocessing.active_children() == []
 
     def test_parallel_minus_one_pool_clamped_to_tasks(self, monkeypatch):
         # 2 specs -> at most 2 tasks after splitting: a many-core CI
         # runner must not fork cpu_count() idle workers for them.
+        sizes = []
+        pool = multiprocessing.Pool
+
+        def recording_pool(processes=None, *args, **kwargs):
+            sizes.append(processes)
+            return pool(processes, *args, **kwargs)
+
         monkeypatch.setattr("repro.api.runner.multiprocessing.cpu_count",
                             lambda: 8)
-        with Runner(store=MemoryStore(), parallel=-1) as runner:
-            runner.run(Plan(PLAN.specs[:2]))
-            assert runner._pool is not None
-            assert runner._pool_size <= 2
+        monkeypatch.setattr("repro.api.runner.multiprocessing.Pool",
+                            recording_pool)
+        Runner(store=MemoryStore(), parallel=-1).run(Plan(PLAN.specs[:2]))
+        assert sizes == [2]
 
 
 class TestParallelFloorWarning:
@@ -196,10 +223,10 @@ class TestParallelFloorWarning:
         plan = Plan.grid(benchmarks=["pgpdec"],
                          variants=("mdc/prefclus", "ddgt/prefclus"),
                          scale=0.01)
-        with Runner(store=MemoryStore(), parallel=2) as runner:
-            with pytest.warns(RuntimeWarning,
-                              match="kernel-iteration floor") as caught:
-                records = runner.run(plan)
+        runner = Runner(store=MemoryStore(), parallel=2)
+        with pytest.warns(RuntimeWarning,
+                          match="kernel-iteration floor") as caught:
+            records = runner.run(plan)
         assert any(l.iteration_floor for r in records for l in r.loops)
         floor_warnings = [w for w in caught
                           if "kernel-iteration floor" in str(w.message)]

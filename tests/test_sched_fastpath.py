@@ -43,7 +43,7 @@ from repro.scenarios.machines import machine_grid
 from repro.sched import CoherenceMode, Heuristic, compile_loop, mii, stages
 from repro.sched.latency import schedule_with_latency_policy
 from repro.sched.schedule import ReservationTable
-from repro.workloads import cached_trace_spec
+from repro.workloads import trace_factory
 
 import sched_reference as reference
 
@@ -133,7 +133,7 @@ def test_schedule_matches_reference(artifacts, machine, params, variant):
         compile_loop(
             build_scenario_ddg(params), named_config(machine),
             coherence=variant.coherence, heuristic=variant.heuristic,
-            trace_factory=cached_trace_spec(64, seed=5),
+            trace_factory=trace_factory(64, seed=5),
             profile_iterations=64,
             artifacts=artifacts(params, machine),
         )

@@ -16,7 +16,7 @@ from repro.sched.stages import (
     reset_stage_counters,
     stage_counters,
 )
-from repro.workloads import cached_trace_spec, get_benchmark
+from repro.workloads import get_benchmark, trace_factory
 from repro.workloads.traces import TraceSpec
 
 MACHINE = BASELINE_CONFIG
@@ -89,10 +89,11 @@ class TestStageKeys:
             != frontend_artifact_key(backward, MACHINE, 1, True, None, 256)
 
     def test_trace_spec_key_and_memoization(self):
-        spec = cached_trace_spec(256, seed=11)
-        assert spec is cached_trace_spec(256, seed=11)
+        spec = trace_factory(256, seed=11)
+        assert spec == trace_factory(256, seed=11)
         assert spec.key == "iters256-seed11-padded1"
-        assert cached_trace_spec(256, seed=12) is not spec
+        assert trace_factory(256, seed=12) != spec
+        assert trace_factory(256, seed=12).key != spec.key
         assert TraceSpec(64, 3, padded=False).key == "iters64-seed3-padded0"
 
 
@@ -120,7 +121,7 @@ class TestFrontendSharing:
             bench.machine(MACHINE),
             coherence=coherence,
             heuristic=heuristic,
-            trace_factory=cached_trace_spec(256, seed=bench.profile_seed),
+            trace_factory=trace_factory(256, seed=bench.profile_seed),
             unroll_factor=spec.unroll,
             artifacts=artifacts,
         )
@@ -189,12 +190,11 @@ class TestFrontendSharing:
         assert len(warm) == 1
 
     def test_unkeyed_trace_factory_still_compiles(self, loop_spec):
-        """A plain closure (no .key) has no content key: the front end
+        """A factory without a .key has no content key: the front end
         runs uncached, leaves the store empty and compiles what the keyed
         spec of the same trace compiles."""
-        from repro.workloads import trace_factory
-
         bench, spec = loop_spec
+        keyed_factory = trace_factory(256, seed=bench.profile_seed)
         keyed = self._compile(loop_spec, CoherenceMode.MDC,
                               Heuristic.PREFCLUS, MemoryArtifactStore())
         reset_stage_counters()
@@ -206,7 +206,7 @@ class TestFrontendSharing:
                 bench.machine(MACHINE),
                 coherence=CoherenceMode.MDC,
                 heuristic=Heuristic.PREFCLUS,
-                trace_factory=trace_factory(256, seed=bench.profile_seed),
+                trace_factory=lambda ddg: keyed_factory(ddg),
                 unroll_factor=spec.unroll,
                 artifacts=artifacts,
             )

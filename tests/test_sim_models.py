@@ -11,7 +11,6 @@ import pytest
 
 from repro.alias import MemRef
 from repro.arch import BASELINE_CONFIG
-from repro.arch.config import split_model_suffix
 from repro.errors import ConfigError, WorkloadError
 from repro.ir import DdgBuilder
 from repro.sched import CoherenceMode, Heuristic, compile_loop
@@ -106,23 +105,15 @@ class TestModelBehaviour:
 
 # ----------------------------------------------------------------------
 class TestSpecIntegration:
-    def test_machine_suffix_selects_model(self):
+    def test_model_suffix_is_an_unknown_machine(self):
+        """The model is named by ``model`` alone: a ``-mm<model>``
+        machine suffix is part of an unknown machine name."""
         from repro.api.spec import RunSpec
 
         spec = RunSpec("gsmdec", "mdc/prefclus", machine="baseline-mmdls")
-        assert spec.machine == "baseline"
-        assert spec.model == "dls"
-
-    def test_suffix_split_helper(self):
-        assert split_model_suffix("baseline-mmdls") == ("baseline", "dls")
-        assert split_model_suffix("baseline") == ("baseline", None)
-
-    def test_conflicting_suffix_and_model(self):
-        from repro.api.spec import RunSpec
-
-        with pytest.raises(ConfigError, match="conflicting memory models"):
-            RunSpec("gsmdec", "mdc/prefclus", machine="baseline-mmdls",
-                    model="directory")
+        assert (spec.machine, spec.model) == ("baseline-mmdls", "snooping")
+        with pytest.raises(ConfigError, match="unknown configuration"):
+            _ = spec.content_hash
 
     def test_unknown_model_rejected_at_spec_time(self):
         from repro.api.spec import RunSpec
@@ -138,14 +129,6 @@ class TestSpecIntegration:
             for m in model_names()
         }
         assert len(hashes) == len(model_names())
-
-    def test_suffix_and_field_hash_identically(self):
-        from repro.api.spec import RunSpec
-
-        by_suffix = RunSpec("gsmdec", "mdc/prefclus",
-                            machine="baseline-mmdirectory")
-        by_field = RunSpec("gsmdec", "mdc/prefclus", model="directory")
-        assert by_suffix.content_hash == by_field.content_hash
 
     def test_plan_grid_models_axis(self):
         from repro.api.spec import Plan
