@@ -122,6 +122,13 @@ class ArtifactStore:
         metrics.inc("artifacts.puts")
         return text
 
+    def absorb(self, entries: Dict[str, str]) -> None:
+        """Hold ``entries`` (key -> canonical JSON text) that a pool
+        worker put into its copy of this store.  No counter moves: the
+        worker counted its puts, and its metrics reach the parent."""
+        for key, text in entries.items():
+            self._put(key, text)
+
     # -- implementation hooks ------------------------------------------
     def _get(self, key: str) -> Optional[str]:
         raise NotImplementedError
@@ -206,6 +213,11 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
         )
         self._put_envelope(key, envelope)
         self._memo[key] = text
+
+    def absorb(self, entries: Dict[str, str]) -> None:
+        # The worker's copy wrote these files into the shared directory
+        # already; memoize them as this process's own puts would.
+        self._memo.update(entries)
 
     def clear(self) -> int:
         self._memo.clear()

@@ -211,6 +211,23 @@ def _execute_siblings(
 _worker_setup: Tuple[ArtifactStore, bool, bool]
 
 
+class _LoggedPuts(ArtifactStore):
+    """The runner's artifact store as one pool task uses it: gets and
+    puts go to the worker's copy of the store, and each put's canonical
+    text is also kept, so the task can ship it back to the parent."""
+
+    def __init__(self, store: ArtifactStore) -> None:
+        self.store = store
+        self.puts: Dict[str, str] = {}
+
+    def get(self, key: str) -> Optional[dict]:
+        return self.store.get(key)
+
+    def put(self, key: str, payload: dict) -> str:
+        text = self.puts[key] = self.store.put(key, payload)
+        return text
+
+
 def _worker_init(artifacts: ArtifactStore, metrics_enabled: bool,
                  tracing: bool) -> None:
     """Pool worker initializer: keep what every task of the plan shares.
@@ -232,9 +249,12 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     siblings run back to back and share their simulation inputs, like
     the serial loop's.
 
-    Front-end artifacts go through the runner's own artifact store: a
-    disk store shares them with every other worker and process, and any
-    store makes sibling variants of the group warm for each other.
+    Front-end artifacts go through the worker's copy of the runner's
+    artifact store: a disk store shares them with every other worker and
+    process, and any store makes sibling variants of the group warm for
+    each other.  The entries the task put travel back in the result
+    envelope, and the parent's store absorbs them, so after the plan it
+    holds what a serial run's would.
 
     Observability: the task runs under a *captured* metrics registry
     whose snapshot travels back in the result envelope — the parent
@@ -244,7 +264,8 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     under a private tracer whose spans ship back for wall-clock
     re-basing into the parent trace.
     """
-    artifacts, metrics_enabled, tracing = _worker_setup
+    store, metrics_enabled, tracing = _worker_setup
+    artifacts = _LoggedPuts(store)
     specs = [RunSpec.from_dict(data) for data in payload["specs"]]
     keys = payload["keys"]
     results: List[Dict[str, object]] = [{} for _ in specs]
@@ -273,6 +294,7 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     envelope: Dict[str, object] = {
         "task": payload["task"],
         "results": results,
+        "artifacts": artifacts.puts,
     }
     if metrics_enabled:
         envelope["metrics"] = reg.snapshot()
@@ -289,7 +311,7 @@ class Runner:
     ``parallel=-1`` uses every available CPU (clamped to the number of
     tasks, so small plans spawn small pools).  Each plan gets its own
     pool, which ends with the plan; its workers use this runner's
-    artifact store.
+    artifact store, and the front ends they put come back to it.
     """
 
     def __init__(self, store: Optional[ResultStore] = None,
@@ -450,6 +472,7 @@ class Runner:
             ) as pool:
                 for reply in pool.imap_unordered(_worker_group, payloads):
                     metrics.inc("runner.tasks")
+                    self.artifacts.absorb(reply["artifacts"])
                     snapshot = reply.get("metrics")
                     if snapshot:
                         # Satellite-telemetry merge: fold the worker's

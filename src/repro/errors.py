@@ -20,6 +20,11 @@ class SchedulingError(ReproError):
     """The modulo scheduler could not produce a legal schedule."""
 
 
+class RecurrenceError(SchedulingError):
+    """No II up to the search's limit meets the recurrence bound: a
+    dependence cycle is still positive there."""
+
+
 class TransformError(ReproError):
     """A DDG transformation (MDC / DDGT / unrolling) failed or is illegal."""
 

@@ -21,6 +21,9 @@ from repro.errors import GraphError
 from repro.ir.edges import DepKind, Edge, MEMORY_DEP_KINDS
 from repro.ir.instructions import Instruction, Opcode
 
+#: Serialized edge kind -> DepKind, for snapshot decoding.
+_DEP_KINDS = {kind.value: kind for kind in DepKind}
+
 
 def _mem_to_dict(mem) -> Optional[Dict[str, object]]:
     if mem is None:
@@ -351,21 +354,29 @@ class Ddg:
             if instr.iid in ddg._nodes:
                 raise GraphError(f"duplicate iid {instr.iid} in snapshot")
             ddg._nodes[instr.iid] = instr
-        def load_edges(serialized) -> Dict[int, List[Edge]]:
-            # Key order must be node insertion order (as the live class
-            # maintains it); JSON canonicalization may have string-sorted
-            # the object keys, so rebuild from the nodes list instead.
-            return {
-                iid: [
-                    Edge(src, dst, DepKind(kind), distance)
-                    for src, dst, kind, distance in serialized.get(
-                        str(iid), ())
-                ]
-                for iid in ddg._nodes
-            }
-
-        ddg._succs = load_edges(data["succs"])
-        ddg._preds = load_edges(data["preds"])
+        # Key order must be node insertion order (as the live class
+        # maintains it); JSON canonicalization may have string-sorted the
+        # object keys, so rebuild from the nodes list instead.  Each edge
+        # is built once and shared by its succs and preds lists, as
+        # add_edge shares it.
+        succs, preds = data["succs"], data["preds"]
+        edges: Dict[Tuple[int, int, str, int], Edge] = {}
+        for iid in ddg._nodes:
+            out = ddg._succs[iid] = []
+            for src, dst, kind, distance in succs.get(str(iid), ()):
+                edge = Edge(src, dst, _DEP_KINDS[kind], distance)
+                edges[src, dst, kind, distance] = edge
+                out.append(edge)
+        for iid in ddg._nodes:
+            into = ddg._preds[iid] = []
+            for src, dst, kind, distance in preds.get(str(iid), ()):
+                edge = edges.get((src, dst, kind, distance))
+                if edge is None:
+                    raise GraphError(
+                        f"pred edge {src} -{kind}-> {dst} has no succ edge "
+                        "in snapshot"
+                    )
+                into.append(edge)
         ddg._next_iid = data["next_iid"]
         ddg._next_seq = data["next_seq"]
         return ddg

@@ -14,8 +14,16 @@ schedule length:
   extra fill/drain stages, negligible against the loop trip count.
 
 Since a level is only accepted at the base II, each pessimistic level's
-modulo search is capped there (``max_ii``): it tries that one II, or none
-when the level's own minimum II is already larger.
+modulo search is capped there (``max_ii``): it tries that one II at most,
+and none when the level's RecMII already exceeds it (the call raises
+:class:`~repro.errors.RecurrenceError` before any placement).  The ladder
+builds the graph's :class:`~repro.sched.mii.LoopBounds` once (edge
+weights, the edges that carry a load's latency, ResMII, cyclic
+components) and shares it with every ``modulo_schedule`` call.
+``sched.ladder_levels`` counts each pessimistic level's outcome:
+``recmii`` (RecMII above the base II), ``no_fit`` (no placement at the
+base II), ``too_long`` (schedules, but longer than the slack allows) or
+``accepted``.
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.arch.config import MachineConfig
-from repro.errors import SchedulingError
+from repro.errors import RecurrenceError, SchedulingError
 from repro.ir.ddg import Ddg
+from repro.obs import metrics
 from repro.sched.cluster import ClusterAssignment
-from repro.sched.mii import assignment_res_mii
+from repro.sched.mii import LoopBounds, assignment_res_mii
 from repro.sched.modulo import modulo_schedule
 from repro.sched.schedule import Schedule
 
@@ -48,11 +57,13 @@ def schedule_with_latency_policy(
     ladder = machine.memory_latencies().ladder()
     loads = [instr.iid for instr in ddg.loads()]
     floor = assignment_res_mii(ddg, machine, assignment)
+    bounds = LoopBounds(ddg, machine)
 
     def uniform(level: int) -> Dict[int, int]:
         return {iid: level for iid in loads}
 
-    base = modulo_schedule(ddg, machine, assignment, uniform(ladder[0]), min_ii=floor)
+    base = modulo_schedule(ddg, machine, assignment, uniform(ladder[0]),
+                           min_ii=floor, bounds=bounds)
     if not loads:
         return base
 
@@ -61,10 +72,16 @@ def schedule_with_latency_policy(
         try:
             candidate = modulo_schedule(
                 ddg, machine, assignment, uniform(level),
-                min_ii=base.ii, max_ii=base.ii,
+                min_ii=base.ii, max_ii=base.ii, bounds=bounds,
             )
+        except RecurrenceError:
+            metrics.inc("sched.ladder_levels", outcome="recmii")
+            continue
         except SchedulingError:
+            metrics.inc("sched.ladder_levels", outcome="no_fit")
             continue
         if candidate.length <= limit:
+            metrics.inc("sched.ladder_levels", outcome="accepted")
             return candidate
+        metrics.inc("sched.ladder_levels", outcome="too_long")
     return base

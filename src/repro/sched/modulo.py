@@ -2,18 +2,22 @@
 
 The scheduler consumes a DDG whose instructions already carry a cluster
 assignment.  For a candidate II it places operations highest-priority
-first (priority = dependence height, ties to the lower iid), each within a
-window of II slots starting at its earliest legal time; when no slot has a
-free resource the operation is force-placed and the conflicting/violated
+first (priority = dependence height, ties to the lower iid), each in the
+first slot of a window of II slots, starting at its earliest legal time,
+that has a free resource (:meth:`ReservationTable.first_fit`); when no
+slot has one the operation is force-placed and the conflicting/violated
 operations are ejected and re-queued.  A placement budget bounds the
 search; on failure the II is increased.
 
 The II window starts at ``max(ResMII, RecMII, min_ii)`` and ends
 ``MAX_II_SLACK`` IIs above that, or at ``max_ii`` when the caller caps it.
 The latency ladder (:mod:`repro.sched.latency`) caps it at the base II,
-the only II it accepts, so a pessimistic level tries at most one II.
-Edge weights and adjacency are built once per call and shared by every II
-tried.
+the only II it accepts, so a pessimistic level tries at most one II, and
+none when its RecMII lies above the cap: the call then raises
+:class:`~repro.errors.RecurrenceError` before any placement.
+The graph's :class:`~repro.sched.mii.LoopBounds` (edge weights, ResMII,
+cyclic components) is built once per compile by the ladder and passed
+in; adjacency is built once per call and shared by every II tried.
 """
 
 from __future__ import annotations
@@ -25,13 +29,7 @@ from repro.arch.config import MachineConfig
 from repro.errors import SchedulingError
 from repro.ir.ddg import Ddg
 from repro.sched.cluster import ClusterAssignment
-from repro.sched.mii import (
-    MAX_REC_II,
-    Weight,
-    edge_weights,
-    recurrence_floor,
-    res_mii,
-)
+from repro.sched.mii import MAX_REC_II, LoopBounds, Weight
 from repro.sched.schedule import ReservationTable, Schedule, ScheduledOp
 
 #: How far above max(ResMII, RecMII) the scheduler will search.
@@ -50,20 +48,25 @@ def modulo_schedule(
     assumed_latency: Optional[Dict[int, int]] = None,
     min_ii: Optional[int] = None,
     max_ii: Optional[int] = None,
+    bounds: Optional[LoopBounds] = None,
 ) -> Schedule:
     """Produce a valid modulo schedule; raise SchedulingError if impossible
     within the II search window.
 
     ``min_ii`` raises the window's start and ``max_ii`` caps its end; when
-    the minimum II lies above ``max_ii`` no II is tried.
+    the minimum II lies above ``max_ii`` no II is tried (RecurrenceError
+    when RecMII is what lies above it).  ``bounds`` is
+    ``LoopBounds(ddg, machine)``, built here when not given.
     """
+    if bounds is None:
+        bounds = LoopBounds(ddg, machine)
     assumed = dict(assumed_latency or {})
-    weights = edge_weights(ddg, machine, assumed)
-    floor = res_mii(ddg, machine)
+    weights = bounds.weights(assumed)
+    floor = bounds.res_mii
     if min_ii is not None:
         floor = max(floor, min_ii)
     if max_ii is None:
-        lower = recurrence_floor(ddg, weights, floor)
+        lower = bounds.recurrence_floor(weights, floor)
         upper = lower + MAX_II_SLACK
     else:
         if floor > max_ii:
@@ -71,7 +74,8 @@ def modulo_schedule(
                 f"no schedule found for {ddg.name!r} within II in "
                 f"[{floor}, {max_ii}]: the window is empty"
             )
-        lower = recurrence_floor(ddg, weights, floor, min(max_ii, MAX_REC_II))
+        lower = bounds.recurrence_floor(weights, floor,
+                                        min(max_ii, MAX_REC_II))
         upper = min(lower + MAX_II_SLACK, max_ii)
 
     preds: Adjacency = {v.iid: [] for v in ddg}
@@ -172,11 +176,7 @@ def _try_ii(
         if floor is not None and floor + 1 > start:
             start = floor + 1
 
-        chosen = None
-        for t in range(start, start + ii):
-            if table.fits(instr, cluster, t):
-                chosen = t
-                break
+        chosen = table.first_fit(instr, cluster, start)
         if chosen is None:
             chosen = start
             for victim in table.conflicting_ops(instr, cluster, chosen):

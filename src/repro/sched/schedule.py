@@ -31,6 +31,12 @@ from repro.ir.edges import DepKind, Edge
 from repro.ir.instructions import Instruction, LATENCY_MNEMONIC, Opcode
 
 
+def carries_load_latency(edge: Edge, ddg: Ddg) -> bool:
+    """Whether ``edge`` is RF from a load, whose latency is the load's
+    assumed latency (:func:`edge_latency`)."""
+    return edge.kind is DepKind.RF and ddg.node(edge.src).opcode is Opcode.LOAD
+
+
 def edge_latency(
     edge: Edge,
     ddg: Ddg,
@@ -47,12 +53,12 @@ def edge_latency(
       issue strictly after the store);
     * MA / SYNC: 0 — the target may issue in the same cycle or later.
     """
-    src = ddg.node(edge.src)
+    if carries_load_latency(edge, ddg):
+        if assumed_latency and edge.src in assumed_latency:
+            return assumed_latency[edge.src]
+        return machine.memory_latencies().local_hit
     if edge.kind is DepKind.RF:
-        if src.opcode is Opcode.LOAD:
-            if assumed_latency and edge.src in assumed_latency:
-                return assumed_latency[edge.src]
-            return machine.memory_latencies().local_hit
+        src = ddg.node(edge.src)
         if src.opcode is Opcode.COPY:
             return machine.register_buses.latency
         return machine.op_latency(LATENCY_MNEMONIC[src.opcode])
@@ -151,6 +157,35 @@ class ReservationTable:
             return self._find_free_bus(slot) is not None
         taken = self._fu.get(self._cell(cluster, row, slot))
         return (len(taken) if taken else 0) < self._units[row]
+
+    def first_fit(
+        self, instr: Instruction, cluster: int, start: int
+    ) -> Optional[int]:
+        """The first time in ``[start, start + II)`` at which ``instr``
+        fits in ``cluster`` (the first ``t`` for which :meth:`fits`
+        holds), or ``None`` when every slot is taken."""
+        ii = self.ii
+        first = start % ii
+        row = self._row_of(instr)
+        if row == _BUS:
+            window, buses = self._window, self._busy
+            for k in range(ii):
+                slot = first + k
+                mask = window[slot - ii if slot >= ii else slot]
+                for busy in buses:
+                    if not busy & mask:
+                        return start + k
+            return None
+        units = self._units[row]
+        if units:
+            fu = self._fu
+            cell = self._cell(cluster, row, 0)
+            for k in range(ii):
+                slot = first + k
+                taken = fu.get(cell + (slot - ii if slot >= ii else slot))
+                if not taken or len(taken) < units:
+                    return start + k
+        return None
 
     def place(self, instr: Instruction, cluster: int, time: int) -> None:
         slot = time % self.ii

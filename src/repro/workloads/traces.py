@@ -214,27 +214,23 @@ class TraceSpec:
     Frozen and content-addressable: :attr:`key` names the trace's
     content and enters :func:`repro.sched.stages.frontend_artifact_key`,
     so the staged pipeline can store a loop's whole front end —
-    profiles included — as one artifact.
+    profiles included — as one artifact.  Its traces are padded (the
+    paper's default, see :class:`AddressTrace`).
     """
 
     num_iterations: int
     seed: int = 0
-    padded: bool = True
 
     @property
     def key(self) -> str:
-        """Canonical content key of the address streams this spec yields."""
-        return (
-            f"iters{self.num_iterations}-seed{self.seed}"
-            f"-padded{int(self.padded)}"
-        )
+        """Canonical content key of the address streams this spec yields.
+        ``-padded1`` names the padding; it enters every stored front-end
+        artifact's key."""
+        return f"iters{self.num_iterations}-seed{self.seed}-padded1"
 
     def __call__(self, ddg: Ddg) -> AddressTrace:
         return AddressTrace(
-            ddg,
-            num_iterations=self.num_iterations,
-            seed=self.seed,
-            padded=self.padded,
+            ddg, num_iterations=self.num_iterations, seed=self.seed,
         )
 
 

@@ -300,6 +300,37 @@ class TestFrontendGrouping:
         assert reg.counter("runner.tasks") == 2
         assert reg.counter("artifacts.puts") > 0
 
+    def test_parallel_front_ends_reach_the_runners_store(self):
+        """Front ends computed in workers land in the runner's in-memory
+        store: afterwards it holds the serial run's keys, and a second
+        plan at another scale (same front ends, no stored record) is all
+        artifact hits.  Seeds no other test uses keep the
+        process-default store from holding these entries."""
+        from repro.obs import metrics
+        from repro.workloads import get_benchmark
+
+        def plan(scale):
+            return Plan.grid(benchmarks=["gsmdec", "gsmenc"],
+                             variants=("mdc/prefclus", "ddgt/prefclus"),
+                             scale=scale, seeds=(104_717, 104_723))
+
+        serial = MemoryArtifactStore()
+        Runner(store=MemoryStore(), artifacts=serial).run(plan(0.05))
+        runner = Runner(store=MemoryStore(), parallel=2,
+                        artifacts=MemoryArtifactStore())
+        with metrics.capture() as first:
+            runner.run(plan(0.05))
+        assert sorted(runner.artifacts.keys()) == sorted(serial.keys())
+        # Absorbing moves no counter: the workers counted their puts.
+        assert first.counter("artifacts.puts") == len(serial)
+        with metrics.capture() as second:
+            runner.run(plan(0.06))
+        loops = sum(len(get_benchmark(name).loops)
+                    for name in ("gsmdec", "gsmenc"))
+        assert second.counter("artifacts.lookups", outcome="miss") == 0
+        assert second.counter("artifacts.lookups",
+                              outcome="hit") == 2 * loops
+
 
 MODEL_PLAN = Plan.grid(
     benchmarks="gsmdec",

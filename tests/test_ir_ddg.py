@@ -116,6 +116,35 @@ class TestClone:
         assert fresh.iid not in [v.iid for v in ddg]
 
 
+class TestSnapshot:
+    def test_round_trip_iterates_identically_and_shares_edges(self,
+                                                              figure3):
+        import json
+
+        ddg, _ = figure3
+        # Canonical JSON sorts the succs/preds keys as strings.
+        data = json.loads(json.dumps(ddg.to_dict(), sort_keys=True))
+        copy = Ddg.from_dict(data)
+        assert copy.to_dict() == ddg.to_dict()
+        assert [v.iid for v in copy] == [v.iid for v in ddg]
+        assert copy.edges() == ddg.edges()
+        for instr in copy:
+            assert copy.preds(instr.iid) == ddg.preds(instr.iid)
+            for edge in copy.preds(instr.iid):
+                # The object in the source's succs list, as add_edge
+                # shares it.
+                (twin,) = [e for e in copy.succs(edge.src) if e == edge]
+                assert twin is edge
+
+    def test_pred_edge_without_succ_edge_is_rejected(self, figure3):
+        ddg, _ = figure3
+        data = ddg.to_dict()
+        src = next(key for key, edges in data["succs"].items() if edges)
+        data["succs"][src] = data["succs"][src][1:]
+        with pytest.raises(GraphError, match="no succ edge"):
+            Ddg.from_dict(data)
+
+
 class TestBuilder:
     def test_def_use_creates_rf_edges(self, stream_loop):
         rf = [e for e in stream_loop.edges() if e.kind is DepKind.RF]

@@ -1,24 +1,34 @@
 """The modulo scheduler vs the straightforward reference, schedule for
 schedule.
 
-:mod:`repro.sched` searches RecMII over cyclic components only, bounds
-the latency ladder to the base II, picks ops from a heap and keeps its
-reservation table in int-keyed cells and per-bus bitmasks.
-``sched_reference`` is the scheduler before those changes.  The two must
-agree on ``rec_mii`` and ``minimum_ii`` at every ladder level, and on the
+:mod:`repro.sched` computes RecMII exactly over cyclic components by
+positive-cycle jumps, bounds the latency ladder to the base II (a
+level whose RecMII exceeds it raises ``RecurrenceError`` before any
+placement), picks ops from a heap, scans for the first free slot in one
+call and keeps its reservation table in int-keyed cells and per-bus
+bitmasks.  ``sched_reference`` is the scheduler before those changes.
+The two must agree on ``rec_mii`` and ``minimum_ii`` at every ladder
+level (where the reference raises a plain ``SchedulingError`` on RecMII,
+:mod:`repro.sched` raises its ``RecurrenceError`` subclass), and on the
 whole :class:`~repro.sched.schedule.Schedule` the latency policy returns
 (II, each op's cluster and time in placement order, assumed latencies):
 
 * over a fixed cross — one scenario per family × the Table-2 baseline,
   ``nobal+mem`` and a slow-memory machine whose pessimistic RecMII
-  reaches the hundreds × the six variants;
+  reaches the hundreds × the six variants — where the ladder also tries
+  the reference's levels in order and rejects on RecMII exactly those
+  whose reference RecMII exceeds the base II;
+* over derandomized generated graphs (several components, self loops,
+  zero-distance cycles), for ``LoopBounds`` (edge weights and
+  ``recurrence_floor``), ``rec_mii`` and ``minimum_ii`` alone, floors
+  and limits on both sides of the answer;
 * over a derandomized hypothesis search of ``scn-`` knobs × ``gen-``
   machines × variants through the ``repro run`` pipeline, each cell
   also checked by the independent schedule verifier; a failure names
   the ``repro run`` command that replays the cell;
 * and, for the reservation table alone, over random
-  ``place``/``remove``/``fits``/``conflicting_ops`` sequences on
-  machines with several register buses.
+  ``place``/``remove``/``fits``/``first_fit``/``conflicting_ops``
+  sequences on machines with several register buses.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.alias import MemRef
@@ -36,11 +46,18 @@ from repro.api import core
 from repro.api.artifacts import MemoryArtifactStore
 from repro.api.spec import ALL_VARIANTS, RunSpec
 from repro.arch.config import BusConfig, FuKind, MachineConfig, named_config
-from repro.errors import CheckError, SchedulingError
-from repro.ir import Ddg, Opcode
+from repro.errors import CheckError, RecurrenceError, SchedulingError
+from repro.ir import Ddg, DepKind, Opcode
 from repro.scenarios import FAMILIES, ScenarioParams, build_scenario_ddg
 from repro.scenarios.machines import machine_grid
-from repro.sched import CoherenceMode, Heuristic, compile_loop, mii, stages
+from repro.sched import (
+    CoherenceMode,
+    Heuristic,
+    compile_loop,
+    latency,
+    mii,
+    stages,
+)
 from repro.sched.latency import schedule_with_latency_policy
 from repro.sched.schedule import ReservationTable
 from repro.workloads import trace_factory
@@ -86,12 +103,63 @@ def bounds(module, ddg, machine):
     return out
 
 
+def as_fast(outcome):
+    """The reference's ``outcome`` as :mod:`repro.sched` must report it:
+    where the reference raises a plain SchedulingError (on RecMII), the
+    fast path raises RecurrenceError."""
+    return RecurrenceError if outcome is SchedulingError else outcome
+
+
+def tried_levels(work, machine, assignment):
+    """The latency policy's schedule, the pessimistic levels it tries in
+    order, and those among them whose capped ``modulo_schedule`` call
+    raises RecurrenceError."""
+    tried, recmii = [], []
+    modulo_schedule = latency.modulo_schedule
+
+    def spy(ddg, machine, assignment, assumed_latency=None, **kwargs):
+        level = set(assumed_latency.values())
+        tried.append(level)
+        try:
+            return modulo_schedule(ddg, machine, assignment,
+                                   assumed_latency, **kwargs)
+        except RecurrenceError:
+            recmii.append(level)
+            raise
+
+    with mock.patch.object(latency, "modulo_schedule", spy):
+        fast = schedule_with_latency_policy(work, machine, assignment)
+    return fast, (tried[1:], recmii)
+
+
+def expected_levels(work, machine, schedule):
+    """The pessimistic levels the ladder must try before it returns
+    ``schedule``, and those among them whose reference RecMII exceeds
+    the base II."""
+    base_ii = schedule.ii
+    loads = [instr.iid for instr in work.loads()]
+    ladder = machine.memory_latencies().ladder()
+    accepted = set(schedule.assumed_latency.values())
+    tried, recmii = [], []
+    for level in sorted(set(ladder[1:]), reverse=True):
+        tried.append({level})
+        try:
+            reference.rec_mii(work, machine, {iid: level for iid in loads},
+                              max_ii=base_ii)
+        except SchedulingError:
+            recmii.append({level})
+            continue
+        if accepted == {level}:
+            break
+    return tried, recmii
+
+
 def differential(mismatches, check_bounds=False):
     """A ``run_schedule`` stand-in that also runs the reference and
     records every disagreement."""
 
     def run_schedule(work, machine, assignment):
-        fast = schedule_with_latency_policy(work, machine, assignment)
+        fast, levels = tried_levels(work, machine, assignment)
         ref = reference.schedule_with_latency_policy(work, machine,
                                                      assignment)
         if observation(fast) != observation(ref):
@@ -99,9 +167,14 @@ def differential(mismatches, check_bounds=False):
                                observation(ref)))
         if check_bounds:
             got = bounds(mii, work, machine)
-            want = bounds(reference, work, machine)
+            want = [as_fast(level)
+                    for level in bounds(reference, work, machine)]
             if got != want:
                 mismatches.append(("bounds", got, want))
+            if work.loads():
+                want = expected_levels(work, machine, ref)
+                if levels != want:
+                    mismatches.append(("ladder levels", levels, want))
         return fast
 
     return run_schedule
@@ -219,6 +292,106 @@ def test_fuzzed_cells_match_reference(spec):
 
 
 # ----------------------------------------------------------------------
+# Recurrence bounds on generated graphs
+# ----------------------------------------------------------------------
+GRAPH_OPCODES = (Opcode.IALU, Opcode.FMUL, Opcode.FDIV, Opcode.LOAD,
+                 Opcode.STORE)
+
+
+@st.composite
+def recurrence_cases(draw):
+    """``(opcodes, edges, load latencies, floor, limit)``: up to ten ops,
+    one to three drawn cycles of one to four ops each and up to eight
+    more edges between random ops, so a graph splits into several
+    strongly connected components.  Edges are typed, of distance 0 to 2:
+    a cycle of distance-0 edges is positive through RF/MF/MO edges and
+    of weight 0 through MA/SYNC ones, and a one-op cycle is a self loop
+    of distance >= 1."""
+    opcodes = draw(st.lists(st.sampled_from(GRAPH_OPCODES), min_size=1,
+                            max_size=10))
+    node = st.integers(0, len(opcodes) - 1)
+    kind = st.sampled_from(tuple(DepKind))
+    distance = st.integers(0, 2)
+    edges = []
+    for ring in draw(st.lists(st.lists(node, min_size=1, max_size=4),
+                              min_size=1, max_size=3)):
+        for src, dst in zip(ring, ring[1:] + ring[:1]):
+            edges.append((src, dst, draw(kind), draw(distance)))
+    edges += draw(st.lists(st.tuples(node, node, kind, distance),
+                           max_size=8))
+    latencies = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+    return (opcodes, edges, latencies, draw(st.integers(1, 40)),
+            draw(st.integers(1, 40)))
+
+
+def recurrence_graph(opcodes, edges, latencies):
+    """The graph of a :func:`recurrence_cases` draw and its loads' assumed
+    latencies (``latencies`` cycled over the loads)."""
+    ddg = Ddg()
+    nodes = [
+        ddg.add_instruction(
+            opcode, dest=None if opcode is Opcode.STORE else f"r{k}",
+            mem=MemRef("A") if opcode in (Opcode.LOAD, Opcode.STORE)
+            else None,
+        )
+        for k, opcode in enumerate(opcodes)
+    ]
+    for src, dst, kind, distance in edges:
+        ddg.add_edge(nodes[src].iid, nodes[dst].iid, kind,
+                     distance or int(src == dst))
+    loads = [instr.iid for instr in nodes if instr.is_load]
+    return ddg, {iid: latencies[k % len(latencies)]
+                 for k, iid in enumerate(loads)}
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s value, or the type of the SchedulingError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except SchedulingError as exc:
+        return type(exc)
+
+
+IALU, FMUL, LOAD = Opcode.IALU, Opcode.FMUL, Opcode.LOAD
+RF, MA = DepKind.RF, DepKind.MA
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(recurrence_cases())
+# Two components: a load's self loop (RecMII 30) and an FMUL pair
+# (RecMII 4), with the floor and the limit between and around them.
+@example(([LOAD, FMUL, FMUL], [(0, 0, RF, 1), (1, 2, RF, 1),
+                                (2, 1, RF, 1)], [30], 10, 40))
+@example(([LOAD, FMUL, FMUL], [(0, 0, RF, 1), (1, 2, RF, 1),
+                                (2, 1, RF, 1)], [30], 35, 29))
+@example(([LOAD, FMUL, FMUL], [(0, 0, RF, 1), (1, 2, RF, 1),
+                                (2, 1, RF, 1)], [30], 2, 30))
+# A zero-distance positive cycle beside a carried one.
+@example(([IALU, IALU, FMUL], [(0, 1, RF, 0), (1, 0, RF, 0),
+                                (2, 2, RF, 2)], [1], 1, 40))
+# A zero-distance cycle of weight 0: no bound.
+@example(([IALU, LOAD], [(0, 1, MA, 0), (1, 0, MA, 0), (1, 1, RF, 3)],
+          [7], 1, 40))
+def test_recurrence_bounds_match_reference(case):
+    """``LoopBounds`` (edge weights and ``recurrence_floor``), ``rec_mii``
+    and ``minimum_ii`` equal the reference's whole-graph binary search,
+    error type included (:func:`as_fast`)."""
+    opcodes, edges, latencies, floor, limit = case
+    ddg, assumed = recurrence_graph(opcodes, edges, latencies)
+    machine = named_config("baseline")
+    rec = as_fast(outcome(reference.rec_mii, ddg, machine, assumed,
+                          max_ii=limit))
+    assert outcome(mii.rec_mii, ddg, machine, assumed, max_ii=limit) == rec
+    loop = mii.LoopBounds(ddg, machine)
+    weights = loop.weights(assumed)
+    assert weights == reference._edge_weights(ddg, machine, assumed)
+    want = rec if rec is RecurrenceError else max(floor, rec)
+    assert outcome(loop.recurrence_floor, weights, floor, limit) == want
+    assert outcome(mii.minimum_ii, ddg, machine, assumed) == as_fast(
+        outcome(reference.minimum_ii, ddg, machine, assumed))
+
+
+# ----------------------------------------------------------------------
 # The reservation table alone
 # ----------------------------------------------------------------------
 TABLE_OPCODES = (Opcode.IALU, Opcode.FMUL, Opcode.LOAD, Opcode.COPY,
@@ -266,7 +439,9 @@ def test_fuzzed_table_matches_reference(run):
     """Each action removes the op if it is placed; otherwise it places
     the op, ejecting ``conflicting_ops`` first when it does not fit (the
     scheduler's forced placement).  After every action, ``fits`` and
-    ``conflicting_ops`` agree for every op, cluster and slot."""
+    ``conflicting_ops`` agree for every op, cluster and slot, and
+    ``first_fit`` from a few starts is the first time the reference
+    ``fits``."""
     machine, ii, actions = run
     ops = table_ops()
     fast, ref = ReservationTable(machine, ii), reference.ReservationTable(
@@ -304,3 +479,8 @@ def test_fuzzed_table_matches_reference(run):
                 for t in range(ii):
                     both("fits", probe, c, t)
                     both("conflicting_ops", probe, c, t)
+                for start in (-1, 0, ii - 1, ii + 2):
+                    first = next((t for t in range(start, start + ii)
+                                  if ref.fits(probe, c, t)), None)
+                    assert fast.first_fit(probe, c, start) == first, (
+                        "first_fit", probe, c, start)

@@ -309,3 +309,29 @@ class TestLadderBound:
         assert len(tries) == 4  # the base schedule and three levels
         assert tries[0] > 1  # the base search is not capped
         assert max(tries[1:]) <= 1
+
+    @pytest.mark.parametrize("family, recurrence, seed, counts", [
+        # The stencil of the class fixture.
+        ("stencil", 0, 3, {"no_fit": 1, "too_long": 1, "accepted": 1}),
+        ("alias", 3, 7, {"recmii": 1, "no_fit": 1, "accepted": 1}),
+    ])
+    def test_ladder_levels_counted_by_outcome(self, family, recurrence,
+                                              seed, counts):
+        """``sched.ladder_levels`` counts each pessimistic level the
+        ladder visits by outcome, on two small DDGT/MinComs compiles."""
+        from repro.obs import metrics
+        from repro.scenarios import ScenarioParams, build_scenario_ddg
+        from repro.sched import stages
+
+        with metrics.capture() as reg:
+            stages.compile_loop(
+                build_scenario_ddg(ScenarioParams(
+                    family=family, size=8, recurrence=recurrence,
+                    seed=seed)),
+                BASELINE_CONFIG, coherence=stages.CoherenceMode.DDGT,
+                heuristic=HeuristicKind.MINCOMS,
+            )
+        assert {
+            dict(labels)["outcome"]: value
+            for labels, value in reg.counter_items("sched.ladder_levels")
+        } == counts

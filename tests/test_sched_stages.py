@@ -94,7 +94,8 @@ class TestStageKeys:
         assert spec.key == "iters256-seed11-padded1"
         assert trace_factory(256, seed=12) != spec
         assert trace_factory(256, seed=12).key != spec.key
-        assert TraceSpec(64, 3, padded=False).key == "iters64-seed3-padded0"
+        # Every key keeps the suffix stored front-end artifacts carry.
+        assert TraceSpec(64, 3).key == "iters64-seed3-padded1"
 
 
 def _whole(result):
