@@ -194,25 +194,30 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
         self._memo: Dict[str, str] = {}
 
     def _get(self, key: str) -> Optional[str]:
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            return memoized
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        self._memo[key] = text
-        return text
+        with trace.span("store.get", cat="store", key=key,
+                        kind=self.PAYLOAD_FIELD):
+            memoized = self._memo.get(key)
+            if memoized is not None:
+                return memoized
+            payload = self.get_payload(key)
+            if payload is None:
+                return None
+            text = json.dumps(payload, sort_keys=True,
+                              separators=(",", ":"))
+            self._memo[key] = text
+            return text
 
     def _put(self, key: str, text: str) -> None:
-        # The payload is canonical JSON already: splice it into the
-        # envelope instead of decoding it only to encode it again.
-        envelope = '{"%s":%s,"key":%s,"version":%s}' % (
-            self.PAYLOAD_FIELD, text, json.dumps(key),
-            json.dumps(self.version),
-        )
-        self._put_envelope(key, envelope)
-        self._memo[key] = text
+        with trace.span("store.put", cat="store", key=key,
+                        kind=self.PAYLOAD_FIELD):
+            # The payload is canonical JSON already: splice it into the
+            # envelope instead of decoding it only to encode it again.
+            envelope = '{"%s":%s,"key":%s,"version":%s}' % (
+                self.PAYLOAD_FIELD, text, json.dumps(key),
+                json.dumps(self.version),
+            )
+            self._put_envelope(key, envelope)
+            self._memo[key] = text
 
     def absorb(self, entries: Dict[str, str]) -> None:
         # The worker's copy wrote these files into the shared directory

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.arch.config import MachineConfig, named_config
@@ -265,13 +266,32 @@ class RunSpec:
 
 
 def resolve_machine(spec: RunSpec) -> MachineConfig:
-    """Resolve a spec's named machine into its effective configuration."""
+    """Resolve a spec's named machine into its effective configuration.
+
+    Specs that agree on machine name, benchmark interleave factor and
+    Attraction Buffers get the same :class:`MachineConfig` object, so
+    its fingerprint is computed once per process, not once per key.
+    """
     from repro.workloads.catalog import get_benchmark
 
-    machine = get_benchmark(spec.benchmark).machine(named_config(spec.machine))
-    if spec.attraction:
-        machine = machine.with_attraction_buffers()
-    return machine
+    interleave = get_benchmark(spec.benchmark).interleave_bytes
+    return _effective_machine(spec.machine, interleave, spec.attraction)
+
+
+# One entry per distinct (machine name, interleave, Attraction Buffers)
+# triple: the 3-machine default space with both interleave factors and
+# both AB settings needs 12, so the bound is never reached in practice.
+@lru_cache(maxsize=256)
+def _effective_machine(machine: str, interleave_bytes: int,
+                       attraction: bool) -> MachineConfig:
+    """The named config with a benchmark's interleave factor (what
+    :meth:`~repro.workloads.catalog.Benchmark.machine` applies) and,
+    with ``attraction``, Attraction Buffers: a pure function of its
+    arguments."""
+    config = named_config(machine).with_interleave(interleave_bytes)
+    if attraction:
+        config = config.with_attraction_buffers()
+    return config
 
 
 # ----------------------------------------------------------------------

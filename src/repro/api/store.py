@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.records import RunRecord
-from repro.obs import metrics
+from repro.obs import metrics, trace
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -139,7 +139,12 @@ class JsonFileStore:
     # ------------------------------------------------------------------
     def entry_path(self, key: str) -> Path:
         """The file ``key`` lives in: ``root/<shard>/<key>.json``."""
-        return self.root / shard_prefix(key) / f"{key}.json"
+        return Path(self._entry_file(key))
+
+    def _entry_file(self, key: str) -> str:
+        """:meth:`entry_path` as a string, built without ``pathlib``:
+        the read path opens it once and never needs a ``Path``."""
+        return f"{self.root}/{shard_prefix(key)}/{key}.json"
 
     # ------------------------------------------------------------------
     # Raw payload plumbing
@@ -152,7 +157,7 @@ class JsonFileStore:
         """
         with metrics.registry().time_block("store.read_seconds",
                                            kind=self.PAYLOAD_FIELD):
-            path = self.entry_path(key)
+            path = self._entry_file(key)
             envelope = self._read_payload(path)
             if envelope is None:
                 return None
@@ -193,26 +198,30 @@ class JsonFileStore:
                     pass
                 raise
 
-    def _read_payload(self, path: Path):
+    def _read_payload(self, path: str):
         """Read + parse one entry, retrying transient failures.
 
         A missing file is an immediate miss.  An entry is dropped as
         corrupt only when a read *succeeded* and its content still failed
         to parse on the final attempt — persistent I/O errors (a scanner
-        holding the file, a flaky mount) are a miss, never a deletion,
-        since they prove nothing about the entry's content."""
+        holding the file, a flaky mount, a directory where the entry
+        should be) are a miss, never a deletion, since they prove nothing
+        about the entry's content.  The bytes are parsed as read: JSON
+        text is UTF-8, and invalid UTF-8 is as unparseable as a torn
+        entry."""
         unparseable = False
         for attempt in range(self.READ_ATTEMPTS):
             unparseable = False
             try:
-                text = path.read_text()
+                with open(path, "rb", buffering=0) as handle:
+                    data = handle.readall()
             except FileNotFoundError:
                 return None
-            except OSError:  # pragma: no cover - transient I/O error
-                text = None
-            if text is not None:
+            except OSError:  # transient I/O error: retry, then a miss
+                data = None
+            if data is not None:
                 try:
-                    return json.loads(text)
+                    return json.loads(data)
                 except ValueError:
                     unparseable = True  # possibly a torn read: retry
             if attempt + 1 < self.READ_ATTEMPTS:
@@ -222,9 +231,9 @@ class JsonFileStore:
         return None
 
     @staticmethod
-    def _discard(path: Path) -> None:
+    def _discard(path: Union[str, Path]) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:  # pragma: no cover - concurrent removal
             pass
 
@@ -330,7 +339,8 @@ class MemoryStore(ResultStore):
 class DiskStore(JsonFileStore, ResultStore):
     """One JSON file per :class:`RunRecord` under ``root`` (default
     ``.repro_cache/``), on the hardened, sharded :class:`JsonFileStore`
-    machinery.  Reads are memoized in-process.
+    machinery.  Records read or written are memoized by this instance
+    only: a store opened later reads every record from disk again.
     """
 
     PAYLOAD_FIELD = "record"
@@ -341,24 +351,28 @@ class DiskStore(JsonFileStore, ResultStore):
         self._memo: Dict[str, RunRecord] = {}
 
     def get(self, key: str) -> Optional[RunRecord]:
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            return memoized
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        try:
-            record = RunRecord.from_dict(payload)
-        except (AttributeError, KeyError, TypeError, ValueError):
-            # Valid JSON of the wrong shape: a miss, not a crash loop.
-            self._discard(self.entry_path(key))
-            return None
-        self._memo[key] = record
-        return record
+        with trace.span("store.get", cat="store", key=key,
+                        kind=self.PAYLOAD_FIELD):
+            memoized = self._memo.get(key)
+            if memoized is not None:
+                return memoized
+            payload = self.get_payload(key)
+            if payload is None:
+                return None
+            try:
+                record = RunRecord.from_dict(payload)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                # Valid JSON of the wrong shape: a miss, not a crash loop.
+                self._discard(self._entry_file(key))
+                return None
+            self._memo[key] = record
+            return record
 
     def put(self, key: str, record: RunRecord) -> None:
-        self.put_payload(key, record.to_dict())
-        self._memo[key] = record
+        with trace.span("store.put", cat="store", key=key,
+                        kind=self.PAYLOAD_FIELD):
+            self.put_payload(key, record.to_dict())
+            self._memo[key] = record
 
     def clear(self) -> int:
         self._memo.clear()

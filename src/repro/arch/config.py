@@ -197,10 +197,19 @@ class MachineConfig:
         structurally; the building block of spec cache keys
         (:mod:`repro.api.spec`) and the front-end artifact key
         (:mod:`repro.sched.stages`).
-        """
-        from repro.hashing import digest
 
-        return digest(self)
+        The config is frozen, so the digest is computed on the first
+        call and kept on the instance (outside the dataclass fields, so
+        it never enters equality, ``repr`` or the digest itself); copies
+        made with :func:`dataclasses.replace` compute their own.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            from repro.hashing import digest
+
+            cached = digest(self)
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     # ------------------------------------------------------------------
     # Derived geometry

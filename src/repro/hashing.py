@@ -20,9 +20,16 @@ import json
 #: for cache keys while keeping file names and logs readable.
 DIGEST_LENGTH = 16
 
+#: Types that are canonical JSON values already.  Matched by exact type:
+#: an ``IntEnum`` member is an ``int`` and a ``(str, Enum)`` member a
+#: ``str``, and both must still reduce to their ``value``.
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
 
 def jsonable(obj):
     """Convert nested dataclasses/enums/dicts to canonical JSON values."""
+    if type(obj) in _PLAIN_TYPES:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name))

@@ -27,6 +27,12 @@ class AccessType(enum.Enum):
     COMBINED = "combined"
 
 
+#: Serialized access kind -> member: ``from_dict`` decodes every loop of
+#: every stored record, and a dict lookup is several times cheaper than
+#: the enum's by-value constructor.
+_ACCESS_BY_VALUE: Dict[str, AccessType] = {t.value: t for t in AccessType}
+
+
 #: Scalar counters of :class:`SimStats` (everything but ``accesses``).
 _COUNTER_FIELDS = (
     "compute_cycles",
@@ -177,8 +183,12 @@ class SimStats:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimStats":
         stats = cls()
+        accesses = stats.accesses
         for raw, count in data.get("accesses", {}).items():
-            stats.accesses[AccessType(raw)] = int(count)
+            kind = _ACCESS_BY_VALUE.get(raw)
+            if kind is None:
+                kind = AccessType(raw)  # a member, or the ValueError
+            accesses[kind] = int(count)
         for name in _COUNTER_FIELDS:
             setattr(stats, name, int(data.get(name, 0)))
         return stats

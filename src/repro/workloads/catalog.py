@@ -375,15 +375,17 @@ def get_benchmark(name: str) -> Benchmark:
     :func:`repro.scenarios.generator.scenario_benchmark`: generation is a
     pure function of the name, so any process (CLI, multiprocessing
     worker, warm-cache reader) reconstructs the identical benchmark.
+    They are recognized before the catalog is consulted, so a process
+    that only names scenarios never builds the catalog.
     """
-    try:
-        return _catalog()[name]
-    except KeyError:
-        pass
     from repro.scenarios.generator import is_scenario_name, scenario_benchmark
 
     if is_scenario_name(name):
         return scenario_benchmark(name)
+    try:
+        return _catalog()[name]
+    except KeyError:
+        pass
     raise WorkloadError(
         f"unknown benchmark {name!r}; known: {sorted(_catalog())} "
         f"(or a generated 'scn-...' scenario name)"

@@ -1,5 +1,6 @@
 """RunSpec/Plan: validation, hashing, grid construction."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,19 +8,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import spec as spec_module
 from repro.api.spec import (
     ALL_VARIANTS,
     FIGURE7_BARS,
     MDC_PREF,
+    PROFILE_ITERATIONS,
     Plan,
     RunSpec,
     Variant,
     default_scale,
     parse_variant,
 )
-from repro.arch.config import BASELINE_CONFIG, NOBAL_REG_CONFIG
+from repro.arch.config import BASELINE_CONFIG, NOBAL_REG_CONFIG, named_config
 from repro.errors import ConfigError
+from repro.hashing import digest
 from repro.sched import CoherenceMode, Heuristic
+from repro.sched.stages import frontend_artifact_key
+from repro.workloads import get_benchmark, trace_factory
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -150,6 +156,112 @@ class TestContentHash:
         assert plain.fingerprint() != with_ab.fingerprint()
         renamed = NOBAL_REG_CONFIG
         assert plain.fingerprint() != renamed.fingerprint()
+
+
+GEN_MACHINE = "gen-c2-mb2x4-rb4x2-cm1024b32a2-nl20p2"
+CATALOG_SPEC = RunSpec(benchmark="gsmdec", variant="ddgt/mincoms", scale=0.1,
+                       attraction=True, seeds=(3, 4))
+SCENARIO_SPEC = RunSpec(benchmark="scn-gather-n24-m45-r2-a30-s7", scale=0.05,
+                        machine=GEN_MACHINE)
+
+
+class TestPinnedMachineKeys:
+    """Literal keys captured before effective machines were memoized
+    and their fingerprints kept on the config: every key the memo now
+    serves must read exactly as it did when each spec resolved and
+    canonicalized its own machine."""
+
+    @pytest.mark.parametrize("name, plain, interleave2, with_ab", [
+        ("baseline", "a8efa58ef586ad2b", "60c2454d21127363",
+         "f41d82dfe92a1c87"),
+        (GEN_MACHINE, "1ec19308cd58a7a0", "d7bf5658f8b91c11",
+         "f9ebf12cc50c19fd"),
+    ])
+    def test_pinned_fingerprints(self, name, plain, interleave2, with_ab):
+        config = named_config(name)
+        assert config.fingerprint() == plain
+        assert config.with_interleave(2).fingerprint() == interleave2
+        assert config.with_attraction_buffers().fingerprint() == with_ab
+
+    @pytest.mark.parametrize("spec, frontend, artifact", [
+        (CATALOG_SPEC, "7a8d4c31ef050bba", "frontend-761d0ab71791c949"),
+        (SCENARIO_SPEC, "f8a05075321b032f", "frontend-dea3a8886e2ef426"),
+    ])
+    def test_pinned_frontend_keys(self, spec, frontend, artifact):
+        """``frontend_key`` groups a plan's misses; the artifact key is
+        the one ``compile_loop`` derives for the spec's first loop."""
+        assert spec.frontend_key == frontend
+        bench = get_benchmark(spec.benchmark)
+        loop = bench.loops[0]
+        profile_seed = spec.seeds[0] if spec.seeds else bench.profile_seed
+        trace_key = trace_factory(PROFILE_ITERATIONS, seed=profile_seed).key
+        assert frontend_artifact_key(
+            loop.ddg, spec.resolved_machine(), loop.unroll, True, trace_key,
+            PROFILE_ITERATIONS,
+        ) == artifact
+
+
+class TestEffectiveMachineMemo:
+    def test_equal_triples_share_one_config(self):
+        """Machine name, benchmark interleave and Attraction Buffers
+        decide the effective machine; nothing else about a spec does."""
+        assert (get_benchmark("gsmdec").interleave_bytes
+                == get_benchmark("g721enc").interleave_bytes)
+        a = RunSpec(benchmark="gsmdec", variant="mdc/prefclus", scale=0.1)
+        b = RunSpec(benchmark="g721enc", variant="ddgt/mincoms", scale=0.3,
+                    seeds=(5, 6), model="dls")
+        assert a.resolved_machine() is b.resolved_machine()
+        wider = RunSpec(benchmark="epicdec", scale=0.1)
+        with_ab = RunSpec(benchmark="gsmdec", scale=0.1, attraction=True)
+        configs = [spec.resolved_machine() for spec in (a, wider, with_ab)]
+        assert len({config.fingerprint() for config in configs}) == 3
+
+    def test_cached_fingerprint_is_the_digest(self):
+        for spec in (CATALOG_SPEC, SCENARIO_SPEC):
+            config = spec.resolved_machine()
+            assert config.fingerprint() is config.fingerprint()
+            assert config.fingerprint() == digest(config)
+
+    def test_copies_compute_their_own_fingerprint(self):
+        """``replace`` builds a new config; it must not inherit the
+        digest its source kept."""
+        config = SCENARIO_SPEC.resolved_machine()
+        config.fingerprint()
+        wider = dataclasses.replace(config, num_clusters=4)
+        assert wider.fingerprint() == digest(wider)
+        assert wider.fingerprint() != config.fingerprint()
+        assert config == dataclasses.replace(config)
+
+    def test_scenario_keys_never_build_the_catalog(self):
+        """A fresh process keying only scenarios (a warm ``repro
+        scenarios report``) reads each scenario's interleave without
+        building the 14 catalog benchmarks."""
+        code = (
+            "from repro.api.spec import RunSpec;"
+            "from repro.workloads import catalog;"
+            "RunSpec(benchmark='scn-gather-n24-m45-r2-a30-s7',"
+            "scale=0.05).content_hash;"
+            "print(catalog._CACHE is None)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert out.stdout.strip() == "True"
+
+    def test_memo_is_bounded_and_keyed_by_machine_only(self):
+        memo = spec_module._effective_machine
+        assert memo.cache_info().maxsize == 256
+        before = memo.cache_info().currsize
+        plan = Plan.grid(benchmarks=("gsmdec", "g721enc", "g721dec"),
+                         scale=0.1, attraction=(False, True),
+                         seeds=(1, 2))
+        for spec in plan:
+            spec.content_hash
+        # 36 specs, one interleave factor, two AB settings: at most two
+        # new entries, however many specs or keys there are.
+        assert len(plan) == 36
+        assert memo.cache_info().currsize - before <= 2
 
 
 class TestPlan:

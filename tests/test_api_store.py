@@ -1,5 +1,6 @@
 """ResultStore implementations: hit/miss, version invalidation, defaults."""
 
+import errno
 import json
 import os
 import time
@@ -194,6 +195,47 @@ class TestDiskStoreConcurrencyHardening:
         assert fetched is not None
         assert fetched.loops[0].compute_cycles == 55
         assert entry.exists()
+
+    @pytest.mark.parametrize("store_type", [DiskStore, DiskArtifactStore])
+    def test_unreadable_entry_is_retried_then_a_miss_and_kept(
+            self, tmp_path, monkeypatch, store_type):
+        """A read failing with an ``OSError`` other than a missing file
+        (here a directory where the entry should be) proves nothing
+        about the entry: it is retried, then served as a miss, and the
+        entry stays on disk."""
+        delays = []
+        monkeypatch.setattr("repro.api.store.time.sleep", delays.append)
+        store = store_type(tmp_path)
+        entry = store.entry_path("blocked")
+        entry.mkdir(parents=True)
+        assert store.get("blocked") is None
+        assert len(delays) == store.READ_ATTEMPTS - 1
+        assert entry.is_dir()
+
+    @pytest.mark.parametrize("store_type, value", [
+        (DiskStore, make_record(cycles=41)),
+        (DiskArtifactStore, {"ddg": [1, 2], "factor": 2}),
+    ])
+    def test_failing_read_of_a_healthy_entry_keeps_it(
+            self, tmp_path, monkeypatch, store_type, value):
+        """An I/O error on every attempt is a miss, never a deletion:
+        once reads work again, a fresh store serves the entry intact."""
+        store_type(tmp_path).put("key1", value)
+        entry = store_type(tmp_path).entry_path("key1")
+        attempts = []
+
+        def failing_open(path, *args, **kwargs):
+            attempts.append(path)
+            raise OSError(errno.EIO, "injected I/O error", path)
+
+        monkeypatch.setattr("repro.api.store.time.sleep", lambda _s: None)
+        monkeypatch.setattr("repro.api.store.open", failing_open,
+                            raising=False)
+        assert store_type(tmp_path).get("key1") is None
+        assert len(attempts) == store_type.READ_ATTEMPTS
+        assert entry.is_file()
+        monkeypatch.undo()
+        assert store_type(tmp_path).get("key1") == value
 
     def test_persistently_corrupt_entry_is_dropped(self, tmp_path,
                                                    monkeypatch):

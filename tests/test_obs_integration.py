@@ -17,12 +17,16 @@ import warnings
 
 import pytest
 
-from repro.api.artifacts import MemoryArtifactStore, artifact_stats
+from repro.api.artifacts import (
+    DiskArtifactStore,
+    MemoryArtifactStore,
+    artifact_stats,
+)
 from repro.api.cli import main
 from repro.api.core import execute_spec
 from repro.api.runner import Runner
 from repro.api.spec import Plan, RunSpec
-from repro.api.store import MemoryStore
+from repro.api.store import DiskStore, MemoryStore
 from repro.obs import metrics, trace
 
 PLAN = Plan.grid(benchmarks=["gsmdec"],
@@ -127,6 +131,46 @@ class TestSpanCoverage:
         assert tracer.pid not in workers
         # The compile stages ran in the same workers as their specs.
         assert {e["pid"] for e in events if e["cat"] == "stage"} == workers
+
+
+class TestStoreSpans:
+    def test_one_store_span_per_lookup_and_records_unchanged(self,
+                                                              tmp_path):
+        """Disk store gets and puts each open one span of category
+        ``store``: a warm run records exactly one per planned spec, in
+        plan order, and tracing changes no record byte."""
+        def runner():
+            return Runner(store=DiskStore(tmp_path),
+                          artifacts=DiskArtifactStore(tmp_path / "art"))
+
+        def traced(run):
+            tracer = trace.Tracer()
+            previous = trace.set_tracer(tracer)
+            try:
+                records = run()
+            finally:
+                trace.set_tracer(previous)
+            spans = [(e["name"], e["args"]["kind"], e["args"]["key"])
+                     for e in tracer.events() if e["cat"] == "store"]
+            return records, spans
+
+        keys = [spec.content_hash for spec in PLAN]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cold, cold_spans = traced(lambda: runner().run(PLAN))
+        # Cold: every lookup misses, then every record is put once; the
+        # front end's artifacts go through the same kind of span.
+        assert [span for span in cold_spans if span[1] == "record"] == (
+            [("store.get", "record", key) for key in keys]
+            + [("store.put", "record", key) for key in keys])
+        assert {name for name, kind, _key in cold_spans
+                if kind == "artifact"} == {"store.get", "store.put"}
+
+        dark = runner().run(PLAN)
+        lit, warm_spans = traced(lambda: runner().run(PLAN))
+        assert warm_spans == [("store.get", "record", key) for key in keys]
+        assert ([_canonical(r) for r in lit] == [_canonical(r) for r in dark]
+                == [_canonical(r) for r in cold])
 
 
 class TestGoldenEquivalence:
