@@ -9,11 +9,14 @@ work.  This bench runs the cross both ways and asserts the
 content-addressed :class:`~repro.api.artifacts.ArtifactStore` removes at
 least half of it (stage executions are counted exactly; wall time is
 reported alongside), and that the shared sweep keeps one artifact entry
-per loop: one put per (benchmark, loop), one lookup per (spec, loop).
+per loop: one put per (benchmark, loop), one lookup per (spec, loop),
+and one graph decode per entry, however many specs replay it.
 Wired into the CI smoke step.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from conftest import run_once
 
@@ -24,7 +27,12 @@ from repro.api import (
     Plan,
     Runner,
 )
-from repro.api.artifacts import artifact_stats, reset_artifact_stats
+from repro.api.artifacts import (
+    ArtifactStore,
+    artifact_stats,
+    reset_artifact_stats,
+)
+from repro.ir import Ddg
 from repro.sched.stages import (
     FRONTEND_STAGES,
     reset_stage_counters,
@@ -42,22 +50,30 @@ def variant_cross_plan() -> Plan:
     )
 
 
-class _NullArtifacts:
+class _NullArtifacts(ArtifactStore):
     """Pre-refactor behaviour: every variant recompiles the front end."""
 
-    def get(self, key):
+    def _get(self, key):
         return None
 
-    def put(self, key, payload):
+    def _put(self, key, text):
         pass
 
 
 def _sweep(artifacts) -> dict:
     reset_stage_counters()
     reset_artifact_stats()
-    Runner(store=MemoryStore(), artifacts=artifacts).run(
-        variant_cross_plan()
-    )
+    decodes = []
+    from_dict = Ddg.from_dict.__func__
+
+    def counted(cls, data):
+        decodes.append(data["name"])
+        return from_dict(cls, data)
+
+    with mock.patch.object(Ddg, "from_dict", classmethod(counted)):
+        Runner(store=MemoryStore(), artifacts=artifacts).run(
+            variant_cross_plan()
+        )
     counters = stage_counters()
     stats = artifact_stats()
     return {
@@ -66,6 +82,7 @@ def _sweep(artifacts) -> dict:
         "per_stage": dict(counters.executed),
         "artifact_puts": stats.puts,
         "artifact_lookups": stats.lookups,
+        "graph_decodes": len(decodes),
     }
 
 
@@ -85,7 +102,8 @@ def test_shared_frontend_beats_per_variant_recompilation(benchmark):
     loops = sum(len(get_benchmark(name).loops) for name in SUBSET)
     print(f"shared artifacts: {shared['artifact_puts']} puts for {loops} "
           f"loops | {shared['artifact_lookups']} lookups for "
-          f"{loops * len(ALL_VARIANTS)} (spec, loop) compiles")
+          f"{loops * len(ALL_VARIANTS)} (spec, loop) compiles | "
+          f"{shared['graph_decodes']} graph decodes")
 
     # Every spec recompiles the front end cold: one execution of each
     # front-end stage per (benchmark, loop, variant).
@@ -104,3 +122,7 @@ def test_shared_frontend_beats_per_variant_recompilation(benchmark):
     # The whole front end of a loop is one artifact entry.
     assert shared["artifact_puts"] == loops
     assert shared["artifact_lookups"] == loops * per_variant
+    # The store decodes each entry's graph once; every replaying compile
+    # copies it.  The never-hitting store decodes nothing.
+    assert shared["graph_decodes"] == loops
+    assert cold["graph_decodes"] == 0

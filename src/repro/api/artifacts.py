@@ -19,24 +19,38 @@ Two implementations:
   torn-read retries, version stamping, pruning, prefix-sharded
   directories).
 
-Both return callers a *fresh* decode of the stored JSON on every get, so
-a pipeline mutating the graph it built from an artifact can never poison
-the cache.  Process-wide hit/miss/put counters feed a run's
-``--metrics`` snapshot and the stage benchmarks.
+A plain ``get(key)`` returns a *fresh* decode of the stored JSON, which
+the caller owns outright.  ``get(key, decode)`` returns
+``decode(payload)`` instead, computed once per key and kept in a small
+LRU (:data:`DECODED_ENTRIES` entries) beside the store's text: the
+pipeline passes its front-end decoder, so the variant cross of one loop
+builds its graph once and each compile copies it.  ``clear``, ``prune``
+and a re-``put`` of the key drop the decoded value.  Process-wide
+hit/miss/put counters feed a run's ``--metrics`` snapshot and the stage
+benchmarks; a decoded hit counts as the hit it replaces.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.api.store import JsonFileStore, resolve_cache_root
 from repro.obs import metrics, trace
 
 #: Subdirectory of the cache root that holds artifacts.
 ARTIFACT_SUBDIR = "artifacts"
+#: Decoded values one store keeps, least recently used dropped first.
+#: Plans run a benchmark's variants back to back, so only that
+#: benchmark's loops (two at most in the catalog) are replayed at a
+#: time; a decoded scenario front end holds about 65 KB (144 KB at most
+#: over a 60-scenario sweep), so the bound keeps memory under about a
+#: megabyte however long the sweep.
+DECODED_ENTRIES = 8
 
 
 def artifact_root(cache_root: Union[str, Path, None] = None) -> Path:
@@ -99,26 +113,51 @@ class ArtifactStore:
     """Interface: a keyed store of JSON-able artifact payloads.
 
     ``get`` returns a payload the caller owns outright (mutating it never
-    affects the store).  Implementations provide ``_get``/``_put`` over
-    canonical JSON text; this base class adds the counters.
+    affects the store), or with ``decode`` the shared decoded value.
+    Implementations provide ``_get``/``_put`` over canonical JSON text;
+    this base class adds the decoded-value LRU and the counters.
     """
 
-    def get(self, key: str) -> Optional[dict]:
+    @cached_property
+    def _decoded(self) -> "OrderedDict[str, Tuple[Callable, Any]]":
+        """key -> ``(decode, decode(payload))``, least recently used
+        first; made on first use, so a subclass need not call up to an
+        ``__init__``."""
+        return OrderedDict()
+
+    def get(self, key: str,
+            decode: Optional[Callable[[dict], Any]] = None) -> Any:
+        """The payload stored under ``key``, or ``None`` on a miss.
+
+        With ``decode``, return ``decode(payload)`` instead: computed on
+        the first get of ``key`` with that ``decode``, then served from
+        the LRU as the *same* object, so callers copy what they mutate.
+        """
         with trace.span("artifact.get", cat="artifact", key=key):
-            text = self._get(key)
+            held = self._decoded.get(key)
+            if held is not None and held[0] is decode:
+                self._decoded.move_to_end(key)
+                value = held[1]
+            else:
+                text = self._get(key)
+                value = None if text is None else json.loads(text)
+                if value is not None and decode is not None:
+                    value = decode(value)
+                    self._decoded.pop(key, None)
+                    self._decoded[key] = (decode, value)
+                    if len(self._decoded) > DECODED_ENTRIES:
+                        self._decoded.popitem(last=False)
         metrics.inc("artifacts.lookups",
-                    outcome="miss" if text is None else "hit")
-        if text is None:
-            return None
-        return json.loads(text)
+                    outcome="miss" if value is None else "hit")
+        return value
 
     def put(self, key: str, payload: dict) -> str:
-        """Store ``payload``; returns its canonical JSON text so callers
-        that immediately replay what they stored (the staged pipeline's
-        cold path) can decode it without re-encoding."""
+        """Store ``payload``; returns its canonical JSON text (what a pool
+        worker ships back to the parent's store)."""
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with trace.span("artifact.put", cat="artifact", key=key):
             self._put(key, text)
+        self._decoded.pop(key, None)
         metrics.inc("artifacts.puts")
         return text
 
@@ -128,6 +167,7 @@ class ArtifactStore:
         worker counted its puts, and its metrics reach the parent."""
         for key, text in entries.items():
             self._put(key, text)
+            self._decoded.pop(key, None)
 
     # -- implementation hooks ------------------------------------------
     def _get(self, key: str) -> Optional[str]:
@@ -153,8 +193,9 @@ class MemoryArtifactStore(ArtifactStore):
     """Process-local artifact store over canonical JSON text.
 
     Storing *text* (not live objects) keeps its semantics identical to
-    the disk store: every get decodes afresh, so warm in-memory hits and
-    warm cross-process disk hits replay byte-identical payloads.
+    the disk store: a get without ``decode`` decodes afresh, and a
+    decoded value is built from the same text, so warm in-memory hits
+    and warm cross-process disk hits replay byte-identical payloads.
     """
 
     def __init__(self) -> None:
@@ -169,6 +210,7 @@ class MemoryArtifactStore(ArtifactStore):
     def clear(self) -> int:
         count = len(self._entries)
         self._entries.clear()
+        self._decoded.clear()
         return count
 
     def keys(self) -> Iterator[str]:
@@ -181,7 +223,8 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
     like the record store.
 
     Payload text is memoized in-process after the first read, so a sweep
-    re-deriving the same key pays the disk read once.
+    re-deriving the same key pays the disk read once; decoded values sit
+    beside it in the base class's LRU.
     """
 
     PAYLOAD_FIELD = "artifact"
@@ -223,17 +266,21 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
         # The worker's copy wrote these files into the shared directory
         # already; memoize them as this process's own puts would.
         self._memo.update(entries)
+        for key in entries:
+            self._decoded.pop(key, None)
 
     def clear(self) -> int:
         self._memo.clear()
+        self._decoded.clear()
         return JsonFileStore.clear(self)
 
     def prune(self, older_than_seconds: float) -> int:
         removed = JsonFileStore.prune(self, older_than_seconds)
         if removed:
             # Keep get/keys/len consistent: never serve pruned entries
-            # from the in-process memo.
+            # from the in-process memos.
             self._memo.clear()
+            self._decoded.clear()
         return removed
 
 

@@ -130,10 +130,8 @@ class RunRecord:
         return sum(run.violations for run in self.loops)
 
     def merged_stats(self) -> SimStats:
-        merged = SimStats()
-        for run in self.loops:
-            merged = merged.merged_with(run.stats)
-        return merged
+        """Every loop's counters summed (:meth:`SimStats.summed`)."""
+        return SimStats.summed(run.stats for run in self.loops)
 
     def access_fractions(self) -> Dict[AccessType, float]:
         return self.merged_stats().access_fractions()

@@ -220,8 +220,9 @@ class _LoggedPuts(ArtifactStore):
         self.store = store
         self.puts: Dict[str, str] = {}
 
-    def get(self, key: str) -> Optional[dict]:
-        return self.store.get(key)
+    def get(self, key: str,
+            decode: Optional[Callable[[dict], Any]] = None) -> Any:
+        return self.store.get(key, decode)
 
     def put(self, key: str, payload: dict) -> str:
         text = self.puts[key] = self.store.put(key, payload)

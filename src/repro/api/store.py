@@ -36,6 +36,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import tempfile
 import time
 from pathlib import Path
@@ -244,16 +245,19 @@ class JsonFileStore:
                 if child.is_dir() and _SHARD_RE.match(child.name)]
 
     def _entry_sizes(self) -> Iterator[Tuple[str, int]]:
-        """``(key, size in bytes)`` of every entry file in the shards.
-        An entry another process removes between the glob and the stat
-        is skipped."""
+        """``(key, size in bytes)`` of every entry in the shards: each
+        regular ``*.json`` file.  Anything else at an entry path (a
+        directory, say) holds no entry a read could serve, and an entry
+        another process removes between the glob and the stat is
+        skipped."""
         for shard in self._shard_dirs():
             for path in shard.glob("*.json"):
                 try:
-                    size = path.stat().st_size
+                    info = path.stat()
                 except OSError:
                     continue
-                yield path.stem, size
+                if stat.S_ISREG(info.st_mode):
+                    yield path.stem, info.st_size
 
     # ------------------------------------------------------------------
     # Maintenance

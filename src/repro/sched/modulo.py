@@ -17,7 +17,13 @@ none when its RecMII lies above the cap: the call then raises
 :class:`~repro.errors.RecurrenceError` before any placement.
 The graph's :class:`~repro.sched.mii.LoopBounds` (edge weights, ResMII,
 cyclic components) is built once per compile by the ladder and passed
-in; adjacency is built once per call and shared by every II tried.
+in.  Each op is resolved once per call, into lists indexed by iid and
+shared by every II tried: its reservation-table row (its cluster's unit
+class, or the register-bus row; :func:`~repro.sched.schedule.table_row`)
+and its predecessor and successor edges.  An II's search then keeps
+placement times in iid-indexed lists too, and places and ejects
+functional-unit ops directly on the table's cell lists, so a placement
+looks up no node, cluster or cell key.
 """
 
 from __future__ import annotations
@@ -30,15 +36,21 @@ from repro.errors import SchedulingError
 from repro.ir.ddg import Ddg
 from repro.sched.cluster import ClusterAssignment
 from repro.sched.mii import MAX_REC_II, LoopBounds, Weight
-from repro.sched.schedule import ReservationTable, Schedule, ScheduledOp
+from repro.sched.schedule import (
+    BUS_ROW,
+    ReservationTable,
+    Schedule,
+    ScheduledOp,
+    table_row,
+)
 
 #: How far above max(ResMII, RecMII) the scheduler will search.
 MAX_II_SLACK = 64
 #: Placement attempts allowed per candidate II, per operation.
 BUDGET_FACTOR = 12
 
-#: ``iid -> [(neighbour, latency, distance)]``
-Adjacency = Dict[int, List[Tuple[int, int, int]]]
+#: ``[iid] -> [(neighbour, latency, distance)]``
+Adjacency = List[List[Tuple[int, int, int]]]
 
 
 def modulo_schedule(
@@ -78,8 +90,13 @@ def modulo_schedule(
                                         min(max_ii, MAX_REC_II))
         upper = min(lower + MAX_II_SLACK, max_ii)
 
-    preds: Adjacency = {v.iid: [] for v in ddg}
-    succs: Adjacency = {v.iid: [] for v in ddg}
+    iids = [instr.iid for instr in ddg]
+    size = max(iids, default=-1) + 1
+    rows = [BUS_ROW] * size
+    for instr in ddg:
+        rows[instr.iid] = table_row(instr, assignment[instr.iid])
+    preds: Adjacency = [[] for _ in range(size)]
+    succs: Adjacency = [[] for _ in range(size)]
     for src, dst, lat, d in weights:
         preds[dst].append((src, lat, d))
         succs[src].append((dst, lat, d))
@@ -87,7 +104,7 @@ def modulo_schedule(
     # graph.
     by_sink = weights[::-1]
     for ii in range(lower, upper + 1):
-        times = _try_ii(ddg, machine, assignment, by_sink, preds, succs, ii)
+        times = _try_ii(machine, iids, rows, by_sink, preds, succs, ii)
         if times is not None:
             return Schedule(
                 ii=ii,
@@ -106,18 +123,19 @@ def modulo_schedule(
 
 # ----------------------------------------------------------------------
 def _heights(
-    ddg: Ddg, weights: Sequence[Weight], ii: int
-) -> Optional[Dict[int, int]]:
-    """Dependence height of each node at this II (longest outgoing path
-    with weights ``lat - II * distance``); the scheduling priority.
+    size: int, nodes: int, weights: Sequence[Weight], ii: int
+) -> Optional[List[int]]:
+    """Dependence height of each iid below ``size`` at this II (longest
+    outgoing path with weights ``lat - II * distance``); the scheduling
+    priority.
 
     The heights are the relaxation's unique fixpoint, whatever the edge
-    order; ``None`` when a positive cycle keeps it from converging (this
-    II is below the recurrence bound).
+    order; ``None`` when a positive cycle keeps it from converging within
+    ``nodes`` rounds (this II is below the recurrence bound).
     """
-    height = {instr.iid: 0 for instr in ddg}
+    height = [0] * size
     edges = [(src, dst, lat - ii * d) for src, dst, lat, d in weights]
-    for _ in range(len(height)):
+    for _ in range(nodes):
         changed = False
         for src, dst, w in edges:
             h = height[dst] + w
@@ -130,33 +148,46 @@ def _heights(
 
 
 def _try_ii(
-    ddg: Ddg,
     machine: MachineConfig,
-    assignment: ClusterAssignment,
+    iids: Sequence[int],
+    rows: Sequence[int],
     weights: Sequence[Weight],
     preds: Adjacency,
     succs: Adjacency,
     ii: int,
 ) -> Optional[Dict[int, int]]:
     """Start time of every op, in final placement order, or ``None`` when
-    the placement budget runs out."""
-    height = _heights(ddg, weights, ii)
+    the placement budget runs out.
+
+    ``rows``, ``preds`` and ``succs`` are indexed by iid (``iids`` lists
+    the graph's).
+    """
+    height = _heights(len(rows), len(iids), weights, ii)
     if height is None:
         return None
 
-    node = ddg.node
     table = ReservationTable(machine, ii)
-    placed: Dict[int, int] = {}  # iid -> time
-    last_time: Dict[int, int] = {}  # previous placement, for retry floor
-    budget = BUDGET_FACTOR * max(1, len(ddg))
+    first_fit, cells = table.first_fit, table.cells
+    placed: List[Optional[int]] = [None] * len(rows)  # iid -> time
+    last_time = [-1] * len(rows)  # previous placement, for retry floor
+    order: Dict[int, int] = {}  # iid -> time, in placement order
+    budget = BUDGET_FACTOR * max(1, len(iids))
 
     # Highest first, ties to the lower iid; the keys are unique, so the
     # heap pops what max() over the pending set would pick.
-    pending = [(-h, iid) for iid, h in height.items()]
+    pending = [(-height[iid], iid) for iid in iids]
     heapify(pending)
 
     def eject(iid: int) -> None:
-        table.remove(node(iid), assignment[iid], placed.pop(iid))
+        time = placed[iid]
+        assert time is not None  # only placed ops are ejected
+        placed[iid] = None
+        del order[iid]
+        row = rows[iid]
+        if row == BUS_ROW:
+            table.remove(iid, row, time)
+        else:
+            cells[row * ii + time % ii].remove(iid)
         heappush(pending, (-height[iid], iid))
 
     while pending:
@@ -164,40 +195,39 @@ def _try_ii(
             return None
         budget -= 1
         iid = heappop(pending)[1]
-        instr = node(iid)
-        cluster = assignment[iid]
+        row = rows[iid]
 
-        start = 0
+        # Times are never negative, so the first placement's floor is 0.
+        start = last_time[iid] + 1
         for src, lat, d in preds[iid]:
-            time = placed.get(src)
+            time = placed[src]
             if time is not None and time + lat - ii * d > start:
                 start = time + lat - ii * d
-        floor = last_time.get(iid)
-        if floor is not None and floor + 1 > start:
-            start = floor + 1
 
-        chosen = table.first_fit(instr, cluster, start)
+        chosen = first_fit(row, start)
         if chosen is None:
             chosen = start
-            for victim in table.conflicting_ops(instr, cluster, chosen):
+            for victim in table.conflicting_ops(row, chosen):
                 eject(victim)
-
-        table.place(instr, cluster, chosen)
-        placed[iid] = chosen
-        last_time[iid] = chosen
+            table.place(iid, row, chosen)
+        elif row == BUS_ROW:
+            table.place(iid, row, chosen)
+        else:
+            cells[row * ii + chosen % ii].append(iid)
+        placed[iid] = last_time[iid] = order[iid] = chosen
 
         # Eject successors whose dependence the new placement violates.
         # Predecessors placed later in time are caught when they are
         # (re)placed: this op is then one of *their* successors.
         for dst, lat, d in succs[iid]:
             if dst != iid:
-                time = placed.get(dst)
+                time = placed[dst]
                 if time is not None and time < chosen + lat - ii * d:
                     eject(dst)
 
     # Normalize: shift by a whole number of IIs (keeping every op's slot)
     # so the earliest op starts in stage 0.
-    shift = (min(placed.values()) // ii) * ii
+    shift = (min(order.values()) // ii) * ii
     if shift:
-        placed = {iid: time - shift for iid, time in placed.items()}
-    return placed
+        order = {iid: time - shift for iid, time in order.items()}
+    return order

@@ -83,25 +83,37 @@ class ScheduledOp:
         return self.time // ii
 
 
-#: Functional-unit classes in reservation-table row order.
+#: Functional-unit classes in the order of each cluster's table rows.
 _KINDS = tuple(FuKind)
 _KIND_ROW = {kind: row for row, kind in enumerate(_KINDS)}
-#: Row marker for COPY operations, which hold a register bus instead.
-_BUS = -1
+#: Table row of a COPY operation, which holds a register bus instead of
+#: a functional unit.
+BUS_ROW = -1
+
+
+def table_row(instr: Instruction, cluster: int) -> int:
+    """The reservation-table row ``instr`` occupies when issued in
+    ``cluster``: ``cluster * len(FuKind)`` plus its unit class's index,
+    or :data:`BUS_ROW` for a COPY."""
+    if instr.is_copy:
+        return BUS_ROW
+    return cluster * len(_KINDS) + _KIND_ROW[instr.fu_kind]
 
 
 class ReservationTable:
     """Modulo reservation table for one candidate II.
 
-    Functional units: each (cluster, unit class, slot) cell lists the
-    operations holding its units, in a dict keyed by one int.  Register
-    buses: one occupancy bitmask over the II slots per bus; a COPY issued
-    in slot ``s`` needs the precomputed window mask of slots
+    Callers resolve each operation's row once (:func:`table_row`) and
+    pass it with the op's iid; the table never looks at an instruction.
+    Functional units: ``cells[row * II + slot]`` lists the ops holding
+    that row's units in that slot, at most ``units[row]`` of them.
+    Register buses: one occupancy bitmask over the II slots per bus; a
+    COPY issued in slot ``s`` needs the precomputed window mask of slots
     ``s .. s + latency - 1`` (mod II) clear on some bus, and takes the
-    first such bus.  Each instruction's unit class is resolved once per
-    table, by iid, so the hot path hashes no enum.  ``place``/``remove``
-    keep the table consistent under the iterative scheduler's
-    eject-and-retry policy.
+    first such bus.  ``place``/``remove`` keep the table consistent under
+    the iterative scheduler's eject-and-retry policy; the scheduler may
+    also append to and remove from ``cells`` directly, for a placement
+    :meth:`first_fit` found room for.
     """
 
     def __init__(self, machine: MachineConfig, ii: int) -> None:
@@ -109,11 +121,12 @@ class ReservationTable:
             raise SchedulingError(f"II must be >= 1, got {ii}")
         self.machine = machine
         self.ii = ii
-        self._units = [machine.fu_per_cluster.get(kind, 0) for kind in _KINDS]
-        # iid -> row in _KINDS, or _BUS
-        self._row: Dict[int, int] = {}
-        # (cluster * len(_KINDS) + row) * ii + slot -> iids (len <= units)
-        self._fu: Dict[int, List[int]] = {}
+        # row -> units of the row's class in its cluster
+        self.units = [machine.fu_per_cluster.get(kind, 0)
+                      for kind in _KINDS] * machine.num_clusters
+        self.cells: List[List[int]] = [
+            [] for _ in range(len(self.units) * ii)
+        ]
         self._latency = latency = machine.register_buses.latency
         span = (1 << min(latency, ii)) - 1
         full = (1 << ii) - 1
@@ -129,16 +142,6 @@ class ReservationTable:
         self._first_bus: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _row_of(self, instr: Instruction) -> int:
-        row = self._row.get(instr.iid)
-        if row is None:
-            row = _BUS if instr.is_copy else _KIND_ROW[instr.fu_kind]
-            self._row[instr.iid] = row
-        return row
-
-    def _cell(self, cluster: int, row: int, slot: int) -> int:
-        return (cluster * len(_KINDS) + row) * self.ii + slot
-
     def _window_slots(self, slot: int) -> List[int]:
         return [(slot + k) % self.ii for k in range(self._latency)]
 
@@ -150,24 +153,19 @@ class ReservationTable:
         return None
 
     # ------------------------------------------------------------------
-    def fits(self, instr: Instruction, cluster: int, time: int) -> bool:
+    def fits(self, row: int, time: int) -> bool:
         slot = time % self.ii
-        row = self._row_of(instr)
-        if row == _BUS:
+        if row == BUS_ROW:
             return self._find_free_bus(slot) is not None
-        taken = self._fu.get(self._cell(cluster, row, slot))
-        return (len(taken) if taken else 0) < self._units[row]
+        return len(self.cells[row * self.ii + slot]) < self.units[row]
 
-    def first_fit(
-        self, instr: Instruction, cluster: int, start: int
-    ) -> Optional[int]:
-        """The first time in ``[start, start + II)`` at which ``instr``
-        fits in ``cluster`` (the first ``t`` for which :meth:`fits`
-        holds), or ``None`` when every slot is taken."""
+    def first_fit(self, row: int, start: int) -> Optional[int]:
+        """The first time in ``[start, start + II)`` at which an op of
+        ``row`` fits (the first ``t`` for which :meth:`fits` holds), or
+        ``None`` when every slot is taken."""
         ii = self.ii
         first = start % ii
-        row = self._row_of(instr)
-        if row == _BUS:
+        if row == BUS_ROW:
             window, buses = self._window, self._busy
             for k in range(ii):
                 slot = first + k
@@ -176,59 +174,56 @@ class ReservationTable:
                     if not busy & mask:
                         return start + k
             return None
-        units = self._units[row]
+        units = self.units[row]
         if units:
-            fu = self._fu
-            cell = self._cell(cluster, row, 0)
+            cells = self.cells
+            base = row * ii
             for k in range(ii):
                 slot = first + k
-                taken = fu.get(cell + (slot - ii if slot >= ii else slot))
-                if not taken or len(taken) < units:
+                if len(cells[base + (slot - ii if slot >= ii else slot)]) \
+                        < units:
                     return start + k
         return None
 
-    def place(self, instr: Instruction, cluster: int, time: int) -> None:
+    def place(self, iid: int, row: int, time: int) -> None:
         slot = time % self.ii
-        row = self._row_of(instr)
-        if row == _BUS:
+        if row == BUS_ROW:
             bus = self._find_free_bus(slot)
             if bus is None:
                 raise SchedulingError(
-                    f"no register bus free at slot {slot} for {instr.label}"
+                    f"no register bus free at slot {slot} for op {iid}"
                 )
             self._busy[bus] |= self._window[slot]
-            self._bus_of[instr.iid] = (bus, slot)
+            self._bus_of[iid] = (bus, slot)
             if bus == 0:
                 for s in self._window_slots(slot):
-                    self._first_bus[s] = instr.iid
+                    self._first_bus[s] = iid
             return
-        taken = self._fu.setdefault(self._cell(cluster, row, slot), [])
-        if len(taken) >= self._units[row]:
+        taken = self.cells[row * self.ii + slot]
+        if len(taken) >= self.units[row]:
+            cluster, kind = divmod(row, len(_KINDS))
             raise SchedulingError(
-                f"{_KINDS[row]} unit busy in cluster {cluster} slot {slot} "
-                f"for {instr.label}"
+                f"{_KINDS[kind]} unit busy in cluster {cluster} slot {slot} "
+                f"for op {iid}"
             )
-        taken.append(instr.iid)
+        taken.append(iid)
 
-    def remove(self, instr: Instruction, cluster: int, time: int) -> None:
-        """Undo the ``place`` of ``instr`` at this cluster and time."""
-        row = self._row_of(instr)
-        if row == _BUS:
-            bus, slot = self._bus_of.pop(instr.iid)
+    def remove(self, iid: int, row: int, time: int) -> None:
+        """Undo the ``place`` of op ``iid`` at this row and time."""
+        if row == BUS_ROW:
+            bus, slot = self._bus_of.pop(iid)
             self._busy[bus] &= ~self._window[slot]
             if bus == 0:
                 for s in self._window_slots(slot):
                     self._first_bus.pop(s, None)
             return
-        self._fu[self._cell(cluster, row, time % self.ii)].remove(instr.iid)
+        self.cells[row * self.ii + time % self.ii].remove(iid)
 
-    def conflicting_ops(
-        self, instr: Instruction, cluster: int, time: int
-    ) -> List[int]:
-        """Operations that must be ejected to place ``instr`` here."""
+    def conflicting_ops(self, row: int, time: int) -> List[int]:
+        """Operations that must be ejected to place an op of ``row``
+        here."""
         slot = time % self.ii
-        row = self._row_of(instr)
-        if row == _BUS:
+        if row == BUS_ROW:
             # Eject every transfer overlapping the first bus's window.
             victims: List[int] = []
             for s in self._window_slots(slot):
@@ -236,7 +231,7 @@ class ReservationTable:
                 if owner is not None and owner not in victims:
                     victims.append(owner)
             return victims
-        return list(self._fu.get(self._cell(cluster, row, slot), ()))
+        return list(self.cells[row * self.ii + slot])
 
 
 @dataclass

@@ -18,11 +18,12 @@ The **back end** (coherence, assign, copies, schedule, postpass) is
 variant-specific and mutates its working graph, so it always executes;
 its stages are named for instrumentation, but not persisted.
 
-Artifact stores are duck-typed (``get(key) -> dict | None`` /
+Artifact stores are duck-typed (``get(key, decode) -> value | None`` /
 ``put(key, dict)``): the real implementations live one layer up in
 :mod:`repro.api.artifacts`, and this module stays independent of the API
-layer.  Every ``get`` must hand back a payload the pipeline may own
-outright — the back end mutates the graphs it receives.
+layer.  The front end passes ``get`` its decoder and may receive the
+same decoded graph and profiles for every compile of a key, so it hands
+each compile a copy — the back end mutates the graphs it receives.
 
 Every stage execution is observable: counts and wall time land in the
 process metrics registry (``stages.executed`` / ``stages.seconds``,
@@ -358,6 +359,21 @@ def _run_frontend(
     return work, factor, profiles
 
 
+def _decode_frontend(
+    payload: dict,
+) -> Tuple[Ddg, int, Optional[Dict[int, ClusterProfile]]]:
+    """A front-end artifact's payload as the objects the back end takes;
+    the artifact store keeps the result, shared by every compile of the
+    key."""
+    profiles = payload["profiles"]
+    if profiles is not None:
+        profiles = {
+            int(iid): ClusterProfile(tuple(counts))
+            for iid, counts in profiles
+        }
+    return Ddg.from_dict(payload["ddg"]), payload["factor"], profiles
+
+
 def _frontend(
     ddg: Ddg,
     machine: MachineConfig,
@@ -372,7 +388,9 @@ def _frontend(
     """Run (or replay) the variant-independent front end.
 
     With a store the whole front end is one artifact: a hit replays it,
-    a miss computes it and puts it once.  Explicit ``profiles`` and a
+    a miss computes it, puts it once and hands the back end what it
+    computed.  A hit copies the decoded graph and profiles the store
+    shares between compiles of the key.  Explicit ``profiles`` and a
     trace factory without a ``key`` have no content key, so they bypass
     the store.  Verification runs only when the front end computes — a
     replayed artifact was verified by whoever produced it.
@@ -390,36 +408,25 @@ def _frontend(
         key = frontend_artifact_key(ddg, machine, unroll_factor,
                                     add_mem_deps, trace_key,
                                     profile_iterations)
-    payload = artifacts.get(key)
-    if payload is None:
+    decoded = artifacts.get(key, _decode_frontend)
+    if decoded is None:
         work, factor, profiles = _run_frontend(
             ddg, machine, trace_factory, unroll_factor, add_mem_deps,
             profile_iterations,
         )
         with trace.span("artifact.record", cat="artifact"):
-            payload = {
+            artifacts.put(key, {
                 "ddg": work.to_dict(),
                 "factor": factor,
                 "profiles": None if profiles is None else [
                     [iid, list(p.counts)] for iid, p in profiles.items()
                 ],
-            }
-            text = artifacts.put(key, payload)
-            # The back end gets exactly what a warm hit replays: a decode
-            # of the stored canonical text (or of a JSON round trip, for
-            # stores whose put returns nothing).
-            payload = json.loads(
-                text if isinstance(text, str) else json.dumps(payload)
-            )
+            })
+        return work, factor, profiles
     with trace.span("artifact.replay", cat="artifact"):
-        work = Ddg.from_dict(payload["ddg"])
-        profiles = payload["profiles"]
-        if profiles is not None:
-            profiles = {
-                int(iid): ClusterProfile(tuple(counts))
-                for iid, counts in profiles
-            }
-    return work, payload["factor"], profiles
+        work, factor, profiles = decoded
+        return (work.clone(), factor,
+                None if profiles is None else dict(profiles))
 
 
 def compile_loop(
@@ -462,15 +469,17 @@ def compile_loop(
         rules from scratch and adds the whole-compilation ones (copy
         completeness, memory-op placement under MDC/DDGT).
     artifacts:
-        Optional artifact store (``get(key) -> dict | None`` /
-        ``put(key, dict)``).  The whole front end — unrolled and
-        disambiguated graph, unroll factor, profiles — is one entry
-        keyed by :func:`frontend_artifact_key`: one lookup per compile,
-        one put on a miss, so the 6-way variant cross of one loop
-        computes it once.  Explicit ``profiles=`` and a trace factory
-        without a ``key`` bypass the store (the front end then runs
-        uncached); the back end is never stored.  ``None`` (the default)
-        compiles from scratch.
+        Optional artifact store (``get(key, decode) -> value | None`` /
+        ``put(key, dict)``; see :class:`repro.api.artifacts.ArtifactStore`).
+        The whole front end — unrolled and disambiguated graph, unroll
+        factor, profiles — is one entry keyed by
+        :func:`frontend_artifact_key`: one lookup per compile, one put on
+        a miss, so the 6-way variant cross of one loop computes it once.
+        A hit is decoded once per store and key; each compile gets its
+        own copy of the graph and the profiles dict.  Explicit
+        ``profiles=`` and a trace factory without a ``key`` bypass the
+        store (the front end then runs uncached); the back end is never
+        stored.  ``None`` (the default) compiles from scratch.
     """
     work, factor, profiles = _frontend(
         ddg, machine,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.obs import metrics
 
@@ -134,6 +134,27 @@ class SimStats:
                     merged.bus_transfer_kinds.get(kind, 0) + count
                 )
         return merged
+
+    @classmethod
+    def summed(cls, runs: Iterable["SimStats"]) -> "SimStats":
+        """Every counter of ``runs`` added up in one pass: what folding
+        :meth:`merged_with` over them from an empty ``SimStats`` returns
+        (``bus_transfer_kinds`` in first-seen order), without building a
+        ``SimStats`` per run."""
+        total = cls()
+        accesses, kinds = total.accesses, total.bus_transfer_kinds
+        sums = dict.fromkeys(_COUNTER_FIELDS + _DIAGNOSTIC_FIELDS, 0)
+        for run in runs:
+            for kind, count in run.accesses.items():
+                accesses[kind] += count
+            values = vars(run)
+            for name in sums:
+                sums[name] += values[name]
+            for kind, count in run.bus_transfer_kinds.items():
+                kinds[kind] = kinds.get(kind, 0) + count
+        for name, value in sums.items():
+            setattr(total, name, value)
+        return total
 
     def publish(self, engine: str, model: str = "snooping") -> None:
         """Surface this run's counters through the metrics registry.

@@ -1,4 +1,5 @@
-"""ArtifactStore implementations: ownership, counters, pruning, defaults."""
+"""ArtifactStore implementations: ownership, decoded values, counters,
+pruning, defaults."""
 
 import json
 import os
@@ -7,6 +8,7 @@ import time
 import pytest
 
 from repro.api.artifacts import (
+    DECODED_ENTRIES,
     DiskArtifactStore,
     MemoryArtifactStore,
     artifact_root,
@@ -102,6 +104,102 @@ class TestDiskArtifactStore:
         assert artifact_root("elsewhere") == (
             artifact_root("elsewhere")
         )
+
+
+class TestDecodedValues:
+    """``get(key, decode)`` decodes once per key and keeps the value in a
+    bounded LRU that ``clear``, ``prune``, a re-``put`` and an ``absorb``
+    of the key drop."""
+
+    @staticmethod
+    def decoder():
+        calls = []
+
+        def decode(payload):
+            calls.append(payload["factor"])
+            return ("decoded", payload["factor"])
+
+        return decode, calls
+
+    @pytest.mark.parametrize("store_type", ["memory", "disk"])
+    def test_decoded_once_per_key(self, tmp_path, store_type):
+        store = (MemoryArtifactStore() if store_type == "memory"
+                 else DiskArtifactStore(tmp_path))
+        decode, calls = self.decoder()
+        assert store.get("k", decode) is None
+        store.put("k", PAYLOAD)
+        first = store.get("k", decode)
+        assert first == ("decoded", 4)
+        assert store.get("k", decode) is first
+        assert calls == [4]
+        # A plain get still hands out a fresh payload.
+        assert store.get("k") == PAYLOAD
+        # Another decode function never sees this one's value.
+        other, other_calls = self.decoder()
+        assert store.get("k", other) == ("decoded", 4)
+        assert other_calls == [4]
+        stats = artifact_stats()
+        assert (stats.hits, stats.misses, stats.puts) == (4, 1, 1)
+
+    def test_re_put_drops_the_decoded_value(self):
+        store = MemoryArtifactStore()
+        decode, calls = self.decoder()
+        store.put("k", PAYLOAD)
+        store.get("k", decode)
+        store.put("k", dict(PAYLOAD, factor=8))
+        assert store.get("k", decode) == ("decoded", 8)
+        assert calls == [4, 8]
+
+    def test_absorb_drops_the_decoded_value(self, tmp_path):
+        for store in (MemoryArtifactStore(), DiskArtifactStore(tmp_path)):
+            decode, calls = self.decoder()
+            store.put("k", PAYLOAD)
+            store.get("k", decode)
+            store.absorb({"k": json.dumps(dict(PAYLOAD, factor=8))})
+            assert store.get("k", decode) == ("decoded", 8)
+            assert calls == [4, 8]
+
+    @pytest.mark.parametrize("store_type", ["memory", "disk"])
+    def test_clear_drops_the_decoded_value(self, tmp_path, store_type):
+        store = (MemoryArtifactStore() if store_type == "memory"
+                 else DiskArtifactStore(tmp_path))
+        decode, calls = self.decoder()
+        store.put("k", PAYLOAD)
+        store.get("k", decode)
+        assert store.clear() == 1
+        assert store.get("k", decode) is None
+        store.put("k", PAYLOAD)
+        assert store.get("k", decode) == ("decoded", 4)
+        assert calls == [4, 4]
+
+    def test_prune_drops_the_decoded_value(self, tmp_path):
+        store = DiskArtifactStore(tmp_path)
+        decode, calls = self.decoder()
+        store.put("old", PAYLOAD)
+        assert store.get("old", decode) == ("decoded", 4)
+        stale = time.time() - 3600
+        os.utime(store.entry_path("old"), (stale, stale))
+        assert store.prune(older_than_seconds=60) == 1
+        assert store.get("old", decode) is None
+        assert calls == [4]
+
+    def test_lru_never_exceeds_its_bound(self):
+        store = MemoryArtifactStore()
+        decode, calls = self.decoder()
+        keys = [f"k{n}" for n in range(DECODED_ENTRIES + 5)]
+        for n, key in enumerate(keys):
+            store.put(key, dict(PAYLOAD, factor=n))
+        for key in keys + keys[::-1]:
+            store.get(key, decode)
+            assert len(store._decoded) <= DECODED_ENTRIES
+        # The most recently used keys are served without a decode; the
+        # least recently used one was evicted and decodes again.
+        calls.clear()
+        for key in keys[:DECODED_ENTRIES]:
+            store.get(key, decode)
+        assert calls == []
+        store.get(keys[-1], decode)
+        assert calls == [len(keys) - 1]
 
 
 class TestCounters:

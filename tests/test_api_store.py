@@ -212,6 +212,22 @@ class TestDiskStoreConcurrencyHardening:
         assert len(delays) == store.READ_ATTEMPTS - 1
         assert entry.is_dir()
 
+    @pytest.mark.parametrize("store_type", [DiskStore, DiskArtifactStore])
+    def test_directory_at_an_entry_path_is_no_entry(
+            self, tmp_path, monkeypatch, store_type):
+        """Only a regular file is an entry: a directory where one should
+        be is no key, counts toward neither ``len`` nor ``size_bytes``
+        (``repro cache info``), reads as a miss and is nothing ``clear``
+        removed."""
+        monkeypatch.setattr("repro.api.store.time.sleep", lambda _s: None)
+        store = store_type(tmp_path)
+        store.entry_path("blocked").mkdir(parents=True)
+        assert list(store.keys()) == []
+        assert len(store) == 0
+        assert store.size_bytes() == 0
+        assert store.get("blocked") is None
+        assert store.clear() == 0
+
     @pytest.mark.parametrize("store_type, value", [
         (DiskStore, make_record(cycles=41)),
         (DiskArtifactStore, {"ddg": [1, 2], "factor": 2}),

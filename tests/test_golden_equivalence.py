@@ -17,7 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.artifacts import DiskArtifactStore, MemoryArtifactStore
+from repro.api.artifacts import (
+    ArtifactStore,
+    DiskArtifactStore,
+    MemoryArtifactStore,
+)
 from repro.api.core import execute_spec
 from repro.api.spec import ALL_VARIANTS, RunSpec
 
@@ -113,11 +117,11 @@ class TestScenarioCross:
         """A store that forgets everything (every stage recomputes, every
         spec cold) must still produce golden-identical records."""
 
-        class _NullArtifacts:
-            def get(self, key):
+        class _NullArtifacts(ArtifactStore):
+            def _get(self, key):
                 return None
 
-            def put(self, key, payload):
+            def _put(self, key, text):
                 pass
 
         name = cap.scenario_names()[0]

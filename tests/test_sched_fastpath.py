@@ -5,7 +5,8 @@ schedule.
 positive-cycle jumps, bounds the latency ladder to the base II (a
 level whose RecMII exceeds it raises ``RecurrenceError`` before any
 placement), picks ops from a heap, scans for the first free slot in one
-call and keeps its reservation table in int-keyed cells and per-bus
+call, resolves each op's table row and adjacency once per call and
+keeps its reservation table in row-indexed cell lists and per-bus
 bitmasks.  ``sched_reference`` is the scheduler before those changes.
 The two must agree on ``rec_mii`` and ``minimum_ii`` at every ladder
 level (where the reference raises a plain ``SchedulingError`` on RecMII,
@@ -26,9 +27,12 @@ whole :class:`~repro.sched.schedule.Schedule` the latency policy returns
   machines × variants through the ``repro run`` pipeline, each cell
   also checked by the independent schedule verifier; a failure names
   the ``repro run`` command that replays the cell;
-* and, for the reservation table alone, over random
+* for the reservation table alone, over random
   ``place``/``remove``/``fits``/``first_fit``/``conflicting_ops``
-  sequences on machines with several register buses.
+  sequences on machines with several register buses, the fast table
+  taking the row :func:`~repro.sched.schedule.table_row` resolves;
+* and, without the reference, the ``modulo_schedule`` calls and
+  ``sched.ladder_levels`` outcomes of the fixed cross stay pinned.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from repro.api.spec import ALL_VARIANTS, RunSpec
 from repro.arch.config import BusConfig, FuKind, MachineConfig, named_config
 from repro.errors import CheckError, RecurrenceError, SchedulingError
 from repro.ir import Ddg, DepKind, Opcode
+from repro.obs import metrics
 from repro.scenarios import FAMILIES, ScenarioParams, build_scenario_ddg
 from repro.scenarios.machines import machine_grid
 from repro.sched import (
@@ -59,7 +64,7 @@ from repro.sched import (
     stages,
 )
 from repro.sched.latency import schedule_with_latency_policy
-from repro.sched.schedule import ReservationTable
+from repro.sched.schedule import ReservationTable, table_row
 from repro.workloads import trace_factory
 
 import sched_reference as reference
@@ -211,6 +216,45 @@ def test_schedule_matches_reference(artifacts, machine, params, variant):
             artifacts=artifacts(params, machine),
         )
     assert not mismatches, mismatches[0]
+
+
+#: ``modulo_schedule`` calls and ``sched.ladder_levels`` outcomes of the
+#: fixed cross (the six scenarios x the six variants) on one machine,
+#: pinned at the values of the scheduler before ops were resolved once
+#: per call: a faster search must make the same calls with the same
+#: outcomes.
+LADDER_PINS = {
+    "baseline": (112, {"accepted": 23, "no_fit": 2, "recmii": 36,
+                       "too_long": 15}),
+    "nobal+mem": (124, {"accepted": 18, "no_fit": 22, "recmii": 34,
+                        "too_long": 14}),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(LADDER_PINS))
+def test_ladder_counts_are_pinned(machine):
+    calls = []
+    modulo_schedule = latency.modulo_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return modulo_schedule(*args, **kwargs)
+
+    with metrics.capture() as reg, \
+            mock.patch.object(latency, "modulo_schedule", counted):
+        for params in SCENARIOS:
+            artifacts = MemoryArtifactStore()
+            for variant in ALL_VARIANTS:
+                compile_loop(
+                    build_scenario_ddg(params), named_config(machine),
+                    coherence=variant.coherence,
+                    heuristic=variant.heuristic,
+                    trace_factory=trace_factory(64, seed=5),
+                    profile_iterations=64, artifacts=artifacts,
+                )
+    levels = {dict(labels)["outcome"]: value
+              for labels, value in reg.counter_items("sched.ladder_levels")}
+    assert (len(calls), levels) == LADDER_PINS[machine]
 
 
 def test_slow_memory_recurrence_reaches_the_hundreds():
@@ -441,21 +485,24 @@ def test_fuzzed_table_matches_reference(run):
     scheduler's forced placement).  After every action, ``fits`` and
     ``conflicting_ops`` agree for every op, cluster and slot, and
     ``first_fit`` from a few starts is the first time the reference
-    ``fits``."""
+    ``fits``.  The fast table takes the row :func:`table_row` resolves
+    from the op and its cluster, as the scheduler passes it; the
+    reference takes the op and the cluster."""
     machine, ii, actions = run
     ops = table_ops()
     fast, ref = ReservationTable(machine, ii), reference.ReservationTable(
         machine, ii)
     placed = {}
 
-    def both(method, *args):
-        want = getattr(ref, method)(*args)
-        assert getattr(fast, method)(*args) == want, (method, args)
+    def both(method, instr, cluster, time):
+        want = getattr(ref, method)(instr, cluster, time)
+        got = getattr(fast, method)(table_row(instr, cluster), time)
+        assert got == want, (method, instr, cluster, time)
         return want
 
     def remove(iid):
         cluster, time = placed.pop(iid)
-        fast.remove(ops[iid], cluster, time)
+        fast.remove(iid, table_row(ops[iid], cluster), time)
         ref.remove(ops[iid], cluster, time)
 
     for index, cluster, time in actions:
@@ -467,20 +514,22 @@ def test_fuzzed_table_matches_reference(run):
                 for victim in both("conflicting_ops", instr, cluster, time):
                     remove(victim)
             if both("fits", instr, cluster, time):
-                fast.place(instr, cluster, time)
+                fast.place(instr.iid, table_row(instr, cluster), time)
                 ref.place(instr, cluster, time)
                 placed[instr.iid] = (cluster, time)
             else:
-                for table in (fast, ref):
-                    with pytest.raises(SchedulingError):
-                        table.place(instr, cluster, time)
+                with pytest.raises(SchedulingError):
+                    fast.place(instr.iid, table_row(instr, cluster), time)
+                with pytest.raises(SchedulingError):
+                    ref.place(instr, cluster, time)
         for probe in ops:
             for c in range(machine.num_clusters):
                 for t in range(ii):
                     both("fits", probe, c, t)
                     both("conflicting_ops", probe, c, t)
+                row = table_row(probe, c)
                 for start in (-1, 0, ii - 1, ii + 2):
                     first = next((t for t in range(start, start + ii)
                                   if ref.fits(probe, c, t)), None)
-                    assert fast.first_fit(probe, c, start) == first, (
+                    assert fast.first_fit(row, start) == first, (
                         "first_fit", probe, c, start)

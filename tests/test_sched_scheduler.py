@@ -9,7 +9,12 @@ from repro.ir import Ddg, DdgBuilder, DepKind, Opcode
 from repro.sched.cluster import ClusterAssignment, HeuristicKind
 from repro.sched.mii import assignment_res_mii, minimum_ii, rec_mii, res_mii
 from repro.sched.modulo import modulo_schedule
-from repro.sched.schedule import ReservationTable, edge_latency
+from repro.sched.schedule import (
+    BUS_ROW,
+    ReservationTable,
+    edge_latency,
+    table_row,
+)
 
 
 class TestResMii:
@@ -100,18 +105,29 @@ class TestReservationTable:
         ddg = Ddg()
         a = ddg.add_instruction(Opcode.IALU, dest="a")
         b = ddg.add_instruction(Opcode.IALU, dest="b")
-        table.place(a, cluster=0, time=0)
-        assert not table.fits(b, cluster=0, time=2)  # same modulo slot
-        assert table.fits(b, cluster=0, time=1)
-        assert table.fits(b, cluster=1, time=0)  # other cluster
+        table.place(a.iid, table_row(a, 0), time=0)
+        assert not table.fits(table_row(b, 0), time=2)  # same modulo slot
+        assert table.fits(table_row(b, 0), time=1)
+        assert table.fits(table_row(b, 1), time=0)  # other cluster
+
+    def test_rows_split_clusters_and_unit_classes(self):
+        ddg = Ddg()
+        add = ddg.add_instruction(Opcode.IALU, dest="a")
+        mul = ddg.add_instruction(Opcode.FMUL, dest="m")
+        copy = ddg.add_instruction(Opcode.COPY, dest="c")
+        rows = {table_row(instr, cluster)
+                for instr in (add, mul) for cluster in range(4)}
+        assert len(rows) == 8
+        assert table_row(copy, 0) == table_row(copy, 3) == BUS_ROW
 
     def test_remove_frees_slot(self):
         table = ReservationTable(BASELINE_CONFIG, ii=2)
         ddg = Ddg()
         a = ddg.add_instruction(Opcode.IALU, dest="a")
-        table.place(a, 0, 0)
-        table.remove(a, 0, 0)
-        assert table.fits(a, 0, 0)
+        row = table_row(a, 0)
+        table.place(a.iid, row, 0)
+        table.remove(a.iid, row, 0)
+        assert table.fits(row, 0)
 
     def test_copies_occupy_bus_for_latency_slots(self):
         table = ReservationTable(BASELINE_CONFIG, ii=4)
@@ -121,19 +137,19 @@ class TestReservationTable:
         ]
         # 4 buses, each transfer holds 2 slots; slot 0 overlaps slot 3+1...
         for k in range(4):
-            table.place(copies[k], 0, 0)
-        assert not table.fits(copies[4], 0, 0)
-        assert not table.fits(copies[4], 0, 1)  # window [1,2] overlaps [0,1]?
+            table.place(copies[k].iid, BUS_ROW, 0)
+        assert not table.fits(BUS_ROW, 0)
+        assert not table.fits(BUS_ROW, 1)  # window [1,2] overlaps [0,1]?
         # slot 2: windows [2,3] do not overlap [0,1]
-        assert table.fits(copies[4], 0, 2)
+        assert table.fits(BUS_ROW, 2)
 
     def test_conflicting_ops_reports_victims(self):
         table = ReservationTable(BASELINE_CONFIG, ii=1)
         ddg = Ddg()
         a = ddg.add_instruction(Opcode.IALU, dest="a")
         b = ddg.add_instruction(Opcode.IALU, dest="b")
-        table.place(a, 0, 0)
-        assert table.conflicting_ops(b, 0, 0) == [a.iid]
+        table.place(a.iid, table_row(a, 0), 0)
+        assert table.conflicting_ops(table_row(b, 0), 0) == [a.iid]
 
 
 class TestModuloScheduler:

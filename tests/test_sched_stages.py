@@ -1,7 +1,13 @@
-"""The staged pipeline: the front-end artifact key, artifact sharing."""
+"""The staged pipeline: the front-end artifact key, artifact sharing,
+decoded replays."""
+
+import warnings
 
 import pytest
 
+from repro.alias.profiles import ClusterProfile
+from repro.api import ALL_VARIANTS as API_VARIANTS
+from repro.api import MemoryStore, Plan, Runner
 from repro.api.artifacts import (
     DiskArtifactStore,
     MemoryArtifactStore,
@@ -9,6 +15,7 @@ from repro.api.artifacts import (
     reset_artifact_stats,
 )
 from repro.arch.config import BASELINE_CONFIG
+from repro.ir import Ddg, Opcode
 from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sched.stages import (
     FRONTEND_STAGES,
@@ -114,23 +121,24 @@ def _whole(result):
     )
 
 
-class TestFrontendSharing:
-    def _compile(self, loop_spec, coherence, heuristic, artifacts):
-        bench, spec = loop_spec
-        return compile_loop(
-            spec.ddg,
-            bench.machine(MACHINE),
-            coherence=coherence,
-            heuristic=heuristic,
-            trace_factory=trace_factory(256, seed=bench.profile_seed),
-            unroll_factor=spec.unroll,
-            artifacts=artifacts,
-        )
+def compile_variant(loop_spec, coherence, heuristic, artifacts):
+    bench, spec = loop_spec
+    return compile_loop(
+        spec.ddg,
+        bench.machine(MACHINE),
+        coherence=coherence,
+        heuristic=heuristic,
+        trace_factory=trace_factory(256, seed=bench.profile_seed),
+        unroll_factor=spec.unroll,
+        artifacts=artifacts,
+    )
 
+
+class TestFrontendSharing:
     def test_variant_cross_executes_frontend_once(self, loop_spec):
         artifacts = MemoryArtifactStore()
         for coherence, heuristic in ALL_VARIANTS:
-            self._compile(loop_spec, coherence, heuristic, artifacts)
+            compile_variant(loop_spec, coherence, heuristic, artifacts)
         counters = stage_counters()
         for stage in FRONTEND_STAGES:
             assert counters.executed[stage] == 1, stage
@@ -140,7 +148,7 @@ class TestFrontendSharing:
 
     def test_without_store_frontend_repeats(self, loop_spec):
         for coherence, heuristic in ALL_VARIANTS:
-            self._compile(loop_spec, coherence, heuristic, None)
+            compile_variant(loop_spec, coherence, heuristic, None)
         counters = stage_counters()
         for stage in FRONTEND_STAGES:
             assert counters.executed[stage] == len(ALL_VARIANTS), stage
@@ -149,7 +157,7 @@ class TestFrontendSharing:
         """One lookup per compile; one miss and one put per front end."""
         artifacts = MemoryArtifactStore()
         for coherence, heuristic in ALL_VARIANTS:
-            self._compile(loop_spec, coherence, heuristic, artifacts)
+            compile_variant(loop_spec, coherence, heuristic, artifacts)
         stats = artifact_stats()
         assert (stats.lookups, stats.misses, stats.puts) == (
             len(ALL_VARIANTS), 1, 1)
@@ -157,12 +165,12 @@ class TestFrontendSharing:
         assert key.startswith("frontend-")
 
     def test_fresh_disk_store_replays_the_cross(self, loop_spec, tmp_path):
-        self._compile(loop_spec, CoherenceMode.NONE, Heuristic.MINCOMS,
-                      DiskArtifactStore(tmp_path))
+        compile_variant(loop_spec, CoherenceMode.NONE, Heuristic.MINCOMS,
+                        DiskArtifactStore(tmp_path))
         reset_stage_counters()
         replay = DiskArtifactStore(tmp_path)
         for coherence, heuristic in ALL_VARIANTS:
-            self._compile(loop_spec, coherence, heuristic, replay)
+            compile_variant(loop_spec, coherence, heuristic, replay)
         counters = stage_counters()
         assert counters.frontend_executions() == 0
         assert counters.executed["schedule"] == len(ALL_VARIANTS)
@@ -172,12 +180,13 @@ class TestFrontendSharing:
         the same directory compile every variant identically — iteration
         order included, which ``Ddg.fingerprint()`` ignores."""
         warm = MemoryArtifactStore()
-        self._compile(loop_spec, CoherenceMode.NONE, Heuristic.MINCOMS, warm)
+        compile_variant(loop_spec, CoherenceMode.NONE, Heuristic.MINCOMS,
+                        warm)
         for n, (coherence, heuristic) in enumerate(ALL_VARIANTS):
             root = tmp_path / str(n)
             results = {
-                case: _whole(self._compile(loop_spec, coherence, heuristic,
-                                           store))
+                case: _whole(compile_variant(loop_spec, coherence,
+                                             heuristic, store))
                 for case, store in (
                     ("no store", None),
                     ("cold store", DiskArtifactStore(root)),
@@ -196,8 +205,8 @@ class TestFrontendSharing:
         spec of the same trace compiles."""
         bench, spec = loop_spec
         keyed_factory = trace_factory(256, seed=bench.profile_seed)
-        keyed = self._compile(loop_spec, CoherenceMode.MDC,
-                              Heuristic.PREFCLUS, MemoryArtifactStore())
+        keyed = compile_variant(loop_spec, CoherenceMode.MDC,
+                                Heuristic.PREFCLUS, MemoryArtifactStore())
         reset_stage_counters()
         reset_artifact_stats()
         artifacts = MemoryArtifactStore()
@@ -220,8 +229,8 @@ class TestFrontendSharing:
 
     def test_explicit_profiles_bypass_the_store(self, loop_spec):
         bench, spec = loop_spec
-        keyed = self._compile(loop_spec, CoherenceMode.MDC,
-                              Heuristic.PREFCLUS, MemoryArtifactStore())
+        keyed = compile_variant(loop_spec, CoherenceMode.MDC,
+                                Heuristic.PREFCLUS, MemoryArtifactStore())
         reset_stage_counters()
         artifacts = MemoryArtifactStore()
         given = compile_loop(
@@ -239,3 +248,87 @@ class TestFrontendSharing:
         assert counters.executed["unroll"] == 1
         assert "profile" not in counters.executed
 
+
+class TestDecodedReplay:
+    """A store decodes each front end once and every compile of the key
+    gets its own copy: what one compile does to its graph or profiles
+    never reaches the next."""
+
+    VARIANTS = sorted(ALL_VARIANTS, key=lambda v: v[0] is not
+                      CoherenceMode.DDGT)
+
+    def test_ddgt_first_then_the_cross_on_one_store(self, loop_spec,
+                                                    tmp_path):
+        """DDGT rewrites the graph it is handed; the compiles after it on
+        the same store (memory, and disk) match a fresh store and no
+        store, variant for variant."""
+        assert self.VARIANTS[0][0] is CoherenceMode.DDGT
+        for shared in (MemoryArtifactStore(), DiskArtifactStore(tmp_path)):
+            for coherence, heuristic in self.VARIANTS * 2:
+                got = _whole(compile_variant(loop_spec, coherence,
+                                             heuristic, shared))
+                fresh = _whole(compile_variant(loop_spec, coherence,
+                                               heuristic,
+                                               MemoryArtifactStore()))
+                alone = _whole(compile_variant(loop_spec, coherence,
+                                               heuristic, None))
+                assert got == fresh == alone, (coherence, heuristic)
+
+    def test_mutating_a_handed_out_front_end_never_reaches_a_replay(
+            self, loop_spec):
+        store = MemoryArtifactStore()
+        want = _whole(compile_variant(loop_spec, CoherenceMode.MDC,
+                                      Heuristic.PREFCLUS, None))
+        for _ in range(3):
+            result = compile_variant(loop_spec, CoherenceMode.MDC,
+                                     Heuristic.PREFCLUS, store)
+            assert _whole(result) == want
+            # Scribble over everything the compile was handed.
+            graph = result.ddg
+            first = next(iter(graph))
+            graph.pin_cluster(first.iid, 3)
+            graph.remove_edges(lambda edge: True)
+            graph.add_instruction(Opcode.IALU, dest="scribble")
+            result.source.add_instruction(Opcode.IALU, dest="scribble")
+            iid = next(iter(result.profiles))
+            result.profiles[iid] = ClusterProfile((99, 0, 0, 0))
+            result.profiles[-1] = ClusterProfile((0, 0, 0, 1))
+        assert artifact_stats().puts == 1
+
+    def test_one_decode_per_key_however_many_compiles(self, loop_spec,
+                                                      monkeypatch):
+        decodes = []
+        from_dict = Ddg.from_dict.__func__
+
+        def counted(cls, data):
+            decodes.append(data["name"])
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(Ddg, "from_dict", classmethod(counted))
+        store = MemoryArtifactStore()
+        for coherence, heuristic in ALL_VARIANTS * 2:
+            compile_variant(loop_spec, coherence, heuristic, store)
+        # The first compile computes the front end and keeps its own
+        # graph; the first replay decodes, every later one copies.
+        assert len(decodes) == 1
+        stats = artifact_stats()
+        assert (stats.hits, stats.misses, stats.puts) == (
+            2 * len(ALL_VARIANTS) - 1, 1, 1)
+
+    def test_runner_counters_on_a_catalog_cross(self):
+        """Artifact hits, misses and puts of a catalog cross, pinned at
+        the values of the store before it kept decoded values: a cold
+        run, then the same front ends at another scale (no stored
+        record), which only hits."""
+        store = MemoryArtifactStore()
+        counts = []
+        for scale in (0.05, 0.06):
+            reset_artifact_stats()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                Runner(store=MemoryStore(), artifacts=store).run(Plan.grid(
+                    benchmarks=["epicdec", "pgpdec", "gsmdec"],
+                    variants=API_VARIANTS, scale=scale))
+            stats = artifact_stats()
+            counts.append((stats.hits, stats.misses, stats.puts))
+        assert counts == [(30, 6, 6), (36, 0, 0)]
