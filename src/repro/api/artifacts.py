@@ -222,9 +222,10 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
     ``.repro_cache/artifacts/``), version-stamped and prefix-sharded
     like the record store.
 
-    Payload text is memoized in-process after the first read, so a sweep
-    re-deriving the same key pays the disk read once; decoded values sit
-    beside it in the base class's LRU.
+    The canonical text of the last :data:`DECODED_ENTRIES` entries read
+    or written stays in process, so the compile after a put decodes
+    without rereading the file; older entries are read from their
+    files again.  Decoded values sit beside it in the base class's LRU.
     """
 
     PAYLOAD_FIELD = "artifact"
@@ -234,20 +235,25 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
         if root is None:
             root = artifact_root()
         JsonFileStore.__init__(self, root, version)
-        self._memo: Dict[str, str] = {}
+        self._memo: "OrderedDict[str, str]" = OrderedDict()
+
+    def _remember(self, key: str, text: str) -> None:
+        self._memo[key] = text
+        self._memo.move_to_end(key)
+        if len(self._memo) > DECODED_ENTRIES:
+            self._memo.popitem(last=False)
 
     def _get(self, key: str) -> Optional[str]:
         with trace.span("store.get", cat="store", key=key,
                         kind=self.PAYLOAD_FIELD):
-            memoized = self._memo.get(key)
-            if memoized is not None:
-                return memoized
-            payload = self.get_payload(key)
-            if payload is None:
-                return None
-            text = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":"))
-            self._memo[key] = text
+            text = self._memo.get(key)
+            if text is None:
+                payload = self.get_payload(key)
+                if payload is None:
+                    return None
+                text = json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":"))
+            self._remember(key, text)
             return text
 
     def _put(self, key: str, text: str) -> None:
@@ -260,13 +266,13 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
                 json.dumps(self.version),
             )
             self._put_envelope(key, envelope)
-            self._memo[key] = text
+            self._remember(key, text)
 
     def absorb(self, entries: Dict[str, str]) -> None:
         # The worker's copy wrote these files into the shared directory
-        # already; memoize them as this process's own puts would.
-        self._memo.update(entries)
-        for key in entries:
+        # already; remember them as this process's own puts would.
+        for key, text in entries.items():
+            self._remember(key, text)
             self._decoded.pop(key, None)
 
     def clear(self) -> int:

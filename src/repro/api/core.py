@@ -7,13 +7,25 @@ Compilation rides the staged pipeline (:mod:`repro.sched.stages`)
 against an :class:`~repro.api.artifacts.ArtifactStore`, so the
 variant-independent front end (unrolling, disambiguation, profiling) is
 shared across the coherence × heuristic cross instead of being
-recomputed per variant.  Each loop then simulates once.
+recomputed per variant.
 
-Inside a :func:`model_siblings` block, specs that differ only in their
-memory model also share each loop's compiled result, execution trace
-(with its address tables) and the checker's expected versions: none of
-them depends on the model.  The runner opens one block per group of
-such siblings and closes it before yielding the group's records.
+Inside a :class:`LoopMemo`, the specs of one group also share each
+loop's back end, keyed by what the loop will compute:
+
+* specs that differ only in their memory model share the loop's
+  compiled result, execution trace (with its address tables) and the
+  checker's expected versions, none of which depends on the model; each
+  still simulates;
+* on a *chain-free* loop, one whose disambiguated graph has no
+  memory-dependent chain, MDC and DDGT compile exactly what free
+  compiles with the same heuristic (MDC constrains only chain members,
+  DDGT replicates only stores dependent on another op and rewrites only
+  MA edges), so every coherence variant of a heuristic shares that
+  compile, and specs that also share the model share the simulated
+  loop record, relabelled with their own variant.
+
+The runner keeps one memo per front-end group; entries are dropped once
+the last spec that maps onto them is done with the loop.
 """
 
 from __future__ import annotations
@@ -21,8 +33,8 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.records import LoopRecord, RunRecord
@@ -34,11 +46,13 @@ from repro.api.spec import (
 )
 from repro.arch.config import MachineConfig
 from repro.errors import WorkloadError
-from repro.obs import trace
-from repro.sched.stages import CompilationResult, compile_loop
+from repro.obs import metrics, trace
+from repro.sched.mdc import memory_dependent_chains
+from repro.sched.stages import CoherenceMode, CompilationResult, compile_loop
 from repro.sim.coherence import ExpectedVersions, expected_versions
 from repro.sim.executor import simulate
 from repro.sim.models import DEFAULT_MODEL
+from repro.sim.stats import SimStats
 from repro.workloads.catalog import Benchmark, LoopSpec, get_benchmark
 from repro.workloads.traces import AddressTrace, trace_factory
 
@@ -119,12 +133,23 @@ class _LoopInputs:
     iteration_floor: int
 
 
-#: The open :func:`model_siblings` memo: (sibling key, loop) -> inputs.
+@dataclass
+class _SharedLoop:
+    """One memo entry: a loop's simulation inputs and the records
+    simulated from them, by memory model."""
+
+    inputs: _LoopInputs
+    records: Dict[str, LoopRecord] = field(default_factory=dict)
+
+
+#: The memo key of a (spec, loop): a sibling key and the loop's name.
+_MemoKey = Tuple[RunSpec, str]
+
+#: The :class:`LoopMemo` the running :func:`execute_spec` call consults.
 #: A context variable rather than a parameter, so ``execute_spec`` keeps
 #: the ``(spec, artifacts=)`` signature its callers and wrappers use.
-_SIBLING_MEMO: ContextVar[
-    Optional[Dict[Tuple[RunSpec, str], _LoopInputs]]
-] = ContextVar("repro_sibling_memo", default=None)
+_LOOP_MEMO: ContextVar[Optional["LoopMemo"]] = ContextVar(
+    "repro_loop_memo", default=None)
 
 
 def sibling_key(spec: RunSpec) -> RunSpec:
@@ -133,22 +158,121 @@ def sibling_key(spec: RunSpec) -> RunSpec:
     return replace(spec, model=DEFAULT_MODEL)
 
 
-@contextmanager
-def model_siblings() -> Iterator[None]:
-    """Share simulation inputs between the :func:`execute_spec` calls
-    made inside the block.
+def chain_free_key(spec: RunSpec) -> RunSpec:
+    """:func:`sibling_key` with coherence ``none``: what every coherence
+    variant of ``spec``'s heuristic compiles on a chain-free loop."""
+    heuristic = spec.variant_obj.heuristic
+    return replace(spec, model=DEFAULT_MODEL,
+                   variant=Variant(CoherenceMode.NONE, heuristic).key)
 
-    A loop's compilation, execution trace and expected versions are
-    computed by the first call that needs them and reused by its model
-    siblings; each call still simulates under its own model.  The memo
-    lives exactly as long as the block, so nothing it holds outlives the
-    sibling group.
+
+class LoopMemo:
+    """Loop work shared between the :func:`execute_spec` calls of one
+    group of specs, keyed by what each loop will compute.
+
+    A (spec, loop) maps to ``(chain_free_key(spec), loop)`` when the
+    loop's disambiguated graph has no memory-dependent chain (no MF/MA/MO
+    edge between two distinct memory ops): MDC then leaves every op free
+    and DDGT replicates and synchronizes nothing, so every coherence
+    variant compiles what free compiles with the same heuristic.  Any
+    other loop maps to ``(sibling_key(spec), loop)``.  The first compile
+    of a loop decides which: its ``source`` is the shared front end, so
+    every variant would see the same answer.
+
+    Specs that map to one key share the loop's compile, execution trace
+    and checker oracle; those that also share the model reuse the
+    simulated :class:`LoopRecord`, relabelled with their variant.
+    Failures are never shared: nothing that raised is kept, and a spec
+    whose simulation of another variant's compile raises compiles and
+    simulates the loop itself.
+
+    Entries are reference-counted against the group's specs that have
+    not yet passed the loop, so each is dropped once the last spec that
+    maps onto it is done with the loop.  Use one memo per group: run
+    each spec through :meth:`active`.
     """
-    token = _SIBLING_MEMO.set({})
-    try:
-        yield
-    finally:
-        _SIBLING_MEMO.reset(token)
+
+    def __init__(self, specs: Iterable[RunSpec]) -> None:
+        #: unfinished spec -> (front-end key, sibling key, chain-free key)
+        self._specs: Dict[RunSpec, Tuple[str, RunSpec, RunSpec]] = {
+            spec: (spec.frontend_key, sibling_key(spec),
+                   chain_free_key(spec))
+            for spec in specs
+        }
+        #: front-end key -> {loop: whether the loop is chain-free}
+        self._chain_free: Dict[str, Dict[str, bool]] = {}
+        #: (front-end key, loop) -> the specs done with that loop
+        self._passed: Dict[Tuple[str, str], Set[RunSpec]] = {}
+        self._entries: Dict[_MemoKey, _SharedLoop] = {}
+        self._refs: Dict[_MemoKey, int] = {}
+
+    @contextmanager
+    def active(self) -> Iterator[None]:
+        """Make this memo the one :func:`execute_spec` calls consult."""
+        token = _LOOP_MEMO.set(self)
+        try:
+            yield
+        finally:
+            _LOOP_MEMO.reset(token)
+
+    def __len__(self) -> int:
+        """The number of entries held now."""
+        return len(self._entries)
+
+    # -- the execute_spec side -----------------------------------------
+    def _key(self, spec: RunSpec, loop: str) -> Optional[_MemoKey]:
+        """Where ``(spec, loop)`` maps, or ``None`` while undecided."""
+        frontend, sibling, free = self._specs[spec]
+        chain_free = self._chain_free.get(frontend, {}).get(loop)
+        if chain_free is None:
+            return None
+        return (free if chain_free else sibling, loop)
+
+    def _lookup(self, spec: RunSpec, loop: str) -> Optional[_SharedLoop]:
+        key = self._key(spec, loop)
+        return None if key is None else self._entries.get(key)
+
+    def _keep(self, spec: RunSpec, loop: str,
+              inputs: _LoopInputs) -> _SharedLoop:
+        """Hold ``inputs``, which ``spec`` computed for ``loop``, for the
+        specs that map onto the same key; the first compile of the loop
+        decides whether it is chain-free."""
+        frontend, sibling, free = self._specs[spec]
+        decided = self._chain_free.setdefault(frontend, {})
+        if loop not in decided:
+            chain_free = decided[loop] = not memory_dependent_chains(
+                inputs.compiled.source)
+            passed = self._passed.get((frontend, loop), ())
+            for other, (front, o_sibling, o_free) in self._specs.items():
+                if front == frontend and other not in passed:
+                    counted = (o_free if chain_free else o_sibling, loop)
+                    self._refs[counted] = self._refs.get(counted, 0) + 1
+        key = (free if decided[loop] else sibling, loop)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _SharedLoop(inputs)
+        return entry
+
+    def _release(self, spec: RunSpec, loop: str) -> None:
+        """``spec`` is done with ``loop``: drop the loop's entry if no
+        other spec maps onto it."""
+        passed = self._passed.setdefault((self._specs[spec][0], loop), set())
+        if spec in passed:
+            return
+        passed.add(spec)
+        key = self._key(spec, loop)
+        if key is None:
+            return
+        self._refs[key] -= 1
+        if not self._refs[key]:
+            del self._refs[key]
+            self._entries.pop(key, None)
+
+    def _finish(self, spec: RunSpec) -> None:
+        """``spec`` ended, whether or not it reached every loop."""
+        for loop in tuple(self._chain_free.get(self._specs[spec][0], ())):
+            self._release(spec, loop)
+        del self._specs[spec]
 
 
 def execute_spec(spec: RunSpec,
@@ -159,16 +283,25 @@ def execute_spec(spec: RunSpec,
 
     ``artifacts`` (default: the process-wide store) shares front-end
     compilation stages with every other spec run in this process.
-    Inside a :func:`model_siblings` block, the loops' simulation inputs
-    are shared with the block's other calls.
+    Inside :meth:`LoopMemo.active` of a memo built over ``spec``, loops
+    share work with the memo's other specs.
     """
+    memo = _LOOP_MEMO.get()
+    if memo is None or spec not in memo._specs:
+        return _execute(spec, artifacts, None)
+    try:
+        return _execute(spec, artifacts, memo)
+    finally:
+        memo._finish(spec)
+
+
+def _execute(spec: RunSpec, artifacts: Optional[ArtifactStore],
+             memo: Optional[LoopMemo]) -> RunRecord:
     if artifacts is None:
         artifacts = default_artifact_store()
     machine = resolve_machine(spec)
     variant = spec.variant_obj
     key = spec.content_hash
-    memo = _SIBLING_MEMO.get()
-    sibling = sibling_key(spec) if memo is not None else None
     with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
                     machine=spec.machine, spec_key=key):
         bench = get_benchmark(spec.benchmark)
@@ -191,18 +324,63 @@ def execute_spec(spec: RunSpec,
             model=spec.model,
         )
         for loop_spec in loops:
-            inputs = None
-            if memo is not None:
-                inputs = memo.get((sibling, loop_spec.name))
-            if inputs is None:
+            if memo is None:
                 inputs = _loop_inputs(bench, loop_spec, variant, machine,
                                       spec.scale, spec.seeds, artifacts)
-                if memo is not None:
-                    memo[(sibling, loop_spec.name)] = inputs
-            record.loops.append(
-                _run_loop(bench, loop_spec, variant, inputs, spec.model)
-            )
+                loop = _run_loop(bench, loop_spec, variant, inputs,
+                                 spec.model)
+            else:
+                loop = _shared_loop(memo, spec, bench, loop_spec, variant,
+                                    machine, artifacts)
+                memo._release(spec, loop_spec.name)
+            record.loops.append(loop)
         return record
+
+
+def _shared_loop(
+    memo: LoopMemo,
+    spec: RunSpec,
+    bench: Benchmark,
+    loop_spec: LoopSpec,
+    variant: Variant,
+    machine: MachineConfig,
+    artifacts: ArtifactStore,
+) -> LoopRecord:
+    """One loop's record through ``memo``: reused, simulated from shared
+    inputs, or computed here and kept for the specs that map onto it."""
+    entry = memo._lookup(spec, loop_spec.name)
+    if entry is not None:
+        shared = entry.records.get(spec.model)
+        if shared is not None:
+            metrics.inc("runner.shared_loops", via="chain_free")
+            return replace(shared, variant=variant.key,
+                           stats=_copied(shared.stats))
+        try:
+            loop = _run_loop(bench, loop_spec, variant, entry.inputs,
+                             spec.model)
+        except Exception:
+            if entry.inputs.compiled.coherence is variant.coherence:
+                raise
+            # Failures are never shared: this variant computes the loop
+            # itself below and reports its own outcome.
+        else:
+            metrics.inc("runner.shared_loops", via="model")
+            entry.records[spec.model] = loop
+            return loop
+    inputs = _loop_inputs(bench, loop_spec, variant, machine, spec.scale,
+                          spec.seeds, artifacts)
+    if entry is None:
+        entry = memo._keep(spec, loop_spec.name, inputs)
+    loop = _run_loop(bench, loop_spec, variant, inputs, spec.model)
+    if entry.inputs is inputs:
+        entry.records[spec.model] = loop
+    return loop
+
+
+def _copied(stats: SimStats) -> SimStats:
+    """An independent copy of ``stats``, so no two records share one."""
+    return replace(stats, accesses=dict(stats.accesses),
+                   bus_transfer_kinds=dict(stats.bus_transfer_kinds))
 
 
 def _loop_inputs(

@@ -9,8 +9,8 @@ that yields results *as they complete*:
 2. misses are grouped by :attr:`~repro.api.spec.RunSpec.frontend_key`,
    so the specs of one coherence × heuristic cross — which share their
    compilation front end verbatim — execute together and hit each
-   other's warm artifacts.  Serially the shared
-   :class:`~repro.api.artifacts.ArtifactStore` makes that automatic;
+   other's warm :class:`~repro.api.artifacts.ArtifactStore` entries.
+   Serially the groups run one after another, in first-seen order;
    under ``parallel`` each *group* becomes one task of a worker pool
    that lives for this plan only, fanned out via ``imap_unordered``
    (when there are fewer groups than requested workers, the largest
@@ -19,12 +19,18 @@ that yields results *as they complete*:
    to the resulting task count, so tiny plans never spawn idle
    processes).  The pool ends when the plan finishes, is abandoned or
    re-raises a failure, so no worker outlives its plan;
-3. *model siblings* — specs equal except for ``model`` — run back to
-   back, each through its own ``execute_spec`` call, inside one
-   :func:`~repro.api.core.model_siblings` block, so each loop compiles,
-   generates its execution trace and walks the checker's oracle once
-   for all of them.  The block closes before any of the siblings'
-   results is yielded;
+3. the specs of each group share their loops' back ends through one
+   :class:`~repro.api.core.LoopMemo`, keyed by what each loop will
+   compute: model siblings (specs equal except for ``model``) share a
+   loop's compile, execution trace and checker oracle, and on a
+   chain-free loop (no memory-dependent chain, so MDC and DDGT compile
+   what free compiles) every coherence variant of a heuristic shares
+   the compile, and those that also share the model share the
+   simulated loop record.  Each spec still runs through its own
+   ``execute_spec`` call.  The memo drops each entry once the last
+   spec that maps onto it is done with the loop, and results are
+   yielded only while it holds nothing, so specs that share a loop
+   stream out together;
 4. fresh records are stored the moment they arrive; failures become
    structured :class:`RunError` records instead of killing sibling specs
    mid-flight.
@@ -42,7 +48,6 @@ import copy
 import multiprocessing
 import time
 import traceback as _tb
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -60,8 +65,8 @@ from typing import (
 from repro import errors as _errors
 from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.core import (
+    LoopMemo,
     execute_spec,
-    model_siblings,
     sibling_key,
     suppress_floor_warning,
     warn_floor_from_record,
@@ -165,42 +170,37 @@ StreamItem = Union[RunRecord, RunError]
 
 
 # ----------------------------------------------------------------------
-# Model siblings
+# Shared loops
 # ----------------------------------------------------------------------
-def _sibling_groups(specs: Sequence[RunSpec]) -> List[List[int]]:
-    """Positions of ``specs`` grouped into model siblings, in first-seen
-    group order and plan order within a group."""
-    groups: Dict[RunSpec, List[int]] = {}
-    for pos, spec in enumerate(specs):
-        groups.setdefault(sibling_key(spec), []).append(pos)
-    return list(groups.values())
-
-
-def _execute_siblings(
+def _execute_group(
     specs: Sequence[RunSpec], keys: Sequence[str],
     artifacts: ArtifactStore, spec_done: Callable[[float], None],
-) -> List[StreamItem]:
-    """Execute one group of model siblings back to back, each through
-    its own ``execute_spec`` call, and return their results in order.
+) -> Iterator[Tuple[int, StreamItem]]:
+    """Execute one group of specs, each through its own
+    ``execute_spec`` call, yielding ``(position, item)`` pairs.
 
-    Siblings share one :func:`~repro.api.core.model_siblings` memo,
-    which is dropped before this returns; a failure is captured per
-    spec, so the other siblings still run.  ``spec_done`` receives each
-    spec's elapsed seconds.
+    The specs share one :class:`~repro.api.core.LoopMemo`, active only
+    while a spec executes; a failure is captured per spec, so the
+    others still run.  Items are yielded once the memo holds nothing,
+    so the caller's work on them never adds to the memory the shared
+    loops hold: a spec that shares nothing streams out as it ends, and
+    specs that share a loop come out together after the last of them.
+    ``spec_done`` receives each spec's elapsed seconds.
     """
-    items: List[StreamItem] = []
-    # A lone spec shares nothing, so its loops' inputs need not outlive
-    # each loop.
-    with model_siblings() if len(specs) > 1 else nullcontext():
-        for spec, key in zip(specs, keys):
-            start = time.perf_counter()
-            try:
+    memo = LoopMemo(specs)
+    ended: List[Tuple[int, StreamItem]] = []
+    for pos, (spec, key) in enumerate(zip(specs, keys)):
+        start = time.perf_counter()
+        try:
+            with memo.active():
                 item: StreamItem = execute_spec(spec, artifacts=artifacts)
-            except Exception as exc:
-                item = RunError.from_exception(spec, key, exc)
-            spec_done(time.perf_counter() - start)
-            items.append(item)
-    return items
+        except Exception as exc:
+            item = RunError.from_exception(spec, key, exc)
+        spec_done(time.perf_counter() - start)
+        ended.append((pos, item))
+        if not memo or pos == len(specs) - 1:
+            yield from ended
+            ended.clear()
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +246,9 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Top-level (hence picklable) pool worker: one front-end group in,
     one result dict per spec out, so payloads cross process boundaries
     as pure JSON-able data.  Failures are captured per spec — a bad spec
-    reports a structured error instead of poisoning its group.  Model
-    siblings run back to back and share their simulation inputs, like
-    the serial loop's.
+    reports a structured error instead of poisoning its group.  The
+    task's specs share their loops through one memo, like a serial
+    group's.
 
     Front-end artifacts go through the worker's copy of the runner's
     artifact store: a disk store shares them with every other worker and
@@ -279,17 +279,13 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
 
         previous_tracer = trace.set_tracer(worker_tracer)
         try:
-            for group in _sibling_groups(specs):
-                items = _execute_siblings(
-                    [specs[pos] for pos in group],
-                    [keys[pos] for pos in group], artifacts, spec_done,
+            for pos, item in _execute_group(specs, keys, artifacts,
+                                            spec_done):
+                results[pos] = (
+                    {"record": item.to_dict()}
+                    if isinstance(item, RunRecord)
+                    else {"error": item.to_dict()}
                 )
-                for pos, item in zip(group, items):
-                    results[pos] = (
-                        {"record": item.to_dict()}
-                        if isinstance(item, RunRecord)
-                        else {"error": item.to_dict()}
-                    )
         finally:
             trace.set_tracer(previous_tracer)
     envelope: Dict[str, object] = {
@@ -430,22 +426,20 @@ class Runner:
         specs = [plan.specs[i] for i in misses]
         workers = self._effective_parallel(len(specs))
         if workers <= 1:
-            # The shared artifact store already makes sibling variants
-            # warm for each other; model siblings run back to back.
+            # One front-end group at a time, so its loops are shared
+            # while they are still needed.
             artifacts = self.artifacts
 
             def spec_done(elapsed: float) -> None:
                 metrics.observe("runner.spec_seconds", elapsed,
                                 mode="serial")
 
-            for group in _sibling_groups(specs):
-                items = _execute_siblings(
-                    [specs[pos] for pos in group],
-                    [keys[misses[pos]] for pos in group],
-                    artifacts, spec_done,
-                )
-                for pos, item in zip(group, items):
-                    yield misses[pos], item
+            for group in self._group_indices(specs):
+                for pos, item in _execute_group(
+                    [specs[i] for i in group],
+                    [keys[misses[i]] for i in group], artifacts, spec_done,
+                ):
+                    yield misses[group[pos]], item
             return
 
         siblings = [sibling_key(spec) for spec in specs]

@@ -201,6 +201,27 @@ class TestDecodedValues:
         store.get(keys[-1], decode)
         assert calls == [len(keys) - 1]
 
+    def test_disk_store_holds_at_most_the_bound(self, tmp_path):
+        """However many entries pass through a disk store, it keeps at
+        most ``DECODED_ENTRIES`` texts and as many decoded values in
+        memory; older entries are read from their files again."""
+        store = DiskArtifactStore(tmp_path)
+        decode, calls = self.decoder()
+        keys = [f"k{n}" for n in range(3 * DECODED_ENTRIES)]
+        texts = {}
+        for n, key in enumerate(keys):
+            texts[key] = store.put(key, dict(PAYLOAD, factor=n))
+            assert store.get(key) == dict(PAYLOAD, factor=n)
+            assert store.get(key, decode) == ("decoded", n)
+        store.absorb(texts)
+        for key in keys:
+            store.get(key, decode)
+        held = [value for value in vars(store).values()
+                if isinstance(value, (dict, list, set, tuple))]
+        assert held and all(len(value) <= DECODED_ENTRIES
+                            for value in held)
+        assert calls == list(range(len(keys))) * 2
+
 
 class TestCounters:
     def test_hit_miss_accounting(self, tmp_path):

@@ -226,6 +226,28 @@ class TestFrontendGrouping:
         assert len(artifacts) == loops
         assert all(key.startswith("frontend-") for key in artifacts.keys())
 
+    def test_parallel_front_ends_reach_a_fresh_disk_store(self, tmp_path):
+        """Workers write the front ends to the shared files, which are
+        all a disk store keeps: the parent store after absorbing them,
+        and a fresh store on the same root, replay every one."""
+        from repro.api.artifacts import DiskArtifactStore
+        from repro.obs import metrics
+
+        root = tmp_path / "artifacts"
+        runner = Runner(store=MemoryStore(), parallel=2,
+                        artifacts=DiskArtifactStore(root))
+        runner.run(PLAN)
+        expected = as_json(Runner(store=MemoryStore()).run(PLAN))
+        for artifacts in (runner.artifacts, DiskArtifactStore(root)):
+            with metrics.capture() as reg:
+                records = Runner(store=MemoryStore(),
+                                 artifacts=artifacts).run(PLAN)
+            assert as_json(records) == expected
+            assert reg.counter("artifacts.lookups", outcome="miss") == 0
+            assert reg.counter("artifacts.puts") == 0
+            assert reg.counter("artifacts.lookups", outcome="hit") == \
+                reg.counter("stages.executed", stage="schedule") > 0
+
     def test_workers_honor_a_pinned_artifact_version(self, tmp_path):
         import json
 
@@ -307,7 +329,6 @@ class TestFrontendGrouping:
         artifact hits.  Seeds no other test uses keep the
         process-default store from holding these entries."""
         from repro.obs import metrics
-        from repro.workloads import get_benchmark
 
         def plan(scale):
             return Plan.grid(benchmarks=["gsmdec", "gsmenc"],
@@ -325,11 +346,12 @@ class TestFrontendGrouping:
         assert first.counter("artifacts.puts") == len(serial)
         with metrics.capture() as second:
             runner.run(plan(0.06))
-        loops = sum(len(get_benchmark(name).loops)
-                    for name in ("gsmdec", "gsmenc"))
+        # One lookup per compile: gsmdec and gsmenc each have a chain
+        # loop, compiled under both variants, and a chain-free aux loop,
+        # compiled once (both variants use PrefClus).
         assert second.counter("artifacts.lookups", outcome="miss") == 0
-        assert second.counter("artifacts.lookups",
-                              outcome="hit") == 2 * loops
+        assert second.counter("artifacts.lookups", outcome="hit") == 6
+        assert second.counter("stages.executed", stage="schedule") == 6
 
 
 MODEL_PLAN = Plan.grid(
@@ -479,3 +501,221 @@ class TestModelSiblings:
         assert errors == ["directory", "dls"]
         records = [i for i in items if isinstance(i, RunRecord)]
         assert as_json(records) == as_json(unshared(plan.specs[:1]))
+
+
+CROSS_MODELS = ("snooping", "dls")
+
+
+def cross_plan(reverse=False):
+    """gsmdec (a chain loop and a chain-free aux loop) under all six
+    variants and two models; ``reverse`` runs DDGT and MDC before free."""
+    from repro.api import ALL_VARIANTS
+
+    variants = ALL_VARIANTS[::-1] if reverse else ALL_VARIANTS
+    return Plan.grid(benchmarks="gsmdec", variants=variants, scale=SCALE,
+                     models=CROSS_MODELS)
+
+
+@pytest.fixture(scope="module")
+def unshared_cross():
+    """Each spec of the cross alone, by spec key."""
+    return dict(zip((s.content_hash for s in cross_plan()),
+                    as_json(unshared(cross_plan()))))
+
+
+def chain_free_loops():
+    """gsmdec's loops whose front end has no memory-dependent chain."""
+    from repro.api.spec import PROFILE_ITERATIONS
+    from repro.arch.config import BASELINE_CONFIG
+    from repro.sched import compile_loop
+    from repro.sched.mdc import memory_dependent_chains
+    from repro.workloads import get_benchmark, trace_factory
+
+    bench = get_benchmark("gsmdec")
+    free = set()
+    for loop in bench.loops:
+        compiled = compile_loop(
+            loop.ddg, bench.machine(BASELINE_CONFIG),
+            trace_factory=trace_factory(PROFILE_ITERATIONS,
+                                        seed=bench.profile_seed),
+            unroll_factor=loop.unroll)
+        if not memory_dependent_chains(compiled.source):
+            free.add(loop.name)
+    return free
+
+
+class TestSharedLoops:
+    """On a chain-free loop every coherence variant of a heuristic
+    shares one compile and, per model, one simulation; the records stay
+    those of each spec run alone."""
+
+    def test_the_cross_has_both_kinds_of_loop(self):
+        assert chain_free_loops() == {"gsmdec.aux"}
+
+    @pytest.mark.parametrize("parallel", [None, 2])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["free-first", "free-last"])
+    def test_records_equal_unshared(self, unshared_cross, parallel,
+                                    reverse):
+        plan = cross_plan(reverse)
+        records = Runner(store=MemoryStore(), parallel=parallel,
+                         artifacts=MemoryArtifactStore()).run(plan)
+        assert as_json(records) == [unshared_cross[s.content_hash]
+                                    for s in plan]
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["free-first", "free-last"])
+    def test_compiles_and_simulations_once_per_heuristic(self, monkeypatch,
+                                                         reverse):
+        import repro.api.core as core
+
+        calls = {"compile": [], "simulate": []}
+        compile_loop, simulate = core.compile_loop, core.simulate
+
+        def compiling(ddg, machine, **kwargs):
+            calls["compile"].append(ddg.name)
+            return compile_loop(ddg, machine, **kwargs)
+
+        def simulating(compiled, *args, **kwargs):
+            calls["simulate"].append(compiled.source.name)
+            return simulate(compiled, *args, **kwargs)
+
+        monkeypatch.setattr(core, "compile_loop", compiling)
+        monkeypatch.setattr(core, "simulate", simulating)
+        Runner(store=MemoryStore(), artifacts=MemoryArtifactStore()).run(
+            cross_plan(reverse))
+        # The chain loop: six variants, each simulated per model.  The
+        # aux loop: two heuristics.
+        assert sorted(calls["compile"]) == \
+            ["gsmdec.aux"] * 2 + ["gsmdec.chain"] * 6
+        assert sorted(name.split("@")[0] for name in calls["simulate"]) == \
+            ["gsmdec.aux"] * 4 + ["gsmdec.chain"] * 12
+
+    def test_shared_loops_counter(self):
+        """``runner.shared_loops``: one per (spec, loop) served from
+        another spec's compile.  The chain loop: each variant's dls spec
+        reuses its snooping sibling's compile.  The aux loop: free's dls
+        specs do the same, and the eight MDC/DDGT specs reuse free's
+        record of their heuristic and model."""
+        from repro.obs import metrics
+
+        with metrics.capture() as reg:
+            Runner(store=MemoryStore(),
+                   artifacts=MemoryArtifactStore()).run(cross_plan())
+        assert reg.counter("runner.shared_loops", via="model") == 6 + 2
+        assert reg.counter("runner.shared_loops", via="chain_free") == 8
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["free-first", "free-last"])
+    def test_no_entry_outlives_the_last_spec_that_maps_onto_it(
+            self, monkeypatch, reverse):
+        import repro.api.core as core
+        from repro.api.core import (
+            LoopMemo,
+            chain_free_key,
+            execute_spec,
+            sibling_key,
+        )
+
+        free_loops = chain_free_loops()
+
+        def key(spec, loop):
+            if loop in free_loops:
+                return (chain_free_key(spec), loop)
+            return (sibling_key(spec), loop)
+
+        # In the runner's order: model siblings back to back.
+        plan = list(cross_plan(reverse))
+        (group,) = Runner._group_indices(plan)
+        specs = [plan[i] for i in group]
+        memo = LoopMemo(specs)
+        held = []
+        simulate = core.simulate
+
+        def simulating(*args, **kwargs):
+            held.append(len(memo))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(core, "simulate", simulating)
+        artifacts = MemoryArtifactStore()
+        for done, spec in enumerate(specs, 1):
+            with memo.active():
+                execute_spec(spec, artifacts=artifacts)
+            pending = {key(s, loop) for s in specs[done:]
+                       for loop in ("gsmdec.chain", "gsmdec.aux")}
+            assert set(memo._entries) <= pending
+        assert len(memo) == 0
+        # At most one chain-loop entry (its sibling group's) plus one
+        # aux entry per heuristic.
+        assert max(held) <= 3
+
+    def test_failures_are_never_shared(self, monkeypatch):
+        """An injected failure in free's compile, then in free's
+        simulation, of the chain-free loop stays with the free specs:
+        MDC and DDGT compute the loop themselves and give the records
+        they give alone."""
+        import repro.api.core as core
+        from repro.api.runner import RunError
+        from repro.errors import SchedulingError, SimulationError
+        from repro.sched import CoherenceMode
+
+        plan = cross_plan()
+        expected = dict(zip((s.content_hash for s in plan),
+                            as_json(unshared(plan))))
+        compile_loop, simulate = core.compile_loop, core.simulate
+
+        def failing_compile(ddg, machine, **kwargs):
+            if (kwargs["coherence"] is CoherenceMode.NONE
+                    and ddg.name == "gsmdec.aux"):
+                raise SchedulingError("injected compile failure")
+            return compile_loop(ddg, machine, **kwargs)
+
+        def failing_simulate(compiled, *args, **kwargs):
+            if (compiled.coherence is CoherenceMode.NONE
+                    and compiled.source.name.startswith("gsmdec.aux")):
+                raise SimulationError("injected simulate failure")
+            return simulate(compiled, *args, **kwargs)
+
+        for target, patch in (("compile_loop", failing_compile),
+                              ("simulate", failing_simulate)):
+            monkeypatch.setattr(core, target, patch)
+            items = list(Runner(store=MemoryStore(),
+                                artifacts=MemoryArtifactStore()).stream(
+                plan, on_error="yield"))
+            monkeypatch.undo()
+            errors = [i for i in items if isinstance(i, RunError)]
+            assert sorted(e.spec_key for e in errors) == sorted(
+                s.content_hash for s in plan
+                if s.variant.startswith("none/"))
+            assert all(e.message.startswith("injected") for e in errors)
+            records = [i for i in items if isinstance(i, RunRecord)]
+            assert len(records) == len(plan) - len(errors)
+            for record in records:
+                assert as_json([record]) == [expected[record.spec_key]]
+
+    def test_each_variant_reports_its_own_compile_error(self, monkeypatch):
+        """A compile failure on the chain-free loop is computed by each
+        spec: DDGT's message names its clone ``<loop>+ddgt``."""
+        import repro.sched.stages as stages
+        from repro.api.runner import RunError
+        from repro.errors import SchedulingError
+
+        run_schedule = stages.run_schedule
+
+        def failing(work, machine, assignment):
+            if work.name.startswith("gsmdec.aux"):
+                raise SchedulingError(
+                    f"no schedule found for {work.name!r}")
+            return run_schedule(work, machine, assignment)
+
+        monkeypatch.setattr(stages, "run_schedule", failing)
+        plan = cross_plan(reverse=True)
+        items = list(Runner(store=MemoryStore(),
+                            artifacts=MemoryArtifactStore()).stream(
+            plan, on_error="yield"))
+        assert all(isinstance(item, RunError) for item in items)
+        for item in items:
+            suffix = "+ddgt" if item.spec["variant"].startswith("ddgt/") \
+                else ""
+            assert item.message == (
+                f"no schedule found for 'gsmdec.aux@x4{suffix}'")
