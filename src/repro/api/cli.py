@@ -12,7 +12,8 @@ Built on the same :class:`~repro.api.spec.Plan` objects as the library:
   (:mod:`repro.scenarios`);
 * ``repro check {protocol,conformance,schedule}`` — the exhaustive
   coherence-protocol model checker, the simulator/model conformance
-  bridge, and the static schedule verifier (:mod:`repro.check`);
+  bridge (:mod:`repro.check`), and a compile-only run of the schedule
+  lint every compile ends in (:mod:`repro.sched.lint`);
 * ``repro cache {info,clear,prune}`` — manage the on-disk result and
   artifact stores;
 * ``repro bench {run,compare}`` — config-driven benchmark grids with a
@@ -57,7 +58,7 @@ from repro.api.spec import (
     default_scale,
 )
 from repro.api.store import DEFAULT_CACHE_DIR, DiskStore, MemoryStore
-from repro.errors import ConfigError, ReproError
+from repro.errors import CheckError, ConfigError, ReproError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,8 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check",
-        help="protocol model checker, conformance bridge and static "
-             "schedule verifier (repro.check)",
+        help="protocol model checker, conformance bridge and "
+             "compile-only schedule verification",
     )
     check_sub = p_check.add_subparsers(dest="action", required=True)
 
@@ -223,8 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chk_sched = check_sub.add_parser(
         "schedule",
-        help="statically verify compiled schedules "
-             "(resource/latency/copies/memory-order rules)")
+        help="compile a variant cross and report each compile's "
+             "schedule-lint findings (completeness/resource/latency/"
+             "copies/memory-order rules)")
     p_chk_sched.add_argument(
         "benchmarks", nargs="*", metavar="BENCH",
         help="benchmark names (default: the full catalog)")
@@ -602,11 +604,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         _emit(report.summary(), args.out)
         return 0 if report.ok else 1
 
-    # schedule: compile the requested cross and lint every result.
+    # schedule: compile the requested cross.  Every compile ends in the
+    # schedule lint, whose CheckError names the II and lists the
+    # findings one per line.
     from repro.api.core import PROFILE_ITERATIONS
     from repro.api.spec import parse_variant
     from repro.arch.config import named_config
-    from repro.check import lint_compilation
     from repro.sched import compile_loop
     from repro.workloads.catalog import BENCHMARKS, get_benchmark
     from repro.workloads.traces import trace_factory
@@ -624,14 +627,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
             loops = tuple(s for s in loops if s.name == args.loop)
         for spec in loops:
             for variant in variants:
-                compiled = compile_loop(
-                    spec.ddg, machine,
-                    coherence=variant.coherence,
-                    heuristic=variant.heuristic,
-                    trace_factory=profile,
-                    unroll_factor=spec.unroll,
-                )
-                findings = lint_compilation(compiled)
+                findings: List[str] = []
+                try:
+                    ii = compile_loop(
+                        spec.ddg, machine,
+                        coherence=variant.coherence,
+                        heuristic=variant.heuristic,
+                        trace_factory=profile,
+                        unroll_factor=spec.unroll,
+                    ).ii
+                except CheckError as exc:
+                    header, *findings = str(exc).splitlines()
+                    ii = int(header.rsplit("II=", 1)[1].split()[0])
                 findings_total += len(findings)
                 verdict = (
                     "clean" if not findings
@@ -639,9 +646,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 )
                 lines.append(
                     f"{name:12s} {spec.name:20s} {variant.key:16s} "
-                    f"ii={compiled.ii:3d} {verdict}"
+                    f"ii={ii:3d} {verdict}"
                 )
-                lines.extend(f"    {finding}" for finding in findings)
+                lines.extend(f"  {finding}" for finding in findings)
     lines.append(
         "verdict: "
         + ("all schedules verified" if not findings_total

@@ -66,6 +66,7 @@ from repro import errors as _errors
 from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.core import (
     LoopMemo,
+    chain_free_key,
     execute_spec,
     sibling_key,
     suppress_floor_warning,
@@ -442,9 +443,10 @@ class Runner:
                     yield misses[group[pos]], item
             return
 
+        chain_free = [chain_free_key(spec) for spec in specs]
         siblings = [sibling_key(spec) for spec in specs]
         tasks = self._balance(self._group_indices(specs), workers,
-                              siblings.__getitem__)
+                              chain_free.__getitem__, siblings.__getitem__)
         # Clamp to the post-split task count: a tiny plan on a many-core
         # machine (parallel=-1) must not spawn a pool of idle processes.
         workers = min(workers, len(tasks))
@@ -517,6 +519,7 @@ class Runner:
 
     @staticmethod
     def _balance(groups: List[List[int]], workers: int,
+                 chain_free: Callable[[int], object],
                  sibling: Callable[[int], object]) -> List[List[int]]:
         """Split the largest groups until every worker has a task.
 
@@ -527,22 +530,31 @@ class Runner:
         split halves still share through the file system, and the loss is
         bounded by one redundant front end per extra worker.
 
-        ``sibling`` maps an index to its model-sibling key (see
-        :func:`~repro.api.core.sibling_key`): a split falls on the
-        sibling boundary nearest the middle of the group, so siblings
-        stay in one task unless a task holds nothing else.
+        ``chain_free`` and ``sibling`` map an index to its spec's
+        :func:`~repro.api.core.chain_free_key` and
+        :func:`~repro.api.core.sibling_key`.  A split first gathers the
+        specs of each chain-free key, which share every chain-free
+        loop's compile whatever their coherence, and falls on the
+        chain-free boundary nearest the middle; a group of one
+        chain-free key falls on the sibling boundary nearest the middle.
+        So neither is split unless a task holds nothing else.
         """
         tasks = [list(group) for group in groups]
         while len(tasks) < workers:
             largest = max(range(len(tasks)), key=lambda j: len(tasks[j]))
-            group = tasks[largest]
-            if len(group) <= 1:
+            if len(tasks[largest]) <= 1:
                 break
+            gathered: Dict[object, List[int]] = {}
+            for index in tasks[largest]:
+                gathered.setdefault(chain_free(index), []).append(index)
+            group = [index for same in gathered.values() for index in same]
             mid = (len(group) + 1) // 2
-            cuts = [c for c in range(1, len(group))
-                    if sibling(group[c]) != sibling(group[c - 1])]
-            if cuts:
-                mid = min(cuts, key=lambda c: (abs(c - mid), c))
+            for key in (chain_free, sibling):
+                cuts = [c for c in range(1, len(group))
+                        if key(group[c]) != key(group[c - 1])]
+                if cuts:
+                    mid = min(cuts, key=lambda c: (abs(c - mid), c))
+                    break
             tasks[largest:largest + 1] = [group[:mid], group[mid:]]
         return tasks
 

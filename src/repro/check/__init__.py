@@ -1,4 +1,4 @@
-"""Static checking: protocol model checking and schedule linting.
+"""Static checking: the protocol model checker and its conformance bridge.
 
 ``repro.check`` is the correctness backbone of the memory system: instead
 of *sampling* behaviours the way the simulator-based tests do, it
@@ -12,9 +12,12 @@ of *sampling* behaviours the way the simulator-based tests do, it
 * keeps the model honest with a **conformance bridge** that drives the
   live :class:`~repro.sim.memory.MemorySystem` and replays its event
   trace through the model transition by transition
-  (:mod:`repro.check.conformance`), and
-* post-validates compiler output without simulation via the **static
-  schedule verifier** (:mod:`repro.check.schedule_lint`).
+  (:mod:`repro.check.conformance`).
+
+The schedule lint lives with the compiler it checks
+(:mod:`repro.sched.lint`), since every compile runs it; this package
+re-exports :class:`LintFinding` and :func:`lint_compilation` for
+callers that lint a result themselves.
 
 Seeded protocol mutations (including a re-injection of the stale-read
 bug fixed in an early revision) live in :mod:`repro.check.mutations` and
@@ -27,8 +30,8 @@ counterexample trace.
 from repro.check.explorer import CheckReport, Counterexample, check_protocol
 from repro.check.model import ModelOp, ProtocolModel, enumerate_programs
 from repro.check.mutations import MUTATIONS
-from repro.check.schedule_lint import LintFinding, lint_compilation
 from repro.check.variants import CHECK_MODELS, named_check_model
+from repro.sched.lint import LintFinding, lint_compilation
 
 __all__ = [
     "CHECK_MODELS",

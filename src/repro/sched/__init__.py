@@ -3,7 +3,8 @@
 Public entry point: :func:`repro.sched.stages.compile_loop`, which runs
 the staged pipeline (unrolling, disambiguation, profiling, MDC or DDGT,
 cluster assignment, copy insertion, latency assignment, iterative modulo
-scheduling, MinComs post-pass) and returns a
+scheduling, MinComs post-pass, and the schedule lint of
+:mod:`repro.sched.lint` as its last stage) and returns a
 :class:`~repro.sched.stages.CompilationResult`.  The
 variant-independent front end is content-addressed and shareable
 through an artifact store (see ``docs/architecture.md``).

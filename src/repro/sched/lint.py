@@ -1,11 +1,13 @@
-"""Static schedule verifier — post-validates compiler output, no simulation.
+"""The schedule lint: the ``check`` stage that ends every compile.
 
-``Schedule.validate()`` is the scheduler's own sanity check; this module
-is its independent, *reporting* counterpart: it re-derives every rule
-from the machine description and the final graph, returns findings
-instead of raising on the first problem, and adds the rules that only
-make sense at the whole-compilation level — copy-insertion completeness
-and "memory ops ordered at their home module" under MDC/DDGT.
+:func:`lint_compilation` re-derives every rule from the machine
+description and the final graph and returns all findings instead of
+stopping at the first; :func:`repro.sched.stages.compile_loop` runs it
+on every result and raises :class:`~repro.errors.CheckError` listing
+them.  Besides placement, dependences and unit/bus capacity it checks
+the rules that only make sense at the whole-compilation level:
+copy-insertion completeness and "memory ops ordered at their home
+module" under MDC/DDGT.
 
 Rules (each finding carries its ``rule`` name):
 
@@ -26,23 +28,25 @@ Rules (each finding carries its ``rule`` name):
   so aliased updates apply in the home cluster — locally — before any
   posterior access.
 
-The pipeline exposes this as the opt-in ninth stage (``verify=True`` on
-:func:`repro.sched.stages.compile_loop`) and the CLI as
-``repro check schedule <benchmark> <variant>``.
+``repro check schedule <benchmark>`` compiles a variant cross and
+prints each compile's findings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arch.config import FuKind, MachineConfig
 from repro.ir.ddg import Ddg
 from repro.ir.edges import DepKind, MEMORY_DEP_KINDS
 from repro.sched.cluster import ClusterAssignment
+from repro.sched.coherence import CoherenceMode
 from repro.sched.ddgt import DdgtResult
 from repro.sched.schedule import Schedule, edge_latency
-from repro.sched.stages import CompilationResult, CoherenceMode
+
+if TYPE_CHECKING:  # stages imports this module
+    from repro.sched.stages import CompilationResult
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,10 @@ def _check_resources(
         slot = op.time % ii
         if instr.is_copy:
             # A copy holds a register bus for `latency` consecutive
-            # modulo slots; bus identity is a packing detail, so (as in
-            # Schedule.validate) the per-slot aggregate is the invariant.
+            # modulo slots.  Bus identity is a first-fit packing the
+            # scheduler's reservation table proved feasible; replaying it
+            # in another order can false-negative, so the per-slot
+            # aggregate is the invariant.
             for k in range(machine.register_buses.latency):
                 s = (slot + k) % ii
                 bus_usage[s] = bus_usage.get(s, 0) + 1
@@ -210,41 +216,41 @@ def _check_latencies(
 
 def _check_copies(ddg: Ddg, schedule: Schedule) -> List[LintFinding]:
     findings: List[LintFinding] = []
+    # copy iid -> its register-flow producers, in node order
+    producers = {instr.iid: 0 for instr in ddg if instr.is_copy}
     for edge in ddg.edges():
         if edge.kind is not DepKind.RF:
             continue
-        src = ddg.node(edge.src)
-        dst = ddg.node(edge.dst)
+        if edge.dst in producers:
+            producers[edge.dst] += 1
         src_cluster = schedule.ops[edge.src].cluster
         dst_cluster = schedule.ops[edge.dst].cluster
-        if not src.is_copy and not dst.is_copy:
-            if src_cluster != dst_cluster:
-                findings.append(LintFinding(
-                    "copies",
-                    f"register flow {src.label} -> {dst.label} crosses "
-                    f"clusters {src_cluster} -> {dst_cluster} without a "
-                    f"copy",
-                    edge.dst,
-                ))
-        elif src.is_copy and src_cluster != dst_cluster:
+        if src_cluster == dst_cluster:
+            continue
+        src = ddg.node(edge.src)
+        dst = ddg.node(edge.dst)
+        if src.is_copy:
             findings.append(LintFinding(
                 "copies",
                 f"copy {src.label} lives in cluster {src_cluster} but "
                 f"its consumer {dst.label} is in {dst_cluster}",
                 edge.src,
             ))
-    for instr in ddg:
-        if not instr.is_copy:
-            continue
-        producers = [
-            e for e in ddg.preds(instr.iid) if e.kind is DepKind.RF
-        ]
-        if len(producers) != 1:
+        elif not dst.is_copy:
             findings.append(LintFinding(
                 "copies",
-                f"copy {instr.label} has {len(producers)} producers "
+                f"register flow {src.label} -> {dst.label} crosses "
+                f"clusters {src_cluster} -> {dst_cluster} without a "
+                f"copy",
+                edge.dst,
+            ))
+    for iid, count in producers.items():
+        if count != 1:
+            findings.append(LintFinding(
+                "copies",
+                f"copy {ddg.node(iid).label} has {count} producers "
                 f"(want exactly 1)",
-                instr.iid,
+                iid,
             ))
     return findings
 

@@ -281,65 +281,6 @@ class Schedule:
     def copy_count(self) -> int:
         return sum(1 for op in self.ops.values() if self.ddg.node(op.iid).is_copy)
 
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check dependence and resource constraints; raise on violation.
-
-        This re-checks everything from scratch and is used by tests and by
-        every pipeline run.
-        """
-        for instr in self.ddg:
-            if instr.iid not in self.ops:
-                raise SchedulingError(f"{instr.label} was never scheduled")
-            placed = self.ops[instr.iid]
-            rc = instr.required_cluster
-            if rc is not None and placed.cluster != rc:
-                raise SchedulingError(
-                    f"{instr.label} pinned to cluster {rc} but scheduled in "
-                    f"{placed.cluster}"
-                )
-        for edge in self.ddg.edges():
-            lat = edge_latency(edge, self.ddg, self.machine, self.assumed_latency)
-            lhs = self.ops[edge.dst].time - self.ops[edge.src].time
-            rhs = lat - self.ii * edge.distance
-            if lhs < rhs:
-                raise SchedulingError(
-                    f"dependence violated: {edge} (needs {rhs}, got {lhs})"
-                )
-        # Re-play functional-unit usage exactly (one slot per op, so the
-        # check is order-independent).
-        fu_usage: Dict[Tuple[int, FuKind, int], int] = {}
-        bus_usage: Dict[int, int] = {}
-        for op in self.ops.values():
-            instr = self.ddg.node(op.iid)
-            slot = op.time % self.ii
-            if instr.is_copy:
-                # Copies occupy a register bus for `latency` consecutive
-                # modulo slots.  Bus *identity* is a first-fit packing whose
-                # feasibility the scheduler's reservation table proved
-                # constructively; replaying it in a different order can
-                # false-negative, so validation checks the per-slot
-                # aggregate capacity instead.
-                for k in range(self.machine.register_buses.latency):
-                    s = (slot + k) % self.ii
-                    bus_usage[s] = bus_usage.get(s, 0) + 1
-                continue
-            key = (op.cluster, instr.fu_kind, slot)
-            fu_usage[key] = fu_usage.get(key, 0) + 1
-        for (cluster, kind, slot), used in fu_usage.items():
-            units = self.machine.fu_per_cluster.get(kind, 0)
-            if used > units:
-                raise SchedulingError(
-                    f"{used} {kind} ops in cluster {cluster} slot {slot} "
-                    f"but only {units} unit(s)"
-                )
-        for slot, used in bus_usage.items():
-            if used > self.machine.register_buses.count:
-                raise SchedulingError(
-                    f"{used} copies occupy slot {slot} but only "
-                    f"{self.machine.register_buses.count} register buses"
-                )
-
     def describe(self) -> str:
         """Kernel dump: one line per (slot, cluster) with the ops issued."""
         lines = [

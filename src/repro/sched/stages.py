@@ -3,7 +3,7 @@
 Compilation runs the paper's phases as explicit, named *stages*:
 
     unroll -> disambiguate -> profile -> coherence -> assign -> copies
-           -> schedule -> postpass
+           -> schedule -> postpass -> check
 
 The first three — the **front end** — depend only on the source graph,
 the machine, and the profile trace; they are *identical* across the
@@ -16,7 +16,11 @@ on-disk store — replay the front end instead of recomputing it.
 
 The **back end** (coherence, assign, copies, schedule, postpass) is
 variant-specific and mutates its working graph, so it always executes;
-its stages are named for instrumentation, but not persisted.
+its stages are named for instrumentation, but not persisted.  The last
+stage, ``check``, lints the finished compile (:mod:`repro.sched.lint`)
+and raises :class:`~repro.errors.CheckError` listing every finding, so
+no compile returns a schedule that breaks a placement, dependence,
+capacity, copy or coherence-placement rule.
 
 Artifact stores are duck-typed (``get(key, decode) -> value | None`` /
 ``put(key, dict)``): the real implementations live one layer up in
@@ -27,7 +31,7 @@ each compile a copy — the back end mutates the graphs it receives.
 
 Every stage execution is observable: counts and wall time land in the
 process metrics registry (``stages.executed`` / ``stages.seconds``,
-including the ``check`` verification passes) and, when a tracer is
+including the ``check`` passes) and, when a tracer is
 installed, each stage and artifact interaction becomes a span nested
 under ``compile:<loop>`` — see :mod:`repro.obs` and
 ``docs/observability.md``.
@@ -35,7 +39,6 @@ under ``compile:<loop>`` — see :mod:`repro.obs` and
 
 from __future__ import annotations
 
-import enum
 import json
 import time
 from dataclasses import dataclass, field
@@ -48,7 +51,7 @@ from repro.alias.profiles import (
     profile_preferred_clusters,
 )
 from repro.arch.config import MachineConfig
-from repro.errors import SchedulingError
+from repro.errors import CheckError, SchedulingError
 from repro.hashing import digest
 from repro.ir.ddg import Ddg
 from repro.obs import metrics, trace
@@ -59,21 +62,14 @@ from repro.sched.cluster import (
     HeuristicKind,
     assign_clusters,
 )
+from repro.sched.coherence import CoherenceMode
 from repro.sched.copies import insert_copies
 from repro.sched.ddgt import DdgtResult, apply_ddgt
 from repro.sched.latency import schedule_with_latency_policy
+from repro.sched.lint import lint_compilation
 from repro.sched.mdc import MdcResult, apply_mdc
 from repro.sched.postpass import best_cluster_permutation
 from repro.sched.schedule import Schedule, ScheduledOp
-
-
-class CoherenceMode(enum.Enum):
-    """How memory coherence is guaranteed (or, for NONE, assumed away)."""
-
-    #: optimistic baseline: memory edges constrain timing but not placement
-    NONE = "none"
-    MDC = "mdc"
-    DDGT = "ddgt"
 
 
 #: Public alias: the paper's two cluster-assignment heuristics.
@@ -440,10 +436,13 @@ def compile_loop(
     unroll_factor: Optional[int] = None,
     add_mem_deps: bool = True,
     profile_iterations: Optional[int] = 256,
-    verify: bool = False,
     artifacts=None,
 ) -> CompilationResult:
     """Compile one loop for the clustered machine.
+
+    The result has passed the schedule lint (:mod:`repro.sched.lint`);
+    a compile with any finding raises :class:`~repro.errors.CheckError`
+    listing them all.
 
     Parameters
     ----------
@@ -461,13 +460,6 @@ def compile_loop(
         Run conservative disambiguation.  Disable when the input graph
         already carries hand-written memory edges (e.g. the paper's
         Figure 3 example).
-    verify:
-        Run the opt-in ninth stage: the independent static schedule
-        verifier (:mod:`repro.check.schedule_lint`).  Raises
-        :class:`~repro.errors.CheckError` on any finding.  The
-        scheduler's own assertions always run; ``verify`` re-derives the
-        rules from scratch and adds the whole-compilation ones (copy
-        completeness, memory-op placement under MDC/DDGT).
     artifacts:
         Optional artifact store (``get(key, decode) -> value | None`` /
         ``put(key, dict)``; see :class:`repro.api.artifacts.ArtifactStore`).
@@ -521,9 +513,6 @@ def compile_loop(
                 work, machine, assignment, schedule, profiles
             )
 
-    with _timed("check"):
-        schedule.validate()
-
     result = CompilationResult(
         schedule=schedule,
         ddg=work,
@@ -538,20 +527,12 @@ def compile_loop(
         copies=copies,
         unroll_factor=factor,
     )
-
-    if verify:
-        # Imported lazily: repro.check.schedule_lint imports this module
-        # for CompilationResult/CoherenceMode.
-        from repro.check.schedule_lint import lint_compilation
-        from repro.errors import CheckError
-
-        with _timed("verify"):
-            findings = lint_compilation(result)
-        if findings:
-            raise CheckError(
-                f"schedule verification failed with {len(findings)} "
-                "finding(s):\n"
-                + "\n".join(f"  {finding}" for finding in findings)
-            )
-
+    with _timed("check"):
+        findings = lint_compilation(result)
+    if findings:
+        raise CheckError(
+            f"schedule of {work.name!r} at II={schedule.ii} failed the "
+            f"check with {len(findings)} finding(s):\n"
+            + "\n".join(f"  {finding}" for finding in findings)
+        )
     return result

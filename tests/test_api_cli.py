@@ -262,6 +262,42 @@ class TestScenarioErrorPaths:
         assert "Traceback" not in err
 
 
+class TestCheckScheduleCommand:
+    """``repro check schedule`` compiles a cross; each compile's check
+    stage decides its verdict."""
+
+    ARGV = ["check", "schedule", "gsmdec", "-v", "mdc/prefclus",
+            "-v", "ddgt/mincoms"]
+
+    def test_a_clean_cross_is_verified(self, capsys):
+        assert main(self.ARGV) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verdict: all schedules verified"
+        # gsmdec's two loops under each variant.
+        assert len(lines) == 5
+        assert all(line.endswith(" clean") for line in lines[:-1])
+
+    def test_a_finding_fails_the_run_and_is_printed(self, capsys,
+                                                    monkeypatch):
+        import repro.sched.stages as stages
+        from repro.sched.lint import LintFinding
+
+        assert main(self.ARGV) == 0
+        clean = capsys.readouterr().out.splitlines()[:-1]
+        monkeypatch.setattr(
+            stages, "lint_compilation",
+            lambda result: [LintFinding("resource", "seeded overcommit")],
+        )
+        assert main(self.ARGV) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # Each cell keeps its II and reports its finding under it.
+        expected = []
+        for line in clean:
+            expected += [line[:-len("clean")] + "1 finding(s)",
+                         "    [resource] seeded overcommit"]
+        assert lines == expected + ["verdict: 4 finding(s)"]
+
+
 class TestFigureCommand:
     def test_figure7_small_subset(self, tmp_path, capsys):
         out_file = tmp_path / "figure7.txt"

@@ -186,15 +186,15 @@ class TestFrontendGrouping:
 
     def test_balance_splits_groups_to_fill_workers(self):
         one_cross = [list(range(6))]
-        tasks = Runner._balance(one_cross, 4, lambda i: i)
+        tasks = Runner._balance(one_cross, 4, lambda i: i, lambda i: i)
         assert len(tasks) == 4
         assert sorted(i for t in tasks for i in t) == list(range(6))
         assert all(tasks)
         # Enough groups already: nothing is split.
-        assert Runner._balance([[0, 1], [2, 3]], 2, lambda i: i) == \
-            [[0, 1], [2, 3]]
+        assert Runner._balance([[0, 1], [2, 3]], 2, lambda i: i,
+                               lambda i: i) == [[0, 1], [2, 3]]
         # Singletons cannot be split further.
-        assert Runner._balance([[0]], 8, lambda i: i) == [[0]]
+        assert Runner._balance([[0]], 8, lambda i: i, lambda i: i) == [[0]]
 
     def test_single_group_plan_still_parallelizes_correctly(self):
         plan = Plan.grid(benchmarks=["gsmdec"],
@@ -415,27 +415,30 @@ class TestModelSiblings:
             2 * self.loops()
 
     def test_group_order_and_balance_keep_siblings_together(self):
-        from repro.api.core import sibling_key
+        from repro.api.core import chain_free_key, sibling_key
 
         specs = list(MODEL_PLAN.specs)  # variants inside models
         groups = Runner._group_indices(specs)
         assert groups == [[0, 2, 4, 1, 3, 5]]
+        chain_free = [chain_free_key(spec) for spec in specs]
         siblings = [sibling_key(spec) for spec in specs]
-        assert Runner._balance(groups, 2, siblings.__getitem__) == [
+        assert Runner._balance(groups, 2, chain_free.__getitem__,
+                               siblings.__getitem__) == [
             [0, 2, 4], [1, 3, 5]
         ]
-        # Three sibling pairs: the cut moves off the middle (3) to the
-        # nearest sibling boundary.
+        # Three sibling pairs of one chain-free key: the cut moves off
+        # the middle (3) to the nearest sibling boundary.
         pairs = [[0, 1, 2, 3, 4, 5]]
-        assert Runner._balance(pairs, 2, lambda i: i) == [
+        assert Runner._balance(pairs, 2, lambda i: 0, lambda i: i) == [
             [0, 1, 2], [3, 4, 5]
         ]
-        assert Runner._balance(pairs, 2, lambda i: i // 2) == [
+        assert Runner._balance(pairs, 2, lambda i: 0, lambda i: i // 2) == [
             [0, 1], [2, 3, 4, 5]
         ]
         # More workers than sibling groups: occupancy wins, every spec
         # still runs exactly once.
-        tasks = Runner._balance(groups, 4, siblings.__getitem__)
+        tasks = Runner._balance(groups, 4, chain_free.__getitem__,
+                                siblings.__getitem__)
         assert len(tasks) == 4
         assert sorted(i for task in tasks for i in task) == list(range(6))
 
@@ -562,6 +565,29 @@ class TestSharedLoops:
                          artifacts=MemoryArtifactStore()).run(plan)
         assert as_json(records) == [unshared_cross[s.content_hash]
                                     for s in plan]
+
+    def test_parallel_split_keeps_each_heuristic_in_one_task(self):
+        """Split over two workers, the six-variant cross keeps each
+        heuristic's variants in one task: the chain-free loop compiles
+        once per heuristic, as it does serially, and the records are
+        the serial run's."""
+        from repro.obs import metrics
+        from repro.scenarios import DIFFERENTIAL_VARIANTS
+
+        plan = Plan.grid(benchmarks="gsmdec", variants=DIFFERENTIAL_VARIANTS,
+                         scale=SCALE)
+        runs = {}
+        for parallel in (None, 2):
+            with metrics.capture() as reg:
+                records = Runner(store=MemoryStore(),
+                                 parallel=parallel).run(plan)
+            runs[parallel] = (
+                as_json(records),
+                reg.counter("stages.executed", stage="schedule"),
+                reg.counter("runner.shared_loops", via="chain_free"),
+            )
+        assert runs[None][1:] == (8, 4)
+        assert runs[2] == runs[None]
 
     @pytest.mark.parametrize("reverse", [False, True],
                              ids=["free-first", "free-last"])

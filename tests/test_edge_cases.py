@@ -9,6 +9,7 @@ from repro.arch import BASELINE_CONFIG
 from repro.errors import SimulationError
 from repro.ir import DdgBuilder
 from repro.sched import CoherenceMode, Heuristic, compile_loop
+from repro.sched.lint import lint_compilation
 from repro.sched.mii import minimum_ii, rec_mii, res_mii
 from repro.sim import simulate
 from repro.workloads import trace_factory
@@ -63,7 +64,7 @@ class TestSingleNodeDdg:
         result = compiled(
             b.build(), coherence=coherence, heuristic=heuristic
         )
-        result.schedule.validate()
+        assert lint_compilation(result) == []
         assert result.ii >= 1
         # Only the store (plus any coherence replicas) is scheduled.
         assert len(result.schedule.ops) >= 1
@@ -72,7 +73,7 @@ class TestSingleNodeDdg:
         b = DdgBuilder("one-op")
         b.ialu("i", b.carried("i", 1), name="inc")
         result = compiled(b.build())
-        result.schedule.validate()
+        assert lint_compilation(result) == []
         assert result.ii == 1
         assert len(result.schedule.ops) == 1
 

@@ -14,6 +14,7 @@ from repro.arch import BASELINE_CONFIG
 from repro.ir import DdgBuilder
 from repro.ir.verify import verify_ddg
 from repro.sched import CoherenceMode, Heuristic, compile_loop
+from repro.sched.lint import lint_compilation
 from repro.sim import simulate
 from repro.workloads import trace_factory
 
@@ -66,7 +67,7 @@ def test_coherence_solutions_never_violate(loop, coherence, heuristic):
         unroll_factor=1,
     )
     verify_ddg(result.ddg, BASELINE_CONFIG)
-    result.schedule.validate()
+    assert lint_compilation(result) == []
     trace = trace_factory(96, seed=8)(result.ddg)
     sim = simulate(result, trace, iterations=96)
     assert sim.violations.total == 0, (

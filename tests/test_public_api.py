@@ -1,5 +1,6 @@
 """Every name a package exports through ``__all__`` resolves, and the
-retired surrogate-guided sweep and run-journal surfaces stay gone."""
+retired surrogate-guided sweep, run-journal and opt-in schedule
+verification surfaces stay gone."""
 
 import importlib
 
@@ -104,3 +105,47 @@ def test_sweep_result_keeps_no_guidance_bookkeeping(name):
 
     assert not hasattr(SweepResult, name)
     assert name not in SweepResult.__dataclass_fields__
+
+
+def test_compile_loop_takes_no_verify_keyword():
+    from repro.arch import BASELINE_CONFIG
+    from repro.ir import DdgBuilder
+    from repro.sched import compile_loop
+
+    b = DdgBuilder("one-op")
+    b.ialu("i", b.carried("i", 1), name="inc")
+    with pytest.raises(TypeError, match="verify"):
+        compile_loop(b.build(), BASELINE_CONFIG, **{"verify": True})
+
+
+def test_schedule_has_no_validate():
+    from repro.sched import Schedule
+
+    assert not hasattr(Schedule, "validate")
+
+
+def test_compiling_a_loop_loads_no_check_module():
+    """The check stage every compile ends in lives in ``repro.sched``:
+    a compile never imports the protocol model checker."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys\n"
+        "from repro.arch import BASELINE_CONFIG\n"
+        "from repro.sched import CoherenceMode, compile_loop\n"
+        "from repro.workloads import get_benchmark\n"
+        "loop = get_benchmark('gsmdec').loops[0]\n"
+        "compile_loop(loop.ddg, BASELINE_CONFIG,\n"
+        "             coherence=CoherenceMode.DDGT)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['repro', 'check']))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "[]"

@@ -12,6 +12,7 @@ from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sched.cluster import assign_clusters
 from repro.sched.copies import insert_copies
 from repro.sched.cluster import ClusterAssignment
+from repro.sched.lint import lint_compilation
 from repro.workloads import trace_factory
 
 
@@ -35,7 +36,7 @@ class TestCompileLoop:
             heuristic=heuristic,
             trace_factory=trace_factory(64, seed=3),
         )
-        result.schedule.validate()
+        assert lint_compilation(result) == []
         assert result.unroll_factor == 4  # stride-4 words on 4x4 machine
 
     @pytest.mark.parametrize("coherence,heuristic", all_variants())
@@ -50,7 +51,7 @@ class TestCompileLoop:
             unroll_factor=1,
             add_mem_deps=False,
         )
-        result.schedule.validate()
+        assert lint_compilation(result) == []
 
     def test_prefclus_without_profiles_raises(self, stream_loop):
         with pytest.raises(SchedulingError, match="PrefClus needs profiles"):

@@ -1,5 +1,7 @@
 """Modulo scheduler tests: MII bounds, reservation table, IMS, latencies."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.alias import MemRef
@@ -7,6 +9,8 @@ from repro.arch import BASELINE_CONFIG
 from repro.errors import SchedulingError
 from repro.ir import Ddg, DdgBuilder, DepKind, Opcode
 from repro.sched.cluster import ClusterAssignment, HeuristicKind
+from repro.sched.copies import insert_copies
+from repro.sched.lint import lint_schedule
 from repro.sched.mii import assignment_res_mii, minimum_ii, rec_mii, res_mii
 from repro.sched.modulo import modulo_schedule
 from repro.sched.schedule import (
@@ -152,16 +156,27 @@ class TestReservationTable:
         assert table.conflicting_ops(table_row(b, 0), 0) == [a.iid]
 
 
+def lint(ddg, assignment, sched):
+    return lint_schedule(ddg, BASELINE_CONFIG, assignment, sched)
+
+
 class TestModuloScheduler:
     def _uniform_assignment(self, ddg, cluster=0):
         return ClusterAssignment({v.iid: cluster for v in ddg})
 
-    def test_stream_loop_schedules_at_mii(self, stream_loop):
+    def _spread(self, ddg):
+        """Round-robin the ops over the clusters, with the copies their
+        register flow then needs."""
         assignment = ClusterAssignment(
-            {v.iid: i % 4 for i, v in enumerate(stream_loop)}
+            {v.iid: i % 4 for i, v in enumerate(ddg)}
         )
+        insert_copies(ddg, BASELINE_CONFIG, assignment)
+        return assignment
+
+    def test_stream_loop_schedules_at_mii(self, stream_loop):
+        assignment = self._spread(stream_loop)
         sched = modulo_schedule(stream_loop, BASELINE_CONFIG, assignment)
-        sched.validate()
+        assert lint(stream_loop, assignment, sched) == []
         assert sched.ii >= minimum_ii(stream_loop, BASELINE_CONFIG)
 
     def test_single_cluster_memory_serialization(self, stream_loop):
@@ -170,14 +185,14 @@ class TestModuloScheduler:
             stream_loop, BASELINE_CONFIG, assignment,
             min_ii=assignment_res_mii(stream_loop, BASELINE_CONFIG, assignment),
         )
-        sched.validate()
+        assert lint(stream_loop, assignment, sched) == []
         assert sched.ii >= 3  # three memory ops share one memory unit
 
     def test_figure3_schedules_under_all_coherence(self, figure3):
         ddg, _ = figure3
         assignment = ClusterAssignment({v.iid: 0 for v in ddg})
         sched = modulo_schedule(ddg, BASELINE_CONFIG, assignment)
-        sched.validate()
+        assert lint(ddg, assignment, sched) == []
 
     def test_recurrence_respected(self):
         b = DdgBuilder()
@@ -200,18 +215,14 @@ class TestModuloScheduler:
                 ClusterAssignment({a.iid: 0, c.iid: 0}),
             )
 
-    def test_validate_catches_moved_op(self, stream_loop):
-        assignment = ClusterAssignment(
-            {v.iid: i % 4 for i, v in enumerate(stream_loop)}
-        )
+    def test_lint_catches_moved_op(self, stream_loop):
+        assignment = self._spread(stream_loop)
         sched = modulo_schedule(stream_loop, BASELINE_CONFIG, assignment)
         # Corrupt: move a dependent op before its producer.
-        from repro.sched.schedule import ScheduledOp
-
-        load = next(v for v in stream_loop if v.name == "add")
-        sched.ops[load.iid] = ScheduledOp(load.iid, 0, -100)
-        with pytest.raises(SchedulingError):
-            sched.validate()
+        add = next(v for v in stream_loop if v.name == "add")
+        sched.ops[add.iid] = replace(sched.ops[add.iid], time=-100)
+        assert {f.rule for f in lint(stream_loop, assignment, sched)} == {
+            "latency"}
 
 
 class TestLadderBound:
