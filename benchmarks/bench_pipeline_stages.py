@@ -10,7 +10,9 @@ content-addressed :class:`~repro.api.artifacts.ArtifactStore` removes at
 least half of it (stage executions are counted exactly; wall time is
 reported alongside), and that the shared sweep keeps one artifact entry
 per loop: one put per (benchmark, loop), one lookup per compile, and
-one graph decode per entry, however many compiles replay it.
+one graph decode per entry, however many compiles replay it (the
+group's memo holds the decoded entry).  The cold sweep compiles without
+an artifact store.
 
 Both sweeps share back ends the same way: the runner compiles and
 simulates a chain-free loop (no memory-dependent chain, so MDC and DDGT
@@ -34,11 +36,7 @@ from repro.api import (
     Runner,
 )
 from repro.api import core
-from repro.api.artifacts import (
-    ArtifactStore,
-    artifact_stats,
-    reset_artifact_stats,
-)
+from repro.api.artifacts import artifact_stats, reset_artifact_stats
 from repro.ir import Ddg
 from repro.sched import Heuristic
 from repro.sched.stages import (
@@ -61,34 +59,32 @@ def variant_cross_plan() -> Plan:
     )
 
 
-class _NullArtifacts(ArtifactStore):
-    """Pre-refactor behaviour: every variant recompiles the front end."""
-
-    def _get(self, key):
-        return None
-
-    def _put(self, key, text):
-        pass
-
-
-def _sweep(artifacts) -> dict:
+def _sweep(shared: bool) -> dict:
+    """Run the cross; unless ``shared``, every compile runs without an
+    artifact store, so every variant recompiles the front end."""
     reset_stage_counters()
     reset_artifact_stats()
     decodes = []
     simulated = []
     from_dict = Ddg.from_dict.__func__
+    compile_loop = core.compile_loop
 
     def counted(cls, data):
         decodes.append(data["name"])
         return from_dict(cls, data)
+
+    def compiling(*args, **kwargs):
+        return compile_loop(*args, **dict(kwargs, artifacts=None))
 
     def simulating(compiled, *args, **kwargs):
         simulated.append(compiled.source.name)
         return simulate(compiled, *args, **kwargs)
 
     with mock.patch.object(Ddg, "from_dict", classmethod(counted)), \
-            mock.patch.object(core, "simulate", simulating):
-        Runner(store=MemoryStore(), artifacts=artifacts).run(
+            mock.patch.object(core, "simulate", simulating), \
+            mock.patch.object(core, "compile_loop",
+                              compile_loop if shared else compiling):
+        Runner(store=MemoryStore(), artifacts=MemoryArtifactStore()).run(
             variant_cross_plan()
         )
     counters = stage_counters()
@@ -105,8 +101,8 @@ def _sweep(artifacts) -> dict:
 
 
 def test_shared_frontend_beats_per_variant_recompilation(benchmark):
-    cold = _sweep(_NullArtifacts())
-    shared = run_once(benchmark, _sweep, MemoryArtifactStore())
+    cold = _sweep(shared=False)
+    shared = run_once(benchmark, _sweep, shared=True)
 
     plan = variant_cross_plan()
     reduction = cold["frontend_execs"] / max(shared["frontend_execs"], 1)
@@ -145,7 +141,7 @@ def test_shared_frontend_beats_per_variant_recompilation(benchmark):
     # The whole front end of a loop is one artifact entry.
     assert shared["artifact_puts"] == loops
     assert shared["artifact_lookups"] == compiles
-    # The store decodes each entry's graph once; every replaying compile
-    # copies it.  The never-hitting store decodes nothing.
+    # The group's memo decodes each entry's graph once; every replaying
+    # compile copies it.  Compiles without a store decode nothing.
     assert shared["graph_decodes"] == loops
     assert cold["graph_decodes"] == 0

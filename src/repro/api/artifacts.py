@@ -1,56 +1,49 @@
 """Content-addressed compilation artifacts.
 
 One layer below the :class:`~repro.api.store.ResultStore`: where the
-result store caches a *finished* ``RunRecord`` per spec hash, the
-artifact store caches the compilation pipeline's front end — one entry
-per loop holding its unrolled, disambiguated graph, unroll factor and
-preferred-cluster profiles — keyed by
+result store persists a *finished* ``RunRecord`` per spec hash, the
+artifact store persists the compilation pipeline's front end — one
+entry per loop holding its unrolled, disambiguated graph, unroll factor
+and preferred-cluster profiles — keyed by
 :func:`repro.sched.stages.frontend_artifact_key`.  The paper's 6-way
 coherence × heuristic cross shares that front end verbatim, so a
-differential sweep that would run it six times per loop hits the warm
-entry five times instead.
+differential sweep that would run it six times per loop computes it
+once.
 
 Two implementations:
 
-* :class:`MemoryArtifactStore` — process-local (the default);
+* :class:`MemoryArtifactStore` — process-local canonical JSON texts
+  (the default);
 * :class:`DiskArtifactStore` — one JSON file per artifact under
   ``.repro_cache/artifacts/``, on the hardened
   :class:`~repro.api.store.JsonFileStore` machinery (atomic writes,
   torn-read retries, version stamping, pruning, prefix-sharded
   directories).
 
-A plain ``get(key)`` returns a *fresh* decode of the stored JSON, which
-the caller owns outright.  ``get(key, decode)`` returns
-``decode(payload)`` instead, computed once per key and kept in a small
-LRU (:data:`DECODED_ENTRIES` entries) beside the store's text: the
-pipeline passes its front-end decoder, so the variant cross of one loop
-builds its graph once and each compile copies it.  ``clear``, ``prune``
-and a re-``put`` of the key drop the decoded value.  Process-wide
-hit/miss/put counters feed a run's ``--metrics`` snapshot and the stage
-benchmarks; a decoded hit counts as the hit it replaces.
+Stores only persist.  ``get(key)`` returns a fresh decode of the stored
+JSON, which the caller owns outright, and ``get(key, decode)`` returns
+``decode(payload)``, computed afresh on every call; nothing else is kept
+in process, so two disk stores on one directory always agree with each
+other and with the files.  What the specs of one group share in process
+(each front end, decoded once) is held by the group's
+:class:`~repro.api.core.LoopMemo`, which the runner hands its compiles.
+The pipeline counts one lookup per compile and one put per computed
+front end (``artifacts.lookups`` / ``artifacts.puts``);
+:func:`artifact_stats` reads them out of the metrics registry.
 """
 
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Union
 
 from repro.api.store import JsonFileStore, resolve_cache_root
 from repro.obs import metrics, trace
 
 #: Subdirectory of the cache root that holds artifacts.
 ARTIFACT_SUBDIR = "artifacts"
-#: Decoded values one store keeps, least recently used dropped first.
-#: Plans run a benchmark's variants back to back, so only that
-#: benchmark's loops (two at most in the catalog) are replayed at a
-#: time; a decoded scenario front end holds about 65 KB (144 KB at most
-#: over a 60-scenario sweep), so the bound keeps memory under about a
-#: megabyte however long the sweep.
-DECODED_ENTRIES = 8
 
 
 def artifact_root(cache_root: Union[str, Path, None] = None) -> Path:
@@ -67,12 +60,12 @@ def artifact_root(cache_root: Union[str, Path, None] = None) -> Path:
 class ArtifactStats:
     """Hit/miss/put counters.
 
-    Since the `repro.obs` migration this is a *snapshot view* built by
-    :func:`artifact_stats` from the process metrics registry
-    (``artifacts.lookups`` labeled by outcome, ``artifacts.puts``) —
-    fetch it after the work you want to measure.
-    Because the runner merges each pool worker's metric deltas back into
-    the parent registry, the view now covers ``parallel>1`` runs too.
+    A *snapshot view* built by :func:`artifact_stats` from the process
+    metrics registry (``artifacts.lookups`` labeled by outcome,
+    ``artifacts.puts``), which the compilation front end feeds: fetch it
+    after the work you want to measure.  Because the runner merges each
+    pool worker's metric deltas back into the parent registry, the view
+    covers ``parallel>1`` runs too.
     """
 
     hits: int = 0
@@ -113,43 +106,22 @@ class ArtifactStore:
     """Interface: a keyed store of JSON-able artifact payloads.
 
     ``get`` returns a payload the caller owns outright (mutating it never
-    affects the store), or with ``decode`` the shared decoded value.
-    Implementations provide ``_get``/``_put`` over canonical JSON text;
-    this base class adds the decoded-value LRU and the counters.
+    affects the store), or with ``decode`` that payload decoded.
+    Implementations write canonical JSON text through ``_put``, and read
+    it either through the text hook ``_get``, which the base ``get``
+    parses, or by overriding ``get`` itself, as the disk store does to
+    parse its file once.  Membership (``in``) is a ``get``.
     """
-
-    @cached_property
-    def _decoded(self) -> "OrderedDict[str, Tuple[Callable, Any]]":
-        """key -> ``(decode, decode(payload))``, least recently used
-        first; made on first use, so a subclass need not call up to an
-        ``__init__``."""
-        return OrderedDict()
 
     def get(self, key: str,
             decode: Optional[Callable[[dict], Any]] = None) -> Any:
-        """The payload stored under ``key``, or ``None`` on a miss.
-
-        With ``decode``, return ``decode(payload)`` instead: computed on
-        the first get of ``key`` with that ``decode``, then served from
-        the LRU as the *same* object, so callers copy what they mutate.
-        """
-        with trace.span("artifact.get", cat="artifact", key=key):
-            held = self._decoded.get(key)
-            if held is not None and held[0] is decode:
-                self._decoded.move_to_end(key)
-                value = held[1]
-            else:
-                text = self._get(key)
-                value = None if text is None else json.loads(text)
-                if value is not None and decode is not None:
-                    value = decode(value)
-                    self._decoded.pop(key, None)
-                    self._decoded[key] = (decode, value)
-                    if len(self._decoded) > DECODED_ENTRIES:
-                        self._decoded.popitem(last=False)
-        metrics.inc("artifacts.lookups",
-                    outcome="miss" if value is None else "hit")
-        return value
+        """The payload stored under ``key``, or ``None`` on a miss; with
+        ``decode``, ``decode(payload)``, computed afresh on every call."""
+        text = self._get(key)
+        if text is None:
+            return None
+        payload = json.loads(text)
+        return payload if decode is None else decode(payload)
 
     def put(self, key: str, payload: dict) -> str:
         """Store ``payload``; returns its canonical JSON text (what a pool
@@ -157,17 +129,13 @@ class ArtifactStore:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with trace.span("artifact.put", cat="artifact", key=key):
             self._put(key, text)
-        self._decoded.pop(key, None)
-        metrics.inc("artifacts.puts")
         return text
 
     def absorb(self, entries: Dict[str, str]) -> None:
         """Hold ``entries`` (key -> canonical JSON text) that a pool
-        worker put into its copy of this store.  No counter moves: the
-        worker counted its puts, and its metrics reach the parent."""
+        worker put into its copy of this store."""
         for key, text in entries.items():
             self._put(key, text)
-            self._decoded.pop(key, None)
 
     # -- implementation hooks ------------------------------------------
     def _get(self, key: str) -> Optional[str]:
@@ -186,16 +154,16 @@ class ArtifactStore:
         return sum(1 for _ in self.keys())
 
     def __contains__(self, key: str) -> bool:
-        return self._get(key) is not None
+        return self.get(key) is not None
 
 
 class MemoryArtifactStore(ArtifactStore):
     """Process-local artifact store over canonical JSON text.
 
     Storing *text* (not live objects) keeps its semantics identical to
-    the disk store: a get without ``decode`` decodes afresh, and a
-    decoded value is built from the same text, so warm in-memory hits
-    and warm cross-process disk hits replay byte-identical payloads.
+    the disk store: every get decodes afresh from the same canonical
+    text, so warm in-memory hits and warm cross-process disk hits replay
+    byte-identical payloads.
     """
 
     def __init__(self) -> None:
@@ -210,7 +178,6 @@ class MemoryArtifactStore(ArtifactStore):
     def clear(self) -> int:
         count = len(self._entries)
         self._entries.clear()
-        self._decoded.clear()
         return count
 
     def keys(self) -> Iterator[str]:
@@ -222,10 +189,8 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
     ``.repro_cache/artifacts/``), version-stamped and prefix-sharded
     like the record store.
 
-    The canonical text of the last :data:`DECODED_ENTRIES` entries read
-    or written stays in process, so the compile after a put decodes
-    without rereading the file; older entries are read from their
-    files again.  Decoded values sit beside it in the base class's LRU.
+    Nothing is kept in process: a get reads the entry's file and parses
+    it once, a put writes it.
     """
 
     PAYLOAD_FIELD = "artifact"
@@ -235,26 +200,15 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
         if root is None:
             root = artifact_root()
         JsonFileStore.__init__(self, root, version)
-        self._memo: "OrderedDict[str, str]" = OrderedDict()
 
-    def _remember(self, key: str, text: str) -> None:
-        self._memo[key] = text
-        self._memo.move_to_end(key)
-        if len(self._memo) > DECODED_ENTRIES:
-            self._memo.popitem(last=False)
-
-    def _get(self, key: str) -> Optional[str]:
+    def get(self, key: str,
+            decode: Optional[Callable[[dict], Any]] = None) -> Any:
         with trace.span("store.get", cat="store", key=key,
                         kind=self.PAYLOAD_FIELD):
-            text = self._memo.get(key)
-            if text is None:
-                payload = self.get_payload(key)
-                if payload is None:
-                    return None
-                text = json.dumps(payload, sort_keys=True,
-                                  separators=(",", ":"))
-            self._remember(key, text)
-            return text
+            payload = self.get_payload(key)
+            if payload is None or decode is None:
+                return payload
+            return decode(payload)
 
     def _put(self, key: str, text: str) -> None:
         with trace.span("store.put", cat="store", key=key,
@@ -266,28 +220,10 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
                 json.dumps(self.version),
             )
             self._put_envelope(key, envelope)
-            self._remember(key, text)
 
     def absorb(self, entries: Dict[str, str]) -> None:
-        # The worker's copy wrote these files into the shared directory
-        # already; remember them as this process's own puts would.
-        for key, text in entries.items():
-            self._remember(key, text)
-            self._decoded.pop(key, None)
-
-    def clear(self) -> int:
-        self._memo.clear()
-        self._decoded.clear()
-        return JsonFileStore.clear(self)
-
-    def prune(self, older_than_seconds: float) -> int:
-        removed = JsonFileStore.prune(self, older_than_seconds)
-        if removed:
-            # Keep get/keys/len consistent: never serve pruned entries
-            # from the in-process memos.
-            self._memo.clear()
-            self._decoded.clear()
-        return removed
+        """Nothing to do: the worker's copy of this store wrote the
+        entries' files into the shared directory already."""
 
 
 # ----------------------------------------------------------------------

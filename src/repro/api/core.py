@@ -24,17 +24,31 @@ loop's back end, keyed by what the loop will compute:
   compile, and specs that also share the model share the simulated
   loop record, relabelled with their own variant.
 
-The runner keeps one memo per front-end group; entries are dropped once
-the last spec that maps onto them is done with the loop.
+The memo is also the group's artifact store, the one in-process holder
+of its front ends: each compile looks its front end up there, and the
+memo keeps every front end it fetched from or put into the runner's
+artifact store until the group ends.  The runner keeps one memo per
+front-end group; back-end entries are dropped once the last spec that
+maps onto them is done with the loop.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.records import LoopRecord, RunRecord
@@ -66,43 +80,14 @@ KERNEL_ITERATION_FLOOR = 32
 _floor_warning_emitted = False
 
 
-def _warn_iteration_floor(benchmark: str, loop: str, natural: int) -> None:
-    """One-time (per process) warning that the floor inflated a run."""
-    global _floor_warning_emitted
-    if _floor_warning_emitted:
-        return
-    _floor_warning_emitted = True
-    warnings.warn(
-        f"kernel-iteration floor: {benchmark}:{loop} scaled to {natural} "
-        f"kernel iterations; simulating {KERNEL_ITERATION_FLOOR} instead "
-        f"(the floor is recorded in LoopRecord.iteration_floor; further "
-        f"floored runs will not be reported)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def suppress_floor_warning() -> None:
-    """Mark the one-time floor warning as already emitted.
-
-    The warning gate is per-process, so without this every pool worker
-    of a parallel sweep would re-emit it.  The
-    :class:`~repro.api.runner.Runner` installs this as the pool worker
-    initializer and surfaces a single parent-side warning instead (see
-    :func:`warn_floor_from_record`).
-    """
-    global _floor_warning_emitted
-    _floor_warning_emitted = True
-
-
 def warn_floor_from_record(record: RunRecord) -> None:
-    """Parent-side one-time floor warning, derived from a record.
+    """One-time (per process) warning that the floor inflated a run.
 
-    Pool workers run with the in-worker warning suppressed; when their
-    records come back, the first one carrying a non-zero
-    :attr:`LoopRecord.iteration_floor` triggers this single warning in
-    the parent process (same gate as the in-process warning, so serial
-    and parallel execution never double-report).
+    The :class:`~repro.api.runner.Runner` applies it to every fresh
+    record, serially and under ``parallel`` alike, so a process reports
+    the first record carrying a non-zero
+    :attr:`LoopRecord.iteration_floor` and stays quiet afterwards,
+    however many workers computed the records.
     """
     global _floor_warning_emitted
     if _floor_warning_emitted:
@@ -113,9 +98,8 @@ def warn_floor_from_record(record: RunRecord) -> None:
             warnings.warn(
                 f"kernel-iteration floor: {record.benchmark}:{loop.loop} "
                 f"inflated to {loop.kernel_iterations} kernel iterations "
-                f"in a worker process (recorded in "
-                f"LoopRecord.iteration_floor; further floored runs will "
-                f"not be reported)",
+                f"(recorded in LoopRecord.iteration_floor; further floored "
+                f"runs will not be reported)",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -190,15 +174,30 @@ class LoopMemo:
     not yet passed the loop, so each is dropped once the last spec that
     maps onto it is done with the loop.  Use one memo per group: run
     each spec through :meth:`active`.
+
+    The memo is also the artifact store its group's compiles receive
+    (:meth:`get` / :meth:`put`, the pipeline's duck type).  Front ends
+    persist in ``artifacts``; the memo holds each one it fetched or put
+    until the memo goes with its group, and keeps the canonical text of
+    its puts in :attr:`puts`, which a pool task ships back to the
+    parent's store.
     """
 
-    def __init__(self, specs: Iterable[RunSpec]) -> None:
+    def __init__(self, specs: Iterable[RunSpec],
+                 artifacts: ArtifactStore) -> None:
         #: unfinished spec -> (front-end key, sibling key, chain-free key)
         self._specs: Dict[RunSpec, Tuple[str, RunSpec, RunSpec]] = {
             spec: (spec.frontend_key, sibling_key(spec),
                    chain_free_key(spec))
             for spec in specs
         }
+        self._artifacts = artifacts
+        #: artifact key -> the front end held: a put's canonical text
+        #: until the first replay decodes it, then the decoded value
+        #: (never text)
+        self._frontends: Dict[str, Any] = {}
+        #: artifact key -> canonical text, for every front end put here
+        self.puts: Dict[str, str] = {}
         #: front-end key -> {loop: whether the loop is chain-free}
         self._chain_free: Dict[str, Dict[str, bool]] = {}
         #: (front-end key, loop) -> the specs done with that loop
@@ -216,8 +215,32 @@ class LoopMemo:
             _LOOP_MEMO.reset(token)
 
     def __len__(self) -> int:
-        """The number of entries held now."""
+        """The number of back-end entries held now."""
         return len(self._entries)
+
+    # -- the compile_loop side -----------------------------------------
+    def get(self, key: str, decode: Callable[[dict], Any]) -> Any:
+        """The decoded front end under ``key``, or ``None`` on a miss.
+
+        A held front end is served as the same decoded object every
+        time (the pipeline copies what it mutates); one this memo does
+        not hold yet is fetched from the artifact store and kept.
+        """
+        held = self._frontends.get(key)
+        if held is None:
+            held = self._artifacts.get(key, decode)
+        elif isinstance(held, str):
+            held = decode(json.loads(held))
+        if held is not None:
+            self._frontends[key] = held
+        return held
+
+    def put(self, key: str, payload: dict) -> str:
+        """Store ``payload`` in the artifact store and hold its canonical
+        text until a replay decodes it."""
+        text = self._artifacts.put(key, payload)
+        self._frontends[key] = self.puts[key] = text
+        return text
 
     # -- the execute_spec side -----------------------------------------
     def _key(self, spec: RunSpec, loop: str) -> Optional[_MemoKey]:
@@ -281,24 +304,23 @@ def execute_spec(spec: RunSpec,
     every loop of the benchmark, or the one named loop, on the spec's
     effective machine (interleave and Attraction Buffers applied).
 
-    ``artifacts`` (default: the process-wide store) shares front-end
-    compilation stages with every other spec run in this process.
     Inside :meth:`LoopMemo.active` of a memo built over ``spec``, loops
-    share work with the memo's other specs.
+    share work with the memo's other specs, and front ends persist in
+    the memo's artifact store.  Otherwise the spec runs through a memo
+    of its own over ``artifacts`` (default: the process-wide store).
     """
     memo = _LOOP_MEMO.get()
     if memo is None or spec not in memo._specs:
-        return _execute(spec, artifacts, None)
+        if artifacts is None:
+            artifacts = default_artifact_store()
+        memo = LoopMemo((spec,), artifacts)
     try:
-        return _execute(spec, artifacts, memo)
+        return _execute(spec, memo)
     finally:
         memo._finish(spec)
 
 
-def _execute(spec: RunSpec, artifacts: Optional[ArtifactStore],
-             memo: Optional[LoopMemo]) -> RunRecord:
-    if artifacts is None:
-        artifacts = default_artifact_store()
+def _execute(spec: RunSpec, memo: LoopMemo) -> RunRecord:
     machine = resolve_machine(spec)
     variant = spec.variant_obj
     key = spec.content_hash
@@ -324,16 +346,9 @@ def _execute(spec: RunSpec, artifacts: Optional[ArtifactStore],
             model=spec.model,
         )
         for loop_spec in loops:
-            if memo is None:
-                inputs = _loop_inputs(bench, loop_spec, variant, machine,
-                                      spec.scale, spec.seeds, artifacts)
-                loop = _run_loop(bench, loop_spec, variant, inputs,
-                                 spec.model)
-            else:
-                loop = _shared_loop(memo, spec, bench, loop_spec, variant,
-                                    machine, artifacts)
-                memo._release(spec, loop_spec.name)
-            record.loops.append(loop)
+            record.loops.append(_shared_loop(memo, spec, bench, loop_spec,
+                                             variant, machine))
+            memo._release(spec, loop_spec.name)
         return record
 
 
@@ -344,7 +359,6 @@ def _shared_loop(
     loop_spec: LoopSpec,
     variant: Variant,
     machine: MachineConfig,
-    artifacts: ArtifactStore,
 ) -> LoopRecord:
     """One loop's record through ``memo``: reused, simulated from shared
     inputs, or computed here and kept for the specs that map onto it."""
@@ -368,7 +382,7 @@ def _shared_loop(
             entry.records[spec.model] = loop
             return loop
     inputs = _loop_inputs(bench, loop_spec, variant, machine, spec.scale,
-                          spec.seeds, artifacts)
+                          spec.seeds, memo)
     if entry is None:
         entry = memo._keep(spec, loop_spec.name, inputs)
     loop = _run_loop(bench, loop_spec, variant, inputs, spec.model)
@@ -390,10 +404,10 @@ def _loop_inputs(
     machine: MachineConfig,
     scale: float,
     seeds: Optional[Tuple[int, int]],
-    artifacts: ArtifactStore,
+    memo: LoopMemo,
 ) -> _LoopInputs:
-    """Compile one loop and build its execution trace and the checker's
-    expected versions over it."""
+    """Compile one loop, with its front end through ``memo``, and build
+    its execution trace and the checker's expected versions over it."""
     profile_seed, execute_seed = seeds or (bench.profile_seed,
                                            bench.execute_seed)
     # A keyed trace spec: its key is what lets the front end hit the
@@ -407,7 +421,7 @@ def _loop_inputs(
             heuristic=variant.heuristic,
             trace_factory=profile,
             unroll_factor=spec.unroll,
-            artifacts=artifacts,
+            artifacts=memo,
         )
     # spec.iterations counts *original* loop iterations; one kernel
     # iteration of the unrolled loop covers `unroll_factor` of them, so
@@ -418,7 +432,6 @@ def _loop_inputs(
     iteration_floor = 0
     if kernel_iters > natural_iters:
         iteration_floor = KERNEL_ITERATION_FLOOR
-        _warn_iteration_floor(bench.name, spec.name, natural_iters)
     with trace.span(f"trace-gen:{spec.name}", cat="trace-gen"):
         execution = trace_factory(kernel_iters,
                                   seed=execute_seed)(compiled.ddg)

@@ -8,31 +8,36 @@ that yields results *as they complete*:
    by content hash; hits are yielded immediately;
 2. misses are grouped by :attr:`~repro.api.spec.RunSpec.frontend_key`,
    so the specs of one coherence × heuristic cross — which share their
-   compilation front end verbatim — execute together and hit each
-   other's warm :class:`~repro.api.artifacts.ArtifactStore` entries.
-   Serially the groups run one after another, in first-seen order;
-   under ``parallel`` each *group* becomes one task of a worker pool
-   that lives for this plan only, fanned out via ``imap_unordered``
+   compilation front end verbatim — execute together and share each
+   loop's front end, which persists in the runner's
+   :class:`~repro.api.artifacts.ArtifactStore`.  Serially the groups
+   run one after another, in first-seen order; under ``parallel`` each
+   *group* becomes one task of a worker pool that lives for this plan
+   only, fanned out via ``imap_unordered``
    (when there are fewer groups than requested workers, the largest
    groups are split so occupancy never drops below what the caller
    asked for, between model siblings where possible; the pool is sized
    to the resulting task count, so tiny plans never spawn idle
    processes).  The pool ends when the plan finishes, is abandoned or
    re-raises a failure, so no worker outlives its plan;
-3. the specs of each group share their loops' back ends through one
-   :class:`~repro.api.core.LoopMemo`, keyed by what each loop will
-   compute: model siblings (specs equal except for ``model``) share a
+3. the specs of each group share their loops through one
+   :class:`~repro.api.core.LoopMemo`, the only in-process holder of
+   that work: it holds each front end the group fetched or put until
+   the group ends, and keys back ends by what each loop will compute:
+   model siblings (specs equal except for ``model``) share a
    loop's compile, execution trace and checker oracle, and on a
    chain-free loop (no memory-dependent chain, so MDC and DDGT compile
    what free compiles) every coherence variant of a heuristic shares
    the compile, and those that also share the model share the
    simulated loop record.  Each spec still runs through its own
-   ``execute_spec`` call.  The memo drops each entry once the last
-   spec that maps onto it is done with the loop, and results are
-   yielded only while it holds nothing, so specs that share a loop
+   ``execute_spec`` call.  The memo drops each back-end entry once
+   the last spec that maps onto it is done with the loop, and results
+   are yielded only while it holds none, so specs that share a loop
    stream out together;
-4. fresh records are stored the moment they arrive; failures become
-   structured :class:`RunError` records instead of killing sibling specs
+4. fresh records are stored the moment they arrive (the first one a
+   kernel-iteration floor inflated warns, once per process, serially
+   and in parallel alike); failures become structured
+   :class:`RunError` records instead of killing sibling specs
    mid-flight.
 
 :meth:`Runner.run` is a thin wrapper that drains the stream and
@@ -69,7 +74,6 @@ from repro.api.core import (
     chain_free_key,
     execute_spec,
     sibling_key,
-    suppress_floor_warning,
     warn_floor_from_record,
 )
 from repro.api.records import RunRecord
@@ -174,27 +178,28 @@ StreamItem = Union[RunRecord, RunError]
 # Shared loops
 # ----------------------------------------------------------------------
 def _execute_group(
-    specs: Sequence[RunSpec], keys: Sequence[str],
-    artifacts: ArtifactStore, spec_done: Callable[[float], None],
+    memo: LoopMemo, specs: Sequence[RunSpec], keys: Sequence[str],
+    spec_done: Callable[[float], None],
 ) -> Iterator[Tuple[int, StreamItem]]:
     """Execute one group of specs, each through its own
     ``execute_spec`` call, yielding ``(position, item)`` pairs.
 
-    The specs share one :class:`~repro.api.core.LoopMemo`, active only
-    while a spec executes; a failure is captured per spec, so the
-    others still run.  Items are yielded once the memo holds nothing,
-    so the caller's work on them never adds to the memory the shared
-    loops hold: a spec that shares nothing streams out as it ends, and
-    specs that share a loop come out together after the last of them.
+    The specs share ``memo``, a :class:`~repro.api.core.LoopMemo` built
+    over them and the runner's artifact store, active only while a spec
+    executes; a failure is captured per spec, so the others still run.
+    Items are yielded once the memo holds no back-end entry, so the
+    caller's work on them never adds to the memory the shared loops
+    hold: a spec that shares nothing streams out as it ends, and specs
+    that share a loop come out together after the last of them.
     ``spec_done`` receives each spec's elapsed seconds.
     """
-    memo = LoopMemo(specs)
     ended: List[Tuple[int, StreamItem]] = []
     for pos, (spec, key) in enumerate(zip(specs, keys)):
         start = time.perf_counter()
         try:
             with memo.active():
-                item: StreamItem = execute_spec(spec, artifacts=artifacts)
+                # The active memo carries the runner's artifact store.
+                item: StreamItem = execute_spec(spec)
         except Exception as exc:
             item = RunError.from_exception(spec, key, exc)
         spec_done(time.perf_counter() - start)
@@ -212,34 +217,10 @@ def _execute_group(
 _worker_setup: Tuple[ArtifactStore, bool, bool]
 
 
-class _LoggedPuts(ArtifactStore):
-    """The runner's artifact store as one pool task uses it: gets and
-    puts go to the worker's copy of the store, and each put's canonical
-    text is also kept, so the task can ship it back to the parent."""
-
-    def __init__(self, store: ArtifactStore) -> None:
-        self.store = store
-        self.puts: Dict[str, str] = {}
-
-    def get(self, key: str,
-            decode: Optional[Callable[[dict], Any]] = None) -> Any:
-        return self.store.get(key, decode)
-
-    def put(self, key: str, payload: dict) -> str:
-        text = self.puts[key] = self.store.put(key, payload)
-        return text
-
-
 def _worker_init(artifacts: ArtifactStore, metrics_enabled: bool,
                  tracing: bool) -> None:
-    """Pool worker initializer: keep what every task of the plan shares.
-
-    The one-time kernel-iteration-floor warning is per-process, so
-    without suppression every worker would re-emit it; the parent
-    surfaces a single warning from the returned records instead.
-    """
+    """Pool worker initializer: keep what every task of the plan shares."""
     global _worker_setup
-    suppress_floor_warning()
     _worker_setup = (artifacts, metrics_enabled, tracing)
 
 
@@ -251,12 +232,12 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     task's specs share their loops through one memo, like a serial
     group's.
 
-    Front-end artifacts go through the worker's copy of the runner's
+    Front-end artifacts persist in the worker's copy of the runner's
     artifact store: a disk store shares them with every other worker and
-    process, and any store makes sibling variants of the group warm for
-    each other.  The entries the task put travel back in the result
-    envelope, and the parent's store absorbs them, so after the plan it
-    holds what a serial run's would.
+    process, and the task's memo makes sibling variants of the group
+    warm for each other.  The canonical text of every entry the memo
+    put travels back in the result envelope, and the parent's store
+    absorbs it, so after the plan it holds what a serial run's would.
 
     Observability: the task runs under a *captured* metrics registry
     whose snapshot travels back in the result envelope — the parent
@@ -267,8 +248,8 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     re-basing into the parent trace.
     """
     store, metrics_enabled, tracing = _worker_setup
-    artifacts = _LoggedPuts(store)
     specs = [RunSpec.from_dict(data) for data in payload["specs"]]
+    memo = LoopMemo(specs, store)
     keys = payload["keys"]
     results: List[Dict[str, object]] = [{} for _ in specs]
     worker_tracer = trace.Tracer() if tracing else None
@@ -280,8 +261,7 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
 
         previous_tracer = trace.set_tracer(worker_tracer)
         try:
-            for pos, item in _execute_group(specs, keys, artifacts,
-                                            spec_done):
+            for pos, item in _execute_group(memo, specs, keys, spec_done):
                 results[pos] = (
                     {"record": item.to_dict()}
                     if isinstance(item, RunRecord)
@@ -292,7 +272,7 @@ def _worker_group(payload: Dict[str, Any]) -> Dict[str, Any]:
     envelope: Dict[str, object] = {
         "task": payload["task"],
         "results": results,
-        "artifacts": artifacts.puts,
+        "artifacts": memo.puts,
     }
     if metrics_enabled:
         envelope["metrics"] = reg.snapshot()
@@ -409,6 +389,7 @@ class Runner:
             for i, item in executed:
                 key = keys[i]
                 if isinstance(item, RunRecord):
+                    warn_floor_from_record(item)
                     store.put(key, item)
                 elif on_error == "raise":
                     item.reraise()
@@ -436,9 +417,10 @@ class Runner:
                                 mode="serial")
 
             for group in self._group_indices(specs):
+                group_specs = [specs[i] for i in group]
                 for pos, item in _execute_group(
-                    [specs[i] for i in group],
-                    [keys[misses[i]] for i in group], artifacts, spec_done,
+                    LoopMemo(group_specs, artifacts), group_specs,
+                    [keys[misses[i]] for i in group], spec_done,
                 ):
                     yield misses[group[pos]], item
             return
@@ -485,12 +467,9 @@ class Runner:
                     for i, result in zip(tasks[reply["task"]],
                                          reply["results"]):
                         if "record" in result:
-                            record = RunRecord.from_dict(result["record"])
-                            # Workers suppress the one-time floor
-                            # warning; surface a single parent-side one
-                            # instead.
-                            warn_floor_from_record(record)
-                            yield misses[i], record
+                            yield misses[i], RunRecord.from_dict(
+                                result["record"]
+                            )
                         else:
                             yield misses[i], RunError.from_dict(
                                 result["error"]

@@ -270,11 +270,13 @@ def resolve_machine(spec: RunSpec) -> MachineConfig:
 
     Specs that agree on machine name, benchmark interleave factor and
     Attraction Buffers get the same :class:`MachineConfig` object, so
-    its fingerprint is computed once per process, not once per key.
+    its fingerprint is computed once per process, not once per key.  A
+    scenario's interleave factor comes from its name, so no scenario
+    DDG is built to derive a key.
     """
-    from repro.workloads.catalog import get_benchmark
+    from repro.workloads.catalog import _interleave_bytes
 
-    interleave = get_benchmark(spec.benchmark).interleave_bytes
+    interleave = _interleave_bytes(spec.benchmark)
     return _effective_machine(spec.machine, interleave, spec.attraction)
 
 

@@ -18,11 +18,12 @@ is shared with the compilation-artifact layer one level below
 Entries are *prefix-sharded*: a key lives under ``root/<ss>/<key>.json``
 where ``<ss>`` is the first two hex characters of the key's SHA-1, so no
 single directory grows past a few dozen entries even for multi-thousand
--run sweeps.  The entries are the only thing a store persists:
+-run sweeps.  The entries are the only thing a store persists, and a
+disk store keeps nothing in process: a get reads the entry's file, and
 store-wide operations (:meth:`~JsonFileStore.keys`,
 :meth:`~JsonFileStore.size_bytes`, :meth:`~JsonFileStore.prune`) walk
-the shard directories, so they always see what other processes wrote
-or removed.
+the shard directories, so both always see what other processes and
+other instances wrote or removed.
 
 The process-wide default store is swappable via :func:`set_default_store`
 — e.g. tests inject a fresh :class:`MemoryStore`, the CLI injects a
@@ -115,8 +116,8 @@ class JsonFileStore:
       and the temp files of writers killed before their rename.
 
     Subclasses pick the payload envelope field (``PAYLOAD_FIELD``) and
-    layer their own decoding/memoization on :meth:`get_payload` /
-    :meth:`put_payload`.
+    layer their own decoding on :meth:`get_payload` /
+    :meth:`put_payload`; they keep nothing in process.
     """
 
     #: Read attempts before an unparseable entry is declared corrupt.
@@ -343,52 +344,29 @@ class MemoryStore(ResultStore):
 class DiskStore(JsonFileStore, ResultStore):
     """One JSON file per :class:`RunRecord` under ``root`` (default
     ``.repro_cache/``), on the hardened, sharded :class:`JsonFileStore`
-    machinery.  Records read or written are memoized by this instance
-    only: a store opened later reads every record from disk again.
+    machinery.  Nothing is kept in process: every get reads the entry's
+    file, so instances on one root agree with each other and the disk.
     """
 
     PAYLOAD_FIELD = "record"
 
-    def __init__(self, root: Union[str, Path, None] = None,
-                 version: Optional[str] = None) -> None:
-        super().__init__(root, version)
-        self._memo: Dict[str, RunRecord] = {}
-
     def get(self, key: str) -> Optional[RunRecord]:
         with trace.span("store.get", cat="store", key=key,
                         kind=self.PAYLOAD_FIELD):
-            memoized = self._memo.get(key)
-            if memoized is not None:
-                return memoized
             payload = self.get_payload(key)
             if payload is None:
                 return None
             try:
-                record = RunRecord.from_dict(payload)
+                return RunRecord.from_dict(payload)
             except (AttributeError, KeyError, TypeError, ValueError):
                 # Valid JSON of the wrong shape: a miss, not a crash loop.
                 self._discard(self._entry_file(key))
                 return None
-            self._memo[key] = record
-            return record
 
     def put(self, key: str, record: RunRecord) -> None:
         with trace.span("store.put", cat="store", key=key,
                         kind=self.PAYLOAD_FIELD):
             self.put_payload(key, record.to_dict())
-            self._memo[key] = record
-
-    def clear(self) -> int:
-        self._memo.clear()
-        return super().clear()
-
-    def prune(self, older_than_seconds: float) -> int:
-        removed = super().prune(older_than_seconds)
-        if removed:
-            # get/keys/len must agree after maintenance: drop the memo so
-            # pruned entries are not served from RAM.
-            self._memo.clear()
-        return removed
 
 
 # ----------------------------------------------------------------------

@@ -374,14 +374,18 @@ _BUILDERS: Dict[str, Callable[..., str]] = {
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
-def _scenario_width(rng: ScenarioRng) -> int:
-    return rng.choice((2, 4, 4))  # words dominate, as in Table 1
+def _scenario_rng(params: ScenarioParams) -> Tuple[ScenarioRng, int]:
+    """The scenario's generator after its first draw, and that draw: the
+    dominant data width, which is also the scenario's interleave
+    factor.  Every use of a scenario's randomness starts here, so the
+    width read from a name is the one its benchmark carries."""
+    rng = ScenarioRng(stable_hash64(params.name))
+    return rng, rng.choice((2, 4, 4))  # words dominate, as in Table 1
 
 
 def build_scenario_ddg(params: ScenarioParams) -> Ddg:
     """Deterministically build the loop DDG a scenario describes."""
-    rng = ScenarioRng(stable_hash64(params.name))
-    width = _scenario_width(rng)
+    rng, width = _scenario_rng(params)
     b = DdgBuilder(params.name)
     agen = _add_agen(b)
     mem_target = max(2, round(params.size * params.mem_pct / 100))
@@ -394,11 +398,13 @@ def _scenario_iterations(rng: ScenarioRng) -> int:
     return 96 + 32 * rng.randint(0, 4)
 
 
-@lru_cache(maxsize=1024)
+# Enough for every perfbench pool (12 scenarios).  A longer sweep runs
+# one scenario's group at a time, so it keeps its latest scenarios, not
+# every DDG it ever built.
+@lru_cache(maxsize=16)
 def _benchmark_by_name(name: str) -> Benchmark:
     params = ScenarioParams.parse(name)
-    rng = ScenarioRng(stable_hash64(params.name))
-    width = _scenario_width(rng)
+    rng, width = _scenario_rng(params)
     ddg = build_scenario_ddg(params)
     meta = rng.fork("meta")
     return Benchmark(

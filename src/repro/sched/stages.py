@@ -23,11 +23,14 @@ no compile returns a schedule that breaks a placement, dependence,
 capacity, copy or coherence-placement rule.
 
 Artifact stores are duck-typed (``get(key, decode) -> value | None`` /
-``put(key, dict)``): the real implementations live one layer up in
-:mod:`repro.api.artifacts`, and this module stays independent of the API
-layer.  The front end passes ``get`` its decoder and may receive the
-same decoded graph and profiles for every compile of a key, so it hands
-each compile a copy — the back end mutates the graphs it receives.
+``put(key, dict)``): the stores live one layer up in
+:mod:`repro.api.artifacts`, the runner passes its group's
+:class:`~repro.api.core.LoopMemo`, and this module stays independent of
+the API layer.  The front end passes ``get`` its decoder and may
+receive the same decoded graph and profiles for every compile of a key
+(a memo holds them), so it hands each compile a copy — the back end
+mutates the graphs it receives.  Its one lookup per compile is what the
+``artifacts.lookups`` and ``artifacts.puts`` counters count.
 
 Every stage execution is observable: counts and wall time land in the
 process metrics registry (``stages.executed`` / ``stages.seconds``,
@@ -359,7 +362,7 @@ def _decode_frontend(
     payload: dict,
 ) -> Tuple[Ddg, int, Optional[Dict[int, ClusterProfile]]]:
     """A front-end artifact's payload as the objects the back end takes;
-    the artifact store keeps the result, shared by every compile of the
+    a group's memo keeps the result, shared by every compile of the
     key."""
     profiles = payload["profiles"]
     if profiles is not None:
@@ -383,13 +386,14 @@ def _frontend(
 ) -> Tuple[Ddg, int, Optional[Dict[int, ClusterProfile]]]:
     """Run (or replay) the variant-independent front end.
 
-    With a store the whole front end is one artifact: a hit replays it,
-    a miss computes it, puts it once and hands the back end what it
-    computed.  A hit copies the decoded graph and profiles the store
-    shares between compiles of the key.  Explicit ``profiles`` and a
-    trace factory without a ``key`` have no content key, so they bypass
-    the store.  Verification runs only when the front end computes — a
-    replayed artifact was verified by whoever produced it.
+    With a store the whole front end is one artifact, looked up once
+    per compile: a hit replays it, a miss computes it, puts it once and
+    hands the back end what it computed.  A hit copies the decoded
+    graph and profiles, which the store may share between compiles of
+    the key.  Explicit ``profiles`` and a trace factory without a
+    ``key`` have no content key, so they bypass the store.
+    Verification runs only when the front end computes — a replayed
+    artifact was verified by whoever produced it.
     """
     if profiles is not None:
         work, factor, _ = _run_frontend(ddg, machine, None, unroll_factor,
@@ -404,7 +408,10 @@ def _frontend(
         key = frontend_artifact_key(ddg, machine, unroll_factor,
                                     add_mem_deps, trace_key,
                                     profile_iterations)
-    decoded = artifacts.get(key, _decode_frontend)
+    with trace.span("artifact.get", cat="artifact", key=key):
+        decoded = artifacts.get(key, _decode_frontend)
+    metrics.inc("artifacts.lookups",
+                outcome="miss" if decoded is None else "hit")
     if decoded is None:
         work, factor, profiles = _run_frontend(
             ddg, machine, trace_factory, unroll_factor, add_mem_deps,
@@ -418,6 +425,7 @@ def _frontend(
                     [iid, list(p.counts)] for iid, p in profiles.items()
                 ],
             })
+        metrics.inc("artifacts.puts")
         return work, factor, profiles
     with trace.span("artifact.replay", cat="artifact"):
         work, factor, profiles = decoded
@@ -462,16 +470,18 @@ def compile_loop(
         Figure 3 example).
     artifacts:
         Optional artifact store (``get(key, decode) -> value | None`` /
-        ``put(key, dict)``; see :class:`repro.api.artifacts.ArtifactStore`).
-        The whole front end — unrolled and disambiguated graph, unroll
-        factor, profiles — is one entry keyed by
-        :func:`frontend_artifact_key`: one lookup per compile, one put on
-        a miss, so the 6-way variant cross of one loop computes it once.
-        A hit is decoded once per store and key; each compile gets its
-        own copy of the graph and the profiles dict.  Explicit
-        ``profiles=`` and a trace factory without a ``key`` bypass the
-        store (the front end then runs uncached); the back end is never
-        stored.  ``None`` (the default) compiles from scratch.
+        ``put(key, dict)``; see :class:`repro.api.artifacts.ArtifactStore`
+        and :class:`repro.api.core.LoopMemo`).  The whole front end —
+        unrolled and disambiguated graph, unroll factor, profiles — is
+        one entry keyed by :func:`frontend_artifact_key`: one lookup per
+        compile, one put on a miss, so the 6-way variant cross of one
+        loop computes it once.  A bare store decodes a hit afresh; a
+        group's memo decodes it once and holds it.  Either way each
+        compile gets its own copy of the graph and the profiles dict.
+        Explicit ``profiles=`` and a trace factory without a ``key``
+        bypass the store (the front end then runs uncached); the back
+        end is never stored.  ``None`` (the default) compiles from
+        scratch.
     """
     work, factor, profiles = _frontend(
         ddg, machine,

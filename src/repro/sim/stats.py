@@ -53,7 +53,9 @@ _COUNTER_FIELDS = (
 #: deliberately *excluded* from ``to_dict``/``from_dict``: the serialized
 #: form of a run is engine-independent and byte-identical to the captured
 #: goldens (``tests/test_golden_equivalence.py``), while these counters
-#: describe how the run was executed, not what it observed.
+#: describe how the run was executed, not what it observed.  Like every
+#: unserialized field they take no part in ``==``, so a run equals the
+#: record a store reads back for it.
 _DIAGNOSTIC_FIELDS = (
     "fast_forwarded_cycles",
     "fast_retired_indexes",
@@ -82,17 +84,19 @@ class SimStats:
     next_level_requests: int = 0
     #: stalled/drain cycles the flat fast path jumped over in bulk
     #: (diagnostic; not serialized — see ``_DIAGNOSTIC_FIELDS``)
-    fast_forwarded_cycles: int = 0
+    fast_forwarded_cycles: int = field(default=0, compare=False)
     #: kernel indexes retired by the "no loads in flight, none due" bulk
     #: fast path (diagnostic; not serialized)
-    fast_retired_indexes: int = 0
+    fast_retired_indexes: int = field(default=0, compare=False)
     #: per-message-kind split of ``bus_transfers`` (``req_load``,
     #: ``req_store``, ``fwd_load``, ``fwd_store``, ``resp``).  The
     #: serialized form keeps the backward-compatible scalar — which is
     #: always the sum of this breakdown — so run records and goldens
     #: are unchanged; the split is surfaced through :meth:`publish`
-    #: (per-hop traffic metrics, one series per kind and memory model).
-    bus_transfer_kinds: Dict[str, int] = field(default_factory=dict)
+    #: (per-hop traffic metrics, one series per kind and memory model)
+    #: and, being unserialized, takes no part in ``==``.
+    bus_transfer_kinds: Dict[str, int] = field(default_factory=dict,
+                                               compare=False)
 
     # ------------------------------------------------------------------
     def record_access(self, kind: AccessType) -> None:

@@ -24,6 +24,7 @@ The second equation fixes the chain loop's filler compute count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.chains import ChainStats, chain_stats
@@ -390,6 +391,23 @@ def get_benchmark(name: str) -> Benchmark:
         f"unknown benchmark {name!r}; known: {sorted(_catalog())} "
         f"(or a generated 'scn-...' scenario name)"
     )
+
+
+@lru_cache(maxsize=1024)
+def _interleave_bytes(name: str) -> int:
+    """``get_benchmark(name).interleave_bytes``, with a scenario's read
+    from its name: every spec key resolves its machine, and a scenario's
+    DDG is built only to run it.  Cached, because parsing the name costs
+    about half of deriving a key."""
+    from repro.scenarios.generator import (
+        ScenarioParams,
+        _scenario_rng,
+        is_scenario_name,
+    )
+
+    if is_scenario_name(name):
+        return _scenario_rng(ScenarioParams.parse(name))[1]
+    return get_benchmark(name).interleave_bytes
 
 
 #: Names of all benchmarks (Table 1 rows), including the unevaluated one.

@@ -1,5 +1,5 @@
-"""ArtifactStore implementations: ownership, decoded values, counters,
-pruning, defaults."""
+"""ArtifactStore implementations: ownership, fresh decodes, one parse
+per disk read, cross-instance consistency, pruning, defaults."""
 
 import json
 import os
@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.api.artifacts import (
-    DECODED_ENTRIES,
     DiskArtifactStore,
     MemoryArtifactStore,
     artifact_root,
@@ -27,6 +26,12 @@ def fresh_stats():
 
 
 PAYLOAD = {"ddg": {"nodes": [1, 2, 3]}, "factor": 4}
+
+
+def make_store(store_type, tmp_path):
+    if store_type == "memory":
+        return MemoryArtifactStore()
+    return DiskArtifactStore(tmp_path)
 
 
 class TestMemoryArtifactStore:
@@ -55,6 +60,13 @@ class TestMemoryArtifactStore:
         payload["factor"] = 99
         assert store.get("k")["factor"] == 1
 
+    def test_absorb_holds_a_workers_entries(self):
+        store = MemoryArtifactStore()
+        text = MemoryArtifactStore().put("k", PAYLOAD)
+        store.absorb({"k": text})
+        assert store.get("k") == PAYLOAD
+        assert list(store.keys()) == ["k"]
+
 
 class TestDiskArtifactStore:
     def test_roundtrip_across_instances(self, tmp_path):
@@ -77,14 +89,52 @@ class TestDiskArtifactStore:
         assert DiskArtifactStore(tmp_path, version="2.0.0").get("k") is None
         assert not old.entry_path("k").exists()
 
-    def test_memoized_reread(self, tmp_path):
+    def test_every_get_reads_the_file(self, tmp_path):
+        """Nothing is kept in process: an entry whose file is gone is a
+        miss for the instance that wrote and read it, too."""
         store = DiskArtifactStore(tmp_path)
         store.put("k", PAYLOAD)
-        store.entry_path("k").unlink()
-        # The in-process memo still serves (and returns a fresh copy).
         first = store.get("k")
         first["factor"] = -1
         assert store.get("k") == PAYLOAD
+        store.entry_path("k").unlink()
+        assert store.get("k") is None
+        assert "k" not in store
+
+    def test_a_read_parses_its_file_once_and_encodes_nothing(
+            self, tmp_path, monkeypatch):
+        """Each get, of an instance that wrote the entry or of a fresh
+        one, makes one JSON pass: parsing the file."""
+        store = DiskArtifactStore(tmp_path)
+        store.put("k", PAYLOAD)
+        calls = []
+        loads, dumps = json.loads, json.dumps
+
+        def counted_loads(*args, **kwargs):
+            calls.append("loads")
+            return loads(*args, **kwargs)
+
+        def counted_dumps(*args, **kwargs):
+            calls.append("dumps")
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counted_loads)
+        monkeypatch.setattr(json, "dumps", counted_dumps)
+        for reader in (store, DiskArtifactStore(tmp_path)):
+            assert reader.get("k") == PAYLOAD
+            assert calls == ["loads"]
+            calls.clear()
+        fresh = DiskArtifactStore(tmp_path)
+        assert fresh.get("k", lambda payload: payload["factor"]) == 4
+        assert calls == ["loads"]
+
+    def test_absorb_writes_nothing(self, tmp_path):
+        """A worker's copy of a disk store wrote its entries' files
+        already, so absorbing their texts adds nothing."""
+        store = DiskArtifactStore(tmp_path)
+        store.absorb({"k": json.dumps(PAYLOAD)})
+        assert list(store.keys()) == []
+        assert store.get("k") is None
 
     def test_prune_by_age(self, tmp_path):
         store = DiskArtifactStore(tmp_path)
@@ -94,7 +144,6 @@ class TestDiskArtifactStore:
         os.utime(store.entry_path("old"), (stale, stale))
         assert store.prune(older_than_seconds=60) == 1
         assert sorted(store.keys()) == ["new"]
-        # The in-process memo must not resurrect the pruned entry.
         assert store.get("old") is None
 
     def test_default_root_is_artifacts_subdir(self, tmp_path, monkeypatch):
@@ -106,142 +155,77 @@ class TestDiskArtifactStore:
         )
 
 
-class TestDecodedValues:
-    """``get(key, decode)`` decodes once per key and keeps the value in a
-    bounded LRU that ``clear``, ``prune``, a re-``put`` and an ``absorb``
-    of the key drop."""
+class TestTwoInstancesOnOneRoot:
+    """What one instance does to the directory, the other sees at once:
+    its ``get`` and ``in`` agree with its ``keys()``."""
 
     @staticmethod
-    def decoder():
+    def agree(store, key):
+        listed = key in set(store.keys())
+        assert (store.get(key) is not None) is listed
+        assert (key in store) is listed
+        return listed
+
+    def test_clear(self, tmp_path):
+        a, b = DiskArtifactStore(tmp_path), DiskArtifactStore(tmp_path)
+        a.put("k", PAYLOAD)
+        assert a.get("k") == PAYLOAD
+        assert self.agree(a, "k")
+        assert b.clear() == 1
+        assert not self.agree(a, "k")
+
+    def test_prune(self, tmp_path):
+        a, b = DiskArtifactStore(tmp_path), DiskArtifactStore(tmp_path)
+        a.put("k", PAYLOAD)
+        assert a.get("k") == PAYLOAD
+        stale = time.time() - 3600
+        os.utime(a.entry_path("k"), (stale, stale))
+        assert b.prune(older_than_seconds=60) == 1
+        assert not self.agree(a, "k")
+
+    def test_rewrite(self, tmp_path):
+        a, b = DiskArtifactStore(tmp_path), DiskArtifactStore(tmp_path)
+        a.put("k", PAYLOAD)
+        assert a.get("k") == PAYLOAD
+        b.put("k", dict(PAYLOAD, factor=8))
+        assert self.agree(a, "k")
+        assert a.get("k") == dict(PAYLOAD, factor=8)
+
+
+class TestFreshDecodes:
+    """A bare store holds nothing decoded: ``get(key, decode)`` decodes
+    afresh on every call.  What a group of compiles shares is held by
+    its ``repro.api.core.LoopMemo``."""
+
+    @pytest.mark.parametrize("store_type", ["memory", "disk"])
+    def test_every_get_decodes(self, tmp_path, store_type):
+        store = make_store(store_type, tmp_path)
         calls = []
 
         def decode(payload):
             calls.append(payload["factor"])
-            return ("decoded", payload["factor"])
+            return ["decoded", payload["factor"]]
 
-        return decode, calls
-
-    @pytest.mark.parametrize("store_type", ["memory", "disk"])
-    def test_decoded_once_per_key(self, tmp_path, store_type):
-        store = (MemoryArtifactStore() if store_type == "memory"
-                 else DiskArtifactStore(tmp_path))
-        decode, calls = self.decoder()
         assert store.get("k", decode) is None
         store.put("k", PAYLOAD)
         first = store.get("k", decode)
-        assert first == ("decoded", 4)
-        assert store.get("k", decode) is first
-        assert calls == [4]
-        # A plain get still hands out a fresh payload.
-        assert store.get("k") == PAYLOAD
-        # Another decode function never sees this one's value.
-        other, other_calls = self.decoder()
-        assert store.get("k", other) == ("decoded", 4)
-        assert other_calls == [4]
-        stats = artifact_stats()
-        assert (stats.hits, stats.misses, stats.puts) == (4, 1, 1)
-
-    def test_re_put_drops_the_decoded_value(self):
-        store = MemoryArtifactStore()
-        decode, calls = self.decoder()
-        store.put("k", PAYLOAD)
-        store.get("k", decode)
+        second = store.get("k", decode)
+        assert first == second == ["decoded", 4]
+        assert first is not second
+        assert calls == [4, 4]
         store.put("k", dict(PAYLOAD, factor=8))
-        assert store.get("k", decode) == ("decoded", 8)
-        assert calls == [4, 8]
-
-    def test_absorb_drops_the_decoded_value(self, tmp_path):
-        for store in (MemoryArtifactStore(), DiskArtifactStore(tmp_path)):
-            decode, calls = self.decoder()
-            store.put("k", PAYLOAD)
-            store.get("k", decode)
-            store.absorb({"k": json.dumps(dict(PAYLOAD, factor=8))})
-            assert store.get("k", decode) == ("decoded", 8)
-            assert calls == [4, 8]
+        assert store.get("k", decode) == ["decoded", 8]
 
     @pytest.mark.parametrize("store_type", ["memory", "disk"])
-    def test_clear_drops_the_decoded_value(self, tmp_path, store_type):
-        store = (MemoryArtifactStore() if store_type == "memory"
-                 else DiskArtifactStore(tmp_path))
-        decode, calls = self.decoder()
-        store.put("k", PAYLOAD)
-        store.get("k", decode)
-        assert store.clear() == 1
-        assert store.get("k", decode) is None
-        store.put("k", PAYLOAD)
-        assert store.get("k", decode) == ("decoded", 4)
-        assert calls == [4, 4]
-
-    def test_prune_drops_the_decoded_value(self, tmp_path):
-        store = DiskArtifactStore(tmp_path)
-        decode, calls = self.decoder()
-        store.put("old", PAYLOAD)
-        assert store.get("old", decode) == ("decoded", 4)
-        stale = time.time() - 3600
-        os.utime(store.entry_path("old"), (stale, stale))
-        assert store.prune(older_than_seconds=60) == 1
-        assert store.get("old", decode) is None
-        assert calls == [4]
-
-    def test_lru_never_exceeds_its_bound(self):
-        store = MemoryArtifactStore()
-        decode, calls = self.decoder()
-        keys = [f"k{n}" for n in range(DECODED_ENTRIES + 5)]
-        for n, key in enumerate(keys):
-            store.put(key, dict(PAYLOAD, factor=n))
-        for key in keys + keys[::-1]:
-            store.get(key, decode)
-            assert len(store._decoded) <= DECODED_ENTRIES
-        # The most recently used keys are served without a decode; the
-        # least recently used one was evicted and decodes again.
-        calls.clear()
-        for key in keys[:DECODED_ENTRIES]:
-            store.get(key, decode)
-        assert calls == []
-        store.get(keys[-1], decode)
-        assert calls == [len(keys) - 1]
-
-    def test_disk_store_holds_at_most_the_bound(self, tmp_path):
-        """However many entries pass through a disk store, it keeps at
-        most ``DECODED_ENTRIES`` texts and as many decoded values in
-        memory; older entries are read from their files again."""
-        store = DiskArtifactStore(tmp_path)
-        decode, calls = self.decoder()
-        keys = [f"k{n}" for n in range(3 * DECODED_ENTRIES)]
-        texts = {}
-        for n, key in enumerate(keys):
-            texts[key] = store.put(key, dict(PAYLOAD, factor=n))
-            assert store.get(key) == dict(PAYLOAD, factor=n)
-            assert store.get(key, decode) == ("decoded", n)
-        store.absorb(texts)
-        for key in keys:
-            store.get(key, decode)
-        held = [value for value in vars(store).values()
-                if isinstance(value, (dict, list, set, tuple))]
-        assert held and all(len(value) <= DECODED_ENTRIES
-                            for value in held)
-        assert calls == list(range(len(keys))) * 2
-
-
-class TestCounters:
-    def test_hit_miss_accounting(self, tmp_path):
-        store = DiskArtifactStore(tmp_path)
-        store.get("frontend-a")        # miss
+    def test_stores_count_nothing(self, tmp_path, store_type):
+        """The pipeline counts its lookups and puts; a store's own gets
+        and puts move no counter."""
+        store = make_store(store_type, tmp_path)
+        store.get("frontend-a")
         store.put("frontend-a", PAYLOAD)
-        store.get("frontend-a")        # hit
-        store.get("frontend-b")        # miss
+        store.get("frontend-a")
         stats = artifact_stats()
-        assert stats.hits == 1
-        assert stats.misses == 2
-        assert stats.puts == 1
-        assert stats.lookups == 3
-        assert stats.hit_rate == pytest.approx(1 / 3)
-
-    def test_counters_span_stores(self):
-        a, b = MemoryArtifactStore(), MemoryArtifactStore()
-        a.get("unroll-x")
-        b.get("unroll-x")
-        assert artifact_stats().misses == 2
+        assert (stats.hits, stats.misses, stats.puts) == (0, 0, 0)
 
 
 class TestDefaultArtifactStore:

@@ -65,3 +65,18 @@ def test_merged_stats_equals_the_pairwise_fold(runs):
     merged = record_of(runs).merged_stats()
     assert fields(merged) == fields(folded)
     assert merged == folded
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sim_stats())
+def test_stats_equal_what_their_serialized_form_reads_back(stats):
+    """Equality covers exactly the serialized counters: a run equals the
+    stats a store reads back for it, although that copy has zero
+    diagnostics and no ``bus_transfer_kinds``, and a change to any
+    serialized counter breaks it."""
+    again = SimStats.from_dict(stats.to_dict())
+    assert again == stats
+    assert fields(again)[1][len(_COUNTER_FIELDS):] == [0, 0]
+    assert again.bus_transfer_kinds == {}
+    again.issued_ops += 1
+    assert again != stats

@@ -654,7 +654,7 @@ class TestSharedLoops:
         plan = list(cross_plan(reverse))
         (group,) = Runner._group_indices(plan)
         specs = [plan[i] for i in group]
-        memo = LoopMemo(specs)
+        memo = LoopMemo(specs, MemoryArtifactStore())
         held = []
         simulate = core.simulate
 
@@ -663,10 +663,9 @@ class TestSharedLoops:
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(core, "simulate", simulating)
-        artifacts = MemoryArtifactStore()
         for done, spec in enumerate(specs, 1):
             with memo.active():
-                execute_spec(spec, artifacts=artifacts)
+                execute_spec(spec)
             pending = {key(s, loop) for s in specs[done:]
                        for loop in ("gsmdec.chain", "gsmdec.aux")}
             assert set(memo._entries) <= pending
@@ -674,6 +673,41 @@ class TestSharedLoops:
         # At most one chain-loop entry (its sibling group's) plus one
         # aux entry per heuristic.
         assert max(held) <= 3
+
+    def test_nothing_of_the_plan_outlives_run(self, monkeypatch):
+        """Once a serial ``Runner.run`` returns, no decoded front end and
+        no back-end entry of its groups is reachable: the group memo was
+        their only holder, and it went with its group."""
+        import gc
+        import weakref
+
+        import repro.sched.stages as stages
+        from repro.api.core import LoopMemo
+
+        refs = []
+        decode, keep = stages._decode_frontend, LoopMemo._keep
+
+        def decoding(payload):
+            decoded = decode(payload)
+            refs.append(weakref.ref(decoded[0]))
+            return decoded
+
+        def keeping(memo, spec, loop, inputs):
+            entry = keep(memo, spec, loop, inputs)
+            refs.extend((weakref.ref(entry), weakref.ref(inputs.compiled)))
+            return entry
+
+        monkeypatch.setattr(stages, "_decode_frontend", decoding)
+        monkeypatch.setattr(LoopMemo, "_keep", keeping)
+        artifacts = MemoryArtifactStore()
+        records = Runner(store=MemoryStore(),
+                         artifacts=artifacts).run(cross_plan())
+        gc.collect()
+        assert len(records) == len(cross_plan())
+        # Two loops decoded (replayed) and kept; more entries than loops.
+        assert len(refs) > 4
+        assert [ref for ref in refs if ref() is not None] == []
+        assert len(artifacts) == 2
 
     def test_failures_are_never_shared(self, monkeypatch):
         """An injected failure in free's compile, then in free's

@@ -249,6 +249,27 @@ class TestEffectiveMachineMemo:
         )
         assert out.stdout.strip() == "True"
 
+    def test_scenario_keys_build_no_scenario(self, monkeypatch):
+        """A scenario's interleave factor comes from its name: keying
+        its specs builds no benchmark (no DDG), and the factor is the
+        one the built benchmark carries."""
+        from repro.scenarios import generator, sample_scenarios
+
+        names = [p.name for p in sample_scenarios(12, 12)]
+        want = {name: get_benchmark(name).interleave_bytes
+                for name in names}
+        assert set(want.values()) == {2, 4}
+
+        def refuse(name):
+            raise AssertionError(f"built {name} to derive a key")
+
+        monkeypatch.setattr(generator, "_benchmark_by_name", refuse)
+        for name in names:
+            spec = RunSpec(benchmark=name, scale=0.1)
+            spec.content_hash
+            spec.frontend_key
+            assert spec.resolved_machine().interleave_bytes == want[name]
+
     def test_memo_is_bounded_and_keyed_by_machine_only(self):
         memo = spec_module._effective_machine
         assert memo.cache_info().maxsize == 256

@@ -118,20 +118,27 @@ class TestDiskStore:
         assert store.clear() == 2
         assert list(store.keys()) == []
 
-    def test_prune_drops_old_entries_and_the_memo(self, tmp_path):
-        import os
-        import time
-
+    def test_prune_drops_old_entries(self, tmp_path):
         store = DiskStore(tmp_path)
         store.put("old", make_record(cycles=1))
         store.put("new", make_record(cycles=2))
-        assert store.get("old") is not None  # memoized
+        assert store.get("old") is not None
         stale = time.time() - 3600
         os.utime(store.entry_path("old"), (stale, stale))
         assert store.prune(older_than_seconds=60) == 1
         assert store.get("old") is None, "pruned entry must not be served"
         assert store.get("new") is not None
         assert sorted(store.keys()) == ["new"]
+
+    def test_every_get_reads_the_file(self, tmp_path):
+        """Nothing is kept in process: an entry whose file is gone is a
+        miss for the instance that wrote and read it, too."""
+        store = DiskStore(tmp_path)
+        store.put("k", make_record())
+        assert store.get("k") is not None
+        store.entry_path("k").unlink()
+        assert store.get("k") is None
+        assert "k" not in store
 
     @pytest.mark.parametrize("store_cls, payload", [
         (DiskStore, make_record()),
@@ -163,6 +170,43 @@ class TestDiskStore:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         store = DiskStore()
         assert store.root == tmp_path / "envcache"
+
+
+class TestTwoInstancesOnOneRoot:
+    """What one instance does to the directory, the other sees at once:
+    its ``get`` and ``in`` agree with its ``keys()``."""
+
+    @staticmethod
+    def agree(store, key):
+        listed = key in set(store.keys())
+        assert (store.get(key) is not None) is listed
+        assert (key in store) is listed
+        return listed
+
+    def test_clear(self, tmp_path):
+        a, b = DiskStore(tmp_path), DiskStore(tmp_path)
+        a.put("k", make_record())
+        assert a.get("k") is not None
+        assert self.agree(a, "k")
+        assert b.clear() == 1
+        assert not self.agree(a, "k")
+
+    def test_prune(self, tmp_path):
+        a, b = DiskStore(tmp_path), DiskStore(tmp_path)
+        a.put("k", make_record())
+        assert a.get("k") is not None
+        stale = time.time() - 3600
+        os.utime(a.entry_path("k"), (stale, stale))
+        assert b.prune(older_than_seconds=60) == 1
+        assert not self.agree(a, "k")
+
+    def test_rewrite(self, tmp_path):
+        a, b = DiskStore(tmp_path), DiskStore(tmp_path)
+        a.put("k", make_record(cycles=1))
+        assert a.get("k").loops[0].compute_cycles == 1
+        b.put("k", make_record(cycles=2))
+        assert self.agree(a, "k")
+        assert a.get("k").loops[0].compute_cycles == 2
 
 
 class TestDiskStoreConcurrencyHardening:

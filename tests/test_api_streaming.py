@@ -216,24 +216,30 @@ class TestParallelFloorWarning:
         yield
         core._floor_warning_emitted = previous
 
-    def test_single_parent_side_warning(self, reset_floor_warning):
-        # pgpdec at tiny scale hits the kernel-iteration floor; workers
-        # suppress their per-process warning, the parent re-derives one
-        # from LoopRecord.iteration_floor.
+    @pytest.mark.parametrize("parallel", [None, 2],
+                             ids=["serial", "parallel"])
+    def test_one_warning_per_process(self, reset_floor_warning, parallel):
+        # pgpdec at tiny scale hits the kernel-iteration floor; the
+        # runner derives one warning per process from the fresh records'
+        # LoopRecord.iteration_floor, however many workers ran, and a
+        # later floored plan adds none.
         plan = Plan.grid(benchmarks=["pgpdec"],
                          variants=("mdc/prefclus", "ddgt/prefclus"),
                          scale=0.01)
-        runner = Runner(store=MemoryStore(), parallel=2)
+        runner = Runner(store=MemoryStore(), parallel=parallel)
         with pytest.warns(RuntimeWarning,
                           match="kernel-iteration floor") as caught:
             records = runner.run(plan)
+            runner.run(Plan.grid(benchmarks=["gsmenc"],
+                                 variants=("mdc/prefclus",), scale=0.01))
         assert any(l.iteration_floor for r in records for l in r.loops)
         floor_warnings = [w for w in caught
                           if "kernel-iteration floor" in str(w.message)]
         assert len(floor_warnings) == 1, (
-            "exactly one warning, not one per worker"
+            "exactly one warning, not one per worker or plan"
         )
-        assert "worker process" in str(floor_warnings[0].message)
+        assert str(floor_warnings[0].message).startswith(
+            "kernel-iteration floor: pgpdec:")
 
 
 class TestShardedStore:

@@ -10,8 +10,6 @@ in X's home cluster executes (locally, immediately), so the load always
 sees the new value.
 """
 
-import pytest
-
 from repro.alias import MemRef
 from repro.arch import BASELINE_CONFIG
 from repro.ir import DdgBuilder, DepKind

@@ -129,6 +129,27 @@ class TestGenerator:
         assert bench.loops[0].ddg.fingerprint() == \
             build_scenario_ddg(ScenarioParams.parse(name)).fingerprint()
 
+    def test_scenario_cache_keeps_a_bounded_working_set(self):
+        """The benchmarks a process names are cached as a working set
+        that covers a perfbench pool (12 scenarios), not for the life of
+        the process: an early scenario's DDG is released once enough
+        later ones were named."""
+        import gc
+        import weakref
+
+        from repro.scenarios.generator import _benchmark_by_name
+
+        names = [p.name for p in sample_scenarios(11, 40)]
+        first = weakref.ref(scenario_benchmark(names[0]).loops[0].ddg)
+        for name in names[1:]:
+            scenario_benchmark(name)
+        gc.collect()
+        assert first() is None
+        hits = _benchmark_by_name.cache_info().hits
+        for name in names[-12:]:
+            scenario_benchmark(name)
+        assert _benchmark_by_name.cache_info().hits - hits == 12
+
     def test_sample_is_deterministic_and_prefix_stable(self):
         first = sample_scenarios(5, 20)
         again = sample_scenarios(5, 20)

@@ -17,7 +17,6 @@ example graph; these tests verify every claim:
 import pytest
 
 from repro.arch import BASELINE_CONFIG
-from repro.errors import TransformError
 from repro.ir import DepKind, Opcode, verify_ddg
 from repro.sched import apply_ddgt
 

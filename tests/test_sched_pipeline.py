@@ -3,7 +3,6 @@ post-pass, latency policy)."""
 
 import pytest
 
-from repro.alias import MemRef
 from repro.alias.profiles import ClusterProfile
 from repro.arch import BASELINE_CONFIG
 from repro.errors import SchedulingError

@@ -1,5 +1,5 @@
 """The staged pipeline: the front-end artifact key, artifact sharing,
-decoded replays."""
+decoded replays through a bare store and through a group memo."""
 
 import warnings
 
@@ -14,6 +14,7 @@ from repro.api.artifacts import (
     artifact_stats,
     reset_artifact_stats,
 )
+from repro.api.core import LoopMemo
 from repro.arch.config import BASELINE_CONFIG
 from repro.ir import Ddg, Opcode
 from repro.sched import CoherenceMode, Heuristic, compile_loop
@@ -161,6 +162,7 @@ class TestFrontendSharing:
         stats = artifact_stats()
         assert (stats.lookups, stats.misses, stats.puts) == (
             len(ALL_VARIANTS), 1, 1)
+        assert stats.hit_rate == pytest.approx(5 / 6)
         (key,) = artifacts.keys()
         assert key.startswith("frontend-")
 
@@ -250,9 +252,10 @@ class TestFrontendSharing:
 
 
 class TestDecodedReplay:
-    """A store decodes each front end once and every compile of the key
-    gets its own copy: what one compile does to its graph or profiles
-    never reaches the next."""
+    """A bare store decodes a front end afresh for every replay; a group
+    memo decodes it once and hands every later compile the same value.
+    Either way each compile gets its own copy: what one compile does to
+    its graph or profiles never reaches the next."""
 
     VARIANTS = sorted(ALL_VARIANTS, key=lambda v: v[0] is not
                       CoherenceMode.DDGT)
@@ -260,10 +263,11 @@ class TestDecodedReplay:
     def test_ddgt_first_then_the_cross_on_one_store(self, loop_spec,
                                                     tmp_path):
         """DDGT rewrites the graph it is handed; the compiles after it on
-        the same store (memory, and disk) match a fresh store and no
-        store, variant for variant."""
+        the same store (memory, disk, and a memo) match a fresh store and
+        no store, variant for variant."""
         assert self.VARIANTS[0][0] is CoherenceMode.DDGT
-        for shared in (MemoryArtifactStore(), DiskArtifactStore(tmp_path)):
+        for shared in (MemoryArtifactStore(), DiskArtifactStore(tmp_path),
+                       LoopMemo((), MemoryArtifactStore())):
             for coherence, heuristic in self.VARIANTS * 2:
                 got = _whole(compile_variant(loop_spec, coherence,
                                              heuristic, shared))
@@ -276,12 +280,12 @@ class TestDecodedReplay:
 
     def test_mutating_a_handed_out_front_end_never_reaches_a_replay(
             self, loop_spec):
-        store = MemoryArtifactStore()
+        memo = LoopMemo((), MemoryArtifactStore())
         want = _whole(compile_variant(loop_spec, CoherenceMode.MDC,
                                       Heuristic.PREFCLUS, None))
         for _ in range(3):
             result = compile_variant(loop_spec, CoherenceMode.MDC,
-                                     Heuristic.PREFCLUS, store)
+                                     Heuristic.PREFCLUS, memo)
             assert _whole(result) == want
             # Scribble over everything the compile was handed.
             graph = result.ddg
@@ -295,8 +299,12 @@ class TestDecodedReplay:
             result.profiles[-1] = ClusterProfile((0, 0, 0, 1))
         assert artifact_stats().puts == 1
 
-    def test_one_decode_per_key_however_many_compiles(self, loop_spec,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("holder, replays_decoded", [
+        ("memo", 1),
+        ("bare store", 2 * len(ALL_VARIANTS) - 1),
+    ], ids=["memo", "bare-store"])
+    def test_decodes_per_key(self, loop_spec, monkeypatch, holder,
+                             replays_decoded):
         decodes = []
         from_dict = Ddg.from_dict.__func__
 
@@ -306,11 +314,13 @@ class TestDecodedReplay:
 
         monkeypatch.setattr(Ddg, "from_dict", classmethod(counted))
         store = MemoryArtifactStore()
+        artifacts = LoopMemo((), store) if holder == "memo" else store
         for coherence, heuristic in ALL_VARIANTS * 2:
-            compile_variant(loop_spec, coherence, heuristic, store)
+            compile_variant(loop_spec, coherence, heuristic, artifacts)
         # The first compile computes the front end and keeps its own
-        # graph; the first replay decodes, every later one copies.
-        assert len(decodes) == 1
+        # graph.  Through a memo the first replay decodes and every later
+        # one copies; a bare store decodes every replay.
+        assert len(decodes) == replays_decoded
         stats = artifact_stats()
         assert (stats.hits, stats.misses, stats.puts) == (
             2 * len(ALL_VARIANTS) - 1, 1, 1)

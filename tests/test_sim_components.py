@@ -1,7 +1,6 @@
 """Unit tests for the simulator's building blocks: interleaving, cache
 modules, attraction buffers, buses, next level."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
