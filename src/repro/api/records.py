@@ -101,7 +101,8 @@ class RunRecord:
     model: str = "snooping"
     loops: List[LoopRecord] = field(default_factory=list)
     #: Runtime provenance: ``"simulated"`` for freshly computed records,
-    #: ``"store"`` when the runner served the record from a result store.
+    #: ``"store"`` for a record a result store's ``get`` returned (the
+    #: store sets it; see :meth:`repro.api.store.ResultStore.get`).
     #: Deliberately excluded from equality and serialization — the same
     #: result must hash/compare identically however it was obtained.
     source: str = field(default="simulated", compare=False)

@@ -49,7 +49,6 @@ missing or failed specs execute again.
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import time
 import traceback as _tb
@@ -375,11 +374,8 @@ class Runner:
             if record is None:
                 misses.append(i)
                 continue
-            # Tag a shallow copy: a MemoryStore hands back the object it
-            # stored, and mutating it would retroactively relabel the
-            # record the original simulation yielded.
-            record = copy.copy(record)
-            record.source = "store"
+            # The store hands over a record the caller owns, already
+            # tagged source="store".
             for j in key_indices[key]:
                 yield j, record
         if not misses:

@@ -22,8 +22,9 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.arch.config import MachineConfig, named_config
 from repro.errors import ConfigError
-from repro.hashing import digest
+from repro.hashing import plain_digest
 from repro.sched.stages import CoherenceMode, Heuristic
+from repro.sim.models import named_model
 
 #: Benchmarks on the figures' x-axes, in the paper's order.
 EVALUATED: Tuple[str, ...] = (
@@ -151,8 +152,6 @@ class RunSpec:
     def __post_init__(self) -> None:
         variant = parse_variant(self.variant)
         object.__setattr__(self, "variant", variant.key)
-        from repro.sim.models import named_model
-
         named_model(self.model)  # fail fast on unknown models
         scale = self.scale
         if scale is None:
@@ -186,7 +185,8 @@ class RunSpec:
         ``with_attraction_buffers()`` are applied) guarantees two specs
         share a key only when they run byte-identical work.  The memory
         model enters the digest only when it is not the default snooping
-        protocol, so every pre-model cache entry keeps its key.
+        protocol, so every pre-model cache entry keeps its key.  Every
+        value is plain JSON, so the payload skips the ``jsonable`` walk.
         """
         payload = {
             "benchmark": self.benchmark,
@@ -199,7 +199,7 @@ class RunSpec:
         }
         if self.model != "snooping":
             payload["model"] = self.model
-        return digest(payload)
+        return plain_digest(payload)
 
     @property
     def frontend_key(self) -> str:
@@ -214,7 +214,7 @@ class RunSpec:
         so sibling variants land in the same worker and hit each other's
         warm artifacts.
         """
-        return digest({
+        return plain_digest({
             "benchmark": self.benchmark,
             "machine": self.resolved_machine().fingerprint(),
             "loop": self.loop,
@@ -398,7 +398,7 @@ class Plan:
 
     @property
     def content_hash(self) -> str:
-        return digest([spec.content_hash for spec in self.specs])
+        return plain_digest([spec.content_hash for spec in self.specs])
 
     def describe(self) -> str:
         lines = [f"plan {self.content_hash} ({len(self)} specs):"]

@@ -40,6 +40,7 @@ import re
 import stat
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -301,6 +302,13 @@ class ResultStore:
     """Interface: a keyed store of :class:`RunRecord` results."""
 
     def get(self, key: str) -> Optional[RunRecord]:
+        """The record stored under ``key``, or ``None`` on a miss.
+
+        A hit is a new object the caller owns, with ``source`` set to
+        ``"store"``: setting its fields (``source`` among them) leaves
+        the stored record as it was.  Its loop records may be shared
+        with the stored record, so they are read-only.
+        """
         raise NotImplementedError
 
     def put(self, key: str, record: RunRecord) -> None:
@@ -321,13 +329,18 @@ class ResultStore:
 
 
 class MemoryStore(ResultStore):
-    """Process-local in-memory store."""
+    """Process-local in-memory store.  A hit is a shallow copy of the
+    record it keeps, tagged ``source="store"``; the record put stays
+    as it was given."""
 
     def __init__(self) -> None:
         self._records: Dict[str, RunRecord] = {}
 
     def get(self, key: str) -> Optional[RunRecord]:
-        return self._records.get(key)
+        record = self._records.get(key)
+        if record is None:
+            return None
+        return replace(record, source="store")
 
     def put(self, key: str, record: RunRecord) -> None:
         self._records[key] = record
@@ -345,7 +358,9 @@ class DiskStore(JsonFileStore, ResultStore):
     """One JSON file per :class:`RunRecord` under ``root`` (default
     ``.repro_cache/``), on the hardened, sharded :class:`JsonFileStore`
     machinery.  Nothing is kept in process: every get reads the entry's
-    file, so instances on one root agree with each other and the disk.
+    file, so instances on one root agree with each other and the disk,
+    and a hit is the record just decoded from it, tagged
+    ``source="store"``.
     """
 
     PAYLOAD_FIELD = "record"
@@ -357,11 +372,13 @@ class DiskStore(JsonFileStore, ResultStore):
             if payload is None:
                 return None
             try:
-                return RunRecord.from_dict(payload)
+                record = RunRecord.from_dict(payload)
             except (AttributeError, KeyError, TypeError, ValueError):
                 # Valid JSON of the wrong shape: a miss, not a crash loop.
                 self._discard(self._entry_file(key))
                 return None
+            record.source = "store"
+            return record
 
     def put(self, key: str, record: RunRecord) -> None:
         with trace.span("store.put", cat="store", key=key,

@@ -7,6 +7,12 @@ front-end artifact key (:mod:`repro.sched.stages`).  Payloads are reduced to
 canonical JSON (dataclasses to field dicts, enums to values, dict keys
 sorted) and hashed with SHA-256, so two processes — or two interpreter
 versions — always agree on the key for the same work.
+
+:func:`digest` accepts any payload and reduces it with :func:`jsonable`
+first.  Callers whose payload is plain JSON already (str/int/float/bool/
+``None`` leaves in dicts with ``str`` keys, lists and tuples) use
+:func:`plain_digest`, which skips that walk and hashes the same text;
+:func:`canonical_json` is that text.
 """
 
 from __future__ import annotations
@@ -47,8 +53,20 @@ def jsonable(obj):
     return obj
 
 
+def canonical_json(payload) -> str:
+    """The canonical JSON text of a plain-JSON payload: keys sorted, no
+    whitespace.  Tuples encode as lists, as :func:`jsonable` makes them."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def plain_digest(payload) -> str:
+    """:func:`digest` of a payload that is plain JSON already, without
+    the :func:`jsonable` walk: equal to ``digest(payload)`` for every
+    such payload."""
+    text = canonical_json(payload)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:DIGEST_LENGTH]
+
+
 def digest(payload) -> str:
     """Stable short hex digest of an arbitrary JSON-able payload."""
-    canonical = json.dumps(jsonable(payload), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:DIGEST_LENGTH]
+    return plain_digest(jsonable(payload))

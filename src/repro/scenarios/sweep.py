@@ -34,6 +34,7 @@ from repro.scenarios.generator import (
     sample_scenarios,
 )
 from repro.scenarios.machines import resolve_machines
+from repro.sim.stats import AccessType
 
 #: The differential grid, free modes first: the full coherence x
 #: heuristic cross.  Both heuristics matter — PrefClus tends to
@@ -178,9 +179,12 @@ def summarize(records: Sequence[RunRecord]) -> SweepResult:
     grouped: Dict[Tuple[str, str, str], List[RunRecord]] = {}
     anomalies: List[str] = []
     free_violations: Dict[Tuple[str, str, str, str], int] = {}
+    # A sweep's records repeat each scenario once per variant and model.
+    families = {name: scenario_family(name)
+                for name in {record.benchmark for record in records}}
     for record in records:
-        family = scenario_family(record.benchmark)
-        cell_key = (family, record.variant, record.model)
+        cell_key = (families[record.benchmark], record.variant,
+                    record.model)
         grouped.setdefault(cell_key, []).append(record)
         if _is_free(record.variant):
             key = (
@@ -245,17 +249,26 @@ def _summarize_cell(
     bus_rates: List[float] = []
     violations = 0
     for record in cell:
-        stats = record.merged_stats()
-        cycles = stats.total_cycles
-        iters = sum(loop.kernel_iterations for loop in record.loops)
-        iis.extend(loop.ii for loop in record.loops)
+        # Integer sums of the loops' counters: each ratio equals the one
+        # record.merged_stats() gives, without building a SimStats.
+        cycles = issued = accesses = local_hits = bus = iters = 0
+        for loop in record.loops:
+            stats = loop.stats
+            cycles += stats.compute_cycles + stats.stall_cycles
+            issued += stats.issued_ops
+            counts = stats.accesses
+            accesses += sum(counts.values())
+            local_hits += counts[AccessType.LOCAL_HIT]
+            bus += stats.bus_transfers
+            iters += loop.kernel_iterations
+            iis.append(loop.ii)
+            violations += loop.violations
         if cycles:
-            ipcs.append(stats.issued_ops / cycles)
-        if stats.total_accesses:
-            hits.append(stats.local_hit_ratio)
+            ipcs.append(issued / cycles)
+        if accesses:
+            hits.append(local_hits / accesses)
         if iters:
-            bus_rates.append(stats.bus_transfers / iters)
-        violations += record.violations
+            bus_rates.append(bus / iters)
     return FamilySummary(
         family=family,
         variant=variant,

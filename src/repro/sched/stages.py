@@ -42,7 +42,6 @@ under ``compile:<loop>`` — see :mod:`repro.obs` and
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -55,7 +54,7 @@ from repro.alias.profiles import (
 )
 from repro.arch.config import MachineConfig
 from repro.errors import CheckError, SchedulingError
-from repro.hashing import digest
+from repro.hashing import canonical_json, plain_digest
 from repro.ir.ddg import Ddg
 from repro.obs import metrics, trace
 from repro.ir.unroll import locality_unroll_factor, unroll
@@ -183,13 +182,11 @@ def frontend_artifact_key(
     :class:`repro.workloads.traces.TraceSpec`); ``None`` means nothing
     is profiled.
     """
-    # Encoded directly: the snapshot is plain JSON already, and walking
-    # it through repro.hashing.jsonable costs several times as much for
-    # the same canonical text.
-    snapshot = json.dumps(source.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-    return "frontend-" + digest([
-        snapshot,
+    # The snapshot and the payload are plain JSON already: walking them
+    # through repro.hashing.jsonable costs several times as much for the
+    # same canonical text.
+    return "frontend-" + plain_digest([
+        canonical_json(source.to_dict()),
         machine.fingerprint(),
         "auto" if unroll_factor is None else int(unroll_factor),
         bool(add_mem_deps),

@@ -27,9 +27,9 @@ class AccessType(enum.Enum):
     COMBINED = "combined"
 
 
-#: Serialized access kind -> member: ``from_dict`` decodes every loop of
-#: every stored record, and a dict lookup is several times cheaper than
-#: the enum's by-value constructor.
+#: Serialized access kind -> member, in ``AccessType`` order:
+#: ``from_dict`` decodes every loop of every stored record, and walking
+#: this dict is several times cheaper than iterating the enum.
 _ACCESS_BY_VALUE: Dict[str, AccessType] = {t.value: t for t in AccessType}
 
 
@@ -207,13 +207,17 @@ class SimStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimStats":
-        stats = cls()
-        accesses = stats.accesses
-        for raw, count in data.get("accesses", {}).items():
-            kind = _ACCESS_BY_VALUE.get(raw)
-            if kind is None:
-                kind = AccessType(raw)  # a member, or the ValueError
-            accesses[kind] = int(count)
+        """The inverse of :meth:`to_dict`.  The access dict is built once,
+        in ``AccessType`` order, with 0 for a kind the data lacks; an
+        unknown kind raises ``ValueError``."""
+        counts = data.get("accesses", {})
+        if not counts.keys() <= _ACCESS_BY_VALUE.keys():
+            raise ValueError(
+                f"unknown access kinds "
+                f"{sorted(counts.keys() - _ACCESS_BY_VALUE.keys())}"
+            )
+        stats = cls({kind: int(counts.get(value, 0))
+                     for value, kind in _ACCESS_BY_VALUE.items()})
         for name in _COUNTER_FIELDS:
             setattr(stats, name, int(data.get(name, 0)))
         return stats

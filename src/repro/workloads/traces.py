@@ -78,19 +78,7 @@ class AddressTrace:
         num_iterations: int,
         seed: int = 0,
         base_of: Optional[Dict[str, int]] = None,
-        padded: bool = True,
     ) -> None:
-        """
-        Parameters
-        ----------
-        padded:
-            When true (the paper's default), space bases stay aligned
-            across seeds, so an affine reference's home-cluster pattern is
-            identical between profile and execution runs.  When false,
-            each seed shifts bases by a different number of interleave
-            units — modeling *unpadded* data where the profiled preferred
-            cluster can be wrong at execution time.
-        """
         if num_iterations < 0:
             raise WorkloadError("negative iteration count")
         self._ddg = ddg
@@ -106,9 +94,6 @@ class AddressTrace:
                 base = base_of[space]
             else:
                 base = BASE_ALIGN + index * (SPACE_GAP + SET_STAGGER)
-                if not padded:
-                    shift = _mix(seed, hash(space) & _MASK64, 0, 0) % 64
-                    base += shift * 4
             self._bases[space] = base
         self._space_hash = {
             space: splitmix64(sum(ord(c) << (8 * (i % 8)) for i, c in enumerate(space)))
@@ -214,8 +199,9 @@ class TraceSpec:
     Frozen and content-addressable: :attr:`key` names the trace's
     content and enters :func:`repro.sched.stages.frontend_artifact_key`,
     so the staged pipeline can store a loop's whole front end —
-    profiles included — as one artifact.  Its traces are padded (the
-    paper's default, see :class:`AddressTrace`).
+    profiles included — as one artifact.  Its traces are padded, like
+    every :class:`AddressTrace`: space bases are aligned (``BASE_ALIGN``)
+    and the same for every seed.
     """
 
     num_iterations: int

@@ -1,5 +1,6 @@
 """RunRecord aggregates: the one-pass loop-stats sum."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +81,20 @@ def test_stats_equal_what_their_serialized_form_reads_back(stats):
     assert again.bus_transfer_kinds == {}
     again.issued_ops += 1
     assert again != stats
+
+
+def test_decoded_accesses_follow_the_enum_order():
+    """``from_dict`` builds the access dict in ``AccessType`` order
+    whatever order the stored kinds come in, reads a missing kind as 0
+    and rejects an unknown one (a store then treats the entry as a
+    miss)."""
+    stored = {"combined": 4, "local_hit": 9, "remote_miss": 2}
+    stats = SimStats.from_dict({"accesses": stored, "issued_ops": 7})
+    assert list(stats.accesses.items()) == [
+        (AccessType.LOCAL_HIT, 9), (AccessType.REMOTE_HIT, 0),
+        (AccessType.LOCAL_MISS, 0), (AccessType.REMOTE_MISS, 2),
+        (AccessType.COMBINED, 4),
+    ]
+    assert stats.issued_ops == 7 and stats.compute_cycles == 0
+    with pytest.raises(ValueError, match="bogus"):
+        SimStats.from_dict({"accesses": {**stored, "bogus": 1}})

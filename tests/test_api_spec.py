@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import spec as spec_module
 from repro.api.spec import (
@@ -23,9 +25,11 @@ from repro.api.spec import (
 from repro.arch.config import BASELINE_CONFIG, NOBAL_REG_CONFIG, named_config
 from repro.errors import ConfigError
 from repro.hashing import digest
+from repro.scenarios import sample_machines, sample_scenarios
 from repro.sched import CoherenceMode, Heuristic
 from repro.sched.stages import frontend_artifact_key
 from repro.workloads import get_benchmark, trace_factory
+from repro.workloads.catalog import BENCHMARKS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -163,6 +167,58 @@ CATALOG_SPEC = RunSpec(benchmark="gsmdec", variant="ddgt/mincoms", scale=0.1,
                        attraction=True, seeds=(3, 4))
 SCENARIO_SPEC = RunSpec(benchmark="scn-gather-n24-m45-r2-a30-s7", scale=0.05,
                         machine=GEN_MACHINE)
+
+
+#: Catalog and scenario names, and named and generated machines: a
+#: scenario's interleave factor comes from its name, a catalog
+#: benchmark's from the catalog.
+KEYED_BENCHMARKS = BENCHMARKS + tuple(p.name for p in sample_scenarios(3, 8))
+KEYED_MACHINES = ("baseline", "nobal+mem", "nobal+reg",
+                  *sample_machines(5, 6))
+
+
+@st.composite
+def drawn_specs(draw):
+    return RunSpec(
+        benchmark=draw(st.sampled_from(KEYED_BENCHMARKS)),
+        variant=draw(st.sampled_from([v.key for v in ALL_VARIANTS])),
+        machine=draw(st.sampled_from(KEYED_MACHINES)),
+        attraction=draw(st.booleans()),
+        scale=draw(st.sampled_from((1 / 3, 1e-3, 0.05, 0.5, 1.0))
+                   | st.floats(1e-6, 8.0)),
+        loop=draw(st.none() | st.sampled_from(("gsmdec.l0", "loop"))
+                  | st.text(max_size=6)),
+        seeds=draw(st.none() | st.tuples(st.integers(0, 2**31 - 1),
+                                         st.integers(0, 2**31 - 1))),
+        model=draw(st.sampled_from(("snooping", "dls", "directory"))),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn_specs())
+def test_keys_are_the_digest_of_their_payload(spec):
+    """Both spec keys hash plain-JSON payloads without the ``jsonable``
+    walk; they must equal ``repro.hashing.digest`` of the same dicts."""
+    fingerprint = spec.resolved_machine().fingerprint()
+    content = {
+        "benchmark": spec.benchmark,
+        "variant": spec.variant,
+        "machine": fingerprint,
+        "scale": spec.scale,
+        "loop": spec.loop,
+        "seeds": spec.seeds,
+        "profile_iterations": PROFILE_ITERATIONS,
+    }
+    if spec.model != "snooping":
+        content["model"] = spec.model
+    assert spec.content_hash == digest(content)
+    assert spec.frontend_key == digest({
+        "benchmark": spec.benchmark,
+        "machine": fingerprint,
+        "loop": spec.loop,
+        "seeds": spec.seeds,
+        "profile_iterations": PROFILE_ITERATIONS,
+    })
 
 
 class TestPinnedMachineKeys:

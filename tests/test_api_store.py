@@ -48,7 +48,7 @@ class TestMemoryStore:
         assert store.get("k") is None
         record = make_record()
         store.put("k", record)
-        assert store.get("k") is record
+        assert store.get("k") == record
         assert "k" in store
         assert len(store) == 1
 
@@ -58,6 +58,26 @@ class TestMemoryStore:
         store.put("b", make_record())
         assert store.clear() == 2
         assert store.get("a") is None
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk"])
+def test_a_hit_is_the_callers_own_and_tagged(kind, tmp_path):
+    """``get`` hands over a new record tagged ``source="store"``:
+    relabelling it, or setting any other field, leaves the stored record
+    and the record that was put as they were."""
+    store = MemoryStore() if kind == "memory" else DiskStore(tmp_path)
+    record = make_record()
+    store.put("k", record)
+    hit = store.get("k")
+    assert hit is not record
+    assert (hit.source, record.source) == ("store", "simulated")
+    hit.source = "simulated"
+    hit.benchmark = "relabelled"
+    again = store.get("k")
+    assert again is not hit
+    assert again.source == "store"
+    assert again == record and again.benchmark == "gsmdec"
+    assert record.source == "simulated"
 
 
 class TestDiskStore:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import hashing_reference as reference
 from repro.arch.config import BASELINE_CONFIG, named_config
-from repro.hashing import digest, jsonable
+from repro.hashing import digest, jsonable, plain_digest
 
 
 class Width(enum.IntEnum):
@@ -90,6 +90,26 @@ PAYLOADS = st.recursive(SCALARS | LEAVES, _containers, max_leaves=24)
 @given(PAYLOADS)
 def test_digest_matches_the_reference(payload):
     assert digest(payload) == reference.digest(payload)
+
+
+#: Payloads that are plain JSON already: what ``plain_digest`` takes.
+PLAIN_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(PLAIN_PAYLOADS)
+def test_plain_digest_is_the_digest_of_plain_payloads(payload):
+    assert plain_digest(payload) == digest(payload)
+    assert plain_digest(payload) == reference.digest(payload)
 
 
 def test_int_keys_sort_by_their_string_form():

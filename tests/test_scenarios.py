@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.artifacts import MemoryArtifactStore
 from repro.api.cli import main
@@ -18,7 +20,7 @@ from repro.arch.config import (
     named_config,
     parse_config_name,
 )
-from repro.api.store import MemoryStore
+from repro.api.store import DiskStore, MemoryStore
 from repro.errors import ConfigError, WorkloadError
 from repro.scenarios import (
     DEFAULT_MACHINE_SPACE,
@@ -38,7 +40,7 @@ from repro.scenarios import (
     sweep_plan,
 )
 from repro.scenarios.sweep import SUMMARY_COLUMNS
-from repro.sim.stats import SimStats
+from repro.sim.stats import AccessType, SimStats
 from repro.workloads.catalog import benchmark_names, get_benchmark
 
 
@@ -317,6 +319,63 @@ class TestSweepHarness:
         assert header.startswith("family,variant,runs")
 
 
+def _merged_stats_cell(cell):
+    """A summary row's numbers computed through ``merged_stats``: the
+    reference ``summarize`` is checked against."""
+    iis, ipcs, hits, bus_rates = [], [], [], []
+    violations = 0
+    for record in cell:
+        stats = record.merged_stats()
+        iters = sum(loop.kernel_iterations for loop in record.loops)
+        iis.extend(loop.ii for loop in record.loops)
+        if stats.total_cycles:
+            ipcs.append(stats.issued_ops / stats.total_cycles)
+        if stats.total_accesses:
+            hits.append(stats.local_hit_ratio)
+        if iters:
+            bus_rates.append(stats.bus_transfers / iters)
+        violations += record.violations
+
+    def mean(values):
+        return sum(values) / len(values) if values else 0.0
+
+    return (len(cell), mean(iis), mean(ipcs), mean(hits), mean(bus_rates),
+            violations)
+
+
+@st.composite
+def _drawn_records(draw):
+    """A record with one to three loops of drawn counters, zeros
+    included, over two families, every variant and memory model."""
+    benchmark = draw(st.sampled_from((
+        "scn-alias-n24-m40-r1-a10-s0", "scn-stream-n24-m40-r1-a10-s0",
+        "scn-stream-n12-m30-r2-a0-s5",
+    )))
+    variant = draw(st.sampled_from(DIFFERENTIAL_VARIANTS))
+    counts = st.integers(0, 5000)
+    loops = []
+    for n in range(draw(st.integers(1, 3))):
+        stats = SimStats()
+        for kind in AccessType:
+            stats.accesses[kind] = draw(counts)
+        for name in ("compute_cycles", "stall_cycles", "issued_ops",
+                     "bus_transfers"):
+            setattr(stats, name, draw(counts))
+        loops.append(LoopRecord(
+            benchmark=benchmark, loop=f"{benchmark}.l{n}", variant=variant,
+            ii=draw(st.integers(1, 40)),
+            unroll=1, kernel_iterations=draw(st.integers(0, 300)),
+            compute_cycles=stats.compute_cycles,
+            stall_cycles=stats.stall_cycles, stats=stats,
+            violations=draw(st.integers(0, 3)), static_copies=0,
+            replicated_instances=0, fake_consumers=0,
+        ))
+    return RunRecord(
+        benchmark=benchmark, variant=variant, scale=0.1, loops=loops,
+        model=draw(st.sampled_from(("snooping", "dls", "directory"))),
+    )
+
+
 class TestSummaryIsAFunctionOfTheRecords:
     NAMES = ("scn-alias-n24-m40-r1-a10-s0", "scn-stream-n24-m40-r1-a10-s0")
 
@@ -361,6 +420,25 @@ class TestSummaryIsAFunctionOfTheRecords:
         assert (last.family, last.variant, last.runs) == (
             "alias", "mdc/offgrid", 1)
         assert len(result.summaries) == 2 * len(DIFFERENTIAL_VARIANTS) + 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(_drawn_records(), min_size=1, max_size=12))
+    def test_cells_match_the_merged_stats_reference(self, records):
+        """Each row equals what summing every record through
+        ``RunRecord.merged_stats`` gives, exactly: the counters are
+        integer sums, so reading them loop by loop moves no ratio."""
+        result = summarize(records)
+        assert sum(s.runs for s in result.summaries) == len(records)
+        for summary in result.summaries:
+            cell = [r for r in records
+                    if (scenario_family(r.benchmark), r.variant, r.model)
+                    == (summary.family, summary.variant, summary.model)]
+            assert (
+                summary.runs, summary.mean_ii, summary.mean_ipc,
+                summary.mean_local_hit, summary.mean_bus_per_iter,
+                summary.violations,
+            ) == _merged_stats_cell(cell)
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +489,45 @@ class TestSweepEndToEnd:
         assert warm.render() == cold.render()
         assert warm.to_csv() == cold.to_csv()
         assert "surrogate" not in cold.render()
+
+
+@pytest.fixture(scope="module")
+def cold_and_warm_models(tmp_path_factory):
+    """Two scenarios x the differential variants x every memory model,
+    swept cold into a disk store, then served by a fresh instance on the
+    same root."""
+    names = [p.name for p in sample_scenarios(29, 2)]
+    root = tmp_path_factory.mktemp("records")
+    models = ("snooping", "dls", "directory")
+
+    def sweep():
+        runner = Runner(store=DiskStore(root),
+                        artifacts=MemoryArtifactStore())
+        return run_sweep(names, scale=0.05, models=models, runner=runner)
+
+    return sweep(), sweep()
+
+
+class TestWarmEqualsColdAcrossModels:
+    def test_the_cold_sweep_covers_every_model(self, cold_and_warm_models):
+        cold, _ = cold_and_warm_models
+        assert len(cold.records) == 2 * len(DIFFERENTIAL_VARIANTS) * 3
+        assert {r.source for r in cold.records} == {"simulated"}
+        assert {s.model for s in cold.summaries} == {
+            "snooping", "dls", "directory"}
+
+    def test_every_record_is_served_and_equal(self, cold_and_warm_models):
+        cold, warm = cold_and_warm_models
+        assert {r.source for r in warm.records} == {"store"}
+        assert warm.records == cold.records
+        assert [r.to_dict() for r in warm.records] == [
+            r.to_dict() for r in cold.records]
+
+    def test_summaries_and_report_are_identical(self, cold_and_warm_models):
+        cold, warm = cold_and_warm_models
+        assert warm.summaries == cold.summaries
+        assert warm.render() == cold.render()
+        assert warm.to_csv() == cold.to_csv()
 
 
 class TestScenariosCli:
