@@ -90,11 +90,13 @@ def profile_preferred_clusters(
     iterations = trace.num_iterations
     if max_iterations is not None:
         iterations = min(iterations, max_iterations)
-    home_cluster = machine.home_cluster
+    # machine.home_cluster(addr), inlined: word interleaving.
+    unit = machine.interleave_bytes
+    n = machine.num_clusters
     profiles: Dict[int, ClusterProfile] = {}
     for instr in ddg.memory_instructions():
-        counts = [0] * machine.num_clusters
+        counts = [0] * n
         for addr in address_table(trace, instr.iid, iterations):
-            counts[home_cluster(addr)] += 1
+            counts[addr // unit % n] += 1
         profiles[instr.iid] = ClusterProfile(tuple(counts))
     return profiles

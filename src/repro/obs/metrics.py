@@ -42,7 +42,7 @@ import json
 import math
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -51,6 +51,13 @@ LabelItems = Tuple[Tuple[str, str], ...]
 
 #: Histogram bucket index for zero / subnormal observations.
 _ZERO_BUCKET = -1075  # below the smallest positive float's exponent
+
+
+#: Label sets a registry memoizes canonical keys for, at most.
+_MEMO_MAX = 1024
+#: Value types whose equal values always print alike (not ``float``:
+#: ``-0.0 == 0.0``); only label sets of these types are memoized.
+_MEMO_TYPES = frozenset((str, int, bool))
 
 
 def _label_items(labels: Dict[str, Any]) -> LabelItems:
@@ -145,6 +152,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Dict[LabelItems, float]] = {}
         self._gauges: Dict[str, Dict[LabelItems, float]] = {}
         self._histograms: Dict[str, Dict[LabelItems, HistogramData]] = {}
+        self._keys: Dict[tuple, LabelItems] = {}
 
     # ------------------------------------------------------------------
     # Enablement
@@ -162,11 +170,30 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def _key(self, labels: Dict[str, Any]) -> LabelItems:
+        """``_label_items(labels)``, memoized under the call's
+        ``labels.items()`` and value types (``1``, ``True`` and ``1.0``
+        are equal but print apart), so a repeated label set skips the
+        sort.  Unhashable values are not memoized."""
+        types = tuple(map(type, labels.values()))
+        memo_key = (tuple(labels.items()), types)
+        try:
+            key = self._keys.get(memo_key)
+        except TypeError:
+            return _label_items(labels)
+        if key is None:
+            key = _label_items(labels)
+            if _MEMO_TYPES.issuperset(types):
+                if len(self._keys) >= _MEMO_MAX:
+                    self._keys.clear()
+                self._keys[memo_key] = key
+        return key
+
     def inc(self, name: str, value: float = 1, **labels: object) -> None:
         """Add ``value`` to the counter ``name`` for ``labels``."""
         if not self._enabled:
             return
-        key = _label_items(labels)
+        key = self._key(labels)
         with self._lock:
             series = self._counters.setdefault(name, {})
             series[key] = series.get(key, 0) + value
@@ -175,7 +202,7 @@ class MetricsRegistry:
         """Set the gauge ``name`` to ``value`` (last write wins)."""
         if not self._enabled:
             return
-        key = _label_items(labels)
+        key = self._key(labels)
         with self._lock:
             self._gauges.setdefault(name, {})[key] = float(value)
 
@@ -183,7 +210,7 @@ class MetricsRegistry:
         """Record one observation into the histogram ``name``."""
         if not self._enabled:
             return
-        key = _label_items(labels)
+        key = self._key(labels)
         with self._lock:
             series = self._histograms.setdefault(name, {})
             hist = series.get(key)
@@ -191,34 +218,29 @@ class MetricsRegistry:
                 hist = series[key] = HistogramData()
             hist.observe(value)
 
-    @contextmanager
     def time_block(self, name: str, **labels: object):
-        """Observe the wall time of a ``with`` block into a histogram.
+        """Observe the wall time of a ``with`` block into a histogram,
+        also when the block raises.
 
         Skips the clock reads entirely while disabled (constraint 2 of
         the module docstring).
         """
         if not self._enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start, **labels)
+            return _UNTIMED
+        return _TimedBlock(self, name, labels)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: object) -> float:
-        return self._counters.get(name, {}).get(_label_items(labels), 0)
+        return self._counters.get(name, {}).get(self._key(labels), 0)
 
     def gauge(self, name: str, **labels: object) -> Optional[float]:
-        return self._gauges.get(name, {}).get(_label_items(labels))
+        return self._gauges.get(name, {}).get(self._key(labels))
 
     def histogram(self, name: str,
                   **labels: object) -> Optional[HistogramData]:
-        return self._histograms.get(name, {}).get(_label_items(labels))
+        return self._histograms.get(name, {}).get(self._key(labels))
 
     def counter_items(
         self, name: str
@@ -332,6 +354,31 @@ class MetricsRegistry:
                     f"max={hist.maximum:.6g} total={hist.total:.6g}"
                 )
         return "\n".join(lines)
+
+
+class _TimedBlock:
+    """The context manager :meth:`MetricsRegistry.time_block` returns
+    while enabled."""
+
+    __slots__ = ("_registry", "_name", "_labels", "_start")
+
+    def __init__(self, registry: MetricsRegistry, name: str,
+                 labels: Dict[str, object]) -> None:
+        self._registry = registry
+        self._name = name
+        self._labels = labels
+        self._start = 0.0
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._registry.observe(self._name, time.perf_counter() - self._start,
+                               **self._labels)
+
+
+#: What :meth:`MetricsRegistry.time_block` returns while disabled.
+_UNTIMED = nullcontext()
 
 
 def _format_labels(key: LabelItems) -> str:

@@ -90,6 +90,8 @@ class SweepResult:
     variants: Tuple[str, ...]
     plan: Plan
     records: List[RunRecord]
+    #: The memory models the records cover.
+    models: List[str] = field(default_factory=list)
     summaries: List[FamilySummary] = field(default_factory=list)
     #: Human-readable description of every differential-check failure.
     anomalies: List[str] = field(default_factory=list)
@@ -106,14 +108,16 @@ class SweepResult:
 
     # ------------------------------------------------------------------
     def render(self) -> str:
+        title = (
+            f"differential sweep: {len(self.scenarios)} scenarios x "
+            f"{len(self.machines)} machines x {len(self.variants)} variants"
+        )
+        if len(self.models) > 1:
+            title += f" x {len(self.models)} models"
         lines = [format_table(
             SUMMARY_COLUMNS,
             [s.row() for s in self.summaries],
-            title=(
-                f"differential sweep: {len(self.scenarios)} scenarios x "
-                f"{len(self.machines)} machines x {len(self.variants)} "
-                f"variants = {len(self.plan)} runs"
-            ),
+            title=f"{title} = {len(self.plan)} runs",
         )]
         free_total = sum(self.free_violations.values())
         flagged = sum(1 for count in self.free_violations.values() if count)
@@ -234,6 +238,7 @@ def summarize(records: Sequence[RunRecord]) -> SweepResult:
         variants=variants,
         plan=Plan(),
         records=list(records),
+        models=models,
         summaries=summaries,
         anomalies=anomalies,
         free_violations=free_violations,

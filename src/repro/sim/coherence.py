@@ -32,15 +32,15 @@ engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.alias.profiles import TraceLike
 from repro.ir.ddg import Ddg
 from repro.workloads.traces import address_table
 
 Version = Tuple[int, int]
-#: (load iid, iteration) -> the version that load instance must observe
-ExpectedVersions = Dict[Tuple[int, int], Optional[Version]]
+#: load iid -> per iteration, the version that load instance must observe
+ExpectedVersions = Dict[int, List[Optional[Version]]]
 
 
 def classify_observation(
@@ -88,20 +88,21 @@ def expected_versions(
         if v.replica_group is None or v.replica_group == v.iid
     ]
     ops.sort(key=lambda v: (v.seq, v.iid))
+    expected: ExpectedVersions = {
+        op.iid: [None] * iterations for op in ops if not op.is_store
+    }
     walk = [
-        (op.iid, op.is_store, op.seq,
-         address_table(trace, op.iid, iterations))
+        (op.is_store, op.seq, address_table(trace, op.iid, iterations),
+         expected.get(op.iid))
         for op in ops
     ]
-    expected: ExpectedVersions = {}
     last_writer: Dict[int, Version] = {}
     for iteration in range(iterations):
-        for iid, is_store, seq, table in walk:
+        for is_store, seq, table, per_load in walk:
             if is_store:
                 last_writer[table[iteration]] = (iteration, seq)
             else:
-                expected[(iid, iteration)] = last_writer.get(
-                    table[iteration])
+                per_load[iteration] = last_writer.get(table[iteration])
     return expected
 
 
@@ -133,14 +134,20 @@ class CoherenceChecker:
 
     # ------------------------------------------------------------------
     @property
-    def oracle(self) -> Mapping[Tuple[int, int], Optional[Version]]:
-        """The expected versions themselves, read-only.  A hot loop can
-        compare each observation against this map inline and call
+    def oracle(self) -> Mapping[int, List[Optional[Version]]]:
+        """The expected versions themselves, read-only: per load, one
+        list indexed by iteration.  A hot loop can compare each
+        observation against ``oracle[iid][iteration]`` inline and call
         :meth:`observe_load` only on a mismatch."""
         return self._expected
 
     def expected(self, load_iid: int, iteration: int) -> Optional[Version]:
-        return self._expected.get((load_iid, iteration))
+        """The version a load instance must observe; ``None`` (initial
+        memory) outside the walked iterations."""
+        per_load = self._expected.get(load_iid)
+        if per_load is None or not 0 <= iteration < len(per_load):
+            return None
+        return per_load[iteration]
 
     def observe_load(
         self, load_iid: int, iteration: int, observed: Optional[Version]
@@ -151,7 +158,7 @@ class CoherenceChecker:
         never replicated, so this is only a documentation point).
         """
         verdict = classify_observation(
-            self._expected.get((load_iid, iteration)), observed
+            self.expected(load_iid, iteration), observed
         )
         if verdict is None:
             return False

@@ -57,9 +57,6 @@ from repro.sim.stats import SimStats
 #: raises instead of spinning forever.
 STALL_WATCHDOG = 100_000
 
-#: Kernel indexes between prunes of the load-completion map.
-_PRUNE_INTERVAL = 4096
-
 #: The available simulation engines (see module docstring).
 ENGINES = ("events", "cycles")
 
@@ -159,17 +156,17 @@ def simulate(
     ops_by_slot = _prepare(compilation)
     total_indexes = schedule.length + (n_iter - 1) * schedule.ii
 
-    #: load completions: iid -> {iteration: cycle or None while in flight}
-    completions: Dict[int, Dict[int, Optional[int]]] = {
-        instr.iid: {} for instr in ddg.loads()
-    }
-
     if engine == "events":
         busy_cycles = run_flat(
             machine, model_impl, schedule, n_iter, total_indexes,
-            ops_by_slot, completions, trace, stats, checker,
+            ops_by_slot, trace, stats, checker,
         )
     else:
+        # Load completions, per load one list indexed by iteration: 0
+        # before issue, None in flight, then the completion cycle.
+        completions: Dict[int, List[Optional[int]]] = {
+            instr.iid: [0] * n_iter for instr in ddg.loads()
+        }
         if model == _models.DEFAULT_MODEL:
             # Construct through the module global so tests substituting
             # ``executor.MemorySystem`` (fault injectors) drive the
@@ -226,8 +223,6 @@ def _run_per_cycle(
                 index += 1
                 stats.compute_cycles += 1
                 stall_streak = 0
-                if index % _PRUNE_INTERVAL == 0:
-                    _prune(completions, index, ii, schedule.length)
             else:
                 stats.stall_cycles += 1
                 stall_streak += 1
@@ -304,7 +299,7 @@ def _due_ops(
 
 def _all_ready(
     due: List[Tuple[_OpInfo, int]],
-    completions: Dict[int, Dict[int, Optional[int]]],
+    completions: Dict[int, List[Optional[int]]],
     cycle: int,
 ) -> bool:
     for info, iteration in due:
@@ -312,7 +307,7 @@ def _all_ready(
             j = iteration - distance
             if j < 0:
                 continue
-            done = completions[load_iid].get(j, 0)
+            done = completions[load_iid][j]
             if done is None or done > cycle:
                 return False
     return True
@@ -324,7 +319,7 @@ def _issue(
     cycle: int,
     trace: TraceLike,
     memory: MemorySystem,
-    completions: Dict[int, Dict[int, Optional[int]]],
+    completions: Dict[int, List[Optional[int]]],
     stats: SimStats,
 ) -> None:
     stats.issued_ops += 1
@@ -352,18 +347,3 @@ def _issue(
             cycle,
         )
 
-
-def _prune(
-    completions: Dict[int, Dict[int, Optional[int]]],
-    index: int,
-    ii: int,
-    length: int,
-) -> None:
-    """Drop completion records no consumer can still reference."""
-    horizon = (index - length) // ii - 8
-    if horizon <= 0:
-        return
-    for per_load in completions.values():
-        stale = [it for it, done in per_load.items() if it < horizon and done is not None]
-        for it in stale:
-            del per_load[it]

@@ -37,10 +37,12 @@ there are no closures, so the loop reads every variable as a local:
   Attraction Buffers need their snapshots;
 * next-level requests are ``(cluster, block)`` tuples (``None`` for
   victim write-backs), keyed by completion cycle;
-* load completion callbacks collapse to ``per_load[iteration] = cycle``,
-  and each observation is compared inline with the checker's
-  :attr:`~repro.sim.coherence.CoherenceChecker.oracle`, reporting only
-  mismatches;
+* each load's completions are one list indexed by iteration (``0``
+  before issue, ``None`` in flight, then the completion cycle), so a
+  completion callback collapses to ``per_load[iteration] = cycle``;
+  each observation is compared inline with the checker's per-load
+  :attr:`~repro.sim.coherence.CoherenceChecker.oracle` lists, reporting
+  only mismatches;
 * per-op address streams come from the trace's memoized tables
   (:meth:`~repro.workloads.traces.AddressTrace.addresses`) and their
   placements are precomputed into flat lists, so the cycle loop never
@@ -48,7 +50,8 @@ there are no closures, so the loop reads every variable as a local:
 * store application with its inversion check, and Attraction Buffer
   fill and flush, are module-level helpers returning counts;
 * stats accumulate in local integers and flush to
-  :class:`~repro.sim.stats.SimStats` once, in the ``finally`` block.
+  :class:`~repro.sim.stats.SimStats` once, in the ``finally`` block,
+  which also counts the issued ops from the retired kernel index.
 
 *Skipped cycles.*  A cycle needs processing only when the core issues
 or the memory system does work.  The timed event sources are in-flight
@@ -110,11 +113,10 @@ def _fastpath_tables(ops_by_slot, ii: int, n_iter: int, total_indexes: int):
     A modulo slot is *clean* when none of its ops touch memory or consume
     a load value; a run of clean slots entered with the memory system
     quiescent retires without per-cycle processing.  ``run_len[s]`` is the
-    clean-run length starting at slot ``s`` (wrapping, capped at II);
-    ``count_prefix`` gives O(1) issued-op counts over any wrapped slot
-    window.  The run bounds [steady_lo, steady_hi) are the indexes where
-    every matching op instance is live (past the prologue ramp, before
-    the epilogue ramp), so due-op sets equal whole slot buckets.
+    clean-run length starting at slot ``s`` (wrapping, capped at II).
+    The steady bounds [steady_lo, steady_hi) are the indexes where every
+    matching op instance is live (past the prologue ramp, before the
+    epilogue ramp), so due-op sets equal whole slot buckets.
     """
     clean = [
         all(
@@ -123,13 +125,6 @@ def _fastpath_tables(ops_by_slot, ii: int, n_iter: int, total_indexes: int):
         )
         for bucket in ops_by_slot
     ]
-    counts = [len(bucket) for bucket in ops_by_slot]
-    doubled = counts + counts
-    count_prefix = [0]
-    for count in doubled:
-        count_prefix.append(count_prefix[-1] + count)
-    ops_per_ii = sum(counts)
-
     all_clean = all(clean)
     run_len = [0] * ii
     if not all_clean:
@@ -150,13 +145,7 @@ def _fastpath_tables(ops_by_slot, ii: int, n_iter: int, total_indexes: int):
         steady_hi = total_indexes
     if steady_hi > total_indexes:
         steady_hi = total_indexes
-    return run_len, all_clean, count_prefix, ops_per_ii, steady_lo, steady_hi
-
-
-def _next_prune_after(index: int, interval: int) -> int:
-    """The next prune threshold at or above ``index`` — robust to the
-    bulk fast path jumping over several interval multiples at once."""
-    return index - index % interval + interval
+    return run_len, all_clean, steady_lo, steady_hi
 
 
 def _empty_sets(num_clusters: int, num_sets: int) -> List[List[dict]]:
@@ -235,18 +224,15 @@ def _ab_flush(ab_sets, versions, buckets, checker):
 
 def run_flat(
     machine, model, schedule, n_iter, total_indexes, ops_by_slot,
-    completions, trc, stats, checker,
+    trc, stats, checker,
 ) -> List[int]:
     """Run one compiled loop to completion under memory ``model``.
 
-    Accumulates into ``stats`` and ``completions`` exactly like the
-    per-cycle reference; returns the per-bus busy cycles.
+    Accumulates into ``stats`` exactly like the per-cycle reference;
+    returns the per-bus busy cycles.
     """
     ii = schedule.ii
-    length = schedule.length
     watchdog = _executor.STALL_WATCHDOG
-    prune_interval = _executor._PRUNE_INTERVAL
-    prune = _executor._prune
 
     # ------------------------------------------------------------------
     # Machine parameters
@@ -324,7 +310,6 @@ def run_flat(
     ab_overflows_acc = 0
     ab_flushed_acc = 0
     stall_acc = 0
-    issued_acc = 0
     ff_acc = 0
     fr_acc = 0
 
@@ -338,20 +323,29 @@ def run_flat(
     # An op of round offset kq is due at kernel index q * II + slot for
     # kq <= q < kq + n_iter, always so in [steady_lo, steady_hi).
     # ------------------------------------------------------------------
-    (
-        run_len, all_clean, count_prefix, ops_per_ii, steady_lo, steady_hi,
-    ) = _fastpath_tables(ops_by_slot, ii, n_iter, total_indexes)
+    run_len, all_clean, steady_lo, steady_hi = _fastpath_tables(
+        ops_by_slot, ii, n_iter, total_indexes)
+    if all_clean:
+        run_len = [total_indexes] * ii  # every run ends at steady_hi
 
+    # Per load, its completions by iteration: 0 before issue, None in
+    # flight, then the completion cycle.  A zero tail as long as the
+    # longest consumer distance serves a steady-state consumer's reads
+    # of iterations below 0 (negative indexes), which never block.
+    infos = [info for bucket in ops_by_slot for info in bucket]
+    op_times = [info.time for info in infos]
+    pad = max([distance for info in infos
+               for _, distance in info.load_preds], default=0)
+    completions = {info.iid: [0] * (n_iter + pad)
+                   for info in infos if info.is_load}
     flat_slots: List[tuple] = []
-    pred_slots: List[tuple] = []
-    slot_rounds: List[tuple] = []  # every op's kq, for ramp issue counts
+    pred_slots: List[tuple] = []  # (per_load, kq + distance, kq + n_iter)
+    steady_preds: List[tuple] = []  # (per_load, kq + distance)
     for bucket in ops_by_slot:
         flat = []
         preds = []
-        rounds = []
         for info in bucket:
             kq = info.time // ii
-            rounds.append(kq)
             if info.is_load or info.is_store:
                 addrs = address_table(trc, info.iid, n_iter)
                 homes, owners = model.placement(machine, addrs)
@@ -365,10 +359,7 @@ def run_flat(
                               kq + n_iter))
         flat_slots.append(tuple(flat))
         pred_slots.append(tuple(preds))
-        slot_rounds.append(tuple(rounds))
-    slot_counts = [len(bucket) for bucket in ops_by_slot]
-    if all_clean:
-        run_len = [total_indexes] * ii  # every run ends at steady_hi
+        steady_preds.append(tuple(pred[:2] for pred in preds))
 
     index = 0
     q_round = slot = 0  # divmod(index, ii)
@@ -378,7 +369,6 @@ def run_flat(
     waits = None
     drain_low_water = float("inf")
     drain_anchor = None  # set on the first drain cycle
-    next_prune = prune_interval
 
     try:
         while True:
@@ -393,17 +383,10 @@ def run_flat(
                     k = run_len[slot]
                     if k > steady_hi - index:
                         k = steady_hi - index
-                    whole, rem = divmod(k, ii)
-                    issued_acc += (whole * ops_per_ii
-                                   + count_prefix[slot + rem]
-                                   - count_prefix[slot])
                     fr_acc += k
                     index += k
                     q_round, slot = divmod(index, ii)
                     target = cycle + k
-                    if index >= next_prune:
-                        prune(completions, index, ii, length)
-                        next_prune = _next_prune_after(index, prune_interval)
                 if index >= total_indexes and not (
                         outstanding or queued or in_flight or nl_queue
                         or nl_compl or deferred):
@@ -455,7 +438,7 @@ def run_flat(
                     # pending: the reference then spins to the watchdog).
                     wake = 0
                     for per_load, j in waits:
-                        done = per_load.get(j, 0)
+                        done = per_load[j]
                         if done is None:
                             wake = _NEVER
                             break
@@ -475,10 +458,6 @@ def run_flat(
                         stall_acc += skipped
                         ff_acc += skipped
                         stall_streak += skipped
-                        if skipped >= prune_interval:
-                            # A skipped stall as long as a prune interval:
-                            # drop stale completions now, not after it.
-                            prune(completions, index, ii, length)
             if target > cycle:
                 # Skipped cycles only move bus arbitration.  While
                 # messages are queued every bus stays busy, so only wait
@@ -537,7 +516,7 @@ def run_flat(
                             if kind == _ACT_LOAD:
                                 _k, addr, iid, it, per_load = action
                                 if (expected is not None
-                                        and observed != expected[(iid, it)]):
+                                        and observed != expected[iid][it]):
                                     checker.observe_load(iid, it, observed)
                                     viol_acc += 1
                                 per_load[it] = cycle
@@ -547,7 +526,7 @@ def run_flat(
                             # sent this very cycle.
                             _k, addr, iid, it, per_load, requester = action
                             if (expected is not None
-                                    and observed != expected[(iid, it)]):
+                                    and observed != expected[iid][it]):
                                 checker.observe_load(iid, it, observed)
                                 viol_acc += 1
                             queues[cluster].append((
@@ -603,7 +582,7 @@ def run_flat(
                                 cset[block] = cset.pop(block)
                                 observed = versions.get(addr)
                                 if (expected is not None
-                                        and observed != expected[(iid, it)]):
+                                        and observed != expected[iid][it]):
                                     checker.observe_load(iid, it, observed)
                                     viol_acc += 1
                                 sends.append((
@@ -661,18 +640,29 @@ def run_flat(
             # ---- issue, stall or drain -----------------------------------
             if index < total_indexes:
                 if waits is None:
-                    for per_load, kqd, end in pred_slots[slot]:
-                        j = q_round - kqd
-                        if j >= 0 and q_round < end:
-                            done = per_load.get(j, 0)
+                    if steady_lo <= index < steady_hi:
+                        # Every consumer instance is live: read its
+                        # producer's list directly.
+                        for per_load, kqd in steady_preds[slot]:
+                            done = per_load[q_round - kqd]
                             if done is None or done > cycle:
                                 if waits is None:
-                                    waits = [(per_load, j)]
+                                    waits = [(per_load, q_round - kqd)]
                                 else:
-                                    waits.append((per_load, j))
+                                    waits.append((per_load, q_round - kqd))
+                    else:
+                        for per_load, kqd, end in pred_slots[slot]:
+                            j = q_round - kqd
+                            if j >= 0 and q_round < end:
+                                done = per_load[j]
+                                if done is None or done > cycle:
+                                    if waits is None:
+                                        waits = [(per_load, j)]
+                                    else:
+                                        waits.append((per_load, j))
                 else:
                     for per_load, j in waits:
-                        done = per_load.get(j, 0)
+                        done = per_load[j]
                         if done is None or done > cycle:
                             break
                     else:
@@ -716,7 +706,7 @@ def run_flat(
                                     cset[block] = cset.pop(block)
                                     observed = versions.get(addr)
                                     if (expected is not None and observed
-                                            != expected[(iid, it)]):
+                                            != expected[iid][it]):
                                         checker.observe_load(iid, it,
                                                              observed)
                                         viol_acc += 1
@@ -746,7 +736,7 @@ def run_flat(
                                     acc_local_hit += 1
                                     observed = entry[0].get(addr)
                                     if (expected is not None and observed
-                                            != expected[(iid, it)]):
+                                            != expected[iid][it]):
                                         checker.observe_load(iid, it,
                                                              observed)
                                         viol_acc += 1
@@ -813,20 +803,11 @@ def run_flat(
                             nl_queue.append((cluster, block))
                             nl_requests += 1
                         outstanding += 1
-                    if ramp:
-                        for kq in slot_rounds[slot]:
-                            if 0 <= q_round - kq < n_iter:
-                                issued_acc += 1
-                    else:
-                        issued_acc += slot_counts[slot]
                     index += 1
                     slot += 1
                     if slot == ii:
                         slot = 0
                         q_round += 1
-                    if index >= next_prune:
-                        prune(completions, index, ii, length)
-                        next_prune = _next_prune_after(index, prune_interval)
             else:
                 # The drain watchdog bounds windows in which the low-water
                 # mark of pending work stops falling; it is sampled after
@@ -888,10 +869,14 @@ def run_flat(
                                                  checker)
             viol_acc += inverted
     finally:
-        # One compute cycle per retired kernel index.
+        # One compute cycle per retired kernel index; an op issued at
+        # time t has issued its instances at t, t + II, ... below it.
         stats.compute_cycles += index
         stats.stall_cycles += stall_acc
-        stats.issued_ops += issued_acc
+        for t in op_times:
+            if index > t:
+                count = (index - t + ii - 1) // ii
+                stats.issued_ops += count if count < n_iter else n_iter
         stats.fast_forwarded_cycles += ff_acc
         stats.fast_retired_indexes += fr_acc
         accesses = stats.accesses

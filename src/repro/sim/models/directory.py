@@ -306,11 +306,13 @@ class DirectoryModel(MemoryModel):
     def placement(
         self, machine: MachineConfig, addrs: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
+        # directory_home() and directory_owner() over a whole table,
+        # inlined.
         block_bytes = machine.cache.block_bytes
         n = machine.num_clusters
         blocks = [addr // block_bytes for addr in addrs]
-        return ([directory_home(block, n) for block in blocks],
-                [directory_owner(block, n) for block in blocks])
+        return ([block % n for block in blocks],
+                [block // n % n for block in blocks])
 
 
 MODEL = register_model(DirectoryModel())

@@ -64,9 +64,11 @@ class DLSModel(MemoryModel):
     def placement(
         self, machine: MachineConfig, addrs: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
+        # dls_home() over a whole table, inlined.
         block_bytes = machine.cache.block_bytes
         n = machine.num_clusters
-        homes = [dls_home(addr // block_bytes, n) for addr in addrs]
+        homes = [((addr // block_bytes * _HASH_MULTIPLIER) >> 8) % n
+                 for addr in addrs]
         return homes, homes
 
 

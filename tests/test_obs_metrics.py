@@ -8,6 +8,7 @@ runs report exactly the telemetry serial runs would.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,24 @@ class TestCounters:
         reg = MetricsRegistry()
         reg.inc("x", a="1", b="2")
         reg.inc("x", b="2", a="1")
-        assert reg.counter("x", b="2", a="1") == 2
+        reg.inc("x", a=1, b=2)
+        reg.inc("x", b=2, a=1)
+        assert reg.counter("x", b="2", a="1") == 4
+        assert list(reg.counter_items("x")) == [({"a": "1", "b": "2"}, 4)]
+
+    def test_equal_values_that_print_apart_stay_apart(self):
+        # 1 == True == 1.0 and 0.0 == -0.0, but their labels differ.
+        reg = MetricsRegistry()
+        for value in (1, True, 1.0, 0.0, -0.0, 1, True):
+            reg.inc("x", a=value)
+        assert dict((labels["a"], n) for labels, n in reg.counter_items("x")
+                    ) == {"1": 2, "True": 2, "1.0": 1, "0.0": 1, "-0.0": 1}
+
+    def test_unhashable_label_values_still_record(self):
+        reg = MetricsRegistry()
+        reg.inc("x", a=[1, 2])
+        reg.inc("x", a=[1, 2])
+        assert reg.counter("x", a="[1, 2]") == 2
 
     def test_counter_items_round_trips_labels(self):
         reg = MetricsRegistry()
@@ -64,6 +82,13 @@ class TestGaugesAndHistograms:
         assert hist.count == 1
         assert hist.minimum >= 0.0
 
+    def test_time_block_observes_a_block_that_raises(self):
+        reg = MetricsRegistry()
+        with pytest.raises(KeyError, match="boom"):
+            with reg.time_block("t", kind="x"):
+                raise KeyError("boom")
+        assert reg.histogram("t", kind="x").count == 1
+
 
 class TestDisabled:
     def test_disabled_registry_records_nothing(self):
@@ -72,6 +97,16 @@ class TestDisabled:
         reg.set_gauge("g", 1.0)
         reg.observe("h", 1.0)
         with reg.time_block("t"):
+            pass
+        assert reg.names() == []
+
+    def test_disabled_time_block_reads_no_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("clock read while disabled")
+
+        reg = MetricsRegistry(enabled=False)
+        monkeypatch.setattr(metrics.time, "perf_counter", no_clock)
+        with reg.time_block("t", kind="x"):
             pass
         assert reg.names() == []
 

@@ -530,6 +530,20 @@ class TestWarmEqualsColdAcrossModels:
         assert warm.to_csv() == cold.to_csv()
 
 
+@pytest.mark.parametrize("models", [("dls",), ("dls", "directory")])
+def test_sweep_title_multiplies_out_to_the_plan(models):
+    """The title names every axis of the grid, the model axis only when
+    there is more than one model, so its product is the run count."""
+    names = [p.name for p in sample_scenarios(29, 2)]
+    result = run_sweep(names, scale=0.05, models=models,
+                       runner=Runner(store=None))
+    title = result.render().splitlines()[0]
+    axes, runs = title.split(": ", 1)[1].split(" = ")
+    counts = [int(axis.split()[0]) for axis in axes.split(" x ")]
+    assert ("models" in axes) == (len(models) > 1)
+    assert math.prod(counts) == int(runs.split()[0]) == len(result.plan)
+
+
 class TestScenariosCli:
     def test_generate_lists_scenarios(self, capsys):
         assert main(["scenarios", "generate", "--seed", "1",
@@ -560,6 +574,19 @@ class TestScenariosCli:
         assert "warning" not in report_out
         # The report's summary table matches the sweep's byte for byte.
         assert report_out.splitlines()[1:] == sweep_out.splitlines()[1:]
+
+    def test_report_prints_the_sweeps_title_for_a_model_cross(
+            self, tmp_path, capsys):
+        args = ["--count", "2", "--scale", "0.05", "--model", "dls",
+                "--model", "directory", "--cache-dir", str(tmp_path / "c")]
+        assert main(["scenarios", "sweep", *args]) == 0
+        sweep_out = capsys.readouterr().out
+        assert main(["scenarios", "report", *args]) == 0
+        report_out = capsys.readouterr().out
+        assert report_out == sweep_out
+        assert sweep_out.startswith(
+            "differential sweep: 2 scenarios x 1 machines x 6 variants x "
+            "2 models = 24 runs\n")
 
     def test_summary_csv_depends_only_on_the_records(self, tmp_path,
                                                      capsys):

@@ -1,4 +1,4 @@
-"""The flat fast path's skip machinery: engagement, watchdogs, pruning.
+"""The flat fast path's skip machinery: engagement and watchdogs.
 
 The stat-for-stat equivalence to the per-cycle reference lives in
 ``tests/test_sim_fastpath.py``.  Here:
@@ -12,9 +12,7 @@ The stat-for-stat equivalence to the per-cycle reference lives in
   spinning (fault-injecting doubles, which drive the reference); a
   legitimately long drain does not trip it; and on healthy slow-memory
   runs with a shortened watchdog the default path raises exactly the
-  reference's error;
-* **completion-map pruning** — prune scheduling survives the bulk fast
-  path jumping over interval multiples, so the map stays bounded.
+  reference's error.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.sim import ENGINES, MemorySystem, simulate
 from repro.sim import executor as executor_mod
 from repro.sim.models import model_names
 from repro.workloads import trace_factory
-from repro.workloads.traces import AddressTrace
 
 #: The stall-heavy corner: contended single bus, tiny modules, far next
 #: level — long in-flight windows, bus queueing, NL port queues.
@@ -211,63 +208,3 @@ def test_drain_watchdog_parity_on_a_store_only_loop(model, monkeypatch):
     assert errors["cycles"].startswith("memory system failed to drain")
 
 
-# ----------------------------------------------------------------------
-# Completion-map pruning (regression: bulk jumps must not starve it)
-# ----------------------------------------------------------------------
-def test_prune_drops_stale_completed_entries():
-    completions = {0: {it: it * 10 for it in range(100)}}
-    completions[0][55] = None  # still in flight: must survive
-    executor_mod._prune(completions, index=4096, ii=2, length=4)
-    survivors = completions[0]
-    assert None in survivors.values()
-    horizon = (4096 - 4) // 2 - 8
-    assert all(it >= horizon or done is None
-               for it, done in survivors.items())
-
-
-def test_prune_keeps_running_across_bulk_jumps(monkeypatch):
-    """A kernel whose slots are mostly memory-free retires via the bulk
-    fast path, jumping the kernel index over multiples of the prune
-    interval; threshold-based scheduling must keep pruning anyway."""
-    calls = []
-    watermarks = []
-    real_prune = executor_mod._prune
-
-    def spy(completions, index, ii, length):
-        calls.append(index)
-        real_prune(completions, index, ii, length)
-        watermarks.append(sum(len(m) for m in completions.values()))
-
-    monkeypatch.setattr(executor_mod, "_prune", spy)
-    monkeypatch.setattr(executor_mod, "_PRUNE_INTERVAL", 256)
-
-    # One local-hit load plus ten independent filler ALUs, all pinned to
-    # the load's home cluster: II grows to ~11 with a single memory slot,
-    # so almost every slot is clean and long index runs retire in bulk.
-    b = DdgBuilder("mostly-clean")
-    b.load("x", mem=MemRef("A", stride=0), name="ld")
-    b.ialu("y", "x", name="use")
-    for k in range(10):
-        b.ialu(f"f{k}", name=f"filler{k}")
-    ddg = b.build()
-    for v in list(ddg):
-        ddg.pin_cluster(v.iid, 0)
-    compiled = _compile(ddg)
-    iterations = 2000
-    trace = AddressTrace(compiled.ddg, num_iterations=iterations,
-                         base_of={"A": 0})
-    result = simulate(compiled, trace, iterations=iterations)
-
-    total_indexes = (
-        compiled.schedule.length + (iterations - 1) * compiled.schedule.ii
-    )
-    assert calls, "prune never ran"
-    # Coverage: pruning kept pace with the index stream to the end.
-    assert max(calls) > total_indexes - 2 * 256
-    gaps = [b - a for a, b in zip(calls, calls[1:])]
-    assert all(gap <= 2 * 256 for gap in gaps)
-    # The bound itself: after each prune the map holds at most the live
-    # window plus one interval of completions, never the whole history.
-    assert max(watermarks) <= 2 * 256
-    # Sanity: the run really used the bulk path.
-    assert result.stats.fast_retired_indexes > 0

@@ -11,6 +11,10 @@ memory model:
   stall-heavy machine (one slow bus, tiny modules, far next level) ×
   the three coherence modes × the six scenario families, plus snooping
   with Attraction Buffers;
+* on a deep pipeline run for fewer iterations than it has stages, so
+  every kernel index is a prologue or epilogue ramp index, and run
+  long enough for a steady state whose consumers read load values of
+  earlier iterations;
 * over a derandomized hypothesis search of ``scn-`` knobs × ``gen-``
   machines × models × variants × Attraction Buffers (snooping only)
   through the ``repro run`` pipeline; a failure names the ``repro run``
@@ -26,12 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.alias import MemRef
 from repro.api import core
 from repro.api.artifacts import MemoryArtifactStore
 from repro.api.spec import ALL_VARIANTS, RunSpec
 from repro.arch import BASELINE_CONFIG
 from repro.arch.config import parse_config_name
 from repro.errors import ConfigError
+from repro.ir import DdgBuilder
 from repro.obs import metrics
 from repro.scenarios import FAMILIES, ScenarioParams, build_scenario_ddg
 from repro.scenarios.machines import machine_grid
@@ -131,6 +137,49 @@ def test_snooping_with_attraction_buffers(machine, geometry):
     (default, seen), (_, expected) = run_both(result)
     assert seen == expected
     assert default.stats.ab_fills > 0
+
+
+def deep_pipeline_loop():
+    """A long-latency chain at a small II.  Two of its ops read a load
+    value of an earlier iteration; the last, late in the schedule, is
+    the only reader of ``x`` and reads it three iterations back."""
+    b = DdgBuilder("deep-pipeline")
+    b.load("a", mem=MemRef("A", stride=4), name="ld_a")
+    b.load("x", mem=MemRef("X", stride=8), name="ld_x")
+    b.fdiv("d", "a", "a", name="div")
+    b.fmul("m", "d", b.carried("a", distance=1), name="mul")
+    b.fdiv("e", "m", "a", name="div2")
+    b.falu("s", "e", b.carried("x", distance=3), name="add")
+    b.store("s", mem=MemRef("B", stride=4), name="st")
+    return b.build()
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("model", model_names())
+def test_ramp_only_runs_match_reference(model, machine):
+    """Runs of 1, 2, 3 and stage count - 1 iterations never reach a
+    kernel index where every op instance is live: issue, readiness and
+    the issued-op count all take the ramp paths.  One or two more
+    iterations give a steady state so short that the late consumer
+    reads an iteration below 0 there, from the completion lists' zero
+    tail, while the load's last iterations are in flight; a long run
+    adds a full steady state."""
+    compiled = compile_loop(
+        deep_pipeline_loop(), MACHINES[machine],
+        heuristic=Heuristic.MINCOMS, trace_factory=trace_factory(64, seed=5),
+        profile_iterations=64, unroll_factor=1,
+    )
+    stages = compiled.schedule.stage_count
+    assert stages > 4
+    for iterations in (1, 2, 3, stages - 1, stages, stages + 1, ITERATIONS):
+        trace = trace_factory(iterations, seed=7)(compiled.ddg)
+        default, seen = observe(compiled, trace, iterations=iterations,
+                                model=model)
+        _, expected = observe(compiled, trace, iterations=iterations,
+                              model=model, engine="cycles")
+        assert seen == expected, iterations
+        assert default.stats.issued_ops == (
+            iterations * len(compiled.schedule.ops))
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -11,8 +11,11 @@ import pytest
 
 from repro.alias import MemRef
 from repro.arch import BASELINE_CONFIG
+from repro.arch.config import parse_config_name
 from repro.errors import ConfigError, WorkloadError
 from repro.ir import DdgBuilder
+from repro.scenarios import FAMILIES, ScenarioParams, build_scenario_ddg
+from repro.scenarios.machines import machine_grid
 from repro.sched import CoherenceMode, Heuristic, compile_loop
 from repro.sim import simulate
 from repro.sim.models import (
@@ -21,7 +24,10 @@ from repro.sim.models import (
     model_names,
     named_model,
 )
+from repro.sim.models.directory import directory_home, directory_owner
+from repro.sim.models.dls import dls_home
 from repro.workloads import trace_factory
+from repro.workloads.traces import address_table
 
 
 def small_loop():
@@ -101,6 +107,48 @@ class TestModelBehaviour:
     @pytest.mark.parametrize("model", model_names())
     def test_disciplined_runs_are_violation_free(self, model):
         assert run(model).violations.total == 0
+
+
+# ----------------------------------------------------------------------
+#: Cluster counts, block sizes and interleave units all vary.
+PLACEMENT_MACHINES = ["baseline"] + machine_grid(
+    clusters=(2, 4, 8), mem_buses=((4, 2),),
+    caches=((2048, 32, 2), (1024, 16, 1), (4096, 64, 2)),
+)
+
+
+@pytest.fixture(scope="module")
+def address_tables():
+    """Every memory op's execution addresses, over one scenario of each
+    family (affine, indirect and aliasing streams)."""
+    tables = []
+    for family in FAMILIES:
+        ddg = build_scenario_ddg(ScenarioParams(family=family, seed=11))
+        trace = trace_factory(96, seed=3)(ddg)
+        tables.extend(address_table(trace, op.iid, 96)
+                      for op in ddg.memory_instructions())
+    return tables
+
+
+@pytest.mark.parametrize("machine", PLACEMENT_MACHINES)
+def test_placement_matches_the_per_address_routes(machine, address_tables):
+    """``placement()`` computes a whole table's routes inline; it must
+    equal the per-address functions the reference's memory systems and
+    the check models route by."""
+    config = (BASELINE_CONFIG if machine == "baseline"
+              else parse_config_name(machine))
+    n = config.num_clusters
+    for addrs in address_tables:
+        blocks = [addr // config.cache.block_bytes for addr in addrs]
+        homes = [dls_home(block, n) for block in blocks]
+        assert named_model("dls").placement(config, addrs) == (homes, homes)
+        assert named_model("directory").placement(config, addrs) == (
+            [directory_home(block, n) for block in blocks],
+            [directory_owner(block, n) for block in blocks],
+        )
+        homes = [config.home_cluster(addr) for addr in addrs]
+        assert named_model("snooping").placement(config, addrs) == (
+            homes, homes)
 
 
 # ----------------------------------------------------------------------

@@ -258,6 +258,9 @@ class TestAddressTables:
         for (iid, i), version in expected.items():
             assert checker.expected(iid, i) == version
         assert checker.expected(ops[0].iid, 64) is None
+        load = next(iter(expected))[0]
+        assert checker.expected(load, 64) is None
+        assert checker.expected(load, -1) is None
 
     @pytest.mark.parametrize("model", ["snooping", "dls", "directory"])
     def test_no_hot_path_calls_the_scalar_address(self, monkeypatch,
