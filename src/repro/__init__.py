@@ -72,7 +72,6 @@ from repro.arch import (
 )
 from repro.errors import (
     ConfigError,
-    ExecutionError,
     GraphError,
     ReproError,
     SchedulingError,
@@ -98,7 +97,6 @@ from repro.api import (
     MemoryStore,
     Plan,
     ResultStore,
-    RunError,
     RunRecord,
     RunSpec,
     Runner,
@@ -126,7 +124,6 @@ __all__ = [
     "ConfigError",
     "GraphError",
     "ReproError",
-    "ExecutionError",
     "SchedulingError",
     "SimulationError",
     "TransformError",
@@ -155,7 +152,6 @@ __all__ = [
     "MemoryStore",
     "Plan",
     "ResultStore",
-    "RunError",
     "RunRecord",
     "RunSpec",
     "Runner",

@@ -45,7 +45,7 @@ from repro.api.records import (
     records_to_csv,
     records_to_json,
 )
-from repro.api.runner import Runner, RunError, run
+from repro.api.runner import Runner, run
 from repro.api.spec import (
     ALL_VARIANTS,
     DDGT_MIN,
@@ -93,7 +93,6 @@ __all__ = [
     "PROFILE_ITERATIONS",
     "Plan",
     "ResultStore",
-    "RunError",
     "RunRecord",
     "RunSpec",
     "Runner",

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Union
 
 from repro.api.store import JsonFileStore, resolve_cache_root
+from repro.errors import GraphError
 from repro.obs import metrics, trace
 
 #: Subdirectory of the cache root that holds artifacts.
@@ -190,7 +191,9 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
     like the record store.
 
     Nothing is kept in process: a get reads the entry's file and parses
-    it once, a put writes it.
+    it once, a put writes it.  An entry whose payload ``decode``
+    rejects is removed and read as a miss, as the record store does for
+    a record of the wrong shape.
     """
 
     PAYLOAD_FIELD = "artifact"
@@ -208,7 +211,14 @@ class DiskArtifactStore(JsonFileStore, ArtifactStore):
             payload = self.get_payload(key)
             if payload is None or decode is None:
                 return payload
-            return decode(payload)
+            try:
+                return decode(payload)
+            except (AttributeError, KeyError, TypeError, ValueError,
+                    GraphError):
+                # A payload the decoder rejects: a miss, not a crash
+                # loop.  The compile that misses puts a good one.
+                self._discard(self._entry_file(key))
+                return None
 
     def _put(self, key: str, text: str) -> None:
         with trace.span("store.put", cat="store", key=key,

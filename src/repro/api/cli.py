@@ -360,25 +360,21 @@ def _progress_printer():
     so piped *output* stays byte-identical either way.
     """
     if sys.stderr.isatty():  # pragma: no cover - tty-only cosmetics
-        def emit(done: int, total: int, item) -> None:
-            label = ""
-            if isinstance(item, RunRecord):
-                label = f"  {item.benchmark} {item.variant}"
-            sys.stderr.write(f"\r[{done}/{total}]{label}\x1b[K")
+        def emit(done: int, total: int, record: RunRecord) -> None:
+            sys.stderr.write(f"\r[{done}/{total}]  {record.benchmark} "
+                             f"{record.variant}\x1b[K")
             if done >= total:
                 sys.stderr.write("\n")
             sys.stderr.flush()
 
         return emit
 
-    def emit_plain(done: int, total: int, item) -> None:
+    def emit_plain(done: int, total: int, record: RunRecord) -> None:
         step = max(1, total // 10)
         if done % step and done < total:
             return
-        label = ""
-        if isinstance(item, RunRecord):
-            label = f"  {item.benchmark} {item.variant}"
-        sys.stderr.write(f"[{done}/{total}]{label}\n")
+        sys.stderr.write(
+            f"[{done}/{total}]  {record.benchmark} {record.variant}\n")
         sys.stderr.flush()
 
     return emit_plain

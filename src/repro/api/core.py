@@ -28,27 +28,17 @@ The memo is also the group's artifact store, the one in-process holder
 of its front ends: each compile looks its front end up there, and the
 memo keeps every front end it fetched from or put into the runner's
 artifact store until the group ends.  The runner keeps one memo per
-front-end group; back-end entries are dropped once the last spec that
-maps onto them is done with the loop.
+front-end group and runs the specs that map onto one back-end entry
+back to back; :meth:`LoopMemo.enter` drops, before each spec, every
+entry that spec will not look up.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.api.artifacts import ArtifactStore, default_artifact_store
 from repro.api.records import LoopRecord, RunRecord
@@ -83,11 +73,12 @@ _floor_warning_emitted = False
 def warn_floor_from_record(record: RunRecord) -> None:
     """One-time (per process) warning that the floor inflated a run.
 
-    The :class:`~repro.api.runner.Runner` applies it to every fresh
-    record, serially and under ``parallel`` alike, so a process reports
-    the first record carrying a non-zero
+    :meth:`Runner.run <repro.api.runner.Runner.run>` applies it to every
+    fresh record, serially and under ``parallel`` alike, so a process
+    reports the first record carrying a non-zero
     :attr:`LoopRecord.iteration_floor` and stays quiet afterwards,
-    however many workers computed the records.
+    however many workers computed the records.  The warning names the
+    line that called ``run``, which calls this directly.
     """
     global _floor_warning_emitted
     if _floor_warning_emitted:
@@ -129,11 +120,8 @@ class _SharedLoop:
 #: The memo key of a (spec, loop): a sibling key and the loop's name.
 _MemoKey = Tuple[RunSpec, str]
 
-#: The :class:`LoopMemo` the running :func:`execute_spec` call consults.
-#: A context variable rather than a parameter, so ``execute_spec`` keeps
-#: the ``(spec, artifacts=)`` signature its callers and wrappers use.
-_LOOP_MEMO: ContextVar[Optional["LoopMemo"]] = ContextVar(
-    "repro_loop_memo", default=None)
+#: Where a spec's loops may map: its sibling key and its chain-free key.
+_SpecKeys = Tuple[RunSpec, RunSpec]
 
 
 def sibling_key(spec: RunSpec) -> RunSpec:
@@ -150,6 +138,10 @@ def chain_free_key(spec: RunSpec) -> RunSpec:
                    variant=Variant(CoherenceMode.NONE, heuristic).key)
 
 
+def _spec_keys(spec: RunSpec) -> _SpecKeys:
+    return sibling_key(spec), chain_free_key(spec)
+
+
 class LoopMemo:
     """Loop work shared between the :func:`execute_spec` calls of one
     group of specs, keyed by what each loop will compute.
@@ -160,8 +152,8 @@ class LoopMemo:
     and DDGT replicates and synchronizes nothing, so every coherence
     variant compiles what free compiles with the same heuristic.  Any
     other loop maps to ``(sibling_key(spec), loop)``.  The first compile
-    of a loop decides which: its ``source`` is the shared front end, so
-    every variant would see the same answer.
+    of a loop under a chain-free key decides which: its ``source`` is
+    the shared front end, so every variant would see the same answer.
 
     Specs that map to one key share the loop's compile, execution trace
     and checker oracle; those that also share the model reuse the
@@ -170,10 +162,9 @@ class LoopMemo:
     whose simulation of another variant's compile raises compiles and
     simulates the loop itself.
 
-    Entries are reference-counted against the group's specs that have
-    not yet passed the loop, so each is dropped once the last spec that
-    maps onto it is done with the loop.  Use one memo per group: run
-    each spec through :meth:`active`.
+    An entry stays until :meth:`enter` drops it: run the specs that map
+    onto one entry back to back, and enter each spec before passing the
+    memo to its :func:`execute_spec` call.
 
     The memo is also the artifact store its group's compiles receive
     (:meth:`get` / :meth:`put`, the pipeline's duck type).  Front ends
@@ -183,14 +174,7 @@ class LoopMemo:
     parent's store.
     """
 
-    def __init__(self, specs: Iterable[RunSpec],
-                 artifacts: ArtifactStore) -> None:
-        #: unfinished spec -> (front-end key, sibling key, chain-free key)
-        self._specs: Dict[RunSpec, Tuple[str, RunSpec, RunSpec]] = {
-            spec: (spec.frontend_key, sibling_key(spec),
-                   chain_free_key(spec))
-            for spec in specs
-        }
+    def __init__(self, artifacts: ArtifactStore) -> None:
         self._artifacts = artifacts
         #: artifact key -> the front end held: a put's canonical text
         #: until the first replay decodes it, then the decoded value
@@ -198,25 +182,19 @@ class LoopMemo:
         self._frontends: Dict[str, Any] = {}
         #: artifact key -> canonical text, for every front end put here
         self.puts: Dict[str, str] = {}
-        #: front-end key -> {loop: whether the loop is chain-free}
-        self._chain_free: Dict[str, Dict[str, bool]] = {}
-        #: (front-end key, loop) -> the specs done with that loop
-        self._passed: Dict[Tuple[str, str], Set[RunSpec]] = {}
+        #: (chain-free key, loop) -> whether the loop is chain-free
+        self._chain_free: Dict[_MemoKey, bool] = {}
         self._entries: Dict[_MemoKey, _SharedLoop] = {}
-        self._refs: Dict[_MemoKey, int] = {}
-
-    @contextmanager
-    def active(self) -> Iterator[None]:
-        """Make this memo the one :func:`execute_spec` calls consult."""
-        token = _LOOP_MEMO.set(self)
-        try:
-            yield
-        finally:
-            _LOOP_MEMO.reset(token)
 
     def __len__(self) -> int:
         """The number of back-end entries held now."""
         return len(self._entries)
+
+    def enter(self, spec: RunSpec) -> None:
+        """``spec`` runs next: drop every entry it will not look up."""
+        keys = _spec_keys(spec)
+        self._entries = {key: entry for key, entry in self._entries.items()
+                         if self._key(keys, key[1]) == key}
 
     # -- the compile_loop side -----------------------------------------
     def get(self, key: str, decode: Callable[[dict], Any]) -> Any:
@@ -243,86 +221,56 @@ class LoopMemo:
         return text
 
     # -- the execute_spec side -----------------------------------------
-    def _key(self, spec: RunSpec, loop: str) -> Optional[_MemoKey]:
-        """Where ``(spec, loop)`` maps, or ``None`` while undecided."""
-        frontend, sibling, free = self._specs[spec]
-        chain_free = self._chain_free.get(frontend, {}).get(loop)
+    def _key(self, keys: _SpecKeys, loop: str) -> Optional[_MemoKey]:
+        """Where a spec with ``keys`` maps ``loop``, or ``None`` while
+        undecided."""
+        sibling, free = keys
+        chain_free = self._chain_free.get((free, loop))
         if chain_free is None:
             return None
         return (free if chain_free else sibling, loop)
 
-    def _lookup(self, spec: RunSpec, loop: str) -> Optional[_SharedLoop]:
-        key = self._key(spec, loop)
+    def _lookup(self, keys: _SpecKeys, loop: str) -> Optional[_SharedLoop]:
+        key = self._key(keys, loop)
         return None if key is None else self._entries.get(key)
 
-    def _keep(self, spec: RunSpec, loop: str,
+    def _keep(self, keys: _SpecKeys, loop: str,
               inputs: _LoopInputs) -> _SharedLoop:
-        """Hold ``inputs``, which ``spec`` computed for ``loop``, for the
-        specs that map onto the same key; the first compile of the loop
-        decides whether it is chain-free."""
-        frontend, sibling, free = self._specs[spec]
-        decided = self._chain_free.setdefault(frontend, {})
-        if loop not in decided:
-            chain_free = decided[loop] = not memory_dependent_chains(
-                inputs.compiled.source)
-            passed = self._passed.get((frontend, loop), ())
-            for other, (front, o_sibling, o_free) in self._specs.items():
-                if front == frontend and other not in passed:
-                    counted = (o_free if chain_free else o_sibling, loop)
-                    self._refs[counted] = self._refs.get(counted, 0) + 1
-        key = (free if decided[loop] else sibling, loop)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = _SharedLoop(inputs)
+        """Hold ``inputs``, which a spec with ``keys`` computed for
+        ``loop`` and found no entry for, for the specs that map onto the
+        same key; the first compile of the loop decides whether it is
+        chain-free."""
+        sibling, free = keys
+        chain_free = self._chain_free.get((free, loop))
+        if chain_free is None:
+            chain_free = self._chain_free[free, loop] = (
+                not memory_dependent_chains(inputs.compiled.source))
+        key = (free if chain_free else sibling, loop)
+        entry = self._entries[key] = _SharedLoop(inputs)
         return entry
 
-    def _release(self, spec: RunSpec, loop: str) -> None:
-        """``spec`` is done with ``loop``: drop the loop's entry if no
-        other spec maps onto it."""
-        passed = self._passed.setdefault((self._specs[spec][0], loop), set())
-        if spec in passed:
-            return
-        passed.add(spec)
-        key = self._key(spec, loop)
-        if key is None:
-            return
-        self._refs[key] -= 1
-        if not self._refs[key]:
-            del self._refs[key]
-            self._entries.pop(key, None)
 
-    def _finish(self, spec: RunSpec) -> None:
-        """``spec`` ended, whether or not it reached every loop."""
-        for loop in tuple(self._chain_free.get(self._specs[spec][0], ())):
-            self._release(spec, loop)
-        del self._specs[spec]
-
-
-def execute_spec(spec: RunSpec,
-                 artifacts: Optional[ArtifactStore] = None) -> RunRecord:
+def execute_spec(
+    spec: RunSpec,
+    artifacts: Union[LoopMemo, ArtifactStore, None] = None,
+) -> RunRecord:
     """Compile + simulate the work a spec declares (no result caching):
     every loop of the benchmark, or the one named loop, on the spec's
     effective machine (interleave and Attraction Buffers applied).
 
-    Inside :meth:`LoopMemo.active` of a memo built over ``spec``, loops
+    A :class:`LoopMemo` passed as ``artifacts`` is used as is: loops
     share work with the memo's other specs, and front ends persist in
-    the memo's artifact store.  Otherwise the spec runs through a memo
-    of its own over ``artifacts`` (default: the process-wide store).
+    the memo's artifact store.  Any other store (default: the
+    process-wide one) gets a fresh memo of this spec's own.
     """
-    memo = _LOOP_MEMO.get()
-    if memo is None or spec not in memo._specs:
-        if artifacts is None:
-            artifacts = default_artifact_store()
-        memo = LoopMemo((spec,), artifacts)
-    try:
-        return _execute(spec, memo)
-    finally:
-        memo._finish(spec)
-
-
-def _execute(spec: RunSpec, memo: LoopMemo) -> RunRecord:
+    if isinstance(artifacts, LoopMemo):
+        memo = artifacts
+    else:
+        memo = LoopMemo(default_artifact_store() if artifacts is None
+                        else artifacts)
     machine = resolve_machine(spec)
     variant = spec.variant_obj
+    keys = _spec_keys(spec)
     key = spec.content_hash
     with trace.span(f"spec:{spec.benchmark}/{spec.variant}", cat="spec",
                     machine=spec.machine, spec_key=key):
@@ -346,14 +294,14 @@ def _execute(spec: RunSpec, memo: LoopMemo) -> RunRecord:
             model=spec.model,
         )
         for loop_spec in loops:
-            record.loops.append(_shared_loop(memo, spec, bench, loop_spec,
-                                             variant, machine))
-            memo._release(spec, loop_spec.name)
+            record.loops.append(_shared_loop(memo, keys, spec, bench,
+                                             loop_spec, variant, machine))
         return record
 
 
 def _shared_loop(
     memo: LoopMemo,
+    keys: _SpecKeys,
     spec: RunSpec,
     bench: Benchmark,
     loop_spec: LoopSpec,
@@ -362,7 +310,7 @@ def _shared_loop(
 ) -> LoopRecord:
     """One loop's record through ``memo``: reused, simulated from shared
     inputs, or computed here and kept for the specs that map onto it."""
-    entry = memo._lookup(spec, loop_spec.name)
+    entry = memo._lookup(keys, loop_spec.name)
     if entry is not None:
         shared = entry.records.get(spec.model)
         if shared is not None:
@@ -384,7 +332,7 @@ def _shared_loop(
     inputs = _loop_inputs(bench, loop_spec, variant, machine, spec.scale,
                           spec.seeds, memo)
     if entry is None:
-        entry = memo._keep(spec, loop_spec.name, inputs)
+        entry = memo._keep(keys, loop_spec.name, inputs)
     loop = _run_loop(bench, loop_spec, variant, inputs, spec.model)
     if entry.inputs is inputs:
         entry.records[spec.model] = loop

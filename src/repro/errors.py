@@ -44,8 +44,3 @@ class ConfigError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload/benchmark descriptor is invalid or unknown."""
-
-
-class ExecutionError(ReproError):
-    """A spec failed in a worker process and its original exception type
-    could not be reconstructed on the parent side."""

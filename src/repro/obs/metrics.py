@@ -9,8 +9,8 @@ process-wide :class:`MetricsRegistry` (:func:`registry`):
   labeled by outcome, ``artifacts.puts``);
 * the :class:`~repro.api.store.JsonFileStore` times entry reads and
   writes (``store.read_seconds``, ``store.write_seconds``);
-* the :class:`~repro.api.runner.Runner` streaming core tracks store hit
-  rate, per-spec latency, in-flight task depth and worker utilization;
+* :meth:`Runner.run <repro.api.runner.Runner.run>` tracks store hit
+  rate, per-spec latency, completed pool tasks and worker utilization;
 * ``simulate()`` surfaces the engine counters (cycles by kind, accesses
   by type, fast-path diagnostics, per-bus occupancy).
 

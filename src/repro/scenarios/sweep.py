@@ -310,7 +310,7 @@ def run_sweep(
     With an explicit ``scenarios`` list the sampler is bypassed; otherwise
     ``count`` scenarios are drawn from ``seed`` over ``families``.
 
-    The grid executes through the runner's streaming core: ``progress``
+    The grid executes through :meth:`Runner.run`: ``progress``
     (``(done, total, record)``) fires as each run completes, and each
     record is stored as it arrives, so rerunning a killed sweep against
     the on-disk store executes only the runs it had not finished.

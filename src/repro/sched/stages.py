@@ -375,7 +375,6 @@ def _frontend(
     machine: MachineConfig,
     *,
     trace_factory: Optional[Callable[[Ddg], TraceLike]],
-    profiles: Optional[Dict[int, ClusterProfile]],
     unroll_factor: Optional[int],
     add_mem_deps: bool,
     profile_iterations: Optional[int],
@@ -387,15 +386,10 @@ def _frontend(
     per compile: a hit replays it, a miss computes it, puts it once and
     hands the back end what it computed.  A hit copies the decoded
     graph and profiles, which the store may share between compiles of
-    the key.  Explicit ``profiles`` and a trace factory without a
-    ``key`` have no content key, so they bypass the store.
-    Verification runs only when the front end computes — a replayed
-    artifact was verified by whoever produced it.
+    the key.  A trace factory without a ``key`` has no content key, so
+    it bypasses the store.  Verification runs only when the front end
+    computes — a replayed artifact was verified by whoever produced it.
     """
-    if profiles is not None:
-        work, factor, _ = _run_frontend(ddg, machine, None, unroll_factor,
-                                        add_mem_deps, profile_iterations)
-        return work, factor, profiles
     trace_key = getattr(trace_factory, "key", None)
     if artifacts is None or (trace_factory is not None and trace_key is None):
         return _run_frontend(ddg, machine, trace_factory, unroll_factor,
@@ -437,7 +431,6 @@ def compile_loop(
     coherence: CoherenceMode = CoherenceMode.NONE,
     heuristic: HeuristicKind = HeuristicKind.MINCOMS,
     trace_factory: Optional[Callable[[Ddg], TraceLike]] = None,
-    profiles: Optional[Dict[int, ClusterProfile]] = None,
     unroll_factor: Optional[int] = None,
     add_mem_deps: bool = True,
     profile_iterations: Optional[int] = 256,
@@ -455,10 +448,9 @@ def compile_loop(
         Builds an address trace over a (possibly unrolled) graph; used for
         preferred-cluster profiling.  The workload catalog passes the
         *profile* data set here (Table 1 distinguishes profile and
-        execution inputs).  Either this or ``profiles`` must be provided
-        for PrefClus.  Only a factory carrying a content ``key`` (see
-        :class:`repro.workloads.traces.TraceSpec`) lets the front end
-        use ``artifacts``.
+        execution inputs); PrefClus needs it.  Only a factory carrying a
+        content ``key`` (see :class:`repro.workloads.traces.TraceSpec`)
+        lets the front end use ``artifacts``.
     unroll_factor:
         ``None`` = automatic (the locality heuristic); 1 disables.
     add_mem_deps:
@@ -475,15 +467,13 @@ def compile_loop(
         loop computes it once.  A bare store decodes a hit afresh; a
         group's memo decodes it once and holds it.  Either way each
         compile gets its own copy of the graph and the profiles dict.
-        Explicit ``profiles=`` and a trace factory without a ``key``
-        bypass the store (the front end then runs uncached); the back
-        end is never stored.  ``None`` (the default) compiles from
-        scratch.
+        A trace factory without a ``key`` bypasses the store (the front
+        end then runs uncached); the back end is never stored.  ``None``
+        (the default) compiles from scratch.
     """
     work, factor, profiles = _frontend(
         ddg, machine,
         trace_factory=trace_factory,
-        profiles=profiles,
         unroll_factor=unroll_factor,
         add_mem_deps=add_mem_deps,
         profile_iterations=profile_iterations,
@@ -492,7 +482,7 @@ def compile_loop(
     if profiles is None:
         if heuristic is HeuristicKind.PREFCLUS:
             raise SchedulingError(
-                "PrefClus needs profiles: pass trace_factory= or profiles="
+                "PrefClus needs profiles: pass trace_factory="
             )
         profiles = {}
 

@@ -1,5 +1,6 @@
 """ArtifactStore implementations: ownership, fresh decodes, one parse
-per disk read, cross-instance consistency, pruning, defaults."""
+per disk read, undecodable entries, cross-instance consistency,
+pruning, defaults."""
 
 import json
 import os
@@ -16,6 +17,7 @@ from repro.api.artifacts import (
     reset_artifact_stats,
     set_default_artifact_store,
 )
+from repro.errors import GraphError
 
 
 @pytest.fixture(autouse=True)
@@ -153,6 +155,59 @@ class TestDiskArtifactStore:
         assert artifact_root("elsewhere") == (
             artifact_root("elsewhere")
         )
+
+
+class TestUndecodablePayload:
+    """A disk entry whose envelope parses but whose payload the decoder
+    rejects is a miss, and the entry is removed, so the compile that
+    misses puts a good one."""
+
+    @pytest.mark.parametrize("error", [
+        AttributeError, KeyError, TypeError, ValueError, GraphError,
+    ])
+    def test_a_rejected_payload_is_a_miss_and_removed(self, tmp_path,
+                                                      error):
+        store = DiskArtifactStore(tmp_path)
+        store.put("k", PAYLOAD)
+
+        def reject(payload):
+            raise error("wrong shape")
+
+        assert store.get("k", reject) is None
+        assert not store.entry_path("k").exists()
+
+    def test_other_decoder_errors_propagate(self, tmp_path):
+        store = DiskArtifactStore(tmp_path)
+        store.put("k", PAYLOAD)
+
+        def broken(payload):
+            raise RuntimeError("decoder bug")
+
+        with pytest.raises(RuntimeError, match="decoder bug"):
+            store.get("k", broken)
+        assert store.entry_path("k").exists()
+
+    def test_a_run_recomputes_a_malformed_front_end(self, tmp_path):
+        from repro.api import MemoryStore, Runner, RunSpec
+        from repro.sched.stages import _decode_frontend
+
+        spec = RunSpec("gsmdec", "mdc/prefclus", scale=0.05)
+        clean = Runner(store=MemoryStore(),
+                       artifacts=MemoryArtifactStore()).run([spec])
+        root = tmp_path / "artifacts"
+        Runner(store=MemoryStore(),
+               artifacts=DiskArtifactStore(root)).run([spec])
+        entry = sorted(root.rglob("*.json"))[0]
+        envelope = json.loads(entry.read_text())
+        envelope["artifact"] = [1, 2]
+        entry.write_text(json.dumps(envelope))
+        records = Runner(store=MemoryStore(),
+                         artifacts=DiskArtifactStore(root)).run([spec])
+        assert [r.to_dict() for r in records] == [
+            r.to_dict() for r in clean
+        ]
+        assert DiskArtifactStore(root).get(entry.stem,
+                                           _decode_frontend) is not None
 
 
 class TestTwoInstancesOnOneRoot:

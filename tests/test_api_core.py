@@ -80,7 +80,7 @@ class TestMemoFrontEnds:
 
     def test_a_put_is_held_as_text_until_the_first_replay(self):
         store = MemoryArtifactStore()
-        memo = LoopMemo((), store)
+        memo = LoopMemo(store)
         decode, calls = self.decoder()
         assert memo.get("k", decode) is None
         text = memo.put("k", self.PAYLOAD)
@@ -95,7 +95,7 @@ class TestMemoFrontEnds:
     def test_a_fetched_front_end_is_decoded_once(self):
         store = MemoryArtifactStore()
         store.put("k", self.PAYLOAD)
-        memo = LoopMemo((), store)
+        memo = LoopMemo(store)
         decode, calls = self.decoder()
         first = memo.get("k", decode)
         assert memo.get("k", decode) is first
@@ -105,7 +105,7 @@ class TestMemoFrontEnds:
     def test_the_memo_counts_nothing(self):
         """The pipeline counts one lookup per compile; the memo's gets,
         held or fetched, and its puts move no counter."""
-        memo = LoopMemo((), MemoryArtifactStore())
+        memo = LoopMemo(MemoryArtifactStore())
         decode, _calls = self.decoder()
         with metrics.capture() as reg:
             memo.get("k", decode)

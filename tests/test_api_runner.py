@@ -105,13 +105,16 @@ class TestProvenance:
             "store", "store", "simulated", "simulated",
         ]
 
-    def test_streamed_store_hits_are_tagged(self):
+    def test_progress_sees_tagged_records(self):
         runner = Runner(store=MemoryStore(), artifacts=MemoryArtifactStore())
         spec = RunSpec(benchmark="scn-gather-n24-m45-r2-a30-s7",
                        variant="mdc/prefclus", machine="baseline",
                        scale=0.05)
-        (first,) = runner.stream([spec])
-        (again,) = runner.stream([spec])
+        seen = []
+        for _ in range(2):
+            runner.run([spec], progress=lambda done, total, record:
+                       seen.append(record))
+        first, again = seen
         assert (first.source, again.source) == ("simulated", "store")
         assert again == first
 
@@ -366,6 +369,12 @@ def as_json(items):
     return [json.dumps(item.to_dict(), sort_keys=True) for item in items]
 
 
+def in_runner_order(plan):
+    """The specs of a one-group plan in the order the runner runs them."""
+    (group,) = Runner._group_indices(list(plan))
+    return [plan.specs[i] for i in group]
+
+
 def unshared(specs):
     """Each spec alone: a fresh artifact store and no sibling memo."""
     from repro.api.artifacts import MemoryArtifactStore
@@ -444,8 +453,7 @@ class TestModelSiblings:
 
     def test_simulate_failure_stays_with_its_model(self, monkeypatch):
         import repro.api.core as core
-        from repro.api.artifacts import MemoryArtifactStore
-        from repro.api.runner import RunError
+        from repro.api.core import LoopMemo, execute_spec
         from repro.errors import SimulationError
 
         original = core.simulate
@@ -456,54 +464,58 @@ class TestModelSiblings:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(core, "simulate", failing)
-        items = list(Runner(store=MemoryStore(),
-                            artifacts=MemoryArtifactStore()).stream(
-            MODEL_PLAN, on_error="yield"))
-        errors = [i for i in items if isinstance(i, RunError)]
-        records = [i for i in items if isinstance(i, RunRecord)]
-        assert sorted(e.spec_key for e in errors) == sorted(
-            s.content_hash for s in MODEL_PLAN if s.model == "dls")
-        assert all(e.message == "injected dls failure" for e in errors)
+        memo = LoopMemo(MemoryArtifactStore())
+        records = []
+        for spec in in_runner_order(MODEL_PLAN):
+            memo.enter(spec)
+            if spec.model == "dls":
+                with pytest.raises(SimulationError,
+                                   match="^injected dls failure$"):
+                    execute_spec(spec, memo)
+            else:
+                records.append(execute_spec(spec, memo))
         monkeypatch.setattr(core, "simulate", original)
-        by_key = {r.spec_key: r for r in records}
-        survivors = [s for s in MODEL_PLAN if s.model != "dls"]
-        assert as_json(by_key[s.content_hash] for s in survivors) == \
-            as_json(unshared(survivors))
+        survivors = [s for s in in_runner_order(MODEL_PLAN)
+                     if s.model != "dls"]
+        assert as_json(records) == as_json(unshared(survivors))
 
     def test_compile_failure_reaches_every_sibling(self, monkeypatch):
         import repro.api.core as core
-        from repro.api.artifacts import MemoryArtifactStore
-        from repro.api.runner import RunError
+        from repro.api.core import LoopMemo, execute_spec
         from repro.errors import SchedulingError
 
         def failing(*_args, **_kwargs):
             raise SchedulingError("injected compile failure")
 
         monkeypatch.setattr(core, "compile_loop", failing)
-        items = list(Runner(store=MemoryStore(),
-                            artifacts=MemoryArtifactStore()).stream(
-            MODEL_PLAN, on_error="yield"))
-        assert all(isinstance(i, RunError) for i in items)
-        assert sorted(i.spec_key for i in items) == sorted(
-            s.content_hash for s in MODEL_PLAN)
-        assert sorted(i.spec.get("model", "snooping") for i in items) == \
-            sorted(s.model for s in MODEL_PLAN)
+        memo = LoopMemo(MemoryArtifactStore())
+        for spec in in_runner_order(MODEL_PLAN):
+            memo.enter(spec)
+            with pytest.raises(SchedulingError,
+                               match="^injected compile failure$"):
+                execute_spec(spec, memo)
 
-    def test_parallel_model_rejection_stays_with_its_model(self):
+    def test_model_rejection_stays_with_its_model(self):
         """Single-copy models reject Attraction Buffers in ``simulate``,
-        after the snooping sibling filled the memo."""
-        from repro.api.runner import RunError
+        after the snooping sibling filled the memo; under ``parallel``
+        the rejection reaches ``run`` with its type."""
+        from repro.api.core import LoopMemo, execute_spec
+        from repro.errors import ConfigError
 
         plan = Plan.grid(benchmarks="gsmdec", variants="mdc/prefclus",
                          scale=SCALE, attraction=True,
                          models=("snooping", "dls", "directory"))
-        runner = Runner(store=MemoryStore(), parallel=2)
-        items = list(runner.stream(plan, on_error="yield"))
-        errors = sorted(i.spec["model"] for i in items
-                        if isinstance(i, RunError))
-        assert errors == ["directory", "dls"]
-        records = [i for i in items if isinstance(i, RunRecord)]
-        assert as_json(records) == as_json(unshared(plan.specs[:1]))
+        memo = LoopMemo(MemoryArtifactStore())
+        snooping, dls, directory = in_runner_order(plan)
+        memo.enter(snooping)
+        record = execute_spec(snooping, memo)
+        for spec in (dls, directory):
+            memo.enter(spec)
+            with pytest.raises(ConfigError, match=spec.model):
+                execute_spec(spec, memo)
+        assert as_json([record]) == as_json(unshared([snooping]))
+        with pytest.raises(ConfigError):
+            Runner(store=MemoryStore(), parallel=2).run(plan)
 
 
 CROSS_MODELS = ("snooping", "dls")
@@ -650,11 +662,10 @@ class TestSharedLoops:
                 return (chain_free_key(spec), loop)
             return (sibling_key(spec), loop)
 
-        # In the runner's order: model siblings back to back.
-        plan = list(cross_plan(reverse))
-        (group,) = Runner._group_indices(plan)
-        specs = [plan[i] for i in group]
-        memo = LoopMemo(specs, MemoryArtifactStore())
+        # In the runner's order: each heuristic's chain-free key, and
+        # within it model siblings, back to back.
+        specs = in_runner_order(cross_plan(reverse))
+        memo = LoopMemo(MemoryArtifactStore())
         held = []
         simulate = core.simulate
 
@@ -663,16 +674,40 @@ class TestSharedLoops:
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(core, "simulate", simulating)
-        for done, spec in enumerate(specs, 1):
-            with memo.active():
-                execute_spec(spec)
+        for done, spec in enumerate(specs):
+            memo.enter(spec)
+            # What the specs before this one left: only entries that
+            # this spec or a later one maps onto.
             pending = {key(s, loop) for s in specs[done:]
                        for loop in ("gsmdec.chain", "gsmdec.aux")}
             assert set(memo._entries) <= pending
-        assert len(memo) == 0
-        # At most one chain-loop entry (its sibling group's) plus one
-        # aux entry per heuristic.
-        assert max(held) <= 3
+            execute_spec(spec, memo)
+        # At most the running sibling group's chain-loop entry plus its
+        # heuristic's aux entry.
+        assert max(held) <= 2
+
+    def test_results_are_handed_over_only_while_no_entry_is_held(
+            self, monkeypatch):
+        """Serially, a group's progress callbacks never run beside a
+        back-end entry: its memo is empty, or gone with the group."""
+        import weakref
+
+        import repro.api.runner as runner
+        from repro.api.core import LoopMemo
+
+        memos = weakref.WeakSet()
+
+        class Tracked(LoopMemo):
+            def __init__(self, artifacts):
+                super().__init__(artifacts)
+                memos.add(self)
+
+        monkeypatch.setattr(runner, "LoopMemo", Tracked)
+        held = []
+        Runner(store=MemoryStore(), artifacts=MemoryArtifactStore()).run(
+            cross_plan(), progress=lambda *_: held.append(
+                sum(len(memo) for memo in memos)))
+        assert held == [0] * len(cross_plan())
 
     def test_nothing_of_the_plan_outlives_run(self, monkeypatch):
         """Once a serial ``Runner.run`` returns, no decoded front end and
@@ -715,7 +750,7 @@ class TestSharedLoops:
         MDC and DDGT compute the loop themselves and give the records
         they give alone."""
         import repro.api.core as core
-        from repro.api.runner import RunError
+        from repro.api.core import LoopMemo, execute_spec
         from repro.errors import SchedulingError, SimulationError
         from repro.sched import CoherenceMode
 
@@ -736,28 +771,26 @@ class TestSharedLoops:
                 raise SimulationError("injected simulate failure")
             return simulate(compiled, *args, **kwargs)
 
-        for target, patch in (("compile_loop", failing_compile),
-                              ("simulate", failing_simulate)):
+        for target, patch, error in (
+                ("compile_loop", failing_compile, SchedulingError),
+                ("simulate", failing_simulate, SimulationError)):
             monkeypatch.setattr(core, target, patch)
-            items = list(Runner(store=MemoryStore(),
-                                artifacts=MemoryArtifactStore()).stream(
-                plan, on_error="yield"))
+            memo = LoopMemo(MemoryArtifactStore())
+            for spec in in_runner_order(plan):
+                memo.enter(spec)
+                if spec.variant.startswith("none/"):
+                    with pytest.raises(error, match="^injected"):
+                        execute_spec(spec, memo)
+                else:
+                    record = execute_spec(spec, memo)
+                    assert as_json([record]) == [expected[spec.content_hash]]
             monkeypatch.undo()
-            errors = [i for i in items if isinstance(i, RunError)]
-            assert sorted(e.spec_key for e in errors) == sorted(
-                s.content_hash for s in plan
-                if s.variant.startswith("none/"))
-            assert all(e.message.startswith("injected") for e in errors)
-            records = [i for i in items if isinstance(i, RunRecord)]
-            assert len(records) == len(plan) - len(errors)
-            for record in records:
-                assert as_json([record]) == [expected[record.spec_key]]
 
     def test_each_variant_reports_its_own_compile_error(self, monkeypatch):
         """A compile failure on the chain-free loop is computed by each
         spec: DDGT's message names its clone ``<loop>+ddgt``."""
         import repro.sched.stages as stages
-        from repro.api.runner import RunError
+        from repro.api.core import LoopMemo, execute_spec
         from repro.errors import SchedulingError
 
         run_schedule = stages.run_schedule
@@ -769,13 +802,11 @@ class TestSharedLoops:
             return run_schedule(work, machine, assignment)
 
         monkeypatch.setattr(stages, "run_schedule", failing)
-        plan = cross_plan(reverse=True)
-        items = list(Runner(store=MemoryStore(),
-                            artifacts=MemoryArtifactStore()).stream(
-            plan, on_error="yield"))
-        assert all(isinstance(item, RunError) for item in items)
-        for item in items:
-            suffix = "+ddgt" if item.spec["variant"].startswith("ddgt/") \
-                else ""
-            assert item.message == (
+        memo = LoopMemo(MemoryArtifactStore())
+        for spec in in_runner_order(cross_plan(reverse=True)):
+            memo.enter(spec)
+            suffix = "+ddgt" if spec.variant.startswith("ddgt/") else ""
+            with pytest.raises(SchedulingError) as caught:
+                execute_spec(spec, memo)
+            assert str(caught.value) == (
                 f"no schedule found for 'gsmdec.aux@x4{suffix}'")

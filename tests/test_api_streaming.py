@@ -1,20 +1,19 @@
-"""Streaming execution core: stream/run equivalence, resuming a killed
-run from the store, structured error records, pool lifecycle, and the
-sharded store's store-wide operations."""
+"""Plan execution through ``Runner.run``: progress, the failure
+contract, resuming a failed run from the store, pool lifecycle, the
+floor warning, and the sharded store's store-wide operations."""
 
-import json
 import multiprocessing
 import os
 import time
+import warnings
 
 import pytest
 
 import repro.api.core as core
-from repro.api.records import RunRecord
-from repro.api.runner import RunError, Runner
+from repro.api.runner import Runner
 from repro.api.spec import Plan, RunSpec
 from repro.api.store import DiskStore, JsonFileStore, MemoryStore
-from repro.errors import ExecutionError, WorkloadError
+from repro.errors import WorkloadError
 from repro.obs import metrics
 
 SCALE = 0.1
@@ -23,46 +22,40 @@ PLAN = Plan.grid(
     variants=("mdc/prefclus", "ddgt/prefclus"),
     scale=SCALE,
 )
+BAD = RunSpec(benchmark="gsmdec", scale=SCALE, loop="nope")
+GOOD = RunSpec(benchmark="gsmdec", variant="mdc/prefclus", scale=SCALE)
 
 
-def record_keys(items):
-    return sorted(item.spec_key for item in items)
+class Stop(Exception):
+    """Raised by a progress callback to abandon a plan."""
 
 
-class TestStreamEqualsRun:
-    def test_stream_yields_the_same_record_set_serial(self):
-        run_records = Runner(store=MemoryStore()).run(PLAN)
-        streamed = list(Runner(store=MemoryStore()).stream(PLAN))
-        assert len(streamed) == len(PLAN)
-        by_key = {r.spec_key: r.to_dict() for r in streamed}
-        assert by_key == {r.spec_key: r.to_dict() for r in run_records}
+def stop_at(completion):
+    def progress(done, total, record):
+        if done == completion:
+            raise Stop
+    return progress
 
-    def test_stream_yields_the_same_record_set_parallel(self):
-        run_records = Runner(store=MemoryStore()).run(PLAN)
-        runner = Runner(store=MemoryStore(), parallel=2)
-        streamed = list(runner.stream(PLAN))
-        assert record_keys(streamed) == record_keys(run_records)
-        by_key = {r.spec_key: r.to_dict() for r in streamed}
-        assert by_key == {r.spec_key: r.to_dict() for r in run_records}
 
-    def test_hits_stream_out_before_any_execution(self, monkeypatch):
+class TestProgress:
+    def test_hits_are_reported_before_any_execution(self, monkeypatch):
         store = MemoryStore()
         runner = Runner(store=store)
         runner.run(Plan(PLAN.specs[:2]))
         executed = []
+        seen = []
         original = core.execute_spec
 
         def counting(spec, artifacts=None):
             executed.append(spec.benchmark)
-            return original(spec, artifacts=artifacts)
+            return original(spec, artifacts)
 
         monkeypatch.setattr("repro.api.runner.execute_spec", counting)
-        stream = runner.stream(PLAN)
-        first, second = next(stream), next(stream)
-        assert not executed, "warm hits must not wait for cold specs"
-        rest = list(stream)
-        assert executed
-        assert len([first, second] + rest) == len(PLAN)
+        runner.run(PLAN, progress=lambda done, total, record: seen.append(
+            (done, record.source, len(executed))))
+        assert seen[:2] == [(1, "store", 0), (2, "store", 0)], (
+            "warm hits must not wait for cold specs")
+        assert [source for _, source, _ in seen[2:]] == ["simulated"] * 2
 
     def test_run_progress_callback_sees_every_completion(self):
         seen = []
@@ -73,73 +66,58 @@ class TestStreamEqualsRun:
         assert seen == [(i + 1, len(PLAN)) for i in range(len(PLAN))]
 
 
-class TestStructuredErrors:
-    BAD = RunSpec(benchmark="gsmdec", scale=SCALE, loop="nope")
-    GOOD = RunSpec(benchmark="gsmdec", variant="mdc/prefclus", scale=SCALE)
+class TestFailures:
+    """A failure raises out of ``run``: serially the original exception
+    object, under ``parallel`` the worker's exception as the pool
+    re-raises it."""
 
-    def test_on_error_yield_emits_runerror_and_keeps_going(self):
-        plan = Plan((self.BAD, self.GOOD))
-        items = list(Runner(store=MemoryStore()).stream(
-            plan, on_error="yield"
-        ))
-        assert len(items) == 2
-        errors = [i for i in items if isinstance(i, RunError)]
-        records = [i for i in items if isinstance(i, RunRecord)]
-        assert len(errors) == len(records) == 1
-        assert errors[0].error_type == "WorkloadError"
-        assert "no loop" in errors[0].message
-        assert errors[0].spec["loop"] == "nope"
+    def test_serial_failure_raises_the_original_exception(
+            self, monkeypatch):
+        boom = WorkloadError("boom")
 
-    def test_on_error_raise_preserves_the_original_exception(self):
-        with pytest.raises(WorkloadError):
-            Runner(store=MemoryStore()).run(Plan.single(self.BAD))
+        def failing(spec, artifacts=None):
+            raise boom
 
-    def test_parallel_worker_failure_is_contained(self):
-        plan = Plan((self.GOOD, self.BAD,
-                     RunSpec(benchmark="gsmenc", scale=SCALE)))
+        monkeypatch.setattr("repro.api.runner.execute_spec", failing)
+        with pytest.raises(WorkloadError) as caught:
+            Runner(store=MemoryStore()).run(Plan.single(GOOD))
+        assert caught.value is boom
+
+    def test_a_failing_spec_raises_its_own_error(self):
+        with pytest.raises(WorkloadError, match="no loop 'nope'"):
+            Runner(store=MemoryStore()).run(Plan.single(BAD))
+
+    def test_parallel_failure_keeps_its_type_and_worker_traceback(self):
+        plan = Plan((GOOD, BAD, RunSpec(benchmark="gsmenc", scale=SCALE)))
         runner = Runner(store=MemoryStore(), parallel=2)
-        items = list(runner.stream(plan, on_error="yield"))
-        errors = [i for i in items if isinstance(i, RunError)]
-        records = [i for i in items if isinstance(i, RunRecord)]
-        assert len(errors) == 1 and len(records) == 2
-        assert errors[0].error_type == "WorkloadError"
-        assert errors[0].traceback, "worker traceback must be captured"
+        with pytest.raises(WorkloadError, match="no loop 'nope'") as caught:
+            runner.run(plan)
+        cause = str(caught.value.__cause__)
+        assert "in execute_spec" in cause, (
+            "the worker traceback must name the raising function")
 
-    def test_runerror_reconstructs_repro_exception_types(self):
-        err = RunError.from_dict({
-            "spec": {}, "spec_key": "k",
-            "error_type": "WorkloadError", "message": "boom",
-        })
-        assert isinstance(err.exception(), WorkloadError)
-        alien = RunError.from_dict({
-            "spec": {}, "spec_key": "k",
-            "error_type": "KeyError", "message": "boom",
-            "traceback": "tb",
-        })
-        exc = alien.exception()
-        assert isinstance(exc, ExecutionError)
-        assert "KeyError" in str(exc) and "tb" in str(exc)
-
-    def test_runerror_roundtrips_through_dict(self):
-        try:
-            raise WorkloadError("nope")
-        except WorkloadError as exc:
-            err = RunError.from_exception(self.BAD, "key", exc)
-        clone = RunError.from_dict(json.loads(json.dumps(err.to_dict())))
-        assert clone.spec_key == "key"
-        assert clone.error_type == "WorkloadError"
-        assert "test_api_streaming" in clone.traceback
+    def test_stored_records_stay_when_a_later_spec_fails(self):
+        store = MemoryStore()
+        with pytest.raises(WorkloadError):
+            Runner(store=store).run(Plan((GOOD, BAD)))
+        assert store.get(GOOD.content_hash) is not None
 
 
 class TestRerunResumes:
     @pytest.mark.parametrize("parallel", [None, 2],
                              ids=["serial", "parallel"])
-    def test_killed_stream_rerun_executes_only_the_missing_specs(
+    def test_rerun_after_a_raising_callback_executes_only_the_missing_specs(
             self, tmp_path, parallel):
+        done = []
+
+        def progress(count, total, record):
+            done.append(record.spec_key)
+            if count == 2:
+                raise Stop  # the "kill": two specs done, two never stored
+
         runner = Runner(store=DiskStore(tmp_path), parallel=parallel)
-        stream = runner.stream(PLAN)
-        done = {next(stream).spec_key, next(stream).spec_key}
-        stream.close()  # the "kill": two specs done, two never ran
+        with pytest.raises(Stop):
+            runner.run(PLAN, progress=progress)
         assert len(list(tmp_path.glob("??/*.json"))) == 2, (
             "each record is stored the moment it arrives"
         )
@@ -176,15 +154,14 @@ class TestPoolLifecycle:
         assert len(runner.run(PLAN)) == len(PLAN)
         assert multiprocessing.active_children() == []
 
-    def test_no_worker_outlives_an_abandoned_stream(self):
+    def test_no_worker_outlives_a_raising_progress_callback(self):
         runner = Runner(store=MemoryStore(), parallel=2)
-        stream = runner.stream(PLAN)
-        next(stream)
-        stream.close()
+        with pytest.raises(Stop):
+            runner.run(PLAN, progress=stop_at(1))
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_reraised_failure(self):
-        plan = Plan((TestStructuredErrors.BAD, TestStructuredErrors.GOOD))
+        plan = Plan((BAD, GOOD))
         runner = Runner(store=MemoryStore(), parallel=2)
         with pytest.raises(WorkloadError):
             runner.run(plan)
@@ -240,6 +217,20 @@ class TestParallelFloorWarning:
         )
         assert str(floor_warnings[0].message).startswith(
             "kernel-iteration floor: pgpdec:")
+
+    @pytest.mark.parametrize("parallel", [None, 2],
+                             ids=["serial", "parallel"])
+    def test_warning_names_the_line_that_called_run(
+            self, reset_floor_warning, parallel):
+        plan = Plan.grid(benchmarks=["pgpdec"], variants=("mdc/prefclus",),
+                         scale=0.01)
+        runner = Runner(store=MemoryStore(), parallel=parallel)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runner.run(plan)
+        (floor,) = [w for w in caught
+                    if "kernel-iteration floor" in str(w.message)]
+        assert floor.filename == __file__
 
 
 class TestShardedStore:

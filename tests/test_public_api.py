@@ -1,6 +1,6 @@
 """Every name a package exports through ``__all__`` resolves, and the
-retired surrogate-guided sweep, run-journal and opt-in schedule
-verification surfaces stay gone."""
+retired surrogate-guided sweep, run-journal, opt-in schedule
+verification and streaming-runner surfaces stay gone."""
 
 import importlib
 
@@ -33,19 +33,35 @@ def test_the_journal_module_is_gone():
         importlib.import_module("repro.api.journal")
 
 
-@pytest.mark.parametrize("entry", ["Runner.run", "Runner.stream",
-                                   "run_sweep"])
+@pytest.mark.parametrize("entry", ["Runner.run", "run_sweep"])
 def test_execution_entry_points_take_no_journal(entry):
     from repro.api import MemoryStore, Plan, Runner
     from repro.scenarios import run_sweep
 
     runner = Runner(store=MemoryStore())
-    call = {"Runner.run": runner.run, "Runner.stream": runner.stream,
-            "run_sweep": run_sweep}[entry]
+    call = {"Runner.run": runner.run, "run_sweep": run_sweep}[entry]
     args = (["scn-stream-n16-m40-r0-a10-s1"] if entry == "run_sweep"
             else Plan())
     with pytest.raises(TypeError, match="journal"):
         call(args, journal=None)
+
+
+def test_run_is_the_runners_only_execution_path():
+    from repro.api import MemoryStore, Plan, Runner
+
+    assert not hasattr(Runner, "stream")
+    with pytest.raises(TypeError, match="on_error"):
+        Runner(store=MemoryStore()).run(Plan(), on_error="yield")
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.api"])
+@pytest.mark.parametrize("name", ["RunError", "ExecutionError"])
+def test_failure_records_are_not_exported(package, name):
+    """A failure raises out of ``Runner.run``; no error record or
+    wrapper type stands in for it."""
+    module = importlib.import_module(package)
+    assert name not in module.__all__
+    assert not hasattr(module, name)
 
 
 def test_front_door_imports_load_no_surrogate_module():

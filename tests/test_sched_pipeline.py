@@ -76,21 +76,33 @@ class TestCompileLoop:
 
     def test_ddgt_loads_keep_preferred_cluster(self, figure3):
         ddg, nodes = figure3
-        profiles = {
-            nodes["n1"].iid: ClusterProfile((64, 0, 0, 0)),
-            nodes["n2"].iid: ClusterProfile((0, 0, 64, 0)),
-            nodes["n3"].iid: ClusterProfile((0, 64, 0, 0)),
-            nodes["n4"].iid: ClusterProfile((0, 0, 0, 64)),
-        }
+        preferred = {nodes["n1"].iid: 0, nodes["n2"].iid: 2,
+                     nodes["n3"].iid: 1, nodes["n4"].iid: 3}
+
+        class HomeTrace:
+            """Every access of a memory op lands on its preferred
+            cluster's home bank."""
+
+            num_iterations = 64
+
+            def address(self, iid, iteration):
+                return preferred[iid] * BASELINE_CONFIG.interleave_bytes
+
         result = compile_loop(
             ddg,
             BASELINE_CONFIG,
             coherence=CoherenceMode.DDGT,
             heuristic=Heuristic.PREFCLUS,
-            profiles=profiles,
+            trace_factory=lambda graph: HomeTrace(),
             unroll_factor=1,
             add_mem_deps=False,
         )
+        assert result.profiles == {
+            iid: ClusterProfile(tuple(
+                64 if c == cluster else 0
+                for c in range(BASELINE_CONFIG.num_clusters)))
+            for iid, cluster in preferred.items()
+        }
         assert result.assignment[nodes["n1"].iid] == 0
         assert result.assignment[nodes["n2"].iid] == 2
 

@@ -229,27 +229,6 @@ class TestFrontendSharing:
         assert len(artifacts) == 0
         assert artifact_stats().lookups == 0
 
-    def test_explicit_profiles_bypass_the_store(self, loop_spec):
-        bench, spec = loop_spec
-        keyed = compile_variant(loop_spec, CoherenceMode.MDC,
-                                Heuristic.PREFCLUS, MemoryArtifactStore())
-        reset_stage_counters()
-        artifacts = MemoryArtifactStore()
-        given = compile_loop(
-            spec.ddg,
-            bench.machine(MACHINE),
-            coherence=CoherenceMode.MDC,
-            heuristic=Heuristic.PREFCLUS,
-            profiles=keyed.profiles,
-            unroll_factor=spec.unroll,
-            artifacts=artifacts,
-        )
-        assert _whole(given) == _whole(keyed)
-        assert len(artifacts) == 0
-        counters = stage_counters()
-        assert counters.executed["unroll"] == 1
-        assert "profile" not in counters.executed
-
 
 class TestDecodedReplay:
     """A bare store decodes a front end afresh for every replay; a group
@@ -267,7 +246,7 @@ class TestDecodedReplay:
         no store, variant for variant."""
         assert self.VARIANTS[0][0] is CoherenceMode.DDGT
         for shared in (MemoryArtifactStore(), DiskArtifactStore(tmp_path),
-                       LoopMemo((), MemoryArtifactStore())):
+                       LoopMemo(MemoryArtifactStore())):
             for coherence, heuristic in self.VARIANTS * 2:
                 got = _whole(compile_variant(loop_spec, coherence,
                                              heuristic, shared))
@@ -280,7 +259,7 @@ class TestDecodedReplay:
 
     def test_mutating_a_handed_out_front_end_never_reaches_a_replay(
             self, loop_spec):
-        memo = LoopMemo((), MemoryArtifactStore())
+        memo = LoopMemo(MemoryArtifactStore())
         want = _whole(compile_variant(loop_spec, CoherenceMode.MDC,
                                       Heuristic.PREFCLUS, None))
         for _ in range(3):
@@ -314,7 +293,7 @@ class TestDecodedReplay:
 
         monkeypatch.setattr(Ddg, "from_dict", classmethod(counted))
         store = MemoryArtifactStore()
-        artifacts = LoopMemo((), store) if holder == "memo" else store
+        artifacts = LoopMemo(store) if holder == "memo" else store
         for coherence, heuristic in ALL_VARIANTS * 2:
             compile_variant(loop_spec, coherence, heuristic, artifacts)
         # The first compile computes the front end and keeps its own
