@@ -10,9 +10,9 @@ of *sampling* behaviours the way the simulator-based tests do, it
   traces on violation (:mod:`repro.check.explorer`,
   :mod:`repro.check.invariants`),
 * keeps the model honest with a **conformance bridge** that drives the
-  live :class:`~repro.sim.memory.MemorySystem` and replays its event
-  trace through the model transition by transition
-  (:mod:`repro.check.conformance`).
+  live :class:`~repro.sim.memory.MemorySystem` under each registered
+  memory model and replays its event trace through that model's check
+  model transition by transition (:mod:`repro.check.conformance`).
 
 The schedule lint lives with the compiler it checks
 (:mod:`repro.sched.lint`), since every compile runs it; this package

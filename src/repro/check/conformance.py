@@ -2,11 +2,12 @@
 
 The model checker (:mod:`repro.check.explorer`) proves properties of the
 *model*; this module pins the model to the *simulator* so those proofs
-transfer.  It drives a real :class:`~repro.sim.memory.MemorySystem`
-through small programs, captures the structured trace events the memory
-system emits, maps every event onto one model transition, and replays
-that transition sequence through :class:`~repro.check.model.ProtocolModel`
-— asserting at every step that
+transfer.  It drives a real :class:`~repro.sim.memory.MemorySystem`,
+routed by one registered memory model, through small programs, captures
+the structured trace events the memory system emits, maps every event
+onto one model transition, and replays that transition sequence through
+the model's :class:`~repro.check.model.ProtocolModel` — asserting at
+every step that
 
 * the transition the simulator took is *enabled* in the model (the
   simulator never does anything the model cannot);
@@ -32,7 +33,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.errors import CheckError
@@ -46,6 +47,7 @@ from repro.check.model import (
     enumerate_programs,
 )
 from repro.sim.memory import MemorySystem
+from repro.sim.models import named_model
 from repro.sim.stats import SimStats
 
 #: simulator trace kinds that open a new model transition (everything
@@ -87,16 +89,6 @@ def conformance_machine(num_clusters: int = 2) -> MachineConfig:
             "rounds per block"
         )
     return machine
-
-
-def subblock_address(machine: MachineConfig, sb: int) -> int:
-    """The one address the driver uses for model subblock ``sb``: inside
-    block ``sb``, at the interleave unit owned by cluster ``sb % N`` — so
-    block id and home cluster reproduce the model's mapping exactly."""
-    return (
-        sb * machine.cache.block_bytes
-        + (sb % machine.num_clusters) * machine.interleave_bytes
-    )
 
 
 def _norm(version: Optional[Tuple[int, int]]) -> int:
@@ -371,15 +363,12 @@ class ConformanceBridge:
         self,
         memory: MemorySystem,
         machine: MachineConfig,
-        address_fn=None,
+        address_fn: Callable[[MachineConfig, int], int],
     ) -> None:
         """Compare the drained final states of simulator and model.
 
         ``address_fn(machine, sb)`` maps model subblocks to the driven
-        addresses (default: the snooping scheme of
-        :func:`subblock_address`)."""
-        if address_fn is None:
-            address_fn = subblock_address
+        addresses: the memory model's ``conformance_address``."""
         for op in self.model.program:
             if self.state.ops[op.index][0] != COMPLETE:
                 self._fail(
@@ -425,7 +414,7 @@ def run_program(
     num_subblocks: Optional[int] = None,
     max_cycles: int = 10_000,
     model: str = "snooping",
-    memory_factory=None,
+    memory_factory: Callable[..., MemorySystem] = MemorySystem,
 ) -> ConformanceBridge:
     """Drive one program through the simulator at the given issue cycles
     and replay its trace through the model.
@@ -435,12 +424,12 @@ def run_program(
     in-order memory unit the model's issue guard encodes).
 
     ``model`` selects which registered memory model is driven and which
-    check model replays it; ``memory_factory(machine, stats, trace)``
-    overrides how the memory system is built (by default the model's
-    registry ``build()``), e.g. to bridge an instrumented subclass.
+    check model replays it.  ``memory_factory`` builds the memory system,
+    called like :class:`~repro.sim.memory.MemorySystem` (by default that
+    class itself, routed by ``model``); the tests pass subclasses with
+    seeded bugs to show the bridge rejects them.
     """
     from repro.check.variants import named_check_model
-    from repro.sim.models import named_model
 
     model_impl = named_model(model)
     check_cls = named_check_model(model)
@@ -453,10 +442,9 @@ def run_program(
 
     events: List[tuple] = []
     completed: set = set()
-    if memory_factory is None:
-        memory = model_impl.build(machine, SimStats(), trace=events.append)
-    else:
-        memory = memory_factory(machine, SimStats(), events.append)
+    memory = memory_factory(
+        machine, SimStats(), trace=events.append, model=model
+    )
     by_cycle: Dict[int, List[ModelOp]] = defaultdict(list)
     for op, cycle in zip(program, schedule):
         by_cycle[cycle].append(op)
@@ -525,7 +513,7 @@ def run_conformance(
     programs: Optional[Iterable[Tuple[ModelOp, ...]]] = None,
     schedules: Optional[List[Tuple[int, ...]]] = None,
     model: str = "snooping",
-    memory_factory=None,
+    memory_factory: Callable[..., MemorySystem] = MemorySystem,
 ) -> ConformanceReport:
     """Run the full battery; raises :class:`~repro.errors.CheckError` on
     the first simulator/model disagreement, returns the coverage report

@@ -30,7 +30,7 @@ The abstraction, flow by flow (mirroring ``MemorySystem``):
   FIFO queue; probe-hit responses first wait in a per-home "ready"
   buffer (the simulator's deferred sends) before entering the queue;
 * **fill**: the MSHR entry replays its deferred actions in arrival
-  order, exactly like ``_HomeWaiter``.
+  order, exactly like ``MemorySystem._handle_fill``.
 
 A *program* is a tuple of :class:`ModelOp`; the model enforces that each
 cluster issues ops touching the same subblock in program order (what an

@@ -11,7 +11,7 @@ the checker has lost the power to catch that class of bug.
 by fuzzing in an early revision of the simulator: remote loads combined
 onto an in-flight same-subblock request and were served at the *older*
 request's serialization point, missing stores that program order placed
-between the two loads (see the ``_remote_load`` docstring in
+between the two loads (see the ``MemorySystem._request`` docstring in
 :mod:`repro.sim.memory`, which documents why the fixed protocol never
 combines at the requester side).
 """

@@ -6,9 +6,9 @@ invariants (:mod:`repro.check.invariants`) and the explorer:
 
 * :class:`DLSProtocolModel` — the directoryless-shared-LLC model is the
   snooping protocol skeleton over a different placement map, so the
-  subclass overrides exactly one hook (:meth:`home`), mirroring how
-  ``DLSMemorySystem`` overrides only ``_route``.  Every seeded mutation
-  applies unchanged.
+  subclass overrides exactly one hook (:meth:`home`), mirroring how the
+  simulator's ``dls`` model defines nothing but its ``placement``.
+  Every seeded mutation applies unchanged.
 
 * :class:`DirectoryProtocolModel` — the distributed-directory model
   decouples the *directory home* (``sb % N``, where requests go) from

@@ -12,8 +12,10 @@ fast path (:mod:`repro.sim.flatmem`) runs every registered memory model
 over plain containers, jumping stalled windows and the post-issue drain
 to the next memory event and bulk-retiring memory-free kernel-index
 runs; ``engine="cycles"`` is the one-Python-iteration-per-cycle
-reference over the object :class:`~repro.sim.memory.MemorySystem`.  See
-the "Simulation" section of ``docs/architecture.md``.
+reference over the object :class:`~repro.sim.memory.MemorySystem`, one
+class for every model.  Both route each address by the model's
+``placement`` (:mod:`repro.sim.models`).  See the "Simulation" section
+of ``docs/architecture.md``.
 
 A :class:`~repro.sim.coherence.CoherenceChecker` tracks, per access, the
 store version each load *should* observe under sequential semantics and
@@ -22,16 +24,12 @@ data corruption (the simulation itself stays trace-driven and correct,
 like the paper's — footnote in section 4.1).
 """
 
-from repro.sim.interleave import home_cluster, subblock_addresses, subblock_id
 from repro.sim.stats import AccessType, SimStats
 from repro.sim.coherence import CoherenceChecker
 from repro.sim.memory import MemorySystem
 from repro.sim.executor import ENGINES, SimulationResult, simulate
 
 __all__ = [
-    "home_cluster",
-    "subblock_addresses",
-    "subblock_id",
     "AccessType",
     "SimStats",
     "CoherenceChecker",

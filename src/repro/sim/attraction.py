@@ -58,12 +58,11 @@ class AttractionBuffer:
         return self._sets[key[0] % self.config.num_sets]
 
     # ------------------------------------------------------------------
-    def lookup(self, key: SubblockKey, touch: bool = True) -> Optional[AbEntry]:
+    def lookup(self, key: SubblockKey) -> Optional[AbEntry]:
         entries = self._set_of(key)
         entry = entries.get(key)
         if entry is not None:
-            if touch:
-                entries.move_to_end(key)
+            entries.move_to_end(key)
             self.hits += 1
         return entry
 
@@ -109,7 +108,3 @@ class AttractionBuffer:
                     dirty.append(entry)
             entries.clear()
         return dirty
-
-    @property
-    def resident(self) -> int:
-        return sum(len(entries) for entries in self._sets)

@@ -43,7 +43,6 @@ class BusMessage:
     src: int
     dst: int
     on_deliver: Callable[[int], None]
-    enqueued_at: int = 0
     tag: Optional[tuple] = None
     kind: str = "data"
 

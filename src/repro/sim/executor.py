@@ -26,11 +26,12 @@ Two engines run this model and agree on every statistic:
   the post-issue drain and memory-free kernel-index runs jumped in bulk;
 * ``engine="cycles"`` — the per-cycle reference: one Python iteration
   per machine cycle, ``tick_begin``/``tick_end`` every cycle on the
-  model's object :class:`~repro.sim.memory.MemorySystem`.  It is the
-  oracle the fast path is differentially tested against, the memory
-  system the conformance bridge ties to the protocol model, and the
-  engine that drives a ``MemorySystem`` substituted through this module
-  (the fault-injecting test doubles).
+  object :class:`~repro.sim.memory.MemorySystem`, routed by the run's
+  model.  It is the oracle the fast path is differentially tested
+  against, the memory system the conformance bridge ties to the
+  protocol model, and the engine that drives a ``MemorySystem``
+  substituted through this module (the fault-injecting test doubles),
+  under every model.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.sim.coherence import (
     ViolationCounts,
 )
 from repro.sim.memory import MemorySystem
+from repro.sim.models import DEFAULT_MODEL, named_model
 from repro.sim.stats import SimStats
 
 #: Consecutive stalled cycles after which the simulation is declared
@@ -106,7 +108,7 @@ def simulate(
     iterations: Optional[int] = None,
     check_coherence: bool = True,
     engine: str = "events",
-    model: str = "snooping",
+    model: str = DEFAULT_MODEL,
     expected: Optional[ExpectedVersions] = None,
 ) -> SimulationResult:
     """Run a compiled loop against an execution address trace.
@@ -130,10 +132,9 @@ def simulate(
         raise SimulationError(
             f"unknown simulation engine {engine!r}; expected one of {ENGINES}"
         )
-    from repro.sim import models as _models  # local: avoid cycle
     from repro.sim.flatmem import run_flat  # local: avoid cycle
 
-    model_impl = _models.named_model(model)
+    model_impl = named_model(model)
     schedule = compilation.schedule
     machine = compilation.machine
     ddg = compilation.ddg
@@ -167,13 +168,10 @@ def simulate(
         completions: Dict[int, List[Optional[int]]] = {
             instr.iid: [0] * n_iter for instr in ddg.loads()
         }
-        if model == _models.DEFAULT_MODEL:
-            # Construct through the module global so tests substituting
-            # ``executor.MemorySystem`` (fault injectors) drive the
-            # reference.
-            memory = MemorySystem(machine, stats, checker)
-        else:
-            memory = model_impl.build(machine, stats, checker)
+        # Construct through the module global so tests substituting
+        # ``executor.MemorySystem`` (fault injectors) drive the
+        # reference.
+        memory = MemorySystem(machine, stats, checker, model=model)
         _run_per_cycle(
             schedule, n_iter, total_indexes, ops_by_slot, completions,
             trace, memory, stats,

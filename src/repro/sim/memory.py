@@ -1,4 +1,4 @@
-"""The distributed memory system.
+"""The distributed memory system: the per-cycle reference for every model.
 
 Glues together the per-cluster cache modules, the memory-bus fabric, the
 next memory level and (optionally) the Attraction Buffers, and implements
@@ -7,16 +7,23 @@ remote miss — plus combined accesses (merged into a pending subblock
 request) and the store-replication / Attraction-Buffer semantics of
 sections 3.3 and 5.
 
+One class serves every registered memory model
+(:mod:`repro.sim.models`): it routes each address by the model's
+``placement`` into a *home* (where a request travels first) and an
+*owner* (the cluster holding the data, where accesses serialize), and
+writes each flow once for all of them.
+
 Values are modeled as store *versions* (see :mod:`repro.sim.coherence`):
-each home cluster keeps, per subblock, the map address -> last applied
-version.  That is enough to detect every ordering violation while staying
+each owner keeps, per subblock, the map address -> last applied version.
+That is enough to detect every ordering violation while staying
 trace-driven.
 
 Timing recipe (matching :meth:`MachineConfig.memory_latencies`):
 
 * local hit:    complete at ``issue + hit``;
 * local miss:   next-level request at ``issue + hit``, fill +``latency``;
-* remote —      request bus transfer, probe at home (+``hit``), optional
+* remote —      request bus transfer (plus a forward hop when the home
+  does not own the block), probe at the owner (+``hit``), optional
   next-level round trip, response bus transfer.
 
 Per cycle the executor calls :meth:`tick_begin` (deliver bus messages and
@@ -33,7 +40,7 @@ match it stat for stat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
@@ -42,17 +49,26 @@ from repro.sim.attraction import AttractionBuffer
 from repro.sim.bus import BusFabric, BusMessage
 from repro.sim.cache import CacheModule
 from repro.sim.coherence import CoherenceChecker
-from repro.sim.interleave import home_cluster, subblock_id
+from repro.sim.models import DEFAULT_MODEL, named_model
 from repro.sim.nextlevel import NextLevel, NextLevelRequest
 from repro.sim.stats import AccessType, SimStats
 
 Version = Tuple[int, int]
+#: ``(block, owner)``: one cluster's subblock of a cache block
 SubblockKey = Tuple[int, int]
 LoadCallback = Callable[[int], None]  # completion cycle
 #: Structured protocol events (see the class docstring of
 #: :class:`MemorySystem` for the vocabulary); consumed by the
 #: conformance bridge in :mod:`repro.check.conformance`.
 TraceCallback = Callable[[tuple], None]
+#: What an access does at its owner once the subblock is present, on a
+#: probe hit or when the fill replays the MSHR (see
+#: :meth:`MemorySystem._perform`)::
+#:
+#:     ("store", addr, version)              apply a write
+#:     ("load", _PendingLoad)                complete the owner's own load
+#:     ("respond", requester, _PendingLoad)  answer a read request
+_Action = tuple
 
 
 @dataclass
@@ -65,47 +81,34 @@ class _PendingLoad:
     on_complete: LoadCallback
 
 
-@dataclass
-class _HomeWaiter:
-    """Work deferred at a home module until its next-level fill arrives.
-
-    Actions replay *in arrival order* at fill time: a load that reached
-    the module before a later store must not observe that store's value
-    (they merged into one MSHR entry, but the module still serializes
-    them as they arrived).  Each action is one of::
-
-        ("store", addr, version)              apply a write
-        ("load", _PendingLoad)                complete a local load
-        ("respond", requester, _PendingLoad)  answer a remote read request
-    """
-
-    actions: List[tuple] = field(default_factory=list)
-
-    def defer_store(self, addr: int, version: Version) -> None:
-        self.actions.append(("store", addr, version))
-
-    def defer_load(self, pending: "_PendingLoad") -> None:
-        self.actions.append(("load", pending))
-
-    def defer_response(self, requester: int, pending: "_PendingLoad") -> None:
-        self.actions.append(("respond", requester, pending))
+def _label(action: _Action) -> Tuple[str, object]:
+    """``(kind, ref)`` naming an access in trace events: a load by its
+    iid, a store by its version."""
+    if action[0] == "store":
+        return "store", action[2]
+    return "load", action[-1].iid
 
 
 class MemorySystem:
     """All clusters' cache modules plus the interconnect.
 
-    ``trace``, when given, receives one tuple per protocol step — pure
-    observation, no behavioural effect.  The vocabulary (``block`` is
-    the cache-block id, ``ref`` a load's iid or a store's version)::
+    ``model`` names the registered memory model whose placement routes
+    every access.  ``trace``, when given, receives one tuple per
+    protocol step — pure observation, no behavioural effect.  The
+    vocabulary (``block`` is the cache-block id, ``ref`` a load's iid or
+    a store's version)::
 
         ("local", cluster, block, kind, ref, disposition)
         ("remote_issue", cluster, home, block, kind, ref)
+        ("forward_issue", cluster, block, kind, ref)
         ("home_request", home, src, block, kind, ref, disposition)
-        ("send_response", home, block, iids, deferred)
+        ("forward", home, owner, src, block, kind, ref)
+        ("owner_request", owner, src, block, kind, ref, disposition)
+        ("send_response", owner, block, iids, deferred)
         ("deliver_response", requester, block, iids)
         ("fill", cluster, block)
         ("observe", iid, iteration, observed_version)
-        ("apply", block, home, addr, version, inverted)
+        ("apply", block, owner, addr, version, inverted)
 
     with ``kind`` in ``load``/``store`` and ``disposition`` in
     ``hit``/``miss``/``combine``.  The conformance bridge
@@ -119,11 +122,15 @@ class MemorySystem:
         stats: SimStats,
         checker: Optional[CoherenceChecker] = None,
         trace: Optional[TraceCallback] = None,
+        model: str = DEFAULT_MODEL,
     ) -> None:
+        model_impl = named_model(model)
+        model_impl.validate_machine(machine)
         self.machine = machine
         self.stats = stats
         self.checker = checker
         self._trace = trace
+        self._placement = model_impl.placement
         self.modules = [
             CacheModule(machine.cache) for _ in machine.clusters
         ]
@@ -135,10 +142,10 @@ class MemorySystem:
             ]
         self.fabric = BusFabric(machine.memory_buses, machine.num_clusters)
         self.next_level = NextLevel(machine.next_level)
-        #: ground truth: (block, home) -> {addr: version}
+        #: ground truth: (block, owner) -> {addr: version}
         self._versions: Dict[SubblockKey, Dict[int, Version]] = {}
-        #: home-side MSHRs: per cluster, block -> deferred work
-        self._home_mshr: List[Dict[int, _HomeWaiter]] = [
+        #: owner-side MSHRs: per cluster, block -> actions in arrival order
+        self._mshr: List[Dict[int, List[_Action]]] = [
             {} for _ in machine.clusters
         ]
         #: responses waiting for their earliest send cycle
@@ -228,14 +235,12 @@ class MemorySystem:
     # Public access API
     # ------------------------------------------------------------------
     def _route(self, addr: int) -> Tuple[int, SubblockKey]:
-        """Map an address to ``(serving cluster, subblock key)``.
-
-        The snooping default is the paper's word-interleaved home map;
-        memory models with a different placement (e.g. the hashed
-        last-level slices of the DLS model) override only this hook and
-        inherit every protocol flow unchanged.
-        """
-        return home_cluster(self.machine, addr), subblock_id(self.machine, addr)
+        """``(home, (block, owner))`` of ``addr`` under the run's model:
+        the cluster a request travels to first, and the subblock that
+        holds the data and serializes accesses to it.  The flat fast
+        path routes by the same ``placement``."""
+        homes, owners = self._placement(self.machine, (addr,))
+        return homes[0], (addr // self.machine.cache.block_bytes, owners[0])
 
     def load(
         self,
@@ -251,11 +256,13 @@ class MemorySystem:
         home, key = self._route(addr)
         pending = _PendingLoad(iid, iteration, addr, on_complete)
 
-        if home == cluster:
-            self._local_load(cluster, key, pending, cycle)
+        if home == cluster and key[1] == cluster:
+            self._serve(cluster, key, ("load", pending), cycle,
+                        ("local", cluster))
             return
 
-        # Attraction Buffer: a cached copy of the remote subblock makes the
+        # Attraction Buffer (snooping only, where every access reaching
+        # here is remote): a cached copy of the remote subblock makes the
         # access local (section 5.1).
         if self.abs is not None:
             entry = self.abs[cluster].lookup(key)
@@ -266,7 +273,7 @@ class MemorySystem:
                 on_complete(cycle + self.machine.cache.hit_latency)
                 return
 
-        self._remote_load(cluster, home, key, pending, cycle)
+        self._request(cluster, home, key, ("respond", cluster, pending))
 
     def store(
         self,
@@ -281,94 +288,154 @@ class MemorySystem:
     ) -> None:
         self._check_alignment(addr, width)
         home, key = self._route(addr)
+        action = ("store", addr, version)
 
-        if replica and home != cluster:
-            # Nullified instance (section 3.3) — but it still refreshes an
-            # Attraction Buffer copy if one exists (section 5.3).
-            self.stats.nullified_stores += 1
-            if self.abs is not None:
-                self.abs[cluster].update(key, addr, version)
+        if home == cluster and key[1] == cluster:
+            self._serve(cluster, key, action, cycle, ("local", cluster))
             return
 
-        if home == cluster:
-            self._local_store(cluster, key, addr, version, cycle)
-            return
-
-        # Remote store with a locally attracted copy: update it in place;
-        # the dirty data goes home at the loop-boundary flush (section 5.2).
-        if self.abs is not None:
-            if self.abs[cluster].update(key, addr, version):
+        if home != cluster:
+            if replica:
+                # Nullified instance (section 3.3): only the home's
+                # executes.  It still refreshes an Attraction Buffer copy
+                # if one exists (section 5.3).
+                self.stats.nullified_stores += 1
+                if self.abs is not None:
+                    self.abs[cluster].update(key, addr, version)
+                return
+            # Remote store with a locally attracted copy: update it in
+            # place; the dirty data goes home at the loop-boundary flush
+            # (section 5.2).
+            if (self.abs is not None
+                    and self.abs[cluster].update(key, addr, version)):
                 self.stats.record_access(AccessType.LOCAL_HIT)
                 return
 
-        self._remote_store(cluster, home, key, addr, version, cycle)
+        self._request(cluster, home, key, action)
 
     # ------------------------------------------------------------------
-    # Local flows
+    # Routing: requests and forwards
     # ------------------------------------------------------------------
-    def _local_load(
-        self, cluster: int, key: SubblockKey, pending: _PendingLoad, cycle: int
+    def _request(
+        self, cluster: int, home: int, key: SubblockKey, action: _Action
     ) -> None:
-        block = key[0]
-        module = self.modules[cluster]
-        if module.probe(block):
-            self.stats.record_access(AccessType.LOCAL_HIT)
+        """Send an access its own cluster cannot serve: a ``req_*``
+        message to its home, or, from a home that does not own the block,
+        a ``fwd_*`` hop straight to the owner (the directory lookup is
+        local).  The access stays outstanding until a load's response
+        arrives or a store is served at the owner.
+
+        Every remote load travels as its own request.  There is
+        deliberately no requester-side combining onto an in-flight
+        request for the same subblock: a merged load would be served at
+        the *older* request's serialization point, where it can miss a
+        store that program order placed before it (stale read) or observe
+        one placed after it (broken MA).  The per-source FIFO buses
+        deliver same-cluster messages in issue order, so serving each
+        load where its own request reaches the owner — the point of
+        coherence — preserves exactly the ordering the MDC/DDGT solutions
+        rely on.  (Requests that find a next-level fill in progress still
+        merge into the owner's MSHR, which replays in arrival order.)
+        """
+        self._outstanding += 1
+        if home == cluster:
             if self._trace is not None:
-                self._trace(("local", cluster, block, "load", pending.iid,
-                             "hit"))
+                self._trace(("forward_issue", cluster, key[0])
+                            + _label(action))
+            self._hop(cluster, key[1], "fwd", cluster, key, action)
+        else:
+            if self._trace is not None:
+                self._trace(("remote_issue", cluster, home, key[0])
+                            + _label(action))
+            self._hop(cluster, home, "req", cluster, key, action)
+
+    def _hop(
+        self, src: int, dst: int, hop: str, requester: int,
+        key: SubblockKey, action: _Action,
+    ) -> None:
+        """Carry an access from ``src`` to ``dst`` as one ``req`` or
+        ``fwd`` bus message."""
+
+        def deliver(arrival: int) -> None:
+            self._receive(dst, requester, key, action, arrival, hop)
+
+        self.fabric.send(BusMessage(
+            src=src, dst=dst, on_deliver=deliver,
+            kind=f"{hop}_{_label(action)[0]}",
+        ))
+
+    def _receive(
+        self, cluster: int, requester: int, key: SubblockKey,
+        action: _Action, arrival: int, hop: str,
+    ) -> None:
+        """A request or forward arrives: the owner serves it, a home that
+        does not own the block forwards it (still outstanding)."""
+        owner = key[1]
+        if owner != cluster:
+            if self._trace is not None:
+                self._trace(("forward", cluster, owner, requester, key[0])
+                            + _label(action))
+            self._hop(cluster, owner, "fwd", requester, key, action)
+            return
+        tag = "owner_request" if hop == "fwd" else "home_request"
+        self._serve(cluster, key, action, arrival, (tag, cluster, requester))
+        if action[0] == "store":
+            self._outstanding -= 1
+
+    # ------------------------------------------------------------------
+    # The owner's flows
+    # ------------------------------------------------------------------
+    def _serve(
+        self, cluster: int, key: SubblockKey, action: _Action, cycle: int,
+        tag: tuple,
+    ) -> None:
+        """The probe/combine/miss flow of one access at its owner, for
+        the owner's own accesses (``tag == ("local", cluster)``) and for
+        the requests it receives (``tag == (trace kind, cluster,
+        requester)``).  A hit performs the action now; a miss opens an
+        MSHR entry and fetches the subblock; an access finding that fill
+        in flight joins the entry."""
+        block = key[0]
+        local = tag[0] == "local"
+        mshr = self._mshr[cluster]
+        if self.modules[cluster].probe(block):
+            access = AccessType.LOCAL_HIT if local else AccessType.REMOTE_HIT
+            disposition = "hit"
+        elif block in mshr:
+            access, disposition = AccessType.COMBINED, "combine"
+        else:
+            access = AccessType.LOCAL_MISS if local else AccessType.REMOTE_MISS
+            disposition = "miss"
+        self.stats.record_access(access)
+        if self._trace is not None:
+            self._trace(tag + (block,) + _label(action) + (disposition,))
+        if disposition == "hit":
+            self._perform(cluster, key, action,
+                          cycle + self.machine.cache.hit_latency, cycle)
+            return
+        if disposition == "miss":
+            mshr[block] = []
+            self._fetch(cluster, block)
+        mshr[block].append(action)
+        self._outstanding += 1
+
+    def _perform(
+        self, cluster: int, key: SubblockKey, action: _Action,
+        ready_at: int, now: int,
+    ) -> None:
+        """Carry out an access at the owner holding its subblock: on a
+        probe hit (the data is ready a hit latency after ``now``) or in a
+        fill's MSHR replay (ready now)."""
+        if action[0] == "store":
+            self._apply_store(key, action[1], action[2])
+            self.modules[cluster].mark_dirty(key[0])
+        elif action[0] == "load":
+            pending = action[1]
             self._observe(pending, self._bucket(key).get(pending.addr))
-            pending.on_complete(cycle + self.machine.cache.hit_latency)
-            return
-        waiter = self._home_mshr[cluster].get(block)
-        if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
-            if self._trace is not None:
-                self._trace(("local", cluster, block, "load", pending.iid,
-                             "combine"))
-            waiter.defer_load(pending)
-            self._outstanding += 1
-            return
-        self.stats.record_access(AccessType.LOCAL_MISS)
-        if self._trace is not None:
-            self._trace(("local", cluster, block, "load", pending.iid,
-                         "miss"))
-        waiter = _HomeWaiter()
-        waiter.defer_load(pending)
-        self._home_mshr[cluster][block] = waiter
-        self._outstanding += 1
-        self._fetch(cluster, block)
-
-    def _local_store(
-        self, cluster: int, key: SubblockKey, addr: int, version: Version,
-        cycle: int,
-    ) -> None:
-        block = key[0]
-        module = self.modules[cluster]
-        if module.probe(block):
-            self.stats.record_access(AccessType.LOCAL_HIT)
-            if self._trace is not None:
-                self._trace(("local", cluster, block, "store", version,
-                             "hit"))
-            module.mark_dirty(block)
-            self._apply_store(key, addr, version)
-            return
-        waiter = self._home_mshr[cluster].get(block)
-        if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
-            if self._trace is not None:
-                self._trace(("local", cluster, block, "store", version,
-                             "combine"))
-            waiter.defer_store(addr, version)
-            self._outstanding += 1
-            return
-        self.stats.record_access(AccessType.LOCAL_MISS)
-        if self._trace is not None:
-            self._trace(("local", cluster, block, "store", version, "miss"))
-        waiter = _HomeWaiter()
-        waiter.defer_store(addr, version)
-        self._home_mshr[cluster][block] = waiter
-        self._outstanding += 1
-        self._fetch(cluster, block)
+            pending.on_complete(ready_at)
+        else:
+            self._send_response(cluster, action[1], key, action[2],
+                                send_at=ready_at, now=now)
 
     def _fetch(self, cluster: int, block: int) -> None:
         """Issue the next-level fill for a missing subblock.
@@ -385,124 +452,35 @@ class MemorySystem:
         self.next_level.request(NextLevelRequest(on_fill=on_fill))
 
     def _handle_fill(self, cluster: int, block: int, cycle: int) -> None:
+        """Install the subblock and replay its MSHR actions *in arrival
+        order*: a load that reached the module before a later store must
+        not observe that store's value (they merged into one MSHR entry,
+        but the module still serializes them as they arrived)."""
         if self._trace is not None:
             self._trace(("fill", cluster, block))
-        module = self.modules[cluster]
-        victim = module.install(block, dirty=False)
+        victim = self.modules[cluster].install(block, dirty=False)
         if victim is not None and victim.dirty:
             # Write-back of the victim consumes a next-level port.
-            self.next_level.request(
-                NextLevelRequest(on_fill=lambda c: None, enqueued_at=cycle)
-            )
-        waiter = self._home_mshr[cluster].pop(block, None)
-        if waiter is None:
+            self.next_level.request(NextLevelRequest(on_fill=lambda c: None))
+        actions = self._mshr[cluster].pop(block, None)
+        if actions is None:
             raise SimulationError(f"fill for block {block} without waiter")
-        key = (block, cluster)
-        for action in waiter.actions:
-            if action[0] == "store":
-                _tag, addr, version = action
-                self._apply_store(key, addr, version)
-                module.mark_dirty(block)
-            elif action[0] == "load":
-                pending = action[1]
-                self._observe(pending, self._bucket(key).get(pending.addr))
-                pending.on_complete(cycle)
-            else:  # respond
-                self._send_response(
-                    cluster, action[1], key, action[2],
-                    send_at=cycle, now=cycle,
-                )
+        for action in actions:
+            self._perform(cluster, (block, cluster), action, cycle, cycle)
             self._outstanding -= 1
 
-    # ------------------------------------------------------------------
-    # Remote flows
-    # ------------------------------------------------------------------
-    def _remote_load(
-        self,
-        cluster: int,
-        home: int,
-        key: SubblockKey,
-        pending: _PendingLoad,
-        cycle: int,
-    ) -> None:
-        """Every remote load travels to its home as its own request.
-
-        There is deliberately no requester-side combining onto an
-        in-flight request for the same subblock: a merged load would be
-        served at the *older* request's serialization point at the home,
-        where it can miss a store that program order placed before it
-        (stale read) or observe one placed after it (broken MA).  The
-        per-source FIFO buses deliver same-cluster messages in issue
-        order, so serving each load where its own request arrives at the
-        home — the point of coherence — preserves exactly the ordering
-        the MDC/DDGT solutions rely on.  (Requests that find a next-level
-        fill in progress still merge into the home MSHR below, which
-        replays its actions in arrival order.)
-        """
-        self._outstanding += 1
-        if self._trace is not None:
-            self._trace(("remote_issue", cluster, home, key[0], "load",
-                         pending.iid))
-
-        def at_home(arrival: int) -> None:
-            self._home_load_request(cluster, home, key, pending, arrival)
-
-        self.fabric.send(
-            BusMessage(src=cluster, dst=home, on_deliver=at_home,
-                       enqueued_at=cycle, kind="req_load")
-        )
-
-    def _home_load_request(
-        self, requester: int, home: int, key: SubblockKey,
-        pending: _PendingLoad, arrival: int,
-    ) -> None:
-        block = key[0]
-        module = self.modules[home]
-        if module.probe(block):
-            self.stats.record_access(AccessType.REMOTE_HIT)
-            if self._trace is not None:
-                self._trace(("home_request", home, requester, block, "load",
-                             pending.iid, "hit"))
-            self._send_response(
-                home,
-                requester,
-                key,
-                pending,
-                send_at=arrival + self.machine.cache.hit_latency,
-                now=arrival,
-            )
-            return
-        waiter = self._home_mshr[home].get(block)
-        if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
-            if self._trace is not None:
-                self._trace(("home_request", home, requester, block, "load",
-                             pending.iid, "combine"))
-            waiter.defer_response(requester, pending)
-            self._outstanding += 1
-            return
-        self.stats.record_access(AccessType.REMOTE_MISS)
-        if self._trace is not None:
-            self._trace(("home_request", home, requester, block, "load",
-                         pending.iid, "miss"))
-        waiter = _HomeWaiter()
-        waiter.defer_response(requester, pending)
-        self._home_mshr[home][block] = waiter
-        self._outstanding += 1
-        self._fetch(home, block)
-
     def _send_response(
-        self, home: int, requester: int, key: SubblockKey,
+        self, owner: int, requester: int, key: SubblockKey,
         pending: _PendingLoad, send_at: int, now: int,
     ) -> None:
         """Serve one read request and queue its response.
 
         The load observes the subblock *here*, at its serialization point
-        at the home module; the response only models the transfer back.
-        ``send_at`` is the cycle the response data is ready at the home
-        module (probe latency after the request's arrival, or the fill
-        cycle itself); messages ready now enter the bus queue directly so
-        they contend for a bus this very cycle.
+        at the owner; the response only models the transfer back.
+        ``send_at`` is the cycle the response data is ready at the owner
+        (probe latency after the request's arrival, or the fill cycle
+        itself); messages ready now enter the bus queue directly so they
+        contend for a bus this very cycle.
         """
         snapshot = dict(self._bucket(key))
         self._observe(pending, snapshot.get(pending.addr))
@@ -517,73 +495,16 @@ class MemorySystem:
                 self._ab_fill(requester, key, snapshot)
 
         message = BusMessage(
-            src=home, dst=requester, on_deliver=at_requester,
-            enqueued_at=send_at, tag=(home, key[0], (pending.iid,)),
-            kind="resp",
+            src=owner, dst=requester, on_deliver=at_requester,
+            tag=(owner, key[0], (pending.iid,)), kind="resp",
         )
         if send_at <= now:
             if self._trace is not None:
-                self._trace(("send_response", home, key[0], (pending.iid,),
+                self._trace(("send_response", owner, key[0], (pending.iid,),
                              False))
             self.fabric.send(message)
         else:
             self._deferred_sends.setdefault(send_at, []).append(message)
-
-    def _remote_store(
-        self,
-        cluster: int,
-        home: int,
-        key: SubblockKey,
-        addr: int,
-        version: Version,
-        cycle: int,
-    ) -> None:
-        self._outstanding += 1
-        if self._trace is not None:
-            self._trace(("remote_issue", cluster, home, key[0], "store",
-                         version))
-
-        def at_home(arrival: int) -> None:
-            self._home_store_request(home, key, addr, version, src=cluster)
-            self._outstanding -= 1
-
-        self.fabric.send(
-            BusMessage(src=cluster, dst=home, on_deliver=at_home,
-                       enqueued_at=cycle, kind="req_store")
-        )
-
-    def _home_store_request(
-        self, home: int, key: SubblockKey, addr: int, version: Version,
-        src: Optional[int] = None,
-    ) -> None:
-        block = key[0]
-        module = self.modules[home]
-        if module.probe(block):
-            self.stats.record_access(AccessType.REMOTE_HIT)
-            if self._trace is not None:
-                self._trace(("home_request", home, src, block, "store",
-                             version, "hit"))
-            module.mark_dirty(block)
-            self._apply_store(key, addr, version)
-            return
-        waiter = self._home_mshr[home].get(block)
-        if waiter is not None:
-            self.stats.record_access(AccessType.COMBINED)
-            if self._trace is not None:
-                self._trace(("home_request", home, src, block, "store",
-                             version, "combine"))
-            waiter.defer_store(addr, version)
-            self._outstanding += 1
-            return
-        self.stats.record_access(AccessType.REMOTE_MISS)
-        if self._trace is not None:
-            self._trace(("home_request", home, src, block, "store",
-                         version, "miss"))
-        waiter = _HomeWaiter()
-        waiter.defer_store(addr, version)
-        self._home_mshr[home][block] = waiter
-        self._outstanding += 1
-        self._fetch(home, block)
 
     # ------------------------------------------------------------------
     # Attraction Buffers

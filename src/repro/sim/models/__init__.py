@@ -3,13 +3,15 @@
 The paper's memory system — word-interleaved homes on a snooping bus
 with remote-request buffers — is one point in a space of protocols.
 This package makes the protocol a first-class axis: a
-:class:`MemoryModel` names one protocol + placement scheme, owns the
-construction of its :class:`~repro.sim.memory.MemorySystem` subclass
-(what the per-cycle reference and the conformance bridge drive),
-supplies the per-address home/owner placement the flat fast path
-(:mod:`repro.sim.flatmem`) routes by, and points at the matching
-exhaustive-check model and conformance address scheme.  Registered
-models:
+:class:`MemoryModel` names one placement scheme and supplies, per
+address, the *home* a request travels to first and the *owner* that
+holds the data.  Both simulation engines route by that one
+``placement``: the per-cycle reference
+:class:`~repro.sim.memory.MemorySystem` (what the conformance bridge
+drives) and the flat fast path (:mod:`repro.sim.flatmem`).  Each model
+also names its conformance address scheme; its exhaustive-check model
+is registered under the same name in :mod:`repro.check.variants`.
+Registered models:
 
 ``snooping``
     The paper's protocol, unchanged (the default; byte-identical to the
@@ -30,13 +32,10 @@ models:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.errors import ConfigError
-from repro.sim.coherence import CoherenceChecker
-from repro.sim.memory import MemorySystem, TraceCallback
-from repro.sim.stats import SimStats
 
 #: The model every entry point defaults to; its behaviour is pinned by
 #: the goldens.
@@ -44,10 +43,10 @@ DEFAULT_MODEL = "snooping"
 
 
 class MemoryModel:
-    """One memory-system model: protocol + placement + check mapping.
+    """One memory-system model: its placement and conformance mapping.
 
-    Subclasses define the class attributes and override :meth:`build`
-    and :meth:`placement` (and, for a non-interleaved placement,
+    Subclasses define the class attributes and override
+    :meth:`placement` (and, for a non-interleaved placement,
     :meth:`conformance_address`).
     """
 
@@ -59,27 +58,17 @@ class MemoryModel:
     #: Buffers can extend (only the snooping protocol does)
     supports_attraction: bool = True
 
-    def build(
-        self,
-        machine: MachineConfig,
-        stats: SimStats,
-        checker: Optional[CoherenceChecker] = None,
-        trace: Optional[TraceCallback] = None,
-    ) -> MemorySystem:
-        """Construct this model's memory system for one run."""
-        raise NotImplementedError
-
     def placement(
         self, machine: MachineConfig, addrs: Sequence[int]
     ) -> Tuple[List[int], List[int]]:
-        """``(homes, owners)`` of a run's addresses, for the flat path.
+        """``(homes, owners)`` of ``addrs``: how both engines route.
 
         ``homes[i]`` is the cluster a request for ``addrs[i]`` travels to
         first; ``owners[i]`` the cluster that holds the data and
         serializes accesses to it.  Single-hop models return the same
-        list twice; where the two differ, the flat path forwards the
-        request from the home to the owner.  Must route exactly like
-        :meth:`build`'s memory system.
+        list twice; where the two differ, a request reaching the home is
+        forwarded to the owner.  The flat path calls this once per
+        address table, the reference once per access.
         """
         raise NotImplementedError
 
@@ -91,16 +80,6 @@ class MemoryModel:
                 f"memory model {self.name!r} keeps no per-cluster copies; "
                 f"Attraction Buffers are not supported"
             )
-
-    def check_model(self) -> type:
-        """The matching :mod:`repro.check` protocol-model class.
-
-        Imported lazily: the check layer depends on the sim layer, not
-        the other way around.
-        """
-        from repro.check.variants import named_check_model
-
-        return named_check_model(self.name)
 
     def conformance_address(self, machine: MachineConfig, sb: int) -> int:
         """An address whose block id is ``sb`` and whose serving cluster

@@ -7,8 +7,8 @@ store is local exactly when its cluster is the block's home slice;
 otherwise it travels there as an ordinary request and is served at the
 slice's serialization point.  The protocol skeleton (request/response,
 home-side MSHR combining) is the snooping one — only the placement map
-differs — which is why :class:`DLSMemorySystem` overrides a single
-routing hook and :meth:`DLSModel.placement` is the same hash.
+differs — so :meth:`DLSModel.placement`, the hash with every home its
+own owner, is all this model defines.
 
 Because a block has exactly one resident copy, Attraction Buffers (which
 cache *extra* copies) are meaningless here and are rejected.
@@ -16,13 +16,10 @@ cache *extra* copies) are meaningless here and are rejected.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
-from repro.sim.coherence import CoherenceChecker
-from repro.sim.memory import MemorySystem, SubblockKey, TraceCallback
 from repro.sim.models import MemoryModel, register_model
-from repro.sim.stats import SimStats
 
 #: Knuth's multiplicative constant; spreads consecutive blocks across
 #: slices without the modulo-striding artifacts of ``block % N``.
@@ -34,15 +31,6 @@ def dls_home(block: int, num_clusters: int) -> int:
     return ((block * _HASH_MULTIPLIER) >> 8) % num_clusters
 
 
-class DLSMemorySystem(MemorySystem):
-    """Snooping flows over block-granular, hash-placed subblocks."""
-
-    def _route(self, addr: int) -> Tuple[int, SubblockKey]:
-        block = addr // self.machine.cache.block_bytes
-        home = dls_home(block, self.machine.num_clusters)
-        return home, (block, home)
-
-
 class DLSModel(MemoryModel):
     name = "dls"
     description = (
@@ -50,16 +38,6 @@ class DLSModel(MemoryModel):
         "no copies, no invalidation broadcast"
     )
     supports_attraction = False
-
-    def build(
-        self,
-        machine: MachineConfig,
-        stats: SimStats,
-        checker: Optional[CoherenceChecker] = None,
-        trace: Optional[TraceCallback] = None,
-    ) -> MemorySystem:
-        self.validate_machine(machine)
-        return DLSMemorySystem(machine, stats, checker, trace)
 
     def placement(
         self, machine: MachineConfig, addrs: Sequence[int]

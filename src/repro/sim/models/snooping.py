@@ -1,22 +1,19 @@
 """The paper's protocol as the default registered memory model.
 
-Word-interleaved homes (:mod:`repro.sim.interleave`), remote requests
-over the snooping bus fabric, home-side MSHR combining, optional
-Attraction Buffers.  ``build()`` returns the plain
-:class:`~repro.sim.memory.MemorySystem` — the registry wrapper adds no
-behaviour, which is what keeps the refactor byte-identical to the
-goldens.
+Word-interleaved homes (:meth:`MachineConfig.home_cluster
+<repro.arch.config.MachineConfig.home_cluster>`), remote requests over
+the snooping bus fabric, home-side MSHR combining, optional Attraction
+Buffers.  The home holds the data, so :meth:`SnoopingModel.placement`
+returns the same list as homes and owners and no access takes a forward
+hop — which keeps the registry byte-identical to the goldens.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
-from repro.sim.coherence import CoherenceChecker
-from repro.sim.memory import MemorySystem, TraceCallback
 from repro.sim.models import MemoryModel, register_model
-from repro.sim.stats import SimStats
 
 
 class SnoopingModel(MemoryModel):
@@ -26,15 +23,6 @@ class SnoopingModel(MemoryModel):
         "remote-request buffers (+ optional Attraction Buffers)"
     )
     supports_attraction = True
-
-    def build(
-        self,
-        machine: MachineConfig,
-        stats: SimStats,
-        checker: Optional[CoherenceChecker] = None,
-        trace: Optional[TraceCallback] = None,
-    ) -> MemorySystem:
-        return MemorySystem(machine, stats, checker, trace)
 
     def placement(
         self, machine: MachineConfig, addrs: Sequence[int]

@@ -17,7 +17,6 @@ from repro.arch.config import NextLevelConfig
 @dataclass
 class NextLevelRequest:
     on_fill: Callable[[int], None]
-    enqueued_at: int = 0
 
 
 class NextLevel:
@@ -28,7 +27,6 @@ class NextLevel:
         self._queue: Deque[NextLevelRequest] = deque()
         self._completions: Dict[int, List[NextLevelRequest]] = {}
         self.requests = 0
-        self.queued_cycles = 0
 
     def request(self, req: NextLevelRequest) -> None:
         self._queue.append(req)
@@ -49,4 +47,3 @@ class NextLevel:
                 done = cycle + self.config.latency
                 self._completions.setdefault(done, []).append(req)
                 accepted += 1
-            self.queued_cycles += len(self._queue)

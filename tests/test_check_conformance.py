@@ -8,11 +8,10 @@ from repro.check.conformance import (
     issue_schedules,
     run_conformance,
     run_program,
-    subblock_address,
 )
 from repro.check.model import ModelOp, ProtocolModel
 from repro.errors import CheckError, ReproError
-from repro.sim.interleave import block_id, home_cluster
+from repro.sim.models import named_model
 
 
 def ld(index, cluster, sb):
@@ -26,10 +25,11 @@ def st(index, cluster, sb):
 class TestAddressScheme:
     def test_addresses_map_to_distinct_blocks_and_right_homes(self):
         machine = conformance_machine(2)
+        address = named_model("snooping").conformance_address
         for sb in range(4):
-            addr = subblock_address(machine, sb)
-            assert block_id(machine, addr) == sb
-            assert home_cluster(machine, addr) == sb % 2
+            addr = address(machine, sb)
+            assert addr // machine.cache.block_bytes == sb
+            assert machine.home_cluster(addr) == sb % 2
 
     def test_indivisible_interleave_rejected(self):
         # 3 clusters x 4-byte interleave does not divide the 32-byte

@@ -2,9 +2,10 @@
 
 Each registered memory model carries its own check model: the explorer
 must prove all of them safe on disciplined programs, the conformance
-bridge must replay each live memory system through its matching
-transition table without disagreement, and the model registry and the
-check registry must agree on names.
+bridge must replay the reference memory system under each model through
+its matching transition table without disagreement (and reject it with
+a seeded bug), and the model registry and the check registry must agree
+on names.
 """
 
 import pytest
@@ -13,10 +14,28 @@ from repro.check import CHECK_MODELS, check_protocol, named_check_model
 from repro.check.conformance import run_conformance
 from repro.check.model import ProtocolModel
 from repro.check.variants import DirectoryProtocolModel, DLSProtocolModel
-from repro.errors import ConfigError
+from repro.errors import CheckError, ConfigError
+from repro.sim.memory import MemorySystem
 from repro.sim.models import model_names
 
 ALL_MODELS = tuple(sorted(CHECK_MODELS))
+
+
+class _LifoFill(MemorySystem):
+    """Seeded bug: a fill replays its MSHR actions last-arrived first."""
+
+    def _handle_fill(self, cluster, block, cycle):
+        self._mshr[cluster][block].reverse()
+        super()._handle_fill(cluster, block, cycle)
+
+
+class _HomeServesUnowned(MemorySystem):
+    """Seeded bug: a directory home serves a request for a block it does
+    not own instead of forwarding it to the owner."""
+
+    def _receive(self, cluster, requester, key, action, arrival, hop):
+        super()._receive(cluster, requester, (key[0], cluster), action,
+                         arrival, hop)
 
 
 class TestRegistry:
@@ -99,18 +118,20 @@ class TestConformance:
         assert report.model == model
         assert report.missing_transitions() == []
 
-    def test_memory_factory_override(self):
-        """Satellite: the bridge accepts an explicit factory instead of
-        hard-wiring the snooping MemorySystem."""
-        from repro.sim.memory import MemorySystem
-
-        built = []
-
-        def factory(machine, stats, trace):
-            system = MemorySystem(machine, stats, trace=trace)
-            built.append(system)
-            return system
-
-        report = run_conformance(op_counts=(2,), memory_factory=factory)
-        assert report.ok, report.summary()
-        assert built
+    @pytest.mark.parametrize(
+        "model, memory, problem",
+        [pytest.param(model, _LifoFill, "payload mismatch at fill_complete",
+                      id=f"{model}-lifo-fill")
+         for model in ALL_MODELS]
+        + [pytest.param(
+            "directory", _HomeServesUnowned,
+            r"deliver_request_miss\(.*\) is not enabled in the model",
+            id="directory-home-serves-unowned")],
+    )
+    def test_seeded_simulator_bugs_are_caught(self, model, memory, problem):
+        """The bridge is evidence only if it fails on a wrong simulator:
+        a ``MemorySystem`` subclass with a seeded bug, driven through
+        ``memory_factory``, must raise."""
+        with pytest.raises(CheckError, match=problem):
+            run_conformance(op_counts=(2,), model=model,
+                            memory_factory=memory)

@@ -106,15 +106,18 @@ def small_watchdog(monkeypatch):
     return 500
 
 
-def test_hung_drain_raises_within_bound(small_watchdog, monkeypatch):
+@pytest.mark.parametrize("model", model_names())
+def test_hung_drain_raises_within_bound(small_watchdog, monkeypatch, model):
     monkeypatch.setattr(executor_mod, "MemorySystem", _NeverQuiescentMemory)
     compiled = _compile(single_load_loop())
     trace = trace_factory(8, seed=7)(compiled.ddg)
     with pytest.raises(SimulationError, match="drain"):
-        simulate(compiled, trace, iterations=8, engine="cycles")
+        simulate(compiled, trace, iterations=8, engine="cycles",
+                 model=model)
 
 
-def test_lost_load_raises_stall_watchdog(small_watchdog, monkeypatch):
+@pytest.mark.parametrize("model", model_names())
+def test_lost_load_raises_stall_watchdog(small_watchdog, monkeypatch, model):
     monkeypatch.setattr(executor_mod, "MemorySystem", _SwallowingMemory)
     compiled = _compile(single_load_loop())
     trace = trace_factory(8, seed=7)(compiled.ddg)
@@ -122,7 +125,8 @@ def test_lost_load_raises_stall_watchdog(small_watchdog, monkeypatch):
         SimulationError,
         match=f"machine stalled for {small_watchdog + 1} cycles",
     ):
-        simulate(compiled, trace, iterations=8, engine="cycles")
+        simulate(compiled, trace, iterations=8, engine="cycles",
+                 model=model)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -98,11 +98,12 @@ class TestModelBehaviour:
 
     def test_single_slice_models_reject_attraction(self):
         machine = BASELINE_CONFIG.with_attraction_buffers()
+        from repro.sim.memory import MemorySystem
         from repro.sim.stats import SimStats
 
         for name in ("dls", "directory"):
             with pytest.raises(ConfigError, match="Attraction"):
-                named_model(name).build(machine, SimStats())
+                MemorySystem(machine, SimStats(), model=name)
 
     @pytest.mark.parametrize("model", model_names())
     def test_disciplined_runs_are_violation_free(self, model):
