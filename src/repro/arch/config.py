@@ -184,7 +184,10 @@ class MachineConfig:
         if self.cache.block_bytes % (self.interleave_bytes * self.num_clusters):
             raise ConfigError(
                 "cache block must hold a whole number of interleave units "
-                "per cluster (block_bytes %% (interleave * clusters) == 0)"
+                "per cluster (block_bytes % (interleave * clusters) == 0); "
+                f"got {self.cache.block_bytes}-byte blocks, "
+                f"{self.interleave_bytes}-byte interleave, "
+                f"{self.num_clusters} clusters"
             )
         for kind in FuKind:
             if self.fu_per_cluster.get(kind, 0) < 0:

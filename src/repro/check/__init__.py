@@ -4,15 +4,18 @@
 of *sampling* behaviours the way the simulator-based tests do, it
 
 * models the coherence protocol as a **guarded-action transition system**
-  (:mod:`repro.check.model`) small enough to enumerate exhaustively,
+  (:mod:`repro.check.model`) small enough to enumerate exhaustively: one
+  model and one transition table for every registered memory model,
+  routed by that model's ``placement`` exactly as the simulator is,
 * **BFS-explores** every reachable state of small configurations and
   checks safety/progress invariants, producing minimal counterexample
   traces on violation (:mod:`repro.check.explorer`,
   :mod:`repro.check.invariants`),
 * keeps the model honest with a **conformance bridge** that drives the
   live :class:`~repro.sim.memory.MemorySystem` under each registered
-  memory model and replays its event trace through that model's check
-  model transition by transition (:mod:`repro.check.conformance`).
+  memory model and replays its event trace through the protocol model
+  routed by the same memory model, transition by transition
+  (:mod:`repro.check.conformance`).
 
 The schedule lint lives with the compiler it checks
 (:mod:`repro.sched.lint`), since every compile runs it; this package
@@ -21,7 +24,8 @@ callers that lint a result themselves.
 
 Seeded protocol mutations (including a re-injection of the stale-read
 bug fixed in an early revision) live in :mod:`repro.check.mutations` and
-prove the checker can actually find the class of bug it exists for.
+prove, under every memory model, that the checker can actually find the
+class of bug it exists for.
 
 See ``docs/checking.md`` for the model, the invariants and how to read a
 counterexample trace.
@@ -30,11 +34,9 @@ counterexample trace.
 from repro.check.explorer import CheckReport, Counterexample, check_protocol
 from repro.check.model import ModelOp, ProtocolModel, enumerate_programs
 from repro.check.mutations import MUTATIONS
-from repro.check.variants import CHECK_MODELS, named_check_model
 from repro.sched.lint import LintFinding, lint_compilation
 
 __all__ = [
-    "CHECK_MODELS",
     "CheckReport",
     "Counterexample",
     "LintFinding",
@@ -44,5 +46,4 @@ __all__ = [
     "check_protocol",
     "enumerate_programs",
     "lint_compilation",
-    "named_check_model",
 ]

@@ -6,8 +6,10 @@ transfer.  It drives a real :class:`~repro.sim.memory.MemorySystem`,
 routed by one registered memory model, through small programs, captures
 the structured trace events the memory system emits, maps every event
 onto one model transition, and replays that transition sequence through
-the model's :class:`~repro.check.model.ProtocolModel` — asserting at
-every step that
+:class:`~repro.check.model.ProtocolModel` routed by the same memory
+model — both sides take their homes and owners from that model's
+``placement`` on :func:`~repro.check.model.conformance_machine` — asserting
+at every step that
 
 * the transition the simulator took is *enabled* in the model (the
   simulator never does anything the model cannot);
@@ -35,7 +37,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.arch.config import MachineConfig
 from repro.errors import CheckError
 from repro.check.model import (
     ABSENT,
@@ -44,10 +45,10 @@ from repro.check.model import (
     ProtocolModel,
     State,
     Transition,
+    conformance_machine,
     enumerate_programs,
 )
 from repro.sim.memory import MemorySystem
-from repro.sim.models import named_model
 from repro.sim.stats import SimStats
 
 #: simulator trace kinds that open a new model transition (everything
@@ -75,22 +76,6 @@ _FORWARD_NAMES = {
 }
 
 
-def conformance_machine(num_clusters: int = 2) -> MachineConfig:
-    """The machine the bridge drives: baseline geometry, ``num_clusters``
-    clusters.  The cache (32-set modules) never evicts for the handful of
-    blocks a model program touches, matching the model's no-eviction
-    abstraction."""
-    machine = MachineConfig(
-        name=f"conformance-{num_clusters}c", num_clusters=num_clusters
-    )
-    if (machine.cache.block_bytes // machine.interleave_bytes) % num_clusters:
-        raise CheckError(
-            "conformance address scheme needs a whole number of interleave "
-            "rounds per block"
-        )
-    return machine
-
-
 def _norm(version: Optional[Tuple[int, int]]) -> int:
     """Simulator version -> model version (see the module docstring)."""
     return 0 if version is None else version[1]
@@ -102,9 +87,9 @@ class ConformanceReport:
 
     num_clusters: int
     num_subblocks: int
+    #: the check model's core transition names (its coverage target)
+    core: Tuple[str, ...]
     model: str = "snooping"
-    #: the checked model's core transition names (its coverage target)
-    core: Tuple[str, ...] = ProtocolModel.core_transitions()
     runs: int = 0
     programs: int = 0
     transitions: int = 0
@@ -250,7 +235,7 @@ class ConformanceBridge:
             if (
                 op.cluster != cluster
                 or op.subblock != block
-                or self.model.home(block) != home
+                or self.model.homes[block] != home
             ):
                 self._fail(f"{op.label} issued as {event!r}")
             self._step("issue_remote", (op.index,), payload)
@@ -276,8 +261,8 @@ class ConformanceBridge:
             if (
                 op.cluster != cluster
                 or op.subblock != block
-                or self.model.home(block) != cluster
-                or self.model.data_home(block) == cluster
+                or self.model.homes[block] != cluster
+                or self.model.owners[block] == cluster
             ):
                 self._fail(f"{op.label} issued as {event!r}")
             self._step("issue_forward", (op.index,), payload)
@@ -285,8 +270,8 @@ class ConformanceBridge:
             _tag, home, owner, src, block, opkind, ref = event
             op = self._decode_op(opkind, ref)
             if (
-                self.model.home(block) != home
-                or self.model.data_home(block) != owner
+                self.model.homes[block] != home
+                or self.model.owners[block] != owner
             ):
                 self._fail(f"misrouted forward {event!r}")
             expected_head = (
@@ -305,7 +290,7 @@ class ConformanceBridge:
         elif kind == "owner_request":
             _tag, owner, src, block, opkind, ref, disposition = event
             op = self._decode_op(opkind, ref)
-            if self.model.data_home(block) != owner:
+            if self.model.owners[block] != owner:
                 self._fail(f"forward served away from the owner: {event!r}")
             expected_head = (
                 ("fwd_ld", block, (op.index,), src)
@@ -315,7 +300,7 @@ class ConformanceBridge:
             # The forward sits in the FIFO of whoever sent it: the
             # requester itself (issue_forward) or the directory home
             # (deliver_request_forward).
-            for source in dict.fromkeys((src, self.model.home(block))):
+            for source in dict.fromkeys((src, self.model.homes[block])):
                 queue = self.state.queues[source]
                 if queue and queue[0] == expected_head:
                     self._step(
@@ -338,8 +323,8 @@ class ConformanceBridge:
             self._step("send_response", (home,), payload)
         elif kind == "deliver_response":
             _tag, requester, block, iids = event
-            home = self.model.data_home(block)
-            queue = self.state.queues[home]
+            owner = self.model.owners[block]
+            queue = self.state.queues[owner]
             if (
                 not queue
                 or queue[0][0] != "resp"
@@ -351,24 +336,19 @@ class ConformanceBridge:
                     f"{iids} but the model FIFO head is "
                     f"{queue[0] if queue else 'empty'}"
                 )
-            self._step("deliver_response", (home,), payload)
+            self._step("deliver_response", (owner,), payload)
         else:  # fill
             _tag, cluster, block = event
-            if self.model.data_home(block) != cluster:
+            if self.model.owners[block] != cluster:
                 self._fail(f"fill of sb{block} landed at cluster {cluster}")
             self._step("fill_complete", (block,), payload)
 
     # ------------------------------------------------------------------
-    def finish(
-        self,
-        memory: MemorySystem,
-        machine: MachineConfig,
-        address_fn: Callable[[MachineConfig, int], int],
-    ) -> None:
-        """Compare the drained final states of simulator and model.
-
-        ``address_fn(machine, sb)`` maps model subblocks to the driven
-        addresses: the memory model's ``conformance_address``."""
+    def finish(self, memory: MemorySystem) -> None:
+        """Compare the drained final states of simulator and model: each
+        subblock at the memory model's ``conformance_address`` on the
+        memory system's machine."""
+        address = self.model.memory_model.conformance_address
         for op in self.model.program:
             if self.state.ops[op.index][0] != COMPLETE:
                 self._fail(
@@ -383,19 +363,19 @@ class ConformanceBridge:
                 "drained"
             )
         for sb in range(self.model.num_subblocks):
-            home = self.model.data_home(sb)
-            addr = address_fn(machine, sb)
+            owner = self.model.owners[sb]
+            addr = address(memory.machine, sb)
             # Reaching into the memory system's version book is the whole
             # point of the bridge: it is the simulator's ground truth.
             sim_version = _norm(
-                memory._versions.get((sb, home), {}).get(addr)
+                memory._versions.get((sb, owner), {}).get(addr)
             )
             if sim_version != self.state.versions[sb]:
                 self._fail(
                     f"final version of sb{sb} differs: simulator has "
                     f"v{sim_version}, model has v{self.state.versions[sb]}"
                 )
-            present = memory.modules[home].contains(sb)
+            present = memory.modules[owner].contains(sb)
             if present != (self.state.cache[sb] != ABSENT):
                 self._fail(
                     f"final residency of sb{sb} differs: simulator "
@@ -410,7 +390,7 @@ class ConformanceBridge:
 def run_program(
     program: Tuple[ModelOp, ...],
     schedule: Sequence[int],
-    machine: Optional[MachineConfig] = None,
+    num_clusters: int = 2,
     num_subblocks: Optional[int] = None,
     max_cycles: int = 10_000,
     model: str = "snooping",
@@ -423,22 +403,22 @@ def run_program(
     subblock) chain cycles must be non-decreasing in program order (the
     in-order memory unit the model's issue guard encodes).
 
-    ``model`` selects which registered memory model is driven and which
-    check model replays it.  ``memory_factory`` builds the memory system,
-    called like :class:`~repro.sim.memory.MemorySystem` (by default that
-    class itself, routed by ``model``); the tests pass subclasses with
-    seeded bugs to show the bridge rejects them.
+    ``model`` names the registered memory model that routes both the
+    driven memory system, on ``conformance_machine(num_clusters)``, and
+    the check model that replays it.  ``memory_factory`` builds the
+    memory system, called like :class:`~repro.sim.memory.MemorySystem`
+    (by default that class itself, routed by ``model``); the tests pass
+    subclasses with seeded bugs to show the bridge rejects them.
     """
-    from repro.check.variants import named_check_model
-
-    model_impl = named_model(model)
-    check_cls = named_check_model(model)
-    if machine is None:
-        machine = conformance_machine()
     if num_subblocks is None:
         num_subblocks = max(op.subblock for op in program) + 1
     if len(schedule) != len(program):
         raise CheckError("schedule and program lengths differ")
+    check_model = ProtocolModel(
+        num_clusters, num_subblocks, program, model=model
+    )
+    machine = conformance_machine(num_clusters)
+    address = check_model.memory_model.conformance_address
 
     events: List[tuple] = []
     completed: set = set()
@@ -454,7 +434,7 @@ def run_program(
     while True:
         memory.tick_begin(cycle)
         for op in by_cycle.get(cycle, ()):
-            addr = model_impl.conformance_address(machine, op.subblock)
+            addr = address(machine, op.subblock)
             if op.is_load:
                 memory.load(
                     op.cluster, addr, machine.interleave_bytes,
@@ -484,12 +464,9 @@ def run_program(
             "simulator"
         )
 
-    check_model = check_cls(machine.num_clusters, num_subblocks, program)
     bridge = ConformanceBridge(check_model)
     bridge.replay(events)
-    bridge.finish(
-        memory, machine, address_fn=model_impl.conformance_address
-    )
+    bridge.finish(memory)
     return bridge
 
 
@@ -518,14 +495,13 @@ def run_conformance(
     """Run the full battery; raises :class:`~repro.errors.CheckError` on
     the first simulator/model disagreement, returns the coverage report
     otherwise (``report.ok`` asserts every core transition fired)."""
-    from repro.check.variants import named_check_model
-
-    machine = conformance_machine(num_clusters)
     report = ConformanceReport(
         num_clusters=num_clusters,
         num_subblocks=num_subblocks,
+        core=ProtocolModel(
+            num_clusters, num_subblocks, (), model=model
+        ).core_transitions(),
         model=model,
-        core=named_check_model(model).core_transitions(),
     )
     started = time.perf_counter()
     if programs is None:
@@ -540,7 +516,7 @@ def run_conformance(
         report.programs += 1
         for schedule in (schedules or issue_schedules(len(program))):
             bridge = run_program(
-                program, schedule, machine=machine,
+                program, schedule, num_clusters=num_clusters,
                 num_subblocks=num_subblocks, model=model,
                 memory_factory=memory_factory,
             )

@@ -1,13 +1,16 @@
 """Exhaustive BFS exploration of the protocol model's state space.
 
-For every program over a small configuration (the default — 2 clusters,
-2 subblocks, 3 ops — is the ISSUE's "small config" target), the explorer
-enumerates the *complete* reachable state space of
-:class:`~repro.check.model.ProtocolModel` breadth-first and checks every
-invariant of :mod:`repro.check.invariants` on every state, edge and
-event.  BFS order makes the first violation found a minimal-depth one,
-and parent pointers reconstruct the full transition trace leading to it
-— the counterexample format ``docs/checking.md`` explains how to read.
+For every program over a small configuration (default: 2 clusters,
+2 subblocks, 3 ops), the explorer enumerates the *complete* reachable
+state space of :class:`~repro.check.model.ProtocolModel`, routed by one
+registered memory model, breadth-first and checks every invariant of
+:mod:`repro.check.invariants` on every state, edge and event.  The
+configurations are the machines the simulator can build: 1, 2, 4 or 8
+clusters at the baseline geometry
+(:func:`~repro.check.model.conformance_machine`).  BFS order makes the
+first violation found a minimal-depth one, and parent pointers
+reconstruct the full transition trace leading to it — the
+counterexample format ``docs/checking.md`` explains how to read.
 
 State spaces here are tiny by model-checking standards (tens of
 thousands of states across all programs) but exhaustive where the
@@ -38,6 +41,7 @@ from repro.check.model import (
     enumerate_programs,
     is_disciplined,
 )
+from repro.sim.models import named_model
 
 
 @dataclass
@@ -238,12 +242,10 @@ def check_protocol(
     smoke budget); ``disciplined_only`` restricts the sweep to programs
     the coherence solutions actually produce (faster mutation hunting);
     ``programs`` substitutes an explicit program list for the full
-    enumeration; ``model`` selects the memory model's check model
-    (:mod:`repro.check.variants`).
+    enumeration; ``model`` names the registered memory model whose
+    placement routes the check model.
     """
-    from repro.check.variants import named_check_model
-
-    model_cls = named_check_model(model)
+    named_model(model)  # an unknown name fails even with no program
     report = CheckReport(
         num_clusters=num_clusters,
         num_subblocks=num_subblocks,
@@ -264,11 +266,12 @@ def check_protocol(
             if budget <= 0:
                 report.truncated = True
                 break
-        model = model_cls(
-            num_clusters, num_subblocks, program, mutation=mutation
+        check_model = ProtocolModel(
+            num_clusters, num_subblocks, program, mutation=mutation,
+            model=model,
         )
         states, transitions, races, truncated, counterexample = (
-            explore_program(model, budget, report.transition_coverage)
+            explore_program(check_model, budget, report.transition_coverage)
         )
         report.programs += 1
         report.disciplined_programs += int(disciplined)

@@ -45,8 +45,8 @@ from repro.check.model import (
 )
 
 #: Message kinds carrying a tuple of load ops at position 2 (``fwd_*``
-#: are the directory model's home->owner forwards; see
-#: :mod:`repro.check.variants`).
+#: are the forwards a home sends to an owner elsewhere; see
+#: :mod:`repro.check.model`).
 PER_OP_KINDS = frozenset({"req_ld", "fwd_ld"})
 #: Message kinds carrying a single store op index at position 2.
 FLAT_KINDS = frozenset({"req_st", "fwd_st"})
@@ -55,16 +55,16 @@ FLAT_KINDS = frozenset({"req_st", "fwd_st"})
 #: strictly decreasing: each protocol step turns an artifact into
 #: strictly lighter ones (e.g. serving a read request, weight 8/op,
 #: leaves a ready response, weight 4, which becomes a response message,
-#: weight 2, which vanishes at delivery).  The directory model inserts
-#: one more rung per family — a request forwarded to the owner becomes a
-#: ``fwd_*`` message, one lighter per carried op than the request it
-#: came from, and a forwarded load that opens an MSHR entry turns
+#: weight 2, which vanishes at delivery).  The forward family inserts
+#: one more rung per message kind — a request forwarded to the owner
+#: becomes a ``fwd_*`` message, one lighter per carried op than the
+#: request it came from, and a forwarded load that opens an MSHR entry turns
 #: ``fwd_ld`` (7/op) into respond actions (4/op) plus one fill (2), a
 #: strict decrease already at a single op.
 W_REQ_LD = 8      # per load carried by a read request message
-W_FWD_LD = 7      # per load carried by a forwarded read (directory)
+W_FWD_LD = 7      # per load carried by a forwarded read
 W_REQ_ST = 6      # a store request message
-W_FWD_ST = 5      # a forwarded store message (directory)
+W_FWD_ST = 5      # a forwarded store message
 W_RESP = 2        # a response message (any op count)
 W_READY = 4       # a ready (not yet sent) probe-hit response
 W_RESPOND = 4     # a deferred "respond" MSHR action

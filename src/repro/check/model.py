@@ -14,21 +14,34 @@ interleaving of this system, so a property proved over all interleavings
 holds for the simulator — the conformance bridge
 (:mod:`repro.check.conformance`) pins the correspondence.
 
-The abstraction, flow by flow (mirroring ``MemorySystem``):
+One model serves every registered memory model (:mod:`repro.sim.models`).
+Subblock ``sb`` stands for the block at the memory model's
+``conformance_address`` on :func:`conformance_machine`; its *home* (where
+requests go) and *owner* (the cluster holding it, its serialization
+point) are that address's ``placement``, the lists both simulator
+engines route by.  The abstraction, flow by flow (mirroring
+``MemorySystem``):
 
-* a *subblock* ``sb`` lives at its home cluster ``sb % num_clusters``
-  and holds a *version* — 0 initially, ``i + 1`` after store ``op_i``
-  applied (versions replace data values, exactly as in the simulator);
-* **local hit**: access completes against the home module immediately;
+* a subblock holds a *version* — 0 initially, ``i + 1`` after store
+  ``op_i`` applied (versions replace data values, exactly as in the
+  simulator);
+* **local hit**: an access at the home of a subblock the home also owns
+  completes against the module immediately;
 * **local miss**: an MSHR entry opens and a next-level fill is pending;
   further local accesses *combine* into the entry;
-* **remote access**: a request message enters the requester's FIFO
-  queue; at delivery the home serves it (hit), opens an MSHR entry
-  (miss) or combines into one;
-* **responses**: a served read observes the subblock *at the home* (its
-  serialization point) and the response travels back through the home's
-  FIFO queue; probe-hit responses first wait in a per-home "ready"
-  buffer (the simulator's deferred sends) before entering the queue;
+* **remote access**: an access away from the home sends a request
+  message into the requester's FIFO queue; at delivery a home that owns
+  the subblock serves it (hit), opens an MSHR entry (miss) or combines
+  into one;
+* **forward**: a home that does not own the subblock re-emits a
+  delivered request as a forward into its own FIFO, bound for the owner,
+  and an access *at* such a home sends the forward itself; the owner
+  serves forwards with the request dispositions.  Only ``directory``
+  places homes away from owners, so only it fires this family;
+* **responses**: a served read observes the subblock *at the owner* and
+  the response travels back through the owner's FIFO queue; probe-hit
+  responses first wait in a per-owner "ready" buffer (the simulator's
+  deferred sends) before entering the queue;
 * **fill**: the MSHR entry replays its deferred actions in arrival
   order, exactly like ``MemorySystem._handle_fill``.
 
@@ -52,7 +65,10 @@ from typing import (
     Tuple,
 )
 
-# Cache-line (subblock) states at the home module.
+from repro.arch.config import MachineConfig
+from repro.sim.models import DEFAULT_MODEL, named_model
+
+# Cache-line (subblock) states at the owner's module.
 ABSENT, CLEAN, DIRTY = 0, 1, 2
 
 # Operation status.
@@ -61,11 +77,28 @@ UNISSUED, INFLIGHT, COMPLETE = 0, 1, 2
 #: observed-version placeholder for "nothing observed (yet)".
 NO_VERSION = -1
 
+#: Message kinds a requester sends to a home, and a home (or an access
+#: at the home) sends on to an owner elsewhere.
+_REQUEST_KINDS = ("req_ld", "req_st")
+_FORWARD_KINDS = ("fwd_ld", "fwd_st")
+
 #: Model events emitted by actions, compared against simulator events by
 #: the conformance bridge:
 #:   ("observe", op_index, observed_version, expected_version)
 #:   ("apply", subblock, version, previous_version, inverted)
 Event = Tuple
+
+
+def conformance_machine(num_clusters: int = 2) -> MachineConfig:
+    """The machine the model routes on and the bridge drives: baseline
+    geometry, ``num_clusters`` clusters.  Its 32-byte blocks of 4-byte
+    interleave units admit 1, 2, 4 or 8 clusters; ``MachineConfig``
+    rejects any other count.  The cache (32-set modules) never evicts for
+    the handful of blocks a model program touches, matching the model's
+    no-eviction abstraction."""
+    return MachineConfig(
+        name=f"conformance-{num_clusters}c", num_clusters=num_clusters
+    )
 
 
 @dataclass(frozen=True)
@@ -91,7 +124,7 @@ class State(NamedTuple):
     """One protocol state.  Every field is a tuple, so states hash and
     compare by value — the explorer's visited set depends on that."""
 
-    #: per subblock: ABSENT / CLEAN / DIRTY at its home module
+    #: per subblock: ABSENT / CLEAN / DIRTY at its owner's module
     cache: Tuple[int, ...]
     #: per subblock: last applied store version (0 = initial contents)
     versions: Tuple[int, ...]
@@ -101,9 +134,10 @@ class State(NamedTuple):
     mshr: Tuple[Tuple[tuple, ...], ...]
     #: per *source* cluster: FIFO of in-flight messages.  Messages:
     #:   ("req_ld", sb, (ops...)) | ("req_st", sb, op)
+    #:   | ("fwd_ld", sb, (ops...), requester) | ("fwd_st", sb, op)
     #:   | ("resp", sb, (ops...), version)
     queues: Tuple[Tuple[tuple, ...], ...]
-    #: per *home* cluster: probe-hit responses ready to enter the queue
+    #: per *owner* cluster: probe-hit responses ready to enter the queue
     #: (the simulator's deferred sends), in ready order
     pending: Tuple[Tuple[tuple, ...], ...]
     #: per op: (status, observed version or NO_VERSION)
@@ -139,36 +173,11 @@ def _pop(t: tuple, i: int, pos: int = 0) -> tuple:
 class ProtocolModel:
     """The guarded-action system for one program on one small machine.
 
-    ``mutation`` selects a seeded protocol bug from
-    :mod:`repro.check.mutations` (``None`` = the faithful protocol).
-
-    Subclasses (:mod:`repro.check.variants`) model other memory models
-    by overriding the placement hooks (:meth:`home`, :meth:`data_home`,
-    :meth:`is_local`) and/or substituting their own ``TRANSITION_TABLE``
-    class attribute; the state shape, the invariants and the explorer
-    are shared.
+    ``model`` names the registered memory model whose ``placement``
+    routes the subblocks (see the module docstring); ``mutation``
+    selects a seeded protocol bug from :mod:`repro.check.mutations`
+    (``None`` = the faithful protocol).  Both apply to every model.
     """
-
-    #: The protocol's transition table.  Assigned after the module-level
-    #: table is built (the actions are module functions); subclasses
-    #: override it with their own tuple of :class:`GuardedAction`.
-    TRANSITION_TABLE: Tuple["GuardedAction", ...] = ()
-
-    @classmethod
-    def table_by_name(cls) -> dict:
-        """Name -> entry index of this class's table (cached per class)."""
-        cached = cls.__dict__.get("_table_by_name")
-        if cached is None:
-            cached = {entry.name: entry for entry in cls.TRANSITION_TABLE}
-            cls._table_by_name = cached
-        return cached
-
-    @classmethod
-    def core_transitions(cls) -> Tuple[str, ...]:
-        """Transition names of the faithful (unmutated) protocol."""
-        return tuple(
-            e.name for e in cls.TRANSITION_TABLE if e.mutation_only is None
-        )
 
     def __init__(
         self,
@@ -176,6 +185,7 @@ class ProtocolModel:
         num_subblocks: int,
         program: Tuple[ModelOp, ...],
         mutation: Optional[str] = None,
+        model: str = DEFAULT_MODEL,
     ) -> None:
         from repro.check.mutations import MUTATIONS
 
@@ -184,10 +194,29 @@ class ProtocolModel:
                 f"unknown mutation {mutation!r}; expected one of "
                 f"{sorted(MUTATIONS)}"
             )
+        self.memory_model = named_model(model)
+        machine = conformance_machine(num_clusters)
+        homes, owners = self.memory_model.placement(machine, [
+            self.memory_model.conformance_address(machine, sb)
+            for sb in range(num_subblocks)
+        ])
         self.num_clusters = num_clusters
         self.num_subblocks = num_subblocks
         self.program = tuple(program)
         self.mutation = mutation
+        #: per subblock: the cluster its requests go to, and the cluster
+        #: holding it (the serialization point)
+        self.homes = tuple(homes)
+        self.owners = tuple(owners)
+        #: whether some home does not own its subblock
+        self.forwards = self.homes != self.owners
+        #: the entries this instance fires: the faithful protocol, the
+        #: mutation's own rules, and the forward family where it can fire
+        self.table = tuple(
+            entry for entry in TRANSITION_TABLE
+            if entry.mutation_only in (None, mutation)
+            and (self.forwards or not entry.forward_only)
+        )
         #: expected observation of each load: the version written by the
         #: last program-order store to the same subblock before it.
         self._expected = {}
@@ -198,19 +227,18 @@ class ProtocolModel:
             else:
                 last_store[op.subblock] = op.index + 1
 
+    def core_transitions(self) -> Tuple[str, ...]:
+        """Transition names of the faithful (unmutated) protocol on this
+        placement."""
+        return tuple(
+            e.name for e in self.table if e.mutation_only is None
+        )
+
     # ------------------------------------------------------------------
-    def home(self, sb: int) -> int:
-        """The cluster requests for ``sb`` are sent to."""
-        return sb % self.num_clusters
-
-    def data_home(self, sb: int) -> int:
-        """The cluster that actually holds ``sb`` — the serialization
-        point.  Equal to :meth:`home` in the snooping protocol; the
-        distributed-directory variant decouples the two."""
-        return self.home(sb)
-
     def is_local(self, op: ModelOp) -> bool:
-        return self.home(op.subblock) == op.cluster
+        """Whether ``op`` issues at the home of a subblock it owns."""
+        sb = op.subblock
+        return op.cluster == self.homes[sb] == self.owners[sb]
 
     def expected_version(self, op_index: int) -> int:
         return self._expected[op_index]
@@ -231,11 +259,7 @@ class ProtocolModel:
     def enabled(self, state: State) -> List[Transition]:
         """Every transition instance whose guard holds in ``state``."""
         out: List[Transition] = []
-        for entry in type(self).TRANSITION_TABLE:
-            if entry.mutation_only is not None and (
-                entry.mutation_only != self.mutation
-            ):
-                continue
+        for entry in self.table:
             for args in entry.instances(self, state):
                 out.append(Transition(entry.name, args))
         return out
@@ -244,21 +268,20 @@ class ProtocolModel:
         self, state: State, transition: Transition
     ) -> Tuple[State, List[Event]]:
         """Fire ``transition``; returns the successor and its events."""
-        entry = self.table_by_name()[transition.name]
+        entry = _BY_NAME[transition.name]
         return entry.apply(self, state, transition.args)
 
     # ------------------------------------------------------------------
     # Rendering (counterexample traces)
     # ------------------------------------------------------------------
     def describe_transition(self, t: Transition) -> str:
-        entry = self.table_by_name()[t.name]
-        return entry.describe(self, t.args)
+        return _BY_NAME[t.name].describe(self, t.args)
 
     def describe_state(self, state: State) -> str:
         parts = []
         names = {ABSENT: "absent", CLEAN: "clean", DIRTY: "dirty"}
         for sb in range(self.num_subblocks):
-            bits = f"sb{sb}@c{self.data_home(sb)}={names[state.cache[sb]]}" \
+            bits = f"sb{sb}@c{self.owners[sb]}={names[state.cache[sb]]}" \
                    f" v{state.versions[sb]}"
             if state.mshr[sb]:
                 bits += " mshr=" + ",".join(
@@ -355,11 +378,13 @@ def _apply_store(
     )
 
 
-def _request_actions(model: ProtocolModel, src: int, message: tuple):
-    """MSHR actions a delivered request defers, in order."""
-    if message[0] == "req_ld":
-        return [("respond", src, op) for op in message[2]]
-    return [("store", message[2])]
+def _request_actions(src: int, message: tuple):
+    """MSHR actions a delivered request or forward defers, in order; a
+    forward names its requester, a request's is its source."""
+    if message[0] in ("req_st", "fwd_st"):
+        return [("store", message[2])]
+    requester = message[3] if message[0] == "fwd_ld" else src
+    return [("respond", requester, op) for op in message[2]]
 
 
 # ----------------------------------------------------------------------
@@ -376,10 +401,19 @@ class GuardedAction:
     describe: Callable[[ProtocolModel, Tuple], str]
     #: non-None restricts the rule to one seeded mutation
     mutation_only: Optional[str] = None
+    #: True for the forward family, which fires only where some home
+    #: does not own its subblock
+    forward_only: bool = False
 
 
 def _op_describer(model: ProtocolModel, args: Tuple) -> str:
     return model.program[args[0]].label
+
+
+def _server(model: ProtocolModel) -> str:
+    """What to call the cluster that serves responses: the owner, which
+    is also the home unless the placement forwards."""
+    return "owner" if model.forwards else "home"
 
 
 # -- issue: local hit ---------------------------------------------------
@@ -441,7 +475,39 @@ def _i_local_combine(model: ProtocolModel, state: State) -> Iterator[Tuple]:
 _a_local_combine = _a_local_miss  # same action: append to the open entry
 
 
+# -- issue: at the home of a subblock owned elsewhere --------------------
+def _i_issue_forward(model: ProtocolModel, state: State) -> Iterator[Tuple]:
+    for op in model.program:
+        sb = op.subblock
+        if (
+            op.cluster == model.homes[sb] != model.owners[sb]
+            and _issuable(model, state, op)
+        ):
+            yield (op.index,)
+
+
+def _a_issue_forward(model, state, args):
+    """The directory lookup is local and free: the access goes straight
+    to the owner as a forward in the issuer's FIFO."""
+    op = model.program[args[0]]
+    message = (
+        ("fwd_ld", op.subblock, (op.index,), op.cluster)
+        if op.is_load
+        else ("fwd_st", op.subblock, op.index)
+    )
+    state = state._replace(
+        queues=_append(state.queues, op.cluster, message),
+        ops=_set(state.ops, op.index, (INFLIGHT, NO_VERSION)),
+    )
+    return state, []
+
+
 # -- issue: remote ------------------------------------------------------
+def _is_remote(model: ProtocolModel, op: ModelOp) -> bool:
+    """Whether ``op`` issues away from its subblock's home."""
+    return op.cluster != model.homes[op.subblock]
+
+
 def _combinable_position(state: State, op: ModelOp) -> Optional[int]:
     """Queue position of an in-flight same-cluster load request for the
     same subblock (the target the stale-combining bug merged onto)."""
@@ -453,7 +519,7 @@ def _combinable_position(state: State, op: ModelOp) -> Optional[int]:
 
 def _i_remote(model: ProtocolModel, state: State) -> Iterator[Tuple]:
     for op in model.program:
-        if model.is_local(op) or not _issuable(model, state, op):
+        if not _is_remote(model, op) or not _issuable(model, state, op):
             continue
         if (
             model.mutation == "stale_combining"
@@ -482,7 +548,7 @@ def _a_remote(model, state, args):
 def _i_remote_combine(model: ProtocolModel, state: State) -> Iterator[Tuple]:
     for op in model.program:
         if (
-            not model.is_local(op)
+            _is_remote(model, op)
             and op.is_load
             and _issuable(model, state, op)
             and _combinable_position(state, op) is not None
@@ -506,13 +572,13 @@ def _a_remote_combine(model, state, args):
     return state, []
 
 
-# -- deliver a request at its home --------------------------------------
-def _deliverable_requests(
-    model: ProtocolModel, state: State
+# -- deliver a request at its home, a forward at its owner --------------
+def _deliverable(
+    model: ProtocolModel, state: State, kinds: Tuple[str, ...]
 ) -> Iterator[Tuple[int, int, tuple]]:
-    """(src, position, message) triples a delivery may consume.  The
-    faithful fabric delivers per-source FIFO heads only; the
-    reordered-arrival mutation may deliver any queued request."""
+    """(src, position, message) triples of the given kinds a delivery
+    may consume.  The faithful fabric delivers per-source FIFO heads
+    only; the reordered-arrival mutation may deliver any queued one."""
     for src in range(model.num_clusters):
         queue = state.queues[src]
         if not queue:
@@ -524,43 +590,60 @@ def _deliverable_requests(
         )
         for pos in positions:
             message = queue[pos]
-            if message[0] in ("req_ld", "req_st"):
+            if message[0] in kinds:
                 yield src, pos, message
 
 
+def _served_requests(
+    model: ProtocolModel, state: State
+) -> Iterator[Tuple[int, int, tuple]]:
+    """Deliverable requests whose home owns the subblock and serves
+    them."""
+    for src, pos, message in _deliverable(model, state, _REQUEST_KINDS):
+        sb = message[1]
+        if model.homes[sb] == model.owners[sb]:
+            yield src, pos, message
+
+
 def _i_request_hit(model: ProtocolModel, state: State) -> Iterator[Tuple]:
-    for src, pos, message in _deliverable_requests(model, state):
+    for src, pos, message in _served_requests(model, state):
         if state.cache[message[1]] != ABSENT:
             yield (src, pos)
 
 
-def _a_request_hit(model, state, args):
+def _serve(model, state, args, present):
+    """Serve the delivered request or forward at ``args`` against the
+    owner's current contents.  A read observes at the serialization
+    point and its response waits in the owner's ready buffer for its bus
+    slot; a store applies (``present`` marks the subblock dirty)."""
     src, pos = args
     message = state.queues[src][pos]
     sb = message[1]
-    home = model.data_home(sb)
     state = state._replace(queues=_pop(state.queues, src, pos))
     events: List[Event] = []
-    if message[0] == "req_ld":
-        # Serve at the serialization point; the response data waits in
-        # the home's ready buffer for its bus slot.
+    if message[0] in ("req_ld", "fwd_ld"):
         for op_index in message[2]:
             state = _observe(model, state, op_index, INFLIGHT, events)
         version = state.ops[message[2][0]][1]
         state = state._replace(
             pending=_append(
-                state.pending, home, ("resp", sb, message[2], version)
+                state.pending, model.owners[sb],
+                ("resp", sb, message[2], version),
             )
         )
     else:
         state = _apply_store(
-            model, state, sb, message[2], events, present=True
+            model, state, sb, message[2], events, present=present
         )
     return state, events
 
 
+def _a_request_hit(model, state, args):
+    return _serve(model, state, args, present=True)
+
+
 def _i_request_miss(model: ProtocolModel, state: State) -> Iterator[Tuple]:
-    for src, pos, message in _deliverable_requests(model, state):
+    for src, pos, message in _served_requests(model, state):
         if state.cache[message[1]] == ABSENT and not state.mshr[message[1]]:
             yield (src, pos)
 
@@ -570,7 +653,7 @@ def _a_request_miss(model, state, args):
     message = state.queues[src][pos]
     sb = message[1]
     state = state._replace(queues=_pop(state.queues, src, pos))
-    for action in _request_actions(model, src, message):
+    for action in _request_actions(src, message):
         state = state._replace(mshr=_append(state.mshr, sb, action))
     return state, []
 
@@ -578,7 +661,7 @@ def _a_request_miss(model, state, args):
 def _i_request_combine(model: ProtocolModel, state: State) -> Iterator[Tuple]:
     if model.mutation == "premature_combine":
         return  # the buggy protocol serves immediately (see below)
-    for src, pos, message in _deliverable_requests(model, state):
+    for src, pos, message in _served_requests(model, state):
         if state.cache[message[1]] == ABSENT and state.mshr[message[1]]:
             yield (src, pos)
 
@@ -588,7 +671,7 @@ _a_request_combine = _a_request_miss  # same action: defer into the entry
 
 # -- deliver a request prematurely (premature_combine mutation) ---------
 def _i_request_premature(model: ProtocolModel, state: State) -> Iterator[Tuple]:
-    for src, pos, message in _deliverable_requests(model, state):
+    for src, pos, message in _served_requests(model, state):
         if state.cache[message[1]] == ABSENT and state.mshr[message[1]]:
             yield (src, pos)
 
@@ -597,41 +680,68 @@ def _a_request_premature(model, state, args):
     """The bug: a request that finds an open MSHR entry is served against
     the *current* subblock contents instead of waiting its turn in the
     entry — it jumps the serialization order of the pending fill."""
+    return _serve(model, state, args, present=False)
+
+
+# -- forward a request from a home that does not own its subblock -------
+def _i_request_forward(model: ProtocolModel, state: State) -> Iterator[Tuple]:
+    for src, pos, message in _deliverable(model, state, _REQUEST_KINDS):
+        sb = message[1]
+        if model.homes[sb] != model.owners[sb]:
+            yield (src, pos)
+
+
+def _a_request_forward(model, state, args):
+    """The home's directory lookup: the request leaves its source FIFO
+    and re-enters the fabric as a forward in the *home's* FIFO, bound
+    for the owner."""
     src, pos = args
     message = state.queues[src][pos]
     sb = message[1]
-    home = model.data_home(sb)
+    forward = (
+        ("fwd_ld", sb, message[2], src)
+        if message[0] == "req_ld"
+        else ("fwd_st", sb, message[2])
+    )
     state = state._replace(queues=_pop(state.queues, src, pos))
-    events: List[Event] = []
-    if message[0] == "req_ld":
-        for op_index in message[2]:
-            state = _observe(model, state, op_index, INFLIGHT, events)
-        version = state.ops[message[2][0]][1]
-        state = state._replace(
-            pending=_append(
-                state.pending, home, ("resp", sb, message[2], version)
-            )
-        )
-    else:
-        state = _apply_store(
-            model, state, sb, message[2], events, present=False
-        )
-    return state, events
+    state = state._replace(
+        queues=_append(state.queues, model.homes[sb], forward)
+    )
+    return state, []
+
+
+# -- deliver a forward at the owner --------------------------------------
+def _i_forward_hit(model: ProtocolModel, state: State) -> Iterator[Tuple]:
+    for src, pos, message in _deliverable(model, state, _FORWARD_KINDS):
+        if state.cache[message[1]] != ABSENT:
+            yield (src, pos)
+
+
+def _i_forward_miss(model: ProtocolModel, state: State) -> Iterator[Tuple]:
+    for src, pos, message in _deliverable(model, state, _FORWARD_KINDS):
+        if state.cache[message[1]] == ABSENT and not state.mshr[message[1]]:
+            yield (src, pos)
+
+
+def _i_forward_combine(model: ProtocolModel, state: State) -> Iterator[Tuple]:
+    for src, pos, message in _deliverable(model, state, _FORWARD_KINDS):
+        if state.cache[message[1]] == ABSENT and state.mshr[message[1]]:
+            yield (src, pos)
 
 
 # -- move a ready response onto the bus ---------------------------------
 def _i_send_response(model: ProtocolModel, state: State) -> Iterator[Tuple]:
-    for home in range(model.num_clusters):
-        if state.pending[home]:
-            yield (home,)
+    for owner in range(model.num_clusters):
+        if state.pending[owner]:
+            yield (owner,)
 
 
 def _a_send_response(model, state, args):
-    home = args[0]
-    message = state.pending[home][0]
+    owner = args[0]
+    message = state.pending[owner][0]
     state = state._replace(
-        pending=_pop(state.pending, home),
-        queues=_append(state.queues, home, message),
+        pending=_pop(state.pending, owner),
+        queues=_append(state.queues, owner, message),
     )
     return state, []
 
@@ -666,10 +776,10 @@ def _i_fill(model: ProtocolModel, state: State) -> Iterator[Tuple]:
 def _a_fill(model, state, args):
     """Install the subblock and replay the MSHR actions in arrival
     order against the evolving contents (``_handle_fill``).  Responses
-    produced here enter the bus queue directly: the simulator sends
-    fill-time responses in the fill cycle itself."""
+    produced here enter the owner's bus queue directly: the simulator
+    sends fill-time responses in the fill cycle itself."""
     sb = args[0]
-    home = model.data_home(sb)
+    owner = model.owners[sb]
     actions = state.mshr[sb]
     state = state._replace(
         cache=_set(state.cache, sb, CLEAN),
@@ -695,7 +805,7 @@ def _a_fill(model, state, args):
             version = state.ops[op_index][1]
             state = state._replace(
                 queues=_append(
-                    state.queues, home,
+                    state.queues, owner,
                     ("resp", sb, (op_index,), version),
                 )
             )
@@ -710,7 +820,7 @@ def _describe_delivery(model: ProtocolModel, args: Tuple) -> str:
 TRANSITION_TABLE: Tuple[GuardedAction, ...] = (
     GuardedAction(
         "issue_local_hit",
-        "a local access finds its subblock at the home module",
+        "a local access (cluster = home = owner) finds its subblock",
         _i_local_hit, _a_local_hit, _op_describer,
     ),
     GuardedAction(
@@ -724,8 +834,15 @@ TRANSITION_TABLE: Tuple[GuardedAction, ...] = (
         _i_local_combine, _a_local_combine, _op_describer,
     ),
     GuardedAction(
+        "issue_forward",
+        "an access at the home of a subblock owned elsewhere goes "
+        "straight to the owner (the directory lookup is local and free)",
+        _i_issue_forward, _a_issue_forward, _op_describer,
+        forward_only=True,
+    ),
+    GuardedAction(
         "issue_remote",
-        "a remote access sends its own request to the home cluster",
+        "an access away from the home sends its own request there",
         _i_remote, _a_remote, _op_describer,
     ),
     GuardedAction(
@@ -737,17 +854,20 @@ TRANSITION_TABLE: Tuple[GuardedAction, ...] = (
     ),
     GuardedAction(
         "deliver_request_hit",
-        "a request reaches a home that holds the subblock and is served",
+        "a request reaches a home that owns and holds the subblock and "
+        "is served",
         _i_request_hit, _a_request_hit, _describe_delivery,
     ),
     GuardedAction(
         "deliver_request_miss",
-        "a request reaches a home without the subblock: MSHR + fill",
+        "a request reaches an owning home without the subblock: "
+        "MSHR + fill",
         _i_request_miss, _a_request_miss, _describe_delivery,
     ),
     GuardedAction(
         "deliver_request_combine",
-        "a request reaches a home mid-fill and joins the MSHR entry",
+        "a request reaches an owning home mid-fill and joins the MSHR "
+        "entry",
         _i_request_combine, _a_request_combine, _describe_delivery,
     ),
     GuardedAction(
@@ -758,16 +878,41 @@ TRANSITION_TABLE: Tuple[GuardedAction, ...] = (
         mutation_only="premature_combine",
     ),
     GuardedAction(
+        "deliver_request_forward",
+        "a request reaches a home that does not own the subblock and is "
+        "forwarded to the owner",
+        _i_request_forward, _a_request_forward, _describe_delivery,
+        forward_only=True,
+    ),
+    GuardedAction(
+        "deliver_forward_hit",
+        "a forward reaches the owner holding the subblock and is served",
+        _i_forward_hit, _a_request_hit, _describe_delivery,
+        forward_only=True,
+    ),
+    GuardedAction(
+        "deliver_forward_miss",
+        "a forward reaches the owner without the subblock: MSHR + fill",
+        _i_forward_miss, _a_request_miss, _describe_delivery,
+        forward_only=True,
+    ),
+    GuardedAction(
+        "deliver_forward_combine",
+        "a forward reaches the owner mid-fill and joins the MSHR entry",
+        _i_forward_combine, _a_request_combine, _describe_delivery,
+        forward_only=True,
+    ),
+    GuardedAction(
         "send_response",
-        "a ready probe-hit response enters the home's bus queue",
+        "a ready probe-hit response enters the owner's bus queue",
         _i_send_response, _a_send_response,
-        lambda model, args: f"home c{args[0]}",
+        lambda model, args: f"{_server(model)} c{args[0]}",
     ),
     GuardedAction(
         "deliver_response",
         "a response reaches its requester; the load completes",
         _i_deliver_response, _a_deliver_response,
-        lambda model, args: f"from home c{args[0]}",
+        lambda model, args: f"from {_server(model)} c{args[0]}",
     ),
     GuardedAction(
         "fill_complete",
@@ -777,7 +922,7 @@ TRANSITION_TABLE: Tuple[GuardedAction, ...] = (
     ),
 )
 
-ProtocolModel.TRANSITION_TABLE = TRANSITION_TABLE
+_BY_NAME = {entry.name: entry for entry in TRANSITION_TABLE}
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Seeded protocol mutations — the "does the checker pay for itself" set.
 
 Each mutation is a deliberate bug wired into the guarded-action model
-(:mod:`repro.check.model` branches on ``ProtocolModel.mutation``).  The
-regression harness (``tests/test_check_mutations.py``) asserts that the
-exhaustive explorer produces a counterexample for every one of them; if
+(:mod:`repro.check.model` branches on ``ProtocolModel.mutation``), and
+applies under every memory model.  The regression harness
+(``tests/test_check_mutations.py``) asserts that the exhaustive explorer
+produces a counterexample for every one of them under every model; if
 a future edit to the model or the invariants makes any mutation pass,
 the checker has lost the power to catch that class of bug.
 

@@ -75,9 +75,7 @@ own sends that hop directly.
 
 The orderings that matter are called out inline: tick order, bus
 arbitration, MSHR action replay in arrival order, and owner-side load
-serialization.  Per-module cache hit/miss counters and the next level's
-``queued_cycles`` are not mirrored: neither reaches ``SimStats`` or the
-metrics registry.
+serialization.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ holds the data.  Both simulation engines route by that one
 ``placement``: the per-cycle reference
 :class:`~repro.sim.memory.MemorySystem` (what the conformance bridge
 drives) and the flat fast path (:mod:`repro.sim.flatmem`).  Each model
-also names its conformance address scheme; its exhaustive-check model
-is registered under the same name in :mod:`repro.check.variants`.
+also names its conformance address scheme: the protocol model
+(:mod:`repro.check.model`) routes by the ``placement`` of those
+addresses, so the model checker routes exactly as the simulator does.
 Registered models:
 
 ``snooping``
@@ -82,8 +83,9 @@ class MemoryModel:
             )
 
     def conformance_address(self, machine: MachineConfig, sb: int) -> int:
-        """An address whose block id is ``sb`` and whose serving cluster
-        matches the check model's ``home(sb)`` under ``machine``."""
+        """An address whose block id is ``sb``; the protocol model routes
+        subblock ``sb`` by this address's :meth:`placement` under
+        ``machine``."""
         return sb * machine.cache.block_bytes
 
 

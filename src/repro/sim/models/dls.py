@@ -27,7 +27,8 @@ _HASH_MULTIPLIER = 2654435761
 
 
 def dls_home(block: int, num_clusters: int) -> int:
-    """The hashed home slice of ``block`` (shared with the check model)."""
+    """The hashed home slice of ``block``: :meth:`DLSModel.placement`
+    for one block."""
     return ((block * _HASH_MULTIPLIER) >> 8) % num_clusters
 
 

@@ -34,8 +34,9 @@ class SnoopingModel(MemoryModel):
         return homes, homes
 
     def conformance_address(self, machine: MachineConfig, sb: int) -> int:
-        # Distinct blocks whose interleaved home is ``sb % clusters`` —
-        # the check model's home map for this protocol.
+        # Distinct blocks whose interleaved homes are ``sb % clusters``,
+        # so the protocol model, routed by their placement, checks local
+        # and remote subblocks alike.
         return (sb * machine.cache.block_bytes
                 + (sb % machine.num_clusters) * machine.interleave_bytes)
 

@@ -95,6 +95,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MachineConfig(interleave_bytes=12)
 
+    def test_indivisible_block_names_the_values(self):
+        with pytest.raises(ConfigError) as raised:
+            MachineConfig(num_clusters=3)
+        message = str(raised.value)
+        assert "%%" not in message
+        assert "block_bytes % (interleave * clusters) == 0" in message
+        assert "32-byte blocks, 4-byte interleave, 3 clusters" in message
+
     def test_bus_count_positive(self):
         with pytest.raises(ConfigError):
             BusConfig(0, 2)

@@ -70,7 +70,7 @@ class TestBattery:
         assert report.programs == 8 ** 2
         assert report.runs == report.programs * len(issue_schedules(2))
         assert report.transitions > 0
-        for name in ProtocolModel.core_transitions():
+        for name in ProtocolModel(2, 2, ()).core_transitions():
             assert report.coverage.get(name, 0) > 0, name
 
     def test_summary_renders(self):

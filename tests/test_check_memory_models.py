@@ -1,24 +1,30 @@
-"""Per-model protocol checking (:mod:`repro.check.variants`).
+"""Protocol checking under every registered memory model.
 
-Each registered memory model carries its own check model: the explorer
-must prove all of them safe on disciplined programs, the conformance
-bridge must replay the reference memory system under each model through
-its matching transition table without disagreement (and reject it with
-a seeded bug), and the model registry and the check registry must agree
-on names.
+One :class:`~repro.check.model.ProtocolModel` serves every model, routed
+by the model's ``placement``: its homes and owners must be the
+simulator's, the explorer must prove every model safe on disciplined
+programs, and the conformance bridge must replay the reference memory
+system under each model without disagreement (and reject it with a
+seeded bug).
 """
 
 import pytest
 
-from repro.check import CHECK_MODELS, check_protocol, named_check_model
+from repro.check import check_protocol
 from repro.check.conformance import run_conformance
 from repro.check.model import ProtocolModel
-from repro.check.variants import DirectoryProtocolModel, DLSProtocolModel
 from repro.errors import CheckError, ConfigError
 from repro.sim.memory import MemorySystem
 from repro.sim.models import model_names
+from repro.sim.models.directory import directory_home, directory_owner
+from repro.sim.models.dls import dls_home
 
-ALL_MODELS = tuple(sorted(CHECK_MODELS))
+ALL_MODELS = model_names()
+
+FORWARD_FAMILY = {
+    "issue_forward", "deliver_request_forward", "deliver_forward_hit",
+    "deliver_forward_miss", "deliver_forward_combine",
+}
 
 
 class _LifoFill(MemorySystem):
@@ -39,17 +45,39 @@ class _HomeServesUnowned(MemorySystem):
 
 
 class TestRegistry:
-    def test_one_check_model_per_memory_model(self):
-        assert tuple(sorted(CHECK_MODELS)) == model_names()
-
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError, match="no check model"):
-            named_check_model("mesi")
+        with pytest.raises(ConfigError, match="unknown memory model"):
+            ProtocolModel(2, 2, (), model="mesi")
+        # The entry points reject it before (and without) any program.
+        with pytest.raises(ConfigError, match="unknown memory model"):
+            check_protocol(model="mesi", programs=[])
+        with pytest.raises(ConfigError, match="unknown memory model"):
+            run_conformance(model="mesi", programs=[])
 
-    def test_tables_cover_core_transitions(self):
-        for cls in CHECK_MODELS.values():
-            assert cls.core_transitions()
-            assert set(cls.core_transitions()) <= set(cls.table_by_name())
+
+class TestPlacement:
+    @pytest.mark.parametrize("n", (1, 2, 4, 8))
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_homes_and_owners_are_the_simulators(self, model, n):
+        """The check model routes each subblock by the memory model's
+        ``placement``; on the check machines that is the per-model map,
+        and only a home away from its owner brings in the forward
+        family."""
+        check = ProtocolModel(n, 16, (), model=model)
+        sbs = range(16)
+        expected = {
+            "snooping": ([sb % n for sb in sbs], [sb % n for sb in sbs]),
+            "dls": ([dls_home(sb, n) for sb in sbs],
+                    [dls_home(sb, n) for sb in sbs]),
+            "directory": ([directory_home(sb, n) for sb in sbs],
+                          [directory_owner(sb, n) for sb in sbs]),
+        }[model]
+        assert (list(check.homes), list(check.owners)) == expected
+        core = set(check.core_transitions())
+        if model == "directory" and n >= 2:
+            assert FORWARD_FAMILY <= core
+        else:
+            assert not FORWARD_FAMILY & core
 
 
 class TestExplorer:
@@ -67,47 +95,8 @@ class TestExplorer:
         assert report.ok, report.summary()
         fired = {name for name, count
                  in report.transition_coverage.items() if count}
-        assert fired == set(named_check_model(model).core_transitions())
-
-    def test_dls_still_catches_seeded_bugs(self):
-        """The placement change must not blind the checker: every
-        snooping mutation stays detectable under the DLS table."""
-        from repro.check.mutations import MUTATIONS
-
-        for mutation in MUTATIONS:
-            report = check_protocol(op_count=3, model="dls",
-                                    mutation=mutation,
-                                    disciplined_only=True)
-            assert report.counterexamples, (
-                f"mutation {mutation!r} escaped the DLS checker"
-            )
-
-    def test_directory_rejects_mutations(self):
-        with pytest.raises(ConfigError, match="snooping-flow"):
-            check_protocol(op_count=2, model="directory",
-                           mutation="stale_read")
-
-
-class TestModels:
-    def test_dls_overrides_placement_only(self):
-        assert DLSProtocolModel.TRANSITION_TABLE is (
-            ProtocolModel.TRANSITION_TABLE
-        )
-
-    def test_directory_decouples_home_and_owner(self):
-        model = DirectoryProtocolModel(2, 4, ())
-        homes = [model.home(sb) for sb in range(4)]
-        owners = [model.data_home(sb) for sb in range(4)]
-        assert homes == [0, 1, 0, 1]
-        assert owners == [0, 0, 1, 1]
-        # sb2: the home is not the owner -> the forwarded hop exists.
-        assert homes[2] != owners[2]
-
-    def test_directory_table_has_forward_family(self):
-        names = set(DirectoryProtocolModel.table_by_name())
-        assert {"issue_forward", "deliver_request_forward",
-                "deliver_forward_hit", "deliver_forward_miss",
-                "deliver_forward_combine"} <= names
+        core = ProtocolModel(2, 2, (), model=model).core_transitions()
+        assert fired == set(core)
 
 
 class TestConformance:

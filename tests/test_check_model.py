@@ -49,7 +49,7 @@ class TestEnumeration:
 class TestModelBasics:
     def test_home_is_interleaved_by_subblock(self):
         model = ProtocolModel(2, 4, (ld(0, 0, 0),))
-        assert [model.home(sb) for sb in range(4)] == [0, 1, 0, 1]
+        assert model.homes == (0, 1, 0, 1)
         assert model.is_local(ld(0, 0, 0))
         assert not model.is_local(ld(0, 0, 1))
 
@@ -77,7 +77,7 @@ class TestModelBasics:
         faithful = ProtocolModel(2, 2, program)
         mutated = ProtocolModel(2, 2, program, mutation="stale_combining")
         names = {e.name for e in TRANSITION_TABLE}
-        core = set(ProtocolModel.core_transitions())
+        core = set(faithful.core_transitions())
         assert core < names
         assert "issue_remote_combine" in names
         assert "issue_remote_combine" not in core

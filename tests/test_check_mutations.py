@@ -1,10 +1,12 @@
 """Mutation testing of the model checker: every seeded protocol bug must
-be caught with a minimal counterexample, and the faithful protocol must
-be violation-free over the same exhaustive sweep."""
+be caught with a minimal counterexample under every memory model, and
+the faithful protocol must be violation-free over the same exhaustive
+sweep."""
 
 import pytest
 
 from repro.check import MUTATIONS, ProtocolModel, check_protocol
+from repro.sim.models import model_names
 
 
 class TestFaithfulProtocol:
@@ -25,7 +27,7 @@ class TestFaithfulProtocol:
         assert clean_report.elapsed_seconds < 60
 
     def test_every_core_transition_reached(self, clean_report):
-        for name in ProtocolModel.core_transitions():
+        for name in ProtocolModel(2, 2, ()).core_transitions():
             assert clean_report.transition_coverage.get(name, 0) > 0, name
 
     def test_free_races_exist_but_are_not_violations(self, clean_report):
@@ -37,12 +39,13 @@ class TestFaithfulProtocol:
 
 class TestMutations:
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-    def test_each_mutation_yields_counterexample(self, mutation):
+    @pytest.mark.parametrize("model", model_names())
+    def test_each_mutation_yields_counterexample(self, model, mutation):
         report = check_protocol(
             num_clusters=2, num_subblocks=2, op_count=3,
-            mutation=mutation, disciplined_only=True,
+            mutation=mutation, disciplined_only=True, model=model,
         )
-        assert not report.ok, f"{mutation} was not caught"
+        assert not report.ok, f"{mutation} was not caught under {model}"
         ce = report.counterexamples[0]
         assert ce.mutation == mutation
         assert ce.invariant in {"no_stale_read", "no_future_read"}

@@ -134,8 +134,8 @@ def address_tables():
 @pytest.mark.parametrize("machine", PLACEMENT_MACHINES)
 def test_placement_matches_the_per_address_routes(machine, address_tables):
     """``placement()`` computes a whole table's routes inline; it must
-    equal the per-address functions the reference's memory systems and
-    the check models route by."""
+    equal the per-address functions it inlines.  Both simulator engines
+    and the protocol model route by ``placement`` itself."""
     config = (BASELINE_CONFIG if machine == "baseline"
               else parse_config_name(machine))
     n = config.num_clusters
